@@ -4,7 +4,8 @@ tables, moduli bounds and verification suites.
 Output is byte-stable for identical arguments: every ordering is
 explicit and all rationals render as exact "p/q" strings (plain "p"
 when integral).  Exit status is 0 on success, 1 when an assertion or a
-verification suite fails, 2 on usage errors.
+verification suite fails, 2 on usage errors, an unwritable --output path
+included.
 """
 
 from __future__ import annotations
@@ -262,9 +263,7 @@ def _to_csv(payload: Dict) -> str:
                 writer.writerow(
                     [suite["suite"], check["name"], check["status"], check["residual"]]
                 )
-    elif cmd == "all":
-        raise ValueError("csv format is not defined for `all`; use table or json")
-    else:  # pragma: no cover
+    else:  # pragma: no cover - `all` is refused before any computation
         raise ValueError(cmd)
     return buf.getvalue()
 
@@ -277,8 +276,12 @@ def _emit(payload: Dict, fmt: str, output: Optional[str]) -> None:
     else:
         text = _to_table(payload)
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"nkspectra: cannot write {output}: {exc.strerror}\n")
+            sys.exit(2)
     else:
         sys.stdout.write(text)
 
@@ -368,6 +371,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.format == "csv" and args.subcommand == "all":
+        parser.error("csv format is not available for `all`")
     try:
         if args.subcommand == "spectrum":
             payload = _spectrum_payload(
@@ -383,8 +388,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             payload = _einstein_payload(Space(args.space))
         else:
             payload = _all_payload(args.cutoff)
-        if args.format == "csv" and args.subcommand == "all":
-            parser.error("csv format is not available for `all`")
         _emit(payload, args.format, args.output)
     except AssertionError as exc:
         print(f"nkspectra: internal assertion failed: {exc}", file=sys.stderr)

@@ -806,7 +806,6 @@ class KillingData:
     the dual 1-form, its rotation, the auxiliary a_i / Ja_i fields, the
     v-template 2-form phi_v and the primitive (1,1) part phi_k of d(xi)."""
 
-    xi: Optional[Matrix]
     xi_flat: InvariantForm
     j_xi_flat: InvariantForm
     a: Tuple[InvariantForm, InvariantForm, InvariantForm]
@@ -824,8 +823,8 @@ def _validate_su3(xi: Matrix) -> None:
 
 def killing_data(xi: Optional[Matrix] = None) -> KillingData:
     """The symbolic Killing-field forms; identities proved over the
-    symbols hold for every xi in su_3 simultaneously.  A concrete xi can
-    be attached (validated) for later numeric evaluation."""
+    symbols hold for every xi in su_3 simultaneously.  A concrete xi, if
+    given, is only validated; killing_values evaluates the symbols at it."""
     if xi is not None:
         _validate_su3(xi)
     x = [Coefficient.symbol(f"x{i}") for i in range(1, 7)]
@@ -843,7 +842,6 @@ def killing_data(xi: Optional[Matrix] = None) -> KillingData:
     phi_v = e(5, 6) * v1 - e(3, 4) * v2 + e(1, 2) * v3
     phi_k = type_decompose(d(xi_flat))[0]
     return KillingData(
-        xi=xi,
         xi_flat=xi_flat,
         j_xi_flat=apply_j(xi_flat),
         a=(a1, a2, a3),

@@ -171,8 +171,7 @@ def _mat6_scale(a: Matrix6, s: Fraction) -> Matrix6:
 @dataclass(frozen=True)
 class ModelSU3Structure:
     """The flat model: omega, Psi+/-, J and the canonical tensor A with
-    A_X = -(Psi+ contracted with JX), together with the adjoint map
-    alpha of X -> X -| Psi+."""
+    A_X = -(Psi+ contracted with JX)."""
 
     omega: InvariantForm
     psi_plus: InvariantForm
@@ -187,19 +186,11 @@ class ModelSU3Structure:
         )
         return contract_vector(apply_j(xf), PSI_PLUS)
 
-    def a_endomorphism(self, x: Sequence[Fraction]) -> Matrix6:
-        out = _MAT6_ZERO
-        for q, m in zip(x, self.a_matrices):
-            out = _mat6_add(out, _mat6_scale(m, Fraction(q)))
-        return out
-
     def a_norm_squared(self, x: Sequence[Fraction]) -> Fraction:
         """|A_X|^2 in the 2-form norm (half the endomorphism Frobenius
         norm); this is the normalization in which |A_X|^2 = 2|X|^2."""
         beta = self.a_two_form(x)
         return inner(beta, beta).constant_part()
-
-    alpha = staticmethod(alpha)
 
 
 def model_structure() -> ModelSU3Structure:

@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 Weight = Tuple[Fraction, ...]
 
@@ -74,9 +74,7 @@ class IrrepLabel:
     labels: Tuple[int, ...]
 
     def __post_init__(self):
-        n = _RANK[self.group] if self.group is not Group.SU2_CUBED else 3
-        if self.group is Group.SU2:
-            n = 1
+        n = _RANK[self.group]
         if len(self.labels) != n:
             raise ValueError(f"{self.group} label needs {n} entries")
         if any(not isinstance(x, int) or x < 0 for x in self.labels):
@@ -89,14 +87,10 @@ class IrrepLabel:
         return all(x == 0 for x in self.labels)
 
     def highest_weight(self) -> Weight:
-        if self.group is Group.SU2:
-            return canonical_weight(self.group, self.labels)
-        if self.group is Group.SU2_CUBED:
-            return canonical_weight(self.group, self.labels)
-        if self.group is Group.SO5:
-            return canonical_weight(self.group, self.labels)
-        k, l = self.labels
-        return canonical_weight(Group.SU3, (k, 0, -l))
+        if self.group is Group.SU3:
+            k, l = self.labels
+            return canonical_weight(Group.SU3, (k, 0, -l))
+        return canonical_weight(self.group, self.labels)
 
     def __str__(self):
         inner = ",".join(str(x) for x in self.labels)
@@ -125,66 +119,53 @@ class RootSystem:
     ambient_dim: int
     positive_roots: Tuple[Weight, ...]
     rho: Weight
-    killing_scale: Fraction
-    quotient_relation: Optional[str]
 
 
 _HALF = Fraction(1, 2)
 
-_ROOT_DATA = {
-    Group.SU2: (((Fraction(2),),), Fraction(-1, 8), None),
+_POSITIVE_ROOTS = {
+    Group.SU2: ((Fraction(2),),),
     Group.SU2_CUBED: (
-        (
-            (Fraction(2), Fraction(0), Fraction(0)),
-            (Fraction(0), Fraction(2), Fraction(0)),
-            (Fraction(0), Fraction(0), Fraction(2)),
-        ),
-        Fraction(-1, 8),
-        None,
+        (Fraction(2), Fraction(0), Fraction(0)),
+        (Fraction(0), Fraction(2), Fraction(0)),
+        (Fraction(0), Fraction(0), Fraction(2)),
     ),
     Group.SO5: (
-        (
-            (Fraction(1), Fraction(0)),
-            (Fraction(0), Fraction(1)),
-            (Fraction(1), Fraction(1)),
-            (Fraction(1), Fraction(-1)),
-        ),
-        Fraction(-1, 6),
-        None,
+        (Fraction(1), Fraction(0)),
+        (Fraction(0), Fraction(1)),
+        (Fraction(1), Fraction(1)),
+        (Fraction(1), Fraction(-1)),
     ),
     Group.SU3: (
-        (
-            (Fraction(1), Fraction(-1), Fraction(0)),
-            (Fraction(1), Fraction(0), Fraction(-1)),
-            (Fraction(0), Fraction(1), Fraction(-1)),
-        ),
-        Fraction(-1, 6),
-        "coordinate sum is zero (weights taken modulo (1,1,1))",
+        (Fraction(1), Fraction(-1), Fraction(0)),
+        (Fraction(1), Fraction(0), Fraction(-1)),
+        (Fraction(0), Fraction(1), Fraction(-1)),
     ),
 }
 
 
-def root_system(group: Group) -> RootSystem:
-    """Hard-coded canonical root datum for one of the four families."""
-    roots, scale, rel = _ROOT_DATA[group]
+def _build_root_system(group: Group) -> RootSystem:
+    roots = _POSITIVE_ROOTS[group]
     n = _AMBIENT[group]
     rho = tuple(
         sum((r[i] for r in roots), Fraction(0)) * _HALF for i in range(n)
     )
-    rs = RootSystem(
-        group=group,
-        ambient_dim=n,
-        positive_roots=tuple(roots),
-        rho=rho,
-        killing_scale=scale,
-        quotient_relation=rel,
-    )
+    rs = RootSystem(group=group, ambient_dim=n, positive_roots=roots, rho=rho)
     # rho must be half the sum of positive roots by construction; keep the
-    # guard anyway so nobody edits _ROOT_DATA inconsistently.
+    # guard anyway so nobody edits _POSITIVE_ROOTS inconsistently.
     assert rs.rho == tuple(
         sum((r[i] for r in rs.positive_roots), Fraction(0)) / 2 for i in range(n)
     )
     return rs
+
+
+_ROOT_SYSTEMS = {group: _build_root_system(group) for group in Group}
+
+
+def root_system(group: Group) -> RootSystem:
+    """Hard-coded canonical root datum for one of the four families,
+    built once at import."""
+    return _ROOT_SYSTEMS[group]
 
 
 def weight_inner(group: Group, lam, mu) -> Fraction:
@@ -423,7 +404,9 @@ def iter_labels(group: Group, cutoff: Fraction) -> Iterator[IrrepLabel]:
     The Laplace eigenvalue is strictly increasing in each label
     coordinate, which makes a finite search box complete.  Instead of
     assuming that, the generator asserts the single-step monotonicity for
-    every label it visits, so the box bound is verified on the fly.
+    every label it visits, so the box bound is verified on the fly.  Each
+    eigenvalue is evaluated once and shared by the check and the cutoff
+    test.
     """
     cutoff = Fraction(cutoff)
     if cutoff < 0:
@@ -432,14 +415,17 @@ def iter_labels(group: Group, cutoff: Fraction) -> Iterator[IrrepLabel]:
 
 
 def _iter_labels_checked(group: Group, cutoff: Fraction) -> Iterator[IrrepLabel]:
-    rank = len(IrrepLabel(group, _zero_labels(group)).labels)
+    rank = _RANK[group]
+    memo: Dict[Tuple[int, ...], Fraction] = {}
 
     def eig(labels: Tuple[int, ...]) -> Fraction:
         if group is Group.SO5 and labels[0] < labels[1]:
             # outside the dominant cone; evaluate on the sorted
             # representative for box-bounding purposes only
             labels = tuple(sorted(labels, reverse=True))
-        return laplace_eigenvalue(IrrepLabel(group, labels))
+        if labels not in memo:
+            memo[labels] = laplace_eigenvalue(IrrepLabel(group, labels))
+        return memo[labels]
 
     bounds = []
     for i in range(rank):
@@ -456,23 +442,17 @@ def _iter_labels_checked(group: Group, cutoff: Fraction) -> Iterator[IrrepLabel]
     for labels in itertools.product(*(range(b + 1) for b in bounds)):
         if group is Group.SO5 and labels[0] < labels[1]:
             continue
-        lab = IrrepLabel(group, labels)
-        value = laplace_eigenvalue(lab)
+        value = eig(labels)
+        # the walk is lexicographic, so every label whose bump is this one
+        # came earlier; the entry is not read again
+        del memo[labels]
         for i in range(rank):
             bumped = list(labels)
             bumped[i] += 1
             if group is Group.SO5 and bumped[0] < bumped[1]:
                 continue
-            assert laplace_eigenvalue(IrrepLabel(group, tuple(bumped))) > value, (
+            assert eig(tuple(bumped)) > value, (
                 "eigenvalue not strictly increasing; search box invalid"
             )
         if value <= cutoff:
-            yield lab
-
-
-def _zero_labels(group: Group) -> Tuple[int, ...]:
-    if group is Group.SU2:
-        return (0,)
-    if group is Group.SO5 or group is Group.SU3:
-        return (0, 0)
-    return (0, 0, 0)
+            yield IrrepLabel(group, labels)

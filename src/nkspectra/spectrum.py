@@ -11,11 +11,9 @@ checks) is bookkeeping over these entries.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .branching import Bundle, Space, U2Label, hom_dimension, space_data
 from .rootrep import (
@@ -55,14 +53,8 @@ def _entry(space: Space, bundle: Bundle, irrep: IrrepLabel) -> SpectrumEntry:
     )
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("NK_SPECTRA_THREADS", "").strip()
-    if not raw:
-        return 1
-    n = int(raw)
-    if n < 1:
-        raise ValueError("NK_SPECTRA_THREADS must be a positive integer")
-    return n
+# (space, bundle) -> (cutoff, entries): the widest table built so far
+_TABLES: Dict[Tuple[Space, Bundle], Tuple[Fraction, List[SpectrumEntry]]] = {}
 
 
 def enumerate_spectrum(
@@ -71,32 +63,21 @@ def enumerate_spectrum(
     """All isotypic components with eigenvalue <= cutoff and nonzero
     multiplicity, sorted by (eigenvalue, label).
 
-    The label walk may be partitioned across NK_SPECTRA_THREADS worker
-    threads; the final sort makes the output independent of the
-    partitioning.
+    Each (space, bundle) keeps the widest table built in this process and
+    answers any smaller cutoff by filtering it; every call returns a new
+    list.
     """
     cutoff = Fraction(cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    group = space_data(space).group
-    labels = list(iter_labels(group, cutoff))
-
-    threads = _thread_count()
-    if threads == 1 or len(labels) < 2:
+    key = (space, bundle)
+    if key not in _TABLES or _TABLES[key][0] < cutoff:
+        labels = iter_labels(space_data(space).group, cutoff)
         entries = [_entry(space, bundle, lab) for lab in labels]
-    else:
-        chunks: List[Sequence[IrrepLabel]] = [
-            labels[i::threads] for i in range(threads)
-        ]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = pool.map(
-                lambda part: [_entry(space, bundle, lab) for lab in part], chunks
-            )
-            entries = [e for part in parts for e in part]
-
-    entries = [e for e in entries if e.hom_dim > 0]
-    entries.sort(key=lambda e: (e.eigenvalue, e.irrep.labels))
-    return entries
+        entries = [e for e in entries if e.hom_dim > 0]
+        entries.sort(key=lambda e: (e.eigenvalue, e.irrep.labels))
+        _TABLES[key] = (cutoff, entries)
+    return [e for e in _TABLES[key][1] if e.eigenvalue <= cutoff]
 
 
 def eigenspace_multiplicity(space: Space, bundle: Bundle, eigenvalue) -> int:

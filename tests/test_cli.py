@@ -190,3 +190,27 @@ def test_output_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     doc = json.loads(target.read_text())
     assert doc["nk_upper_bound"] == 8
+
+
+def test_all_csv_refused_before_any_computation(monkeypatch):
+    from nkspectra import cli
+
+    def computed(cutoff):
+        raise RuntimeError("the report was built before the usage check")
+
+    monkeypatch.setattr(cli, "_all_payload", computed)
+    with pytest.raises(SystemExit) as exc:
+        main(["all", "--format", "csv"])
+    assert exc.value.code == 2
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["moduli-bound", "--space", "flag", "--output", str(target)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"nkspectra: cannot write {target}: No such file or directory\n"
+    )

@@ -291,6 +291,24 @@ def test_iter_labels_rejects_negative_cutoff():
         iter_labels(Group.SU3, Fraction(-1))
 
 
+@pytest.mark.parametrize("group", list(Group), ids=lambda g: g.value)
+def test_iter_labels_matches_brute_force_box(group):
+    # the closed forms 3k(k+2)/2 per su2 factor, 2(a(a+3) + b(b+1)) for
+    # so5 and 4(k^2 + kl + l^2 + 3k + 3l)/3 for su3 are all at least
+    # 4/3 (largest label)^2, so no label with an entry >= 11 reaches 150
+    cutoff = Fraction(150)
+    rank = {Group.SU2: 1, Group.SU2_CUBED: 3}.get(group, 2)
+    expected = []
+    for labels in itertools.product(range(11), repeat=rank):
+        if group is Group.SO5 and labels[0] < labels[1]:
+            continue
+        if laplace_eigenvalue(IrrepLabel(group, labels)) <= cutoff:
+            expected.append(labels)
+    walked = [lab.labels for lab in iter_labels(group, cutoff)]
+    assert sorted(walked) == expected
+    assert len(walked) == len(set(walked))
+
+
 def test_so5_label_validation():
     with pytest.raises(ValueError):
         so5_label(1, 2)

@@ -102,17 +102,47 @@ def test_cutoff_is_a_prefix_filter():
             assert narrow == [e for e in wide if e.eigenvalue <= 12]
 
 
-def test_thread_count_does_not_change_output(monkeypatch):
-    base = enumerate_spectrum(Space.CP3, Bundle.LAMBDA11, 24)
-    for n in ("2", "3", "7"):
-        monkeypatch.setenv("NK_SPECTRA_THREADS", n)
-        assert enumerate_spectrum(Space.CP3, Bundle.LAMBDA11, 24) == base
+def test_reports_share_one_walk_per_bundle(monkeypatch):
+    from nkspectra import spectrum
+
+    walks = []
+    real = spectrum.iter_labels
+
+    def counting(group, cutoff):
+        walks.append(cutoff)
+        return real(group, cutoff)
+
+    monkeypatch.setattr(spectrum, "iter_labels", counting)
+    for space in Space:
+        monkeypatch.setattr(spectrum, "_TABLES", {})
+        walks.clear()
+        moduli_upper_bound(space)
+        einstein_deformation_check(space)
+        for bundle in Bundle:
+            enumerate_spectrum(space, bundle, 12)
+        assert len(walks) == 2, (space, walks)
 
 
-def test_thread_count_validation(monkeypatch):
-    monkeypatch.setenv("NK_SPECTRA_THREADS", "0")
-    with pytest.raises(ValueError):
-        enumerate_spectrum(Space.CP3, Bundle.FUNCTIONS, 8)
+def test_reused_tables_match_fresh_ones(monkeypatch):
+    from nkspectra import spectrum
+
+    def fresh(space, bundle, cutoff):
+        monkeypatch.setattr(spectrum, "_TABLES", {})
+        return enumerate_spectrum(space, bundle, cutoff)
+
+    for space in Space:
+        for bundle in Bundle:
+            narrow, wide = fresh(space, bundle, 12), fresh(space, bundle, 30)
+            monkeypatch.setattr(spectrum, "_TABLES", {})
+            first = enumerate_spectrum(space, bundle, 12)
+            assert first == narrow
+            widest = enumerate_spectrum(space, bundle, 30)
+            assert widest == wide
+            # callers own the lists they get back
+            first.clear()
+            widest.append(widest[0])
+            assert enumerate_spectrum(space, bundle, 12) == narrow
+            assert enumerate_spectrum(space, bundle, 30) == wide
 
 
 def test_negative_cutoff_rejected():

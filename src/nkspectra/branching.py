@@ -12,6 +12,15 @@ The primitive (1,1) fibers are hard-coded and, on every call, re-derived
 from scratch as the (1,0) x (0,1) tangent product minus one trivial
 summand; a mismatch raises AssertionError rather than returning silently
 wrong multiplicities.
+
+Hom counts on CP3 and on the flag come from Kostant's closed forms in
+integer coordinates: the branching formula for SO5 -> U2 and the
+multiplicity formula for su3 weights.  Each label's closed-form table is
+checked before it is read (top type once, no negative multiplicity,
+total dimension equal to the Weyl dimension), with explicit raises that
+survive `python -O`.  The Freudenthal and product-weight tables of
+`rootrep.weight_multiplicities` and `restrict_so5_to_u2` are kept as the
+independent oracles the test suite compares against.
 """
 
 from __future__ import annotations
@@ -233,8 +242,135 @@ def _diag_su2_content(irrep: IrrepLabel) -> Dict[int, int]:
     return tensor_decompose_su2_multi(irrep.labels)
 
 
+# Kostant's formulas (Humphreys, GTM 9, section 24; Knapp, Lie Groups
+# Beyond an Introduction, Ch. IX).  A multiplicity at mu is the signed sum
+# over the Weyl group of P(w(lambda + rho) - (mu + rho)), where P counts
+# the ways to write a vector as a sum of a fixed set of positive roots.
+# Both sets used here are {beta1, beta2, beta1 + beta2}: the positive
+# roots of su3 for the weight multiplicities, and the so5 roots e1, e2,
+# e1 + e2 outside u2 for the branching.  Weyl tables hold (sign, matrix)
+# pairs acting on integer coordinate pairs.
+
+# su3 in Dynkin coordinates; s1(x, y) = (-x, x + y), s2(x, y) = (x + y, -y)
+_SU3_WEYL = (
+    (1, ((1, 0), (0, 1))),
+    (-1, ((-1, 0), (1, 1))),
+    (-1, ((1, 1), (0, -1))),
+    (1, ((-1, -1), (1, 0))),
+    (1, ((0, 1), (-1, -1))),
+    (-1, ((0, -1), (-1, 0))),
+)
+
+# so5 in doubled epsilon coordinates: the eight signed permutations
+_SO5_WEYL = (
+    (1, ((1, 0), (0, 1))),
+    (-1, ((0, 1), (1, 0))),
+    (-1, ((-1, 0), (0, 1))),
+    (-1, ((1, 0), (0, -1))),
+    (1, ((-1, 0), (0, -1))),
+    (1, ((0, -1), (1, 0))),
+    (1, ((0, 1), (-1, 0))),
+    (-1, ((0, -1), (-1, 0))),
+)
+
+
+def _partition(x: int, y: int) -> int:
+    """Ways to write x beta1 + y beta2 as a sum of beta1, beta2 and
+    beta1 + beta2."""
+    return min(x, y) + 1 if x >= 0 and y >= 0 else 0
+
+
+def _weyl_images(weyl, v: Tuple[int, int]) -> List[Tuple[int, Tuple[int, int]]]:
+    x, y = v
+    return [(sign, (a * x + b * y, c * x + d * y)) for sign, ((a, b), (c, d)) in weyl]
+
+
+def _check_kostant_table(irrep: IrrepLabel, top, table: Dict, total: int) -> None:
+    """The checks that stand in for a full weight table: the top weight
+    or type occurs once, nothing is negative, and the table accounts for
+    the whole Weyl dimension."""
+    if table.get(top) != 1:
+        raise AssertionError(f"{irrep}: top {top} has multiplicity {table.get(top)}")
+    negative = [key for key, m in table.items() if m < 0]
+    if negative:
+        raise AssertionError(f"{irrep}: negative Kostant multiplicity at {negative[0]}")
+    if total != dimension(irrep):
+        raise AssertionError(
+            f"{irrep}: Kostant multiplicities add up to {total}, not {dimension(irrep)}"
+        )
+
+
+def _su3_dominant_multiplicities(irrep: IrrepLabel) -> Dict[Tuple[int, int], int]:
+    """Nonzero multiplicities of the dominant weights of an su3 irrep,
+    keyed by Dynkin coordinates, from Kostant's multiplicity formula."""
+    k, l = irrep.labels
+    images = _weyl_images(_SU3_WEYL, (k + 1, l + 1))
+    table: Dict[Tuple[int, int], int] = {}
+    total = 0
+    # dominant weights lambda - i alpha1 - j alpha2, alpha1 = (2, -1) and
+    # alpha2 = (-1, 2); i and j stay below the simple-root coordinates of
+    # lambda, (2k + l)/3 and (k + 2l)/3
+    for i in range((2 * k + l) // 3 + 1):
+        for j in range((k + 2 * l) // 3 + 1):
+            x, y = k - 2 * i + j, l + i - 2 * j
+            if x < 0 or y < 0:
+                continue
+            m = 0
+            for sign, (u, v) in images:
+                du, dv = u - x - 1, v - y - 1
+                # exact: w(lambda + rho) - (mu + rho) lies in the root lattice
+                m += sign * _partition((2 * du + dv) // 3, (du + 2 * dv) // 3)
+            if m:
+                table[(x, y)] = m
+                total += m * (1 if x == y == 0 else 3 if x == 0 or y == 0 else 6)
+    _check_kostant_table(irrep, (k, l), table, total)
+    return table
+
+
+def _su3_dominant(weight) -> Tuple[int, int]:
+    """Dynkin coordinates of the dominant weight in the Weyl orbit of a
+    canonical su3 weight."""
+    s = sorted(weight, reverse=True)
+    return (int(s[0] - s[1]), int(s[1] - s[2]))
+
+
+def _so5_u2_types(irrep: IrrepLabel) -> Dict[U2Label, int]:
+    """Restriction of an so5 irrep to U2 from Kostant's branching formula.
+
+    A U2 type E(m, q) has highest weight ((q + m)/2, (q - m)/2) in the so5
+    torus; every one that occurs is a weight of the irrep, so the search
+    runs over the weight octagon |l1|, |l2| <= a, |l1| + |l2| <= a + b.
+    """
+    a, b = irrep.labels
+    images = _weyl_images(_SO5_WEYL, (2 * a + 3, 2 * b + 1))  # 2 (lambda + rho)
+    table: Dict[U2Label, int] = {}
+    total = 0
+    for l1 in range(-a, a + 1):
+        for l2 in range(-a, l1 + 1):
+            if abs(l1) + abs(l2) > a + b:
+                continue
+            m = 0
+            for sign, (u, v) in images:
+                # both differences are even: every image coordinate is odd
+                m += sign * _partition((u - 2 * l1 - 3) // 2, (v - 2 * l2 - 1) // 2)
+            if m:
+                table[U2Label(l1 - l2, l1 + l2)] = m
+                total += m * (l1 - l2 + 1)
+    _check_kostant_table(irrep, U2Label(a - b, a + b), table, total)
+    return table
+
+
 def hom_dimension(space: Space, irrep: IrrepLabel, bundle: Bundle) -> int:
-    """dim Hom_K(V_irrep restricted to K, fiber of the bundle)."""
+    """dim Hom_K(V_irrep restricted to K, fiber of the bundle).
+
+    S3 x S3 reads the Clebsch-Gordan content of the diagonal su2.  CP3
+    reads Kostant's SO5 -> U2 branching at the fiber types.  The flag
+    reads Kostant's weight multiplicities at the dominant representatives
+    of the fiber weights: 0 for functions, and 2 m(0) + 3 m(3 omega1) +
+    3 m(3 omega2) for lambda11.  The weight tables of
+    `weight_multiplicities` and `restrict_so5_to_u2` are not on this
+    path; the tests use them as oracles.
+    """
     data = space_data(space)
     if irrep.group is not data.group:
         raise ValueError(f"{space.value} needs labels of {data.group.value}")
@@ -245,8 +381,8 @@ def hom_dimension(space: Space, irrep: IrrepLabel, bundle: Bundle) -> int:
         return sum(content.get(k, 0) for k in fiber.content)
 
     if space is Space.CP3:
-        restricted = dict(restrict_so5_to_u2(irrep))
-        return sum(restricted.get(lab, 0) for lab in fiber.content)
+        types = _so5_u2_types(irrep)
+        return sum(types.get(lab, 0) for lab in fiber.content)
 
-    table = weight_multiplicities(irrep)
-    return sum(table.multiplicity(w) for w in fiber.content)
+    table = _su3_dominant_multiplicities(irrep)
+    return sum(table.get(_su3_dominant(w), 0) for w in fiber.content)

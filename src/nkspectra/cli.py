@@ -5,7 +5,7 @@ Output is byte-stable for identical arguments: every ordering is
 explicit and all rationals render as exact "p/q" strings (plain "p"
 when integral).  Exit status is 0 on success, 1 when an assertion or a
 verification suite fails, 2 on usage errors, an unwritable --output path
-included.
+and a cutoff whose label box exceeds rootrep.MAX_LABEL_BOX included.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import nkcheck
 from .branching import Bundle, Space
+from .rootrep import LabelBoxTooLarge
 from .spectrum import (
     einstein_deformation_check,
     enumerate_spectrum,
@@ -392,6 +393,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except AssertionError as exc:
         print(f"nkspectra: internal assertion failed: {exc}", file=sys.stderr)
         return 1
+    except LabelBoxTooLarge as exc:
+        print(f"nkspectra: {exc}", file=sys.stderr)
+        return 2
     return 1 if _payload_failed(payload) else 0
 
 

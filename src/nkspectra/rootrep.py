@@ -27,6 +27,7 @@ coordinate dot products overshoot by (sum l)(sum m)/3.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -398,6 +399,15 @@ def tensor_decompose_su2_multi(labels) -> Dict[int, int]:
     return acc
 
 
+# Largest label box a walk may search: three times the 26^3 = 17576
+# su2^3 labels that cutoff 1000 needs, the widest box of the three spaces.
+MAX_LABEL_BOX = 50_000
+
+
+class LabelBoxTooLarge(ValueError):
+    """The cutoff needs a label box of more than MAX_LABEL_BOX labels."""
+
+
 def iter_labels(group: Group, cutoff: Fraction) -> Iterator[IrrepLabel]:
     """All labels of the family with Laplace eigenvalue <= cutoff.
 
@@ -407,14 +417,14 @@ def iter_labels(group: Group, cutoff: Fraction) -> Iterator[IrrepLabel]:
     every label it visits, so the box bound is verified on the fly.  Each
     eigenvalue is evaluated once and shared by the check and the cutoff
     test.
+
+    The box is sized before the walk starts; LabelBoxTooLarge is raised
+    here, not on iteration, when it would hold more than MAX_LABEL_BOX
+    labels.
     """
     cutoff = Fraction(cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
-    return _iter_labels_checked(group, cutoff)
-
-
-def _iter_labels_checked(group: Group, cutoff: Fraction) -> Iterator[IrrepLabel]:
     rank = _RANK[group]
     memo: Dict[Tuple[int, ...], Fraction] = {}
 
@@ -427,18 +437,38 @@ def _iter_labels_checked(group: Group, cutoff: Fraction) -> Iterator[IrrepLabel]
             memo[labels] = laplace_eigenvalue(IrrepLabel(group, labels))
         return memo[labels]
 
+    def too_large() -> LabelBoxTooLarge:
+        return LabelBoxTooLarge(
+            f"cutoff {cutoff} needs more {group.value} labels than the "
+            f"label box bound of {MAX_LABEL_BOX}"
+        )
+
     bounds = []
     for i in range(rank):
-        n = 0
-        while True:
-            probe = tuple(n if j == i else 0 for j in range(rank))
-            if eig(probe) > cutoff:
-                break
-            n += 1
-            if n > 10000:
-                raise RuntimeError("runaway search box")
-        bounds.append(n)
+        def above(n: int) -> bool:
+            return eig(tuple(n if j == i else 0 for j in range(rank))) > cutoff
 
+        # first n on the axis with eigenvalue above the cutoff, by doubling
+        # then bisection; the walk re-checks monotonicity along the axis
+        lo, hi = 0, 1
+        while not above(hi):
+            if hi > MAX_LABEL_BOX:
+                raise too_large()
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if above(mid):
+                hi = mid
+            else:
+                lo = mid
+        bounds.append(hi)
+    if math.prod(b + 1 for b in bounds) > MAX_LABEL_BOX:
+        raise too_large()
+    return _walk_labels(group, cutoff, bounds, eig, memo)
+
+
+def _walk_labels(group: Group, cutoff: Fraction, bounds, eig, memo) -> Iterator[IrrepLabel]:
+    rank = _RANK[group]
     for labels in itertools.product(*(range(b + 1) for b in bounds)):
         if group is Group.SO5 and labels[0] < labels[1]:
             continue

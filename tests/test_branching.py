@@ -1,11 +1,15 @@
 """Isotropy fibers and Hom_K multiplicities for the three spaces."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nkspectra import branching
 from nkspectra.branching import (
     Bundle,
     Space,
@@ -20,10 +24,12 @@ from nkspectra.rootrep import (
     IrrepLabel,
     canonical_weight,
     dimension,
+    iter_labels,
     so5_label,
     su2cubed_label,
     su3_label,
     tensor_decompose_su2_multi,
+    weight_multiplicities,
 )
 
 
@@ -197,10 +203,90 @@ def test_s3xs3_hom_via_triple_tensor():
 
 
 def test_flag_function_hom_is_zero_weight_multiplicity():
-    from nkspectra.rootrep import weight_multiplicities
-
     zero = canonical_weight(Group.SU3, (0, 0, 0))
-    for k, l in [(1, 1), (2, 2), (3, 0), (1, 0)]:
+    for k, l in [(1, 1), (2, 2), (3, 0), (1, 0), (4, 1), (5, 2), (3, 6)]:
         lab = su3_label(k, l)
         expected = weight_multiplicities(lab).multiplicity(zero)
         assert hom_dimension(Space.FLAG, lab, Bundle.FUNCTIONS) == expected
+    # the zero weight of V(k, l) has multiplicity min(k, l) + 1 when it
+    # lies in the root lattice, k = l mod 3, and is absent otherwise
+    for k in range(16):
+        for l in range(16):
+            expected = min(k, l) + 1 if (k - l) % 3 == 0 else 0
+            got = hom_dimension(Space.FLAG, su3_label(k, l), Bundle.FUNCTIONS)
+            assert got == expected, (k, l)
+
+
+def _weight_table_homs(space, lab):
+    """Hom for both bundles read off the weight-table oracles."""
+    if space is Space.CP3:
+        restricted = dict(restrict_so5_to_u2(lab))
+
+        def mult(t):
+            return restricted.get(t, 0)
+
+    else:
+        mult = weight_multiplicities(lab).multiplicity
+    return {
+        bundle: sum(mult(t) for t in isotropy_module(space, bundle).content)
+        for bundle in Bundle
+    }
+
+
+def test_kostant_hom_matches_weight_tables_up_to_150():
+    checked = 0
+    for space in (Space.CP3, Space.FLAG):
+        for lab in iter_labels(space_data(space).group, Fraction(150)):
+            for bundle, expected in _weight_table_homs(space, lab).items():
+                assert hom_dimension(space, lab, bundle) == expected, (space, lab, bundle)
+                checked += 1
+    assert checked == 176
+
+
+def _flip_sign(index):
+    def broken(table):
+        sign, matrix = table[index]
+        return table[:index] + ((-sign, matrix),) + table[index + 1:]
+
+    return broken
+
+
+def _two_root_partition(x, y):
+    # partition function of beta1 and beta2 alone: drops beta1 + beta2
+    return 1 if x >= 0 and y >= 0 else 0
+
+
+@pytest.mark.parametrize(
+    "space,attr,broken,message",
+    [
+        # entry 0 is the identity, so5 entry 1 the coordinate swap
+        (Space.CP3, "_SO5_WEYL", _flip_sign(0), "top E"),
+        (Space.FLAG, "_SU3_WEYL", _flip_sign(0), "top"),
+        (Space.CP3, "_SO5_WEYL", _flip_sign(1), "add up to"),
+        (Space.CP3, "_partition", lambda _: _two_root_partition, "negative"),
+        (Space.FLAG, "_partition", lambda _: _two_root_partition, "add up to"),
+    ],
+)
+def test_kostant_checks_fire(monkeypatch, space, attr, broken, message):
+    label = so5_label(2, 1) if space is Space.CP3 else su3_label(2, 1)
+    monkeypatch.setattr(branching, attr, broken(getattr(branching, attr)))
+    with pytest.raises(AssertionError, match=message):
+        hom_dimension(space, label, Bundle.FUNCTIONS)
+
+
+def test_kostant_checks_fire_under_dash_O():
+    # the checks are explicit raises, so python -O keeps them
+    script = (
+        "from nkspectra import branching as b\n"
+        "from nkspectra.rootrep import su3_label\n"
+        "(s, m), rest = b._SU3_WEYL[0], b._SU3_WEYL[1:]\n"
+        "b._SU3_WEYL = ((-s, m),) + rest\n"
+        "try:\n"
+        "    b.hom_dimension(b.Space.FLAG, su3_label(1, 1), b.Bundle.FUNCTIONS)\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(3)\n"
+    )
+    src = os.path.dirname(os.path.dirname(branching.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
+    assert proc.returncode == 3

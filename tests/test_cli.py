@@ -2,10 +2,16 @@
 exit codes and the file-output path."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
+import nkspectra
 from nkspectra.cli import main
+from nkspectra.rootrep import MAX_LABEL_BOX
 
 CP3_TABLE = """\
 spectrum  space=cp3  bundle=lambda11  cutoff=12
@@ -214,3 +220,38 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     assert captured.err == (
         f"nkspectra: cannot write {target}: No such file or directory\n"
     )
+
+
+def _cli(*argv, optimize=False):
+    src = os.path.dirname(os.path.dirname(nkspectra.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    flags = ["-O"] if optimize else []
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "nkspectra.cli", *argv],
+        capture_output=True, env=env, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("space,cutoff", [("s3xs3", "1e8"), ("flag", "1e9")])
+def test_huge_cutoff_is_refused_up_front(space, cutoff):
+    start = time.perf_counter()
+    proc = _cli("spectrum", "--space", space, "--cutoff", cutoff)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    err = proc.stderr.decode()
+    assert err.startswith("nkspectra: ") and err.count("\n") == 1
+    assert str(MAX_LABEL_BOX) in err
+    # a guard against an unbounded walk: the refusal itself takes
+    # milliseconds, the rest is interpreter start-up
+    assert elapsed < 10
+
+
+@pytest.mark.parametrize("space", ["flag", "cp3"])
+def test_cli_under_dash_O_is_byte_identical(space):
+    argv = ("spectrum", "--space", space, "--cutoff", "12", "--format", "json")
+    plain = _cli(*argv)
+    optimized = _cli(*argv, optimize=True)
+    assert plain.returncode == 0 and optimized.returncode == 0
+    assert optimized.stdout == plain.stdout
+    assert plain.stdout

@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nkspectra.rootrep import (
+    MAX_LABEL_BOX,
     Group,
     IrrepLabel,
+    LabelBoxTooLarge,
     casimir_eigenvalue,
     dimension,
     iter_labels,
@@ -289,6 +291,17 @@ def test_weight_inner_normalizations():
 def test_iter_labels_rejects_negative_cutoff():
     with pytest.raises(ValueError):
         iter_labels(Group.SU3, Fraction(-1))
+
+
+def test_label_box_bound():
+    # sizing the box happens on the call, before any label is walked;
+    # cutoff 1000 needs 26^3 su2^3, 27^2 su3 and 22^2 so5 box labels
+    for group in (Group.SU2_CUBED, Group.SO5, Group.SU3):
+        iter_labels(group, Fraction(1000))
+    with pytest.raises(LabelBoxTooLarge, match=str(MAX_LABEL_BOX)):
+        iter_labels(Group.SU2_CUBED, Fraction(2000))
+    with pytest.raises(LabelBoxTooLarge):
+        iter_labels(Group.SU3, Fraction(10) ** 9)
 
 
 @pytest.mark.parametrize("group", list(Group), ids=lambda g: g.value)

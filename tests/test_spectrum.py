@@ -224,3 +224,21 @@ def test_laplace_values_behind_the_tables():
     assert laplace_eigenvalue(so5_label(1, 1)) == 12
     assert laplace_eigenvalue(su3_label(1, 1)) == 12
     assert laplace_eigenvalue(su3_label(1, 0)) == Fraction(16, 3)
+
+
+def test_dga_and_rootrep_agree_on_eigenvalue_twelve():
+    # the -tr/2 normalization of dga and the -B/12 one of rootrep must give
+    # the same eigenvalue to the eigenfunction v1 and to its irrep V(1,1)
+    from nkspectra.dga import laplacian, symbol_form
+    from nkspectra.rootrep import laplace_eigenvalue
+
+    v1 = symbol_form("v1")
+    assert (laplacian(v1) - v1 * 12).is_zero()
+    lab = su3_label(1, 1)
+    assert laplace_eigenvalue(lab) == 12
+    for bundle, hom in ((Bundle.FUNCTIONS, 2), (Bundle.LAMBDA11, 4)):
+        at12 = [
+            e for e in enumerate_spectrum(Space.FLAG, bundle, 12)
+            if e.eigenvalue == 12
+        ]
+        assert [(e.irrep, e.hom_dim) for e in at12] == [(lab, hom)]

@@ -79,8 +79,8 @@ class VerticalComponent(ValueError):
 
 
 # --------------------------------------------------------------------------
-# Gaussian-rational 3x3 matrices (used to generate structure constants and
-# to evaluate coefficient functions at group elements)
+# Gaussian-rational 3x3 matrices (used to evaluate coefficient functions at
+# group elements, and as the dense oracle for the sparse basis table below)
 
 @dataclass(frozen=True)
 class GQ:
@@ -108,7 +108,7 @@ class GQ:
         return GQ(self.re, -self.im)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.re or self.im)
 
 
 Matrix = Tuple[Tuple[GQ, ...], ...]
@@ -120,12 +120,6 @@ def gq(re=0, im=0) -> GQ:
 
 def matrix(rows: Sequence[Sequence[GQ]]) -> Matrix:
     return tuple(tuple(row) for row in rows)
-
-
-def mat_unit(p: int, q: int, value: GQ) -> Matrix:
-    return matrix(
-        [[value if (r, c) == (p, q) else gq() for c in range(3)] for r in range(3)]
-    )
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -141,15 +135,21 @@ def mat_scale(a: Matrix, s: GQ) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return matrix(
-        [
-            [
-                sum((a[r][k] * b[k][c] for k in range(3)), gq())
-                for c in range(3)
-            ]
-            for r in range(3)
-        ]
-    )
+    """Matrix product; zero factors are skipped, so a product of sparse
+    matrices costs only the pairs of nonzero entries that meet."""
+    rows = []
+    for row in a:
+        re = [Fraction(0)] * 3
+        im = [Fraction(0)] * 3
+        for x, brow in zip(row, b):
+            if not (x.re or x.im):
+                continue
+            for c, y in enumerate(brow):
+                if y.re or y.im:
+                    re[c] += x.re * y.re - x.im * y.im
+                    im[c] += x.re * y.im + x.im * y.re
+        rows.append(tuple(map(GQ, re, im)))
+    return tuple(rows)
 
 
 def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -176,32 +176,68 @@ MAT_IDENTITY: Matrix = matrix(
 def mat_inner(a: Matrix, b: Matrix) -> Fraction:
     """<A, B> = -tr(AB)/2; real on skew-Hermitian arguments."""
     t = mat_trace(mat_mul(a, b))
-    assert t.im == 0, "inner product of non-skew-Hermitian matrices"
+    if t.im != 0:
+        raise AssertionError("inner product of non-skew-Hermitian matrices")
     return -t.re / 2
 
 
-def _build_basis() -> Tuple[Matrix, ...]:
-    i = gq(0, 1)
-    one = gq(1)
+# --------------------------------------------------------------------------
+# The u_3 basis as sparse matrix units
 
-    def pair(p, q):
-        anti = mat_sub(mat_unit(p, q, one), mat_unit(q, p, one))
-        sym = mat_add(mat_unit(p, q, i), mat_unit(q, p, i))
-        return anti, sym
+# A sparse matrix maps (p, q) to the nonzero entry at row p, column q, as
+# an (re, im) pair; the basis below has Gaussian-integer entries.
+Sparse = Dict[Tuple[int, int], Tuple[int, int]]
 
-    e1, e2 = pair(0, 1)
-    e3, e4 = pair(0, 2)
-    e5, e6 = pair(1, 2)
-    hs = tuple(mat_unit(j, j, i) for j in range(3))
-    return (e1, e2, e3, e4, e5, e6) + hs
+BASIS_UNITS: Tuple[Sparse, ...] = (
+    {(0, 1): (1, 0), (1, 0): (-1, 0)},  # e_1 = E_12 - E_21
+    {(0, 1): (0, 1), (1, 0): (0, 1)},   # e_2 = i(E_12 + E_21)
+    {(0, 2): (1, 0), (2, 0): (-1, 0)},  # e_3 = E_13 - E_31
+    {(0, 2): (0, 1), (2, 0): (0, 1)},   # e_4 = i(E_13 + E_31)
+    {(1, 2): (1, 0), (2, 1): (-1, 0)},  # e_5 = E_23 - E_32
+    {(1, 2): (0, 1), (2, 1): (0, 1)},   # e_6 = i(E_23 + E_32)
+    {(0, 0): (0, 1)},                   # h_1 = i E_11
+    {(1, 1): (0, 1)},                   # h_2 = i E_22
+    {(2, 2): (0, 1)},                   # h_3 = i E_33
+)
+
+
+def _add_entry(m: Dict, key: Tuple[int, int], re, im) -> None:
+    xr, xi = m.get(key, (0, 0))
+    m[key] = (xr + re, xi + im)
+
+
+def _sparse_inner(m: Dict, u: Sparse) -> Fraction:
+    """<M, U> = -tr(MU)/2, reading M only where it faces an entry of U."""
+    re = im = 0
+    for (q, p), (ur, ui) in u.items():
+        mr, mi = m.get((p, q), (0, 0))
+        re += mr * ur - mi * ui
+        im += mr * ui + mi * ur
+    if im != 0:
+        raise AssertionError("inner product of non-skew-Hermitian matrices")
+    return Fraction(-re, 2)
+
+
+def _sparse_bracket(a: Sparse, b: Sparse) -> Sparse:
+    """[A, B] from [E_pq, E_rs] = d_qr E_ps - d_sp E_rq."""
+    out: Sparse = {}
+    for (p, q), (ar, ai) in a.items():
+        for (r, s), (br, bi) in b.items():
+            zr, zi = ar * br - ai * bi, ar * bi + ai * br
+            if q == r:
+                _add_entry(out, (p, s), zr, zi)
+            if s == p:
+                _add_entry(out, (r, q), -zr, -zi)
+    return {key: z for key, z in out.items() if z != (0, 0)}
 
 
 @dataclass(frozen=True)
 class LieBasis:
-    """The nine u_3 basis matrices with their structure constants.
+    """The nine u_3 basis elements with their structure constants.
 
-    brackets[(a, b)] for 1 <= a < b <= 9 holds the expansion of
-    [u_a, u_b] in the basis; norms are the squared lengths <u_k, u_k>.
+    matrices are the dense forms of BASIS_UNITS; brackets[(a, b)] for
+    1 <= a < b <= 9 holds the expansion of [u_a, u_b] in the basis; norms
+    are the squared lengths <u_k, u_k>.
     """
 
     names: Tuple[str, ...]
@@ -217,24 +253,32 @@ class LieBasis:
         return tuple(-c for c in self.brackets[(b, a)])
 
 
-def _build_lie_basis() -> LieBasis:
-    mats = _build_basis()
-    norms = tuple(mat_inner(m, m) for m in mats)
-    assert norms == (Fraction(1),) * 6 + (Fraction(1, 2),) * 3
-
-    def expand(m: Matrix) -> Tuple[Fraction, ...]:
-        coeffs = tuple(mat_inner(m, b) / n for b, n in zip(mats, norms))
-        recomposed = matrix([[gq() for _ in range(3)] for _ in range(3)])
-        for c, b in zip(coeffs, mats):
-            recomposed = mat_add(recomposed, mat_scale(b, gq(c)))
-        assert mat_is_zero(mat_sub(recomposed, m)), "basis expansion failed"
-        return coeffs
+def _build_lie_basis(units: Sequence[Sparse] = BASIS_UNITS) -> LieBasis:
+    """Structure constants from the matrix-unit rule; the basis is
+    orthogonal, so each coordinate is one pairing.  The norms and the
+    recomposition of every commutator are checked on the sparse entries."""
+    norms = tuple(_sparse_inner(u, u) for u in units)
+    if norms != (Fraction(1),) * 6 + (Fraction(1, 2),) * 3:
+        raise AssertionError(f"basis norms {[str(n) for n in norms]}")
 
     brackets = {}
     for a in range(1, 10):
         for b in range(a + 1, 10):
-            brackets[(a, b)] = expand(mat_commutator(mats[a - 1], mats[b - 1]))
+            comm = _sparse_bracket(units[a - 1], units[b - 1])
+            coeffs = tuple(_sparse_inner(comm, u) / n for u, n in zip(units, norms))
+            recomposed: Dict = {}
+            for c, u in zip(coeffs, units):
+                if c:
+                    for key, (ur, ui) in u.items():
+                        _add_entry(recomposed, key, c * ur, c * ui)
+            if {k: z for k, z in recomposed.items() if z != (0, 0)} != comm:
+                raise AssertionError(f"[u_{a}, u_{b}]: basis expansion failed")
+            brackets[(a, b)] = coeffs
 
+    mats = tuple(
+        matrix([[gq(*u.get((r, c), (0, 0))) for c in range(3)] for r in range(3)])
+        for u in units
+    )
     names = ("e1", "e2", "e3", "e4", "e5", "e6", "h1", "h2", "h3")
     return LieBasis(names=names, matrices=mats, brackets=brackets, norms=norms)
 
@@ -824,9 +868,16 @@ def _validate_su3(xi: Matrix) -> None:
 def killing_data(xi: Optional[Matrix] = None) -> KillingData:
     """The symbolic Killing-field forms; identities proved over the
     symbols hold for every xi in su_3 simultaneously.  A concrete xi, if
-    given, is only validated; killing_values evaluates the symbols at it."""
+    given, is only validated; killing_values evaluates the symbols at it.
+    The forms are built once per process and the same frozen object is
+    returned on every call."""
     if xi is not None:
         _validate_su3(xi)
+    return _symbolic_killing_data()
+
+
+@lru_cache(maxsize=None)
+def _symbolic_killing_data() -> KillingData:
     x = [Coefficient.symbol(f"x{i}") for i in range(1, 7)]
     v1 = Coefficient.symbol("v1")
     v2 = Coefficient.symbol("v2")
@@ -856,16 +907,21 @@ def killing_values(xi: Matrix, g: Matrix) -> Dict[str, Fraction]:
     g: x_i = <Ad(g^-1) xi, e_i>, v_j likewise with h_j.  g must be a
     Gaussian-rational unitary so the evaluation stays exact."""
     _validate_su3(xi)
-    if not mat_is_zero(mat_sub(mat_mul(g, mat_dagger(g)), MAT_IDENTITY)):
+    g_dagger = mat_dagger(g)
+    if not mat_is_zero(mat_sub(mat_mul(g, g_dagger), MAT_IDENTITY)):
         raise ValueError("g must be unitary")
-    ad = mat_mul(mat_mul(mat_dagger(g), xi), g)
-    vals: Dict[str, Fraction] = {}
-    for name, mat in zip(
-        ("x1", "x2", "x3", "x4", "x5", "x6", "v1", "v2", "v3"),
-        LIE_BASIS.matrices,
-    ):
-        vals[name] = mat_inner(ad, mat)
-    assert vals["v1"] + vals["v2"] + vals["v3"] == 0
+    ad = mat_mul(mat_mul(g_dagger, xi), g)
+    entries = {
+        (p, q): (z.re, z.im) for p, row in enumerate(ad) for q, z in enumerate(row)
+    }
+    vals = {
+        name: _sparse_inner(entries, u)
+        for name, u in zip(
+            ("x1", "x2", "x3", "x4", "x5", "x6", "v1", "v2", "v3"), BASIS_UNITS
+        )
+    }
+    if vals["v1"] + vals["v2"] + vals["v3"] != 0:
+        raise AssertionError("v_1 + v_2 + v_3 must vanish on su_3")
     return vals
 
 

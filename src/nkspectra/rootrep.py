@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterator, List, Tuple
 
 Weight = Tuple[Fraction, ...]
@@ -207,8 +208,13 @@ def laplace_eigenvalue(irrep: IrrepLabel) -> Fraction:
     return -casimir_eigenvalue(irrep, Fraction(1, 12))
 
 
+@lru_cache(maxsize=256)
 def dimension(irrep: IrrepLabel) -> int:
-    """Weyl dimension formula over the positive roots."""
+    """Weyl dimension formula over the positive roots.
+
+    Memoised: a spectrum entry and the Kostant total check in
+    hom_dimension both ask for the dimension of the label in hand, and the
+    product over the roots runs once for the two."""
     rs = root_system(irrep.group)
     gamma = irrep.highest_weight()
     num = Fraction(1)

@@ -247,9 +247,12 @@ def test_huge_cutoff_is_refused_up_front(space, cutoff):
     assert elapsed < 10
 
 
-@pytest.mark.parametrize("space", ["flag", "cp3"])
-def test_cli_under_dash_O_is_byte_identical(space):
-    argv = ("spectrum", "--space", space, "--cutoff", "12", "--format", "json")
+@pytest.mark.parametrize("case", ["flag", "cp3", "verify-flag", "identities"])
+def test_cli_under_dash_O_is_byte_identical(case):
+    if case in ("flag", "cp3"):
+        argv = ("spectrum", "--space", case, "--cutoff", "12", "--format", "json")
+    else:
+        argv = (case, "--format", "json")
     plain = _cli(*argv)
     optimized = _cli(*argv, optimize=True)
     assert plain.returncode == 0 and optimized.returncode == 0

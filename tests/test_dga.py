@@ -2,12 +2,20 @@
 Hodge/J/type operators, the symbolic Killing-field identities and the
 printer grammar."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from nkspectra import dga
 from nkspectra.dga import (
+    BASIS_UNITS,
+    GQ,
     LIE_BASIS,
     MAT_IDENTITY,
     MODEL,
@@ -41,6 +49,7 @@ from nkspectra.dga import (
     laplacian,
     mat_commutator,
     mat_inner,
+    mat_mul,
     matrix,
     scalar_form,
     su3_basis,
@@ -106,6 +115,102 @@ def test_bracket_table_reconstructs_commutators():
                 for p in range(3)
                 for r in range(3)
             )
+
+
+def test_basis_matrices_come_from_the_unit_table():
+    for units, m in zip(BASIS_UNITS, LIE_BASIS.matrices):
+        for p in range(3):
+            for q in range(3):
+                assert m[p][q] == gq(*units.get((p, q), (0, 0)))
+
+
+def _replace_unit(k, units):
+    return BASIS_UNITS[:k] + (units,) + BASIS_UNITS[k + 1:]
+
+
+@pytest.mark.parametrize(
+    "units,message",
+    [
+        # h_1 = 2i E_11 has squared length 2
+        (_replace_unit(6, {(0, 0): (0, 2)}), "basis norms"),
+        # E_12 + i E_21 is not skew-Hermitian: its square has trace 2i
+        (_replace_unit(0, {(0, 1): (1, 0), (1, 0): (0, 1)}), "non-skew-Hermitian"),
+        # h_3 = i E_11 repeats h_1: the norms hold but E_33 leaves the span
+        (_replace_unit(8, {(0, 0): (0, 1)}), "basis expansion failed"),
+    ],
+)
+def test_bracket_builder_checks_fire(units, message):
+    with pytest.raises(AssertionError, match=message):
+        dga._build_lie_basis(units)
+
+
+def _run_script(script, *flags):
+    """Run a script in a fresh interpreter that imports this checkout."""
+    src = os.path.dirname(os.path.dirname(dga.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, *flags, "-c", script],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_bracket_builder_checks_fire_under_dash_O():
+    # the checks are explicit raises, so python -O keeps them
+    script = (
+        "from nkspectra import dga\n"
+        "units = dga.BASIS_UNITS[:8] + ({(0, 0): (0, 1)},)\n"
+        "try:\n"
+        "    dga._build_lie_basis(units)\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(3)\n"
+    )
+    assert _run_script(script, "-O").returncode == 3
+
+
+def test_import_makes_no_dense_products():
+    # a fresh interpreter, so the import really runs; calls are counted
+    # with a profile hook, which sees every Python-level call
+    script = (
+        "import sys\n"
+        "calls = []\n"
+        "def hook(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_name == 'mat_mul':\n"
+        "        calls.append(frame.f_code)\n"
+        "sys.setprofile(hook)\n"
+        "import nkspectra.dga\n"
+        "sys.setprofile(None)\n"
+        "code = nkspectra.dga.mat_mul.__code__\n"
+        "assert all(c is code for c in calls)\n"
+        "print(len(calls))\n"
+    )
+    proc = _run_script(script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+_GQ_PARTS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
+)
+_GQ_MATRICES = st.lists(
+    st.builds(GQ, _GQ_PARTS, _GQ_PARTS), min_size=9, max_size=9
+).map(lambda xs: matrix([xs[0:3], xs[3:6], xs[6:9]]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_GQ_MATRICES, _GQ_MATRICES)
+def test_mat_mul_matches_the_naive_triple_sum(a, b):
+    naive = [
+        [sum((a[r][k] * b[k][c] for k in range(3)), gq()) for c in range(3)]
+        for r in range(3)
+    ]
+    got = mat_mul(a, b)
+    assert got == matrix(naive)
+    assert all(
+        isinstance(z.re, Fraction) and isinstance(z.im, Fraction)
+        for row in got
+        for z in row
+    )
 
 
 def test_su3_basis_is_traceless():
@@ -478,6 +583,16 @@ def test_killing_values_validation():
     ])
     with pytest.raises(ValueError):
         killing_values(e1, not_unitary)
+
+
+def test_killing_values_sum_check_fires(monkeypatch):
+    # with h_3 replaced by a copy of h_1, v_3 reads v_1 and the su_3 trace
+    # relation fails at xi = h_1 - h_2
+    monkeypatch.setattr(dga, "BASIS_UNITS", _replace_unit(8, {(0, 0): (0, 1)}))
+    h1, h2 = LIE_BASIS.matrices[6], LIE_BASIS.matrices[7]
+    xi = matrix([[h1[p][q] - h2[p][q] for q in range(3)] for p in range(3)])
+    with pytest.raises(AssertionError, match="v_1 \\+ v_2 \\+ v_3"):
+        killing_values(xi, MAT_IDENTITY)
 
 
 def test_coefficient_evaluate_matches_symbolic_relations():

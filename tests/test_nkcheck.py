@@ -3,9 +3,10 @@ reports must serialize stably, and a few headline identities are
 replayed directly against the calculus."""
 
 import json
+import sys
 from fractions import Fraction
 
-from nkspectra import nkcheck
+from nkspectra import dga, nkcheck
 from nkspectra.dga import (
     OMEGA,
     PSI_MINUS,
@@ -143,6 +144,47 @@ def test_primitive_basis_spans_rank_eight():
 
 def test_moduli_generator_rank():
     assert moduli_generator_rank() == 8
+
+
+def test_moduli_generator_rank_makes_few_dense_products():
+    # three products per killing_values call (the unitarity check and
+    # Ad(g^-1) xi) over 8 generators and 5 samples, plus 6 that build the
+    # samples
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is dga.mat_mul.__code__:
+            calls += 1
+
+    sys.setprofile(hook)
+    try:
+        rank = moduli_generator_rank()
+    finally:
+        sys.setprofile(None)
+    assert rank == 8
+    assert 0 < calls <= 126
+
+
+def test_suites_share_one_killing_data(monkeypatch):
+    seen = []
+
+    def recording(xi=None):
+        kd = killing_data(xi)
+        seen.append(kd)
+        return kd
+
+    monkeypatch.setattr(nkcheck, "killing_data", recording)
+    reports = (
+        verify_killing_suite(),
+        verify_eigenfunction_suite(),
+        verify_moduli_generators(),
+        verify_injectivity_argument(),
+    )
+    assert all(r.passed for r in reports)
+    assert len(seen) == 4
+    assert all(kd is seen[0] for kd in seen)
+    assert killing_data() is seen[0]
 
 
 def test_rank_helper():

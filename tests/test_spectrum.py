@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from nkspectra.branching import Bundle, Space
-from nkspectra.rootrep import so5_label, su2cubed_label, su3_label
+from nkspectra import rootrep, spectrum
+from nkspectra.branching import Bundle, Space, space_data
+from nkspectra.rootrep import iter_labels, so5_label, su2cubed_label, su3_label
 from nkspectra.spectrum import (
     ModuliReport,
     einstein_deformation_check,
@@ -242,3 +243,16 @@ def test_dga_and_rootrep_agree_on_eigenvalue_twelve():
             if e.eigenvalue == 12
         ]
         assert [(e.irrep, e.hom_dim) for e in at12] == [(lab, hom)]
+
+
+@pytest.mark.parametrize("space", [Space.CP3, Space.FLAG])
+def test_one_weyl_dimension_per_label(space):
+    # the spectrum entry and the Kostant total check share one dimension
+    labels = list(iter_labels(space_data(space).group, Fraction(60)))
+    rootrep.dimension.cache_clear()
+    for lab in labels:
+        entry = spectrum._entry(space, Bundle.LAMBDA11, lab)
+        assert entry.irrep_dim == rootrep.dimension.__wrapped__(lab)
+    info = rootrep.dimension.cache_info()
+    assert info.misses == len(labels)
+    assert info.hits == len(labels)

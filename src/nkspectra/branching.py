@@ -8,10 +8,10 @@ knows the fibers we care about (trivial line for functions, the
 8-dimensional primitive (1,1) two-form module) and how to restrict
 representations of the big group to the isotropy group in each case.
 
-The primitive (1,1) fibers are hard-coded and, on every call, re-derived
+The primitive (1,1) fibers are hard-coded and, once at import, re-derived
 from scratch as the (1,0) x (0,1) tangent product minus one trivial
-summand; a mismatch raises AssertionError rather than returning silently
-wrong multiplicities.
+summand; a mismatch raises AssertionError (also under `python -O`) rather
+than returning silently wrong multiplicities.
 
 Hom counts on CP3 and on the flag come from Kostant's closed forms in
 integer coordinates: the branching formula for SO5 -> U2 and the
@@ -25,6 +25,7 @@ independent oracles the test suite compares against.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Tuple
@@ -180,27 +181,35 @@ _FUNCTIONS_CONTENT = {
 }
 
 
-def isotropy_module(space: Space, bundle: Bundle) -> IsotropyModule:
-    """Fiber K-module of the requested bundle.
+def _build_isotropy_modules(
+    lambda11_content: Dict[Space, Tuple] = _LAMBDA11_CONTENT,
+) -> Dict[Tuple[Space, Bundle], IsotropyModule]:
+    """The six fiber modules, checked once: every function fiber is a
+    line, and every hard-coded primitive (1,1) fiber has dimension 8 and
+    equals the content re-derived from the tangent decomposition."""
+    modules = {}
+    for space in Space:
+        functions = IsotropyModule(space, Bundle.FUNCTIONS, _FUNCTIONS_CONTENT[space])
+        lambda11 = IsotropyModule(space, Bundle.LAMBDA11, lambda11_content[space])
+        if functions.total_dimension() != 1:
+            raise AssertionError(f"{space.value}: the function fiber is not a line")
+        if lambda11.total_dimension() != 8:
+            raise AssertionError(f"{space.value}: the (1,1) fiber is not 8-dimensional")
+        if Counter(lambda11.content) != Counter(_derive_lambda11(space)):
+            raise AssertionError(
+                f"{space.value}: the (1,1) fiber is not the derived one"
+            )
+        modules[space, Bundle.FUNCTIONS] = functions
+        modules[space, Bundle.LAMBDA11] = lambda11
+    return modules
 
-    For the primitive (1,1) bundle the hard-coded content is re-derived
-    from the tangent decomposition on every call and the two must agree.
-    """
-    if bundle is Bundle.FUNCTIONS:
-        mod = IsotropyModule(space, bundle, _FUNCTIONS_CONTENT[space])
-        assert mod.total_dimension() == 1
-        return mod
-    content = _LAMBDA11_CONTENT[space]
-    derived = _derive_lambda11(space)
-    if space is Space.CP3:
-        assert sorted(derived, key=lambda l: (l.a, l.b)) == sorted(
-            content, key=lambda l: (l.a, l.b)
-        )
-    else:
-        assert tuple(sorted(derived)) == tuple(sorted(content))
-    mod = IsotropyModule(space, bundle, content)
-    assert mod.total_dimension() == 8
-    return mod
+
+_ISOTROPY_MODULES = _build_isotropy_modules()
+
+
+def isotropy_module(space: Space, bundle: Bundle) -> IsotropyModule:
+    """Fiber K-module of the requested bundle, as checked at import."""
+    return _ISOTROPY_MODULES[space, bundle]
 
 
 def restrict_so5_to_u2(irrep: IrrepLabel) -> List[Tuple[U2Label, int]]:
@@ -224,22 +233,20 @@ def restrict_so5_to_u2(irrep: IrrepLabel) -> List[Tuple[U2Label, int]]:
         profile = dict(by_charge[q])
         while any(profile.values()):
             top = max(m for m, c in profile.items() if c > 0)
-            assert top >= 0, "asymmetric string profile"
+            if top < 0:
+                raise AssertionError(f"{irrep}: asymmetric string profile")
             count = profile[top]
             for m in range(-top, top + 1, 2):
                 profile[m] = profile.get(m, 0) - count
-                assert profile[m] >= 0
+                if profile[m] < 0:
+                    raise AssertionError(f"{irrep}: string peeling went negative")
             lab = U2Label(top, q)
             out[lab] = out.get(lab, 0) + count
 
     result = sorted(out.items(), key=lambda t: (t[0].a, t[0].b))
-    assert sum(lab.dim * mult for lab, mult in result) == dimension(irrep)
+    if sum(lab.dim * mult for lab, mult in result) != dimension(irrep):
+        raise AssertionError(f"{irrep}: the U2 types miss the Weyl dimension")
     return result
-
-
-def _diag_su2_content(irrep: IrrepLabel) -> Dict[int, int]:
-    assert irrep.group is Group.SU2_CUBED
-    return tensor_decompose_su2_multi(irrep.labels)
 
 
 # Kostant's formulas (Humphreys, GTM 9, section 24; Knapp, Lie Groups
@@ -377,7 +384,7 @@ def hom_dimension(space: Space, irrep: IrrepLabel, bundle: Bundle) -> int:
     fiber = isotropy_module(space, bundle)
 
     if space is Space.S3XS3:
-        content = _diag_su2_content(irrep)
+        content = tensor_decompose_su2_multi(irrep.labels)
         return sum(content.get(k, 0) for k in fiber.content)
 
     if space is Space.CP3:

@@ -61,10 +61,9 @@ of nonzero entries, the sum of absolute values, and the tuple itself.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 
@@ -321,13 +320,7 @@ class Coefficient:
     @staticmethod
     def symbol(name: str) -> "Coefficient":
         if name == "v3":
-            # v_3 = -v_1 - v_2
-            return Coefficient(
-                tuple(
-                    Fraction(-1) if s in ("v1", "v2") else Fraction(0)
-                    for s in _SYMBOLS
-                )
-            )
+            return -(Coefficient.symbol("v1") + Coefficient.symbol("v2"))
         c = [Fraction(0)] * 9
         c[_SYMBOL_INDEX[name]] = Fraction(1)
         return Coefficient(tuple(c))
@@ -356,7 +349,7 @@ class Coefficient:
 
     def scale(self, q) -> "Coefficient":
         q = Fraction(q)
-        return Coefficient(tuple(q * a for a in self.coords))
+        return Coefficient(tuple(q * a if a else a for a in self.coords))
 
     def __mul__(self, o) -> "Coefficient":
         if not isinstance(o, Coefficient):
@@ -402,30 +395,9 @@ _ONE_COEFF = Coefficient.constant(1)
 Indices = Tuple[int, ...]
 
 
-def _merge_sign(left: Indices, right: Indices) -> Tuple[Optional[Indices], int]:
-    """Sorted merge of two ascending index tuples with permutation sign;
-    (None, 0) when an index repeats."""
-    if set(left) & set(right):
-        return None, 0
-    merged = []
-    sign = 1
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if left[i] < right[j]:
-            merged.append(left[i])
-            i += 1
-        else:
-            merged.append(right[j])
-            # right[j] jumps over the remaining left entries
-            if (len(left) - i) % 2:
-                sign = -sign
-            j += 1
-    merged.extend(left[i:])
-    merged.extend(right[j:])
-    return tuple(merged), sign
-
-
 def _normalize_indices(indices: Sequence[int]) -> Tuple[Optional[Indices], int]:
+    """Ascending order of the indices with the sign of the sorting
+    permutation; (None, 0) when an index repeats."""
     idx = tuple(indices)
     if len(set(idx)) != len(idx):
         return None, 0
@@ -437,6 +409,23 @@ def _normalize_indices(indices: Sequence[int]) -> Tuple[Optional[Indices], int]:
                 idx_list[j], idx_list[j + 1] = idx_list[j + 1], idx_list[j]
                 sign = -sign
     return tuple(idx_list), sign
+
+
+def _collect(
+    degree: int, terms: Iterable[Tuple[Sequence[int], Coefficient]]
+) -> InvariantForm:
+    """Sum image terms into one form.  Each term is a tuple of coframe
+    indices in any order with its coefficient; the indices are sorted
+    with the permutation sign, and a term with a repeated index is 0."""
+    data: Dict[Indices, Coefficient] = {}
+    for indices, c in terms:
+        idx, sign = _normalize_indices(indices)
+        if idx is None:
+            continue
+        if sign < 0:
+            c = -c
+        data[idx] = data[idx] + c if idx in data else c
+    return InvariantForm.make(degree, data)
 
 
 @dataclass(frozen=True)
@@ -517,12 +506,7 @@ def coframe(index: int) -> InvariantForm:
 
 def e(*indices: int) -> InvariantForm:
     """Monomial e_{i_1 ... i_p}; indices need not be sorted."""
-    idx, sign = _normalize_indices(indices)
-    if idx is None:
-        return InvariantForm.zero(len(indices))
-    return InvariantForm.make(
-        len(indices), {idx: Coefficient.constant(sign)}
-    )
+    return _collect(len(indices), [(indices, _ONE_COEFF)])
 
 
 def scalar_form(c) -> InvariantForm:
@@ -538,22 +522,17 @@ def symbol_form(name: str) -> InvariantForm:
 def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
     if a.degree + b.degree > 9:
         raise ValueError("wedge degree exceeds coframe dimension")
-    data: Dict[Indices, Coefficient] = {}
-    for ia, ca in a.terms:
-        for ib, cb in b.terms:
-            merged, sign = _merge_sign(ia, ib)
-            if merged is None:
-                continue
-            contrib = (ca * cb).scale(sign)
-            data[merged] = data.get(merged, _ZERO_COEFF) + contrib
-    return InvariantForm.make(a.degree + b.degree, data)
+    terms = (
+        (ia + ib, ca * cb)
+        for ia, ca in a.terms
+        for ib, cb in b.terms
+        if set(ia).isdisjoint(ib)  # before the coefficients multiply
+    )
+    return _collect(a.degree + b.degree, terms)
 
 
 def wedge_all(*forms: InvariantForm) -> InvariantForm:
-    out = forms[0]
-    for f in forms[1:]:
-        out = wedge(out, f)
-    return out
+    return reduce(wedge, forms)
 
 
 # --------------------------------------------------------------------------
@@ -566,61 +545,42 @@ def _coefficient_of_bracket(a: int, b: int) -> Coefficient:
 
 @lru_cache(maxsize=None)
 def _d_symbol(symbol_index: int) -> InvariantForm:
-    """d of the coefficient symbol with the given coordinate slot."""
-    if symbol_index == 0:
-        return InvariantForm.zero(1)
+    """d of the coefficient symbol with the given coordinate slot 1..8."""
     # slot 1..6 -> Z = e_i, slot 7..8 -> Z = h_{slot-6}; the frame index
     # of Z coincides with the slot in both cases
-    data: Dict[Indices, Coefficient] = {}
-    for a in range(1, 10):
-        c = _coefficient_of_bracket(a, symbol_index)
-        if not c.is_zero():
-            data[(a,)] = c
-    return InvariantForm.make(1, data)
-
-
-def _d_coefficient(c: Coefficient) -> InvariantForm:
-    out = InvariantForm.zero(1)
-    for slot, q in enumerate(c.coords):
-        if slot == 0 or q == 0:
-            continue
-        out = out + _d_symbol(slot) * q
-    return out
+    return _collect(
+        1, (((a,), _coefficient_of_bracket(a, symbol_index)) for a in range(1, 10))
+    )
 
 
 @lru_cache(maxsize=None)
 def _d_monomial(indices: Indices) -> InvariantForm:
-    """d of a constant basis monomial via Maurer-Cartan and Leibniz."""
-    p = len(indices)
-    if p == 0:
-        return InvariantForm.zero(1)
-    if p == 1:
-        k = indices[0]
-        data: Dict[Indices, Coefficient] = {}
-        for (a, b), coeffs in LIE_BASIS.brackets.items():
-            q = coeffs[k - 1]
-            if q:
-                idx, sign = _normalize_indices((a, b))
-                data[idx] = data.get(idx, _ZERO_COEFF) + Coefficient.constant(
-                    -q * sign
-                )
-        return InvariantForm.make(2, data)
-    head, tail = indices[:1], indices[1:]
-    # d(e^h ^ rest) = d(e^h) ^ rest - e^h ^ d(rest)
-    return wedge(_d_monomial(head), e(*tail)) - wedge(
-        e(*head), _d_monomial(tail)
+    """d of a constant basis monomial: Maurer-Cartan d e^k = -sum over
+    a < b of c^k_ab e^ab in place of each factor, with the Leibniz sign."""
+    terms = (
+        (indices[:pos] + ab + indices[pos + 1:], (-1) ** (pos + 1) * coeffs[k - 1])
+        for pos, k in enumerate(indices)
+        for ab, coeffs in LIE_BASIS.brackets.items()
+        if coeffs[k - 1]
     )
+    return _collect(len(indices) + 1, ((i, Coefficient.constant(q)) for i, q in terms))
 
 
 def d(a: InvariantForm) -> InvariantForm:
     """Exterior differential (Maurer-Cartan on the coframe, the
     Ad-equivariance rule on coefficients)."""
-    out = InvariantForm.zero(a.degree + 1)
-    for idx, c in a.terms:
-        out = out + wedge(_d_coefficient(c), e(*idx))
-        if not c.is_constant() or c.constant_part() != 0:
-            out = out + _d_monomial(idx) * c
-    return out
+
+    def images():
+        # d(c e^I) = dc ^ e^I + c d(e^I)
+        for idx, c in a.terms:
+            for slot, q in enumerate(c.coords):
+                if slot and q:
+                    for j, ds in _d_symbol(slot).terms:
+                        yield j + idx, ds.scale(q)
+            for jdx, m in _d_monomial(idx).terms:
+                yield jdx, c * m
+
+    return _collect(a.degree + 1, images())
 
 
 # --------------------------------------------------------------------------
@@ -639,12 +599,13 @@ def hodge_star(a: InvariantForm) -> InvariantForm:
     _require_horizontal(a, "hodge_star")
     if a.degree > 6:
         raise ValueError("horizontal degree exceeds 6")
-    data: Dict[Indices, Coefficient] = {}
-    for idx, c in a.terms:
-        comp = tuple(i for i in _HORIZONTAL if i not in idx)
-        _, sign = _normalize_indices(idx + comp)
-        data[comp] = data.get(comp, _ZERO_COEFF) + c.scale(-sign)
-    return InvariantForm.make(6 - a.degree, data)
+
+    def images():
+        for idx, c in a.terms:
+            comp = tuple(i for i in _HORIZONTAL if i not in idx)
+            yield comp, c.scale(-_normalize_indices(idx + comp)[1])
+
+    return _collect(6 - a.degree, images())
 
 
 def codifferential(a: InvariantForm) -> InvariantForm:
@@ -683,37 +644,35 @@ def inner(a: InvariantForm, b: InvariantForm) -> Coefficient:
 # J e^1 = e^2, J e^2 = -e^1, J e^3 = -e^4, J e^4 = e^3,
 # J e^5 = e^6, J e^6 = -e^5
 _J_IMAGES = {1: (2, 1), 2: (1, -1), 3: (4, -1), 4: (3, 1), 5: (6, 1), 6: (5, -1)}
+if not set(_J_IMAGES) == {im for im, _ in _J_IMAGES.values()} == set(_HORIZONTAL):
+    raise AssertionError("J must permute the horizontal coframe e^1..e^6")
 
 
 def apply_j(a: InvariantForm) -> InvariantForm:
     """Apply J to every coframe factor (on 1-forms this is the metric
     transport of J; on p-forms the induced action beta(J., .., J.))."""
     _require_horizontal(a, "apply_j")
-    data: Dict[Indices, Coefficient] = {}
-    for idx, c in a.terms:
-        sign = 1
-        images = []
-        for i in idx:
-            im, s = _J_IMAGES[i]
-            images.append(im)
-            sign *= s
-        norm, extra = _normalize_indices(tuple(images))
-        assert norm is not None
-        data[norm] = data.get(norm, _ZERO_COEFF) + c.scale(sign * extra)
-    return InvariantForm.make(a.degree, data)
+
+    def images():
+        for idx, c in a.terms:
+            sign = 1
+            for i in idx:
+                sign *= _J_IMAGES[i][1]
+            yield tuple(_J_IMAGES[i][0] for i in idx), c.scale(sign)
+
+    return _collect(a.degree, images())
 
 
 def contract_frame(a: InvariantForm, frame_index: int) -> InvariantForm:
     """Interior product with the frame vector u_k (algebraic pairing
     u_k -| theta^k = 1)."""
-    data: Dict[Indices, Coefficient] = {}
-    for idx, c in a.terms:
-        if frame_index not in idx:
-            continue
-        pos = idx.index(frame_index)
-        rest = idx[:pos] + idx[pos + 1:]
-        data[rest] = data.get(rest, _ZERO_COEFF) + c.scale((-1) ** pos)
-    return InvariantForm.make(a.degree - 1, data)
+    terms = (
+        (idx[:pos] + idx[pos + 1:], c.scale((-1) ** pos))
+        for idx, c in a.terms
+        for pos, k in enumerate(idx)
+        if k == frame_index
+    )
+    return _collect(a.degree - 1, terms)
 
 
 def contract_vector(v: InvariantForm, a: InvariantForm) -> InvariantForm:
@@ -722,10 +681,10 @@ def contract_vector(v: InvariantForm, a: InvariantForm) -> InvariantForm:
     if v.degree != 1:
         raise ValueError("contraction direction must be a 1-form")
     _require_horizontal(v, "contract_vector")
-    out = InvariantForm.zero(a.degree - 1)
-    for (i,), c in v.terms:
-        out = out + contract_frame(a, i) * c
-    return out
+    terms = (
+        (idx, cv * c) for (i,), cv in v.terms for idx, c in contract_frame(a, i).terms
+    )
+    return _collect(a.degree - 1, terms)
 
 
 def alpha(beta: InvariantForm) -> InvariantForm:
@@ -734,12 +693,9 @@ def alpha(beta: InvariantForm) -> InvariantForm:
     if beta.degree != 2:
         raise ValueError("alpha takes 2-forms")
     _require_horizontal(beta, "alpha")
-    data: Dict[Indices, Coefficient] = {}
-    for i in _HORIZONTAL:
-        c = inner(beta, contract_frame(PSI_PLUS, i))
-        if not c.is_zero():
-            data[(i,)] = c
-    return InvariantForm.make(1, data)
+    return InvariantForm.make(
+        1, {(i,): inner(beta, contract_frame(PSI_PLUS, i)) for i in _HORIZONTAL}
+    )
 
 
 def type_decompose(
@@ -747,7 +703,7 @@ def type_decompose(
 ) -> Tuple[InvariantForm, InvariantForm, InvariantForm]:
     """Orthogonal splitting of a horizontal 2-form into primitive (1,1),
     (2,0)+(0,2) and trace parts.  The (2,0)+(0,2) part is also computed
-    as (alpha(a)/2) -| Psi^+ and the two expressions are asserted equal."""
+    as (alpha(a)/2) -| Psi^+, and a mismatch raises AssertionError."""
     if a.degree != 2:
         raise ValueError("type decomposition takes 2-forms")
     _require_horizontal(a, "type_decompose")
@@ -757,7 +713,8 @@ def type_decompose(
     trace = OMEGA * (inner(a, OMEGA) * Fraction(1, 3))
     primitive = invariant - trace
     via_alpha = contract_vector(alpha(a) * Fraction(1, 2), PSI_PLUS)
-    assert (anti - via_alpha).is_zero(), "(2,0)+(0,2) projector mismatch"
+    if not (anti - via_alpha).is_zero():
+        raise AssertionError("(2,0)+(0,2) projector mismatch")
     return primitive, anti, trace
 
 
@@ -771,30 +728,21 @@ def vertical_lie_derivative(a: InvariantForm, j: int) -> InvariantForm:
     if j not in (1, 2, 3):
         raise ValueError("vertical index must be 1, 2 or 3")
     h = 6 + j
-    out = InvariantForm.zero(a.degree)
-    for idx, c in a.terms:
-        # coefficient action
-        derived = _ZERO_COEFF
-        for slot, q in enumerate(c.coords):
-            if slot == 0 or q == 0:
-                continue
-            derived = derived + _coefficient_of_bracket(h, slot).scale(q)
-        if not derived.is_zero():
-            out = out + InvariantForm.make(a.degree, {idx: derived})
-        # coframe action, one factor at a time
-        for pos, k in enumerate(idx):
-            for target in range(1, 10):
-                q = LIE_BASIS.bracket(h, target)[k - 1]
-                if not q:
-                    continue
-                replaced = idx[:pos] + (target,) + idx[pos + 1:]
-                norm, sign = _normalize_indices(replaced)
-                if norm is None:
-                    continue
-                out = out + InvariantForm.make(
-                    a.degree, {norm: c.scale(-q * sign)}
-                )
-    return out
+
+    def images():
+        for idx, c in a.terms:
+            # coefficient action
+            for slot, q in enumerate(c.coords):
+                if slot and q:
+                    yield idx, _coefficient_of_bracket(h, slot).scale(q)
+            # coframe action, one factor at a time
+            for pos, k in enumerate(idx):
+                for target in range(1, 10):
+                    q = LIE_BASIS.bracket(h, target)[k - 1]
+                    if q:
+                        yield idx[:pos] + (target,) + idx[pos + 1:], c.scale(-q)
+
+    return _collect(a.degree, images())
 
 
 def basic_check(a: InvariantForm) -> bool:
@@ -836,9 +784,13 @@ MODEL = ModelConstants(
 )
 
 # structural sanity, cheap enough to run at import
-assert wedge(OMEGA, PSI_PLUS).is_zero()
-assert (wedge_all(OMEGA, OMEGA, OMEGA) - VOLUME * 6).is_zero()
-assert (wedge(PSI_PLUS, PSI_MINUS) - VOLUME * 4).is_zero()
+for _name, _residual in (
+    ("omega ^ psi+ = 0", wedge(OMEGA, PSI_PLUS)),
+    ("omega^3 = 6 vol", wedge_all(OMEGA, OMEGA, OMEGA) - VOLUME * 6),
+    ("psi+ ^ psi- = 4 vol", wedge(PSI_PLUS, PSI_MINUS) - VOLUME * 4),
+):
+    if not _residual.is_zero():
+        raise AssertionError(f"model identity {_name} fails")
 
 
 # --------------------------------------------------------------------------
@@ -928,10 +880,6 @@ def killing_values(xi: Matrix, g: Matrix) -> Dict[str, Fraction]:
 # --------------------------------------------------------------------------
 # Printer
 
-def _format_scalar(q: Fraction) -> str:
-    return str(q)
-
-
 def _v_display(c: Coefficient) -> Tuple[Fraction, Fraction, Fraction]:
     """Choose the (v1, v2, v3) representative of the v-part, scoring by
     fewest nonzeros, then smallest absolute-value sum, then the tuple."""
@@ -963,7 +911,7 @@ def format_coefficient(c: Coefficient) -> str:
         if sym and mag == 1:
             body = sym
         elif not sym:
-            body = _format_scalar(mag)
+            body = str(mag)
         elif mag.denominator == 1:
             body = f"{mag}{sym}"
         else:

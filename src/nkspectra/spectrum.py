@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .branching import Bundle, Space, U2Label, hom_dimension, space_data
 from .rootrep import (
@@ -41,8 +41,12 @@ class SpectrumEntry:
         assert self.eigenvalue == laplace_eigenvalue(self.irrep)
 
 
-def _entry(space: Space, bundle: Bundle, irrep: IrrepLabel) -> SpectrumEntry:
+def _entry(space: Space, bundle: Bundle, irrep: IrrepLabel) -> Optional[SpectrumEntry]:
+    """The isotypic component of irrep, or None when Hom_K is 0; the
+    dimension and the eigenvalue are computed only for a nonzero Hom."""
     hom = hom_dimension(space, irrep, bundle)
+    if hom == 0:
+        return None
     dim = dimension(irrep)
     return SpectrumEntry(
         irrep=irrep,
@@ -73,8 +77,7 @@ def enumerate_spectrum(
     key = (space, bundle)
     if key not in _TABLES or _TABLES[key][0] < cutoff:
         labels = iter_labels(space_data(space).group, cutoff)
-        entries = [_entry(space, bundle, lab) for lab in labels]
-        entries = [e for e in entries if e.hom_dim > 0]
+        entries = [e for e in (_entry(space, bundle, lab) for lab in labels) if e]
         entries.sort(key=lambda e: (e.eigenvalue, e.irrep.labels))
         _TABLES[key] = (cutoff, entries)
     return [e for e in _TABLES[key][1] if e.eigenvalue <= cutoff]

@@ -290,3 +290,51 @@ def test_kostant_checks_fire_under_dash_O():
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
     assert proc.returncode == 3
+
+
+def test_isotropy_modules_are_built_once():
+    for space in Space:
+        for bundle in Bundle:
+            assert isotropy_module(space, bundle) is isotropy_module(space, bundle)
+
+
+def _broken_lambda11(space, content):
+    return {**branching._LAMBDA11_CONTENT, space: content}
+
+
+@pytest.mark.parametrize(
+    "broken,message",
+    [
+        # the right dimension, but not the tangent product
+        (_broken_lambda11(Space.S3XS3, (3, 3)), "not the derived one"),
+        (_broken_lambda11(Space.CP3, (U2Label(0, 0), U2Label(2, 0))), "not 8-dimensional"),
+        (
+            _broken_lambda11(
+                Space.FLAG,
+                branching._LAMBDA11_CONTENT[Space.FLAG][:-1]
+                + (canonical_weight(Group.SU3, (1, -1, 0)),),
+            ),
+            "not the derived one",
+        ),
+    ],
+    ids=["s3xs3", "cp3", "flag"],
+)
+def test_isotropy_checks_fire(broken, message):
+    with pytest.raises(AssertionError, match=message):
+        branching._build_isotropy_modules(broken)
+
+
+def test_isotropy_checks_fire_under_dash_O():
+    # the checks are explicit raises, so python -O keeps them
+    script = (
+        "from nkspectra import branching as b\n"
+        "broken = {**b._LAMBDA11_CONTENT, b.Space.S3XS3: (3, 3)}\n"
+        "try:\n"
+        "    b._build_isotropy_modules(broken)\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(3)\n"
+    )
+    src = os.path.dirname(os.path.dirname(branching.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
+    assert proc.returncode == 3

@@ -2,17 +2,19 @@
 Hodge/J/type operators, the symbolic Killing-field identities and the
 printer grammar."""
 
+import ast
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nkspectra import dga
+from nkspectra import branching, dga
 from nkspectra.dga import (
     BASIS_UNITS,
     GQ,
@@ -211,6 +213,112 @@ def test_mat_mul_matches_the_naive_triple_sum(a, b):
         for row in got
         for z in row
     )
+
+
+# ---------------------------------------------------------------------------
+# The term accumulator
+
+def test_suites_make_few_forms():
+    # each operator sums its image terms into one dict and calls make
+    # once (1462 calls); summing forms term by term makes about three
+    # times as many
+    script = (
+        "import sys\n"
+        "from nkspectra import dga, nkcheck\n"
+        "calls = []\n"
+        "def hook(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_name == 'make':\n"
+        "        calls.append(frame.f_code)\n"
+        "sys.setprofile(hook)\n"
+        "nkcheck.run_all_suites()\n"
+        "sys.setprofile(None)\n"
+        "code = dga.InvariantForm.make.__code__\n"
+        "assert all(c is code for c in calls)\n"
+        "print(len(calls))\n"
+    )
+    proc = _run_script(script)
+    assert proc.returncode == 0, proc.stderr
+    assert 0 < int(proc.stdout) <= 2100
+
+
+def _inversions(indices):
+    return sum(a > b for i, a in enumerate(indices) for b in indices[i + 1:])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(1, 9), max_size=9),
+        st.lists(st.integers(1, 9), max_size=9, unique=True),
+    )
+)
+def test_normalize_indices_matches_the_inversion_count(indices):
+    got = dga._normalize_indices(indices)
+    if len(set(indices)) < len(indices):
+        assert got == (None, 0)
+    else:
+        assert got == (tuple(sorted(indices)), (-1) ** _inversions(indices))
+
+
+_CONSTANT_FORMS = st.integers(0, 4).flatmap(
+    lambda p: st.dictionaries(
+        st.lists(st.integers(1, 9), min_size=p, max_size=p, unique=True).map(
+            lambda idx: tuple(sorted(idx))
+        ),
+        st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3)),
+        max_size=6,
+    ).map(
+        lambda data: InvariantForm.make(
+            p, {idx: Coefficient.constant(q) for idx, q in data.items()}
+        )
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_CONSTANT_FORMS, _CONSTANT_FORMS)
+def test_wedge_matches_the_term_by_term_sum(a, b):
+    naive = {}
+    for ia, ca in a.terms:
+        for ib, cb in b.terms:
+            if set(ia) & set(ib):
+                continue
+            key = tuple(sorted(ia + ib))
+            sign = (-1) ** _inversions(ia + ib)
+            q = sign * ca.constant_part() * cb.constant_part()
+            naive[key] = naive.get(key, 0) + q
+    got = wedge(a, b)
+    assert got.degree == a.degree + b.degree
+    assert [idx for idx, _ in got.terms] == sorted(idx for idx, _ in got.terms)
+    assert all(c.is_constant() for _, c in got.terms)
+    assert {idx: c.constant_part() for idx, c in got.terms} == {
+        idx: q for idx, q in naive.items() if q
+    }
+
+
+def test_projector_check_fires(monkeypatch):
+    monkeypatch.setattr(dga, "alpha", lambda beta: InvariantForm.zero(1))
+    with pytest.raises(AssertionError, match="projector mismatch"):
+        type_decompose(e(1, 3))
+
+
+def test_projector_check_fires_under_dash_O():
+    script = (
+        "from nkspectra import dga\n"
+        "dga.alpha = lambda beta: dga.InvariantForm.zero(1)\n"
+        "try:\n"
+        "    dga.type_decompose(dga.e(1, 3))\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(3)\n"
+    )
+    assert _run_script(script, "-O").returncode == 3
+
+
+@pytest.mark.parametrize("module", [dga, branching], ids=["dga", "branching"])
+def test_no_assert_statements(module):
+    # python -O strips assert statements; every check here is a raise
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)] == []
 
 
 def test_su3_basis_is_traceless():
@@ -460,6 +568,10 @@ def test_vertical_lie_derivative_validation():
 def test_nonlinear_coefficient_guard():
     with pytest.raises(NonlinearCoefficient):
         wedge(symbol_form("x1"), symbol_form("x2"))
+    with pytest.raises(NonlinearCoefficient):
+        wedge(coframe(1) * X[0], coframe(2) * X[1])
+    # wedge skips overlapping terms before it multiplies their coefficients
+    assert wedge(coframe(1) * X[0], coframe(1) * X[1]).is_zero()
     with pytest.raises(NonlinearCoefficient):
         Coefficient.symbol("v1") * Coefficient.symbol("v2")
 

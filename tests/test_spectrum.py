@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from nkspectra import rootrep, spectrum
-from nkspectra.branching import Bundle, Space, space_data
+from nkspectra.branching import Bundle, Space, hom_dimension, space_data
 from nkspectra.rootrep import iter_labels, so5_label, su2cubed_label, su3_label
 from nkspectra.spectrum import (
     ModuliReport,
@@ -247,12 +247,21 @@ def test_dga_and_rootrep_agree_on_eigenvalue_twelve():
 
 @pytest.mark.parametrize("space", [Space.CP3, Space.FLAG])
 def test_one_weyl_dimension_per_label(space):
-    # the spectrum entry and the Kostant total check share one dimension
+    # the Kostant total check computes one dimension per label; an entry
+    # is built only for a nonzero Hom, and shares that dimension
     labels = list(iter_labels(space_data(space).group, Fraction(60)))
-    rootrep.dimension.cache_clear()
-    for lab in labels:
-        entry = spectrum._entry(space, Bundle.LAMBDA11, lab)
-        assert entry.irrep_dim == rootrep.dimension.__wrapped__(lab)
-    info = rootrep.dimension.cache_info()
-    assert info.misses == len(labels)
-    assert info.hits == len(labels)
+    for bundle in Bundle:
+        rootrep.dimension.cache_clear()
+        entries = [spectrum._entry(space, bundle, lab) for lab in labels]
+        info = rootrep.dimension.cache_info()
+        kept = [entry for entry in entries if entry is not None]
+        assert kept
+        assert info.misses == len(labels)
+        assert info.hits == len(kept)
+        for lab, entry in zip(labels, entries):
+            hom = hom_dimension(space, lab, bundle)
+            if entry is None:
+                assert hom == 0
+            else:
+                assert entry.hom_dim == hom
+                assert entry.irrep_dim == rootrep.dimension.__wrapped__(lab)

@@ -206,11 +206,13 @@ def model_structure() -> ModelSU3Structure:
     for i in range(6):
         x = [Fraction(0)] * 6
         x[i] = Fraction(1)
-        assert m.a_norm_squared(x) == 2
+        if m.a_norm_squared(x) != 2:
+            raise AssertionError(f"A-matrices: |e{i + 1}|^2 is not 2")
     total = _MAT6_ZERO
     for a in mats:
         total = _mat6_add(total, _mat6_mul(a, a))
-    assert total == _mat6_scale(_MAT6_ID, Fraction(-4))
+    if total != _mat6_scale(_MAT6_ID, Fraction(-4)):
+        raise AssertionError("A-matrices: the sum of squares is not -4")
     return m
 
 
@@ -366,8 +368,8 @@ def verify_pointwise_identities() -> VerificationReport:
     # *(phi ^ omega) = -phi over the 8-dim primitive (1,1) basis
     residuals = []
     for n, phi in enumerate(_PRIMITIVE_11_BASIS, start=1):
-        assert (apply_j(phi) - phi).is_zero()
-        assert inner(phi, OMEGA).is_zero()
+        if not (apply_j(phi) - phi).is_zero() or not inner(phi, OMEGA).is_zero():
+            raise AssertionError(f"phi{n} is not a primitive (1,1) form")
         residuals.append((f"phi{n}", hodge_star(wedge(phi, OMEGA)) + phi))
     rows = [
         [
@@ -377,7 +379,8 @@ def verify_pointwise_identities() -> VerificationReport:
         ]
         for phi in _PRIMITIVE_11_BASIS
     ]
-    assert _rank(rows) == 8, "primitive basis must span"
+    if _rank(rows) != 8:
+        raise AssertionError("the primitive (1,1) basis does not span")
     checks.append(_forms_check("a7_primitive_star", residuals))
 
     # *(JX ^ omega^2) = -2 X

@@ -22,6 +22,10 @@ spelled out in the docstring of weight_inner and cross-checked against
 explicit matrix models in the test suite.  Note that for su3 the
 Euclidean pairing must be evaluated on sum-zero representatives: raw
 coordinate dot products overshoot by (sum l)(sum m)/3.
+
+The spectrum path reads eigenvalues, dimensions and the label walk off
+integer polynomials in the label coordinates instead; the weights above
+are the oracle they are checked against.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Dict, Iterator, List, Tuple
 
 Weight = Tuple[Fraction, ...]
@@ -152,13 +155,7 @@ def _build_root_system(group: Group) -> RootSystem:
     rho = tuple(
         sum((r[i] for r in roots), Fraction(0)) * _HALF for i in range(n)
     )
-    rs = RootSystem(group=group, ambient_dim=n, positive_roots=roots, rho=rho)
-    # rho must be half the sum of positive roots by construction; keep the
-    # guard anyway so nobody edits _POSITIVE_ROOTS inconsistently.
-    assert rs.rho == tuple(
-        sum((r[i] for r in rs.positive_roots), Fraction(0)) / 2 for i in range(n)
-    )
-    return rs
+    return RootSystem(group=group, ambient_dim=n, positive_roots=roots, rho=rho)
 
 
 _ROOT_SYSTEMS = {group: _build_root_system(group) for group in Group}
@@ -202,30 +199,52 @@ def casimir_eigenvalue(irrep: IrrepLabel, metric_scale: Fraction = Fraction(1)) 
     return -weight_inner(irrep.group, gamma, shifted) / scale
 
 
+# Six times the Laplace eigenvalue and the Weyl dimension, as integer
+# polynomials in the label coordinates (Humphreys, GTM 9, sections 22-24).
+# Every coefficient of the eigenvalue forms is nonnegative, so each form
+# grows with every coordinate; iter_labels relies on that.
+_SIX_LAPLACE = {
+    Group.SU2: lambda k: 9 * k * (k + 2),
+    Group.SU2_CUBED: lambda a, b, c: 9 * (a * (a + 2) + b * (b + 2) + c * (c + 2)),
+    Group.SO5: lambda a, b: 12 * (a * (a + 3) + b * (b + 1)),
+    Group.SU3: lambda k, l: 8 * (k * k + k * l + l * l + 3 * k + 3 * l),
+}
+
+_DIMENSION = {
+    Group.SU2: lambda k: k + 1,
+    Group.SU2_CUBED: lambda a, b, c: (a + 1) * (b + 1) * (c + 1),
+    Group.SO5: lambda a, b: (2 * a + 3) * (2 * b + 1) * (a + b + 2) * (a - b + 1) // 6,
+    Group.SU3: lambda k, l: (k + 1) * (l + 1) * (k + l + 2) // 2,
+}
+
+
 def laplace_eigenvalue(irrep: IrrepLabel) -> Fraction:
     """Eigenvalue of the Hermitian Laplace operator on the isotypic
-    component of the irrep, for the normal metric induced by -B/12."""
-    return -casimir_eigenvalue(irrep, Fraction(1, 12))
+    component of the irrep, for the normal metric induced by -B/12: the
+    closed form of -casimir_eigenvalue(irrep, 1/12)."""
+    return Fraction(_SIX_LAPLACE[irrep.group](*irrep.labels), 6)
 
 
-@lru_cache(maxsize=256)
 def dimension(irrep: IrrepLabel) -> int:
-    """Weyl dimension formula over the positive roots.
+    """Weyl's dimension formula, expanded in the label coordinates."""
+    return _DIMENSION[irrep.group](*irrep.labels)
 
-    Memoised: a spectrum entry and the Kostant total check in
-    hom_dimension both ask for the dimension of the label in hand, and the
-    product over the roots runs once for the two."""
-    rs = root_system(irrep.group)
-    gamma = irrep.highest_weight()
-    num = Fraction(1)
-    den = Fraction(1)
-    shifted = tuple(g + r for g, r in zip(gamma, rs.rho))
-    for alpha in rs.positive_roots:
-        num *= weight_inner(irrep.group, shifted, alpha)
-        den *= weight_inner(irrep.group, rs.rho, alpha)
-    val = num / den
-    assert val.denominator == 1 and val > 0
-    return int(val)
+
+def _check_closed_forms() -> None:
+    # Both sides are quadratic in the label, and the labels with entries
+    # <= 2 determine a quadratic (for so5 the six dominant ones do: their
+    # monomial matrix has determinant 4), so agreeing here is agreeing
+    # everywhere.
+    for group in Group:
+        for labels in itertools.product(range(3), repeat=_RANK[group]):
+            if group is Group.SO5 and labels[0] < labels[1]:
+                continue
+            irrep = IrrepLabel(group, labels)
+            if laplace_eigenvalue(irrep) != -casimir_eigenvalue(irrep, Fraction(1, 12)):
+                raise AssertionError(f"{group.value} {irrep}: eigenvalue is not the Casimir one")
+
+
+_check_closed_forms()
 
 
 @dataclass(frozen=True)
@@ -233,7 +252,7 @@ class WeightTable:
     """Finite weight-to-multiplicity map of one irrep.
 
     Entries are keyed by canonical ambient weights; the multiplicity sum
-    equals the Weyl dimension (asserted at construction time by the
+    equals the Weyl dimension (checked at construction time by the
     factory below).
     """
 
@@ -328,9 +347,11 @@ def _so5_freudenthal(a: int, b: int) -> Dict[Weight, int]:
                 t += 1
         mu_rho = tuple(m + r for m, r in zip(mu, rho))
         denom = gg - dot(mu_rho, mu_rho)
-        assert denom > 0
+        if denom <= 0:
+            raise AssertionError(f"so5 ({a}, {b}): Freudenthal denominator {denom} at {mu}")
         val = 2 * acc / denom
-        assert val.denominator == 1 and val >= 0
+        if val.denominator != 1 or val < 0:
+            raise AssertionError(f"so5 ({a}, {b}): multiplicity {val} at {mu}")
         mult[mu] = int(val)
 
     table: Dict[Weight, int] = {}
@@ -366,7 +387,8 @@ def weight_multiplicities(irrep: IrrepLabel) -> WeightTable:
         if k >= 1 and l >= 1:
             for w, m in _su3_product_weights(k - 1, l - 1).items():
                 left = table[w] - m
-                assert left >= 0
+                if left < 0:
+                    raise AssertionError(f"{irrep}: negative multiplicity at {w}")
                 if left == 0:
                     del table[w]
                 else:
@@ -376,7 +398,8 @@ def weight_multiplicities(irrep: IrrepLabel) -> WeightTable:
 
     entries = tuple(sorted(table.items()))
     wt = WeightTable(irrep=irrep, entries=entries)
-    assert wt.total() == dimension(irrep)
+    if wt.total() != dimension(irrep):
+        raise AssertionError(f"{irrep}: the weights miss the Weyl dimension")
     return wt
 
 
@@ -415,80 +438,41 @@ class LabelBoxTooLarge(ValueError):
 
 
 def iter_labels(group: Group, cutoff: Fraction) -> Iterator[IrrepLabel]:
-    """All labels of the family with Laplace eigenvalue <= cutoff.
+    """All labels of the family with Laplace eigenvalue <= cutoff, in
+    lexicographic order: nested loops over the coordinates, each stopping
+    at its first label with 6 * eigenvalue above floor(6 * cutoff).
 
-    The Laplace eigenvalue is strictly increasing in each label
-    coordinate, which makes a finite search box complete.  Instead of
-    assuming that, the generator asserts the single-step monotonicity for
-    every label it visits, so the box bound is verified on the fly.  Each
-    eigenvalue is evaluated once and shared by the check and the cutoff
-    test.
-
-    The box is sized before the walk starts; LabelBoxTooLarge is raised
-    here, not on iteration, when it would hold more than MAX_LABEL_BOX
-    labels.
+    LabelBoxTooLarge is raised on the call, before any label is walked,
+    when (first axis label above the cutoff + 1) ** rank exceeds
+    MAX_LABEL_BOX.  One axis is enough: every form is symmetric in its
+    coordinates once so5 labels are sorted.
     """
     cutoff = Fraction(cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
+    bound = math.floor(6 * cutoff)
     rank = _RANK[group]
-    memo: Dict[Tuple[int, ...], Fraction] = {}
-
-    def eig(labels: Tuple[int, ...]) -> Fraction:
-        if group is Group.SO5 and labels[0] < labels[1]:
-            # outside the dominant cone; evaluate on the sorted
-            # representative for box-bounding purposes only
-            labels = tuple(sorted(labels, reverse=True))
-        if labels not in memo:
-            memo[labels] = laplace_eigenvalue(IrrepLabel(group, labels))
-        return memo[labels]
-
-    def too_large() -> LabelBoxTooLarge:
-        return LabelBoxTooLarge(
-            f"cutoff {cutoff} needs more {group.value} labels than the "
-            f"label box bound of {MAX_LABEL_BOX}"
-        )
-
-    bounds = []
-    for i in range(rank):
-        def above(n: int) -> bool:
-            return eig(tuple(n if j == i else 0 for j in range(rank))) > cutoff
-
-        # first n on the axis with eigenvalue above the cutoff, by doubling
-        # then bisection; the walk re-checks monotonicity along the axis
-        lo, hi = 0, 1
-        while not above(hi):
-            if hi > MAX_LABEL_BOX:
-                raise too_large()
-            lo, hi = hi, 2 * hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if above(mid):
-                hi = mid
-            else:
-                lo = mid
-        bounds.append(hi)
-    if math.prod(b + 1 for b in bounds) > MAX_LABEL_BOX:
-        raise too_large()
-    return _walk_labels(group, cutoff, bounds, eig, memo)
-
-
-def _walk_labels(group: Group, cutoff: Fraction, bounds, eig, memo) -> Iterator[IrrepLabel]:
-    rank = _RANK[group]
-    for labels in itertools.product(*(range(b + 1) for b in bounds)):
-        if group is Group.SO5 and labels[0] < labels[1]:
-            continue
-        value = eig(labels)
-        # the walk is lexicographic, so every label whose bump is this one
-        # came earlier; the entry is not read again
-        del memo[labels]
-        for i in range(rank):
-            bumped = list(labels)
-            bumped[i] += 1
-            if group is Group.SO5 and bumped[0] < bumped[1]:
-                continue
-            assert eig(tuple(bumped)) > value, (
-                "eigenvalue not strictly increasing; search box invalid"
+    edge = 0
+    while _SIX_LAPLACE[group](edge, *(0,) * (rank - 1)) <= bound:
+        edge += 1
+        if (edge + 1) ** rank > MAX_LABEL_BOX:
+            raise LabelBoxTooLarge(
+                f"the cutoff needs more {group.value} labels than the "
+                f"label box bound of {MAX_LABEL_BOX}"
             )
-        if value <= cutoff:
+    return _walk_labels(group, bound, ())
+
+
+def _walk_labels(group: Group, bound: int, head: Tuple[int, ...]) -> Iterator[IrrepLabel]:
+    # with the later coordinates 0 the form is at its least, so the loop
+    # may stop at its first label above the bound; so5 keeps a >= b
+    pad = (0,) * (_RANK[group] - len(head) - 1)
+    stop = head[0] + 1 if group is Group.SO5 and head else None
+    for n in itertools.count():
+        labels = head + (n,) + pad
+        if n == stop or _SIX_LAPLACE[group](*labels) > bound:
+            return
+        if pad:
+            yield from _walk_labels(group, bound, head + (n,))
+        else:
             yield IrrepLabel(group, labels)

@@ -37,8 +37,10 @@ class SpectrumEntry:
     contribution: int
 
     def __post_init__(self):
-        assert self.contribution == self.hom_dim * self.irrep_dim
-        assert self.eigenvalue == laplace_eigenvalue(self.irrep)
+        if self.contribution != self.hom_dim * self.irrep_dim:
+            raise AssertionError(f"{self.irrep}: contribution is not Hom times dimension")
+        if self.eigenvalue != laplace_eigenvalue(self.irrep):
+            raise AssertionError(f"{self.irrep}: eigenvalue {self.eigenvalue} is wrong")
 
 
 def _entry(space: Space, bundle: Bundle, irrep: IrrepLabel) -> Optional[SpectrumEntry]:
@@ -113,9 +115,10 @@ class ModuliReport:
     einstein_extra: Tuple[int, int]
 
     def __post_init__(self):
-        assert self.nk_upper_bound == (
+        if self.nk_upper_bound != (
             self.dim_omega11_12 - self.dim_isometry - self.dim_omega0_12
-        )
+        ):
+            raise AssertionError(f"{self.space.value}: the moduli bound is not the difference")
 
     def reported_bound(self) -> int:
         return max(0, self.nk_upper_bound)
@@ -183,8 +186,9 @@ def scal_normalization_check(space: Space) -> Tuple[Fraction, Fraction]:
     bundle at -12 Cas = 4.  Returns (Cas, scal)."""
     values = _isotropy_casimirs(space)
     cas = values[0]
-    assert all(v == cas for v in values), values
+    if any(v != cas for v in values):
+        raise AssertionError(f"{space.value}: isotropy Casimirs differ: {values}")
     scal = Fraction(3, 2) - 3 * cas
-    assert scal == Fraction(5, 2)
-    assert -12 * cas == 4
+    if scal != Fraction(5, 2) or -12 * cas != 4:
+        raise AssertionError(f"{space.value}: isotropy Casimir {cas}, not -1/3")
     return (cas, scal)

@@ -1,6 +1,7 @@
 """Command line surface: golden outputs, byte stability across runs,
 exit codes and the file-output path."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import time
 import pytest
 
 import nkspectra
+from nkspectra import spectrum
 from nkspectra.cli import main
 from nkspectra.rootrep import MAX_LABEL_BOX
 
@@ -76,6 +78,31 @@ def test_output_is_byte_stable(capsys):
         assert code == 0
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+# SHA-256 of `spectrum --format json --cutoff 1000` per (space, bundle),
+# pinned from the root-data implementation of the eigenvalues, dimensions
+# and the label walk
+CUTOFF_1000_JSON_SHA256 = {
+    ("s3xs3", "lambda11"): "fb6510a763d6b60cddaa2af97b5727f77c7d5f170650893f319f1c6180f082ce",
+    ("s3xs3", "functions"): "fc98283c9bd09b223e1ef100d1452318033dc173d795710e559406e6954118d8",
+    ("cp3", "lambda11"): "1cb4b1348c263666ed63ba6d45bfc4381b02a8aa77107a09027a370535969ff2",
+    ("cp3", "functions"): "d0a3430f65cbf028c0def2bb339a3648f152e25459e757f818a4dd7def4b87f1",
+    ("flag", "lambda11"): "63a02fe812439845913dec55e1031bd20a01cc3685a519bb4fd60b7417bc89a7",
+    ("flag", "functions"): "e88fdcdbd249b3c7712a637a594550349c25514619a8bec1aaf5ed53ebcf4786",
+}
+
+
+@pytest.mark.parametrize("space,bundle", sorted(CUTOFF_1000_JSON_SHA256))
+def test_spectrum_json_at_1000_is_pinned(monkeypatch, capsys, space, bundle):
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    code, out = _run(
+        capsys, "spectrum", "--space", space, "--bundle", bundle,
+        "--cutoff", "1000", "--format", "json",
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == CUTOFF_1000_JSON_SHA256[(space, bundle)]
 
 
 def test_json_round_trip(capsys):
@@ -232,7 +259,9 @@ def _cli(*argv, optimize=False):
     )
 
 
-@pytest.mark.parametrize("space,cutoff", [("s3xs3", "1e8"), ("flag", "1e9")])
+@pytest.mark.parametrize(
+    "space,cutoff", [("s3xs3", "1e8"), ("flag", "1e9"), ("cp3", "1e400")]
+)
 def test_huge_cutoff_is_refused_up_front(space, cutoff):
     start = time.perf_counter()
     proc = _cli("spectrum", "--space", space, "--cutoff", cutoff)
@@ -242,14 +271,16 @@ def test_huge_cutoff_is_refused_up_front(space, cutoff):
     err = proc.stderr.decode()
     assert err.startswith("nkspectra: ") and err.count("\n") == 1
     assert str(MAX_LABEL_BOX) in err
+    # the line names the family, not the cutoff, however long that is
+    assert len(err) < 100
     # a guard against an unbounded walk: the refusal itself takes
     # milliseconds, the rest is interpreter start-up
     assert elapsed < 10
 
 
-@pytest.mark.parametrize("case", ["flag", "cp3", "verify-flag", "identities"])
+@pytest.mark.parametrize("case", ["flag", "cp3", "s3xs3", "verify-flag", "identities"])
 def test_cli_under_dash_O_is_byte_identical(case):
-    if case in ("flag", "cp3"):
+    if case in ("flag", "cp3", "s3xs3"):
         argv = ("spectrum", "--space", case, "--cutoff", "12", "--format", "json")
     else:
         argv = (case, "--format", "json")

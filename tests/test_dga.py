@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nkspectra import branching, dga
+from nkspectra import dga
 from nkspectra.dga import (
     BASIS_UNITS,
     GQ,
@@ -314,10 +314,12 @@ def test_projector_check_fires_under_dash_O():
     assert _run_script(script, "-O").returncode == 3
 
 
-@pytest.mark.parametrize("module", [dga, branching], ids=["dga", "branching"])
-def test_no_assert_statements(module):
-    # python -O strips assert statements; every check here is a raise
-    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+@pytest.mark.parametrize(
+    "path", sorted(Path(dga.__file__).parent.glob("*.py")), ids=lambda p: p.stem
+)
+def test_no_assert_statements(path):
+    # python -O strips assert statements; every check in src is a raise
+    tree = ast.parse(path.read_text(encoding="utf-8"))
     assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)] == []
 
 

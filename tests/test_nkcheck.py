@@ -3,6 +3,8 @@ reports must serialize stably, and a few headline identities are
 replayed directly against the calculus."""
 
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -231,3 +233,30 @@ def test_suite_sizes():
     assert len(verify_eigenfunction_suite().checks) == 13
     assert len(verify_moduli_generators().checks) == 8
     assert len(verify_injectivity_argument().checks) == 7
+
+
+def test_model_checks_fire_under_dash_O():
+    # A-matrices of twice the length, a non-primitive form in the
+    # primitive basis, and a basis that does not span; the checks are
+    # explicit raises, so python -O keeps them
+    script = (
+        "from fractions import Fraction as F\n"
+        "from nkspectra import nkcheck as n\n"
+        "a_matrix, basis = n._a_matrix_for, n._PRIMITIVE_11_BASIS\n"
+        "fired = 0\n"
+        "for a_for, primitive, suite in (\n"
+        "    (lambda f: n._mat6_scale(a_matrix(f), F(2)), basis, n.model_structure),\n"
+        "    (a_matrix, basis[:-1] + (n.OMEGA,), n.verify_pointwise_identities),\n"
+        "    (a_matrix, basis[:1] * 8, n.verify_pointwise_identities),\n"
+        "):\n"
+        "    n._a_matrix_for, n._PRIMITIVE_11_BASIS = a_for, primitive\n"
+        "    try:\n"
+        "        suite()\n"
+        "    except AssertionError:\n"
+        "        fired += 1\n"
+        "raise SystemExit(fired + 1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(nkcheck.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
+    assert proc.returncode == 4

@@ -2,6 +2,10 @@
 multiplicities, cross-checked against independent matrix models."""
 
 import itertools
+import os
+import re
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -9,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nkspectra import rootrep
 from nkspectra.rootrep import (
     MAX_LABEL_BOX,
     Group,
@@ -293,6 +298,17 @@ def test_iter_labels_rejects_negative_cutoff():
         iter_labels(Group.SU3, Fraction(-1))
 
 
+# the first refused cutoff per family is the eigenvalue of the last axis
+# label below a too large box: 49999 (su2: 50001 > MAX_LABEL_BOX), 35
+# (su2^3: 37^3 > MAX_LABEL_BOX) or 222 (so5 and su3: 224^2 > MAX_LABEL_BOX)
+_FIRST_REFUSED = {
+    Group.SU2: Fraction(7499999997, 2),
+    Group.SU2_CUBED: Fraction(3885, 2),
+    Group.SO5: Fraction(99900),
+    Group.SU3: Fraction(66600),
+}
+
+
 def test_label_box_bound():
     # sizing the box happens on the call, before any label is walked;
     # cutoff 1000 needs 26^3 su2^3, 27^2 su3 and 22^2 so5 box labels
@@ -302,6 +318,12 @@ def test_label_box_bound():
         iter_labels(Group.SU2_CUBED, Fraction(2000))
     with pytest.raises(LabelBoxTooLarge):
         iter_labels(Group.SU3, Fraction(10) ** 9)
+    # 6 * eigenvalue is an integer, so one sixth below is the next
+    # cutoff down that can change the label set
+    for group, cutoff in _FIRST_REFUSED.items():
+        with pytest.raises(LabelBoxTooLarge, match=re.escape(group.value)):
+            iter_labels(group, cutoff)
+        iter_labels(group, cutoff - Fraction(1, 6))
 
 
 @pytest.mark.parametrize("group", list(Group), ids=lambda g: g.value)
@@ -309,17 +331,67 @@ def test_iter_labels_matches_brute_force_box(group):
     # the closed forms 3k(k+2)/2 per su2 factor, 2(a(a+3) + b(b+1)) for
     # so5 and 4(k^2 + kl + l^2 + 3k + 3l)/3 for su3 are all at least
     # 4/3 (largest label)^2, so no label with an entry >= 11 reaches 150
-    cutoff = Fraction(150)
+    # and none with an entry >= 16 reaches 300
     rank = {Group.SU2: 1, Group.SU2_CUBED: 3}.get(group, 2)
-    expected = []
-    for labels in itertools.product(range(11), repeat=rank):
-        if group is Group.SO5 and labels[0] < labels[1]:
-            continue
-        if laplace_eigenvalue(IrrepLabel(group, labels)) <= cutoff:
-            expected.append(labels)
-    walked = [lab.labels for lab in iter_labels(group, cutoff)]
-    assert sorted(walked) == expected
-    assert len(walked) == len(set(walked))
+    for cutoff, box in ((Fraction(150), range(11)), (Fraction(300), range(16))):
+        expected = []
+        for labels in itertools.product(box, repeat=rank):
+            if group is Group.SO5 and labels[0] < labels[1]:
+                continue
+            if laplace_eigenvalue(IrrepLabel(group, labels)) <= cutoff:
+                expected.append(labels)
+        walked = [lab.labels for lab in iter_labels(group, cutoff)]
+        assert sorted(walked) == expected
+        assert len(walked) == len(set(walked))
+
+
+@pytest.mark.parametrize("group", list(Group), ids=lambda g: g.value)
+def test_closed_forms_match_the_root_data_up_to_300(group, weyl_dimension):
+    labels = list(iter_labels(group, Fraction(300)))
+    assert labels
+    for label in labels:
+        assert laplace_eigenvalue(label) == -casimir_eigenvalue(label, Fraction(1, 12))
+        assert dimension(label) == weyl_dimension(label)
+
+
+def test_closed_form_checks_fire(monkeypatch):
+    # b(b + 1) -> b^2 in the so5 eigenvalue; (k + l + 2) -> (k + l + 1)
+    # in the su3 dimension, which the weight table total catches
+    monkeypatch.setitem(
+        rootrep._SIX_LAPLACE, Group.SO5, lambda a, b: 12 * (a * (a + 3) + b * b)
+    )
+    with pytest.raises(AssertionError, match="not the Casimir"):
+        rootrep._check_closed_forms()
+    monkeypatch.setitem(
+        rootrep._DIMENSION, Group.SU3, lambda k, l: (k + 1) * (l + 1) * (k + l + 1) // 2
+    )
+    with pytest.raises(AssertionError, match="miss the Weyl dimension"):
+        weight_multiplicities(su3_label(2, 1))
+
+
+def test_closed_form_checks_fire_under_dash_O():
+    # the import runs the eigenvalue check, and the checks are explicit
+    # raises, so python -O keeps them
+    script = (
+        "import sys\n"
+        "seen = set()\n"
+        "sys.setprofile(lambda frame, event, arg: seen.add(frame.f_code.co_name))\n"
+        "from nkspectra import rootrep as r\n"
+        "sys.setprofile(None)\n"
+        "fired = int('_check_closed_forms' in seen)\n"
+        "r._SIX_LAPLACE[r.Group.SU3] = lambda k, l: 8 * (k * k + l * l + 3 * k + 3 * l)\n"
+        "r._DIMENSION[r.Group.SO5] = lambda a, b: (a + 1) * (b + 1)\n"
+        "for check in (r._check_closed_forms, lambda: r.weight_multiplicities(r.so5_label(2, 1))):\n"
+        "    try:\n"
+        "        check()\n"
+        "    except AssertionError:\n"
+        "        fired += 1\n"
+        "raise SystemExit(fired + 1)\n"
+    )
+    src = os.path.dirname(os.path.dirname(rootrep.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
+    assert proc.returncode == 4
 
 
 def test_so5_label_validation():

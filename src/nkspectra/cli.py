@@ -4,8 +4,10 @@ tables, moduli bounds and verification suites.
 Output is byte-stable for identical arguments: every ordering is
 explicit and all rationals render as exact "p/q" strings (plain "p"
 when integral).  Exit status is 0 on success, 1 when an assertion or a
-verification suite fails, 2 on usage errors, an unwritable --output path
-and a cutoff whose label box exceeds rootrep.MAX_LABEL_BOX included.
+verification suite fails, 2 on usage errors, an unwritable --output path,
+a cutoff literal whose decimal exponent exceeds MAX_CUTOFF_EXPONENT in
+magnitude and a cutoff whose label box exceeds rootrep.MAX_LABEL_BOX
+included.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -298,7 +301,28 @@ def _payload_failed(payload: Dict) -> bool:
 # --------------------------------------------------------------------------
 # argument parsing
 
+# Fraction("1e<n>") builds 10**n, which takes unbounded time for a large
+# n before the label box can refuse the cutoff, so a decimal literal with
+# a larger exponent is refused before it is converted.
+MAX_CUTOFF_EXPONENT = 4300
+_DECIMAL_EXPONENT = re.compile(
+    r"\s*[-+]?(?=\.?\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?"
+    r"[eE][-+]?(\d+(?:_\d+)*)\s*"
+)
+
+
 def _fraction_arg(text: str) -> Fraction:
+    literal = _DECIMAL_EXPONENT.fullmatch(text)
+    if literal:
+        digits = literal.group(1).replace("_", "").lstrip("0")
+        # the length first: int() refuses more than 4300 digits
+        if (
+            len(digits) > len(str(MAX_CUTOFF_EXPONENT))
+            or int(digits or 0) > MAX_CUTOFF_EXPONENT
+        ):
+            raise argparse.ArgumentTypeError(
+                f"decimal exponent beyond {MAX_CUTOFF_EXPONENT} in magnitude"
+            )
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:

@@ -666,6 +666,10 @@ def apply_j(a: InvariantForm) -> InvariantForm:
 def contract_frame(a: InvariantForm, frame_index: int) -> InvariantForm:
     """Interior product with the frame vector u_k (algebraic pairing
     u_k -| theta^k = 1)."""
+    if not 1 <= frame_index <= 9:
+        raise ValueError("frame index out of range")
+    if a.degree == 0:
+        raise ValueError("a 0-form has no interior product")
     terms = (
         (idx[:pos] + idx[pos + 1:], c.scale((-1) ** pos))
         for idx, c in a.terms
@@ -681,6 +685,8 @@ def contract_vector(v: InvariantForm, a: InvariantForm) -> InvariantForm:
     if v.degree != 1:
         raise ValueError("contraction direction must be a 1-form")
     _require_horizontal(v, "contract_vector")
+    if a.degree == 0:
+        raise ValueError("a 0-form has no interior product")
     terms = (
         (idx, cv * c) for (i,), cv in v.terms for idx, c in contract_frame(a, i).terms
     )
@@ -765,23 +771,6 @@ H1 = coframe(7) * Fraction(1, 2)
 H2 = coframe(8) * Fraction(1, 2)
 H3 = coframe(9) * Fraction(1, 2)
 
-
-@dataclass(frozen=True)
-class ModelConstants:
-    omega: InvariantForm
-    psi_plus: InvariantForm
-    psi_minus: InvariantForm
-    volume: InvariantForm
-    j_images: Mapping[int, Tuple[int, int]]
-
-
-MODEL = ModelConstants(
-    omega=OMEGA,
-    psi_plus=PSI_PLUS,
-    psi_minus=PSI_MINUS,
-    volume=VOLUME,
-    j_images=dict(_J_IMAGES),
-)
 
 # structural sanity, cheap enough to run at import
 for _name, _residual in (

@@ -8,6 +8,11 @@ compared numerically against a tolerance.  The suites instantiate
 general statements on the homogeneous model, so they are model
 verification, not proofs for arbitrary manifolds.
 
+The canonical tensor A_X = -(JX -| Psi+) is held as the six 2-forms
+beta_i = (J e_i) -| Psi+, built once per pointwise suite; A_{e_i} acts on
+1-forms as theta -> -(theta -| beta_i), so the identities about A, its
+square included, run on the same operators as the rest of the calculus.
+
 The eigenfunction used throughout is f = v_1, which satisfies
 Delta f = 12 f; statements parametrized by an eigenvalue lambda are
 therefore exercised at lambda = 12 only.  On functions the Hermitian
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from . import dga
 from .branching import Space
@@ -117,103 +122,32 @@ def _forms_check(
     return CheckResult(name, True, "0")
 
 
+def _basic_check(name: str, form: InvariantForm) -> CheckResult:
+    ok = basic_check(form)
+    return CheckResult(name, ok, "0" if ok else "vertical dependence")
+
+
 def _value_check(name: str, residual: Fraction) -> CheckResult:
     ok = residual == 0
     return CheckResult(name, ok, "0" if ok else str(residual))
 
 
 # --------------------------------------------------------------------------
-# The model SU3-structure and its canonical tensor A
+# The canonical tensor A of the model SU3-structure
 
-Matrix6 = Tuple[Tuple[Fraction, ...], ...]
-
-
-def _a_matrix_for(one_form: InvariantForm) -> Matrix6:
-    """A_X as a 6x6 matrix (columns = images of the frame), where X is
-    the metric dual of the given horizontal 1-form: A_X = -(JX -| Psi+)
-    viewed as a skew endomorphism."""
-    beta = contract_vector(apply_j(one_form), PSI_PLUS)
-    cols = []
-    for k in range(1, 7):
-        image = contract_frame(beta, k)
-        comp = [-image.coefficient(m).constant_part() for m in range(1, 7)]
-        cols.append(comp)
-    # transpose to row-major
-    return tuple(tuple(cols[k][m] for k in range(6)) for m in range(6))
-
-
-def _mat6_mul(a: Matrix6, b: Matrix6) -> Matrix6:
-    return tuple(
-        tuple(sum(a[r][k] * b[k][c] for k in range(6)) for c in range(6))
-        for r in range(6)
+def a_two_form(x: Sequence[Fraction]) -> InvariantForm:
+    """The 2-form (JX) -| Psi+ whose negative endomorphism is A_X."""
+    xf = InvariantForm.make(
+        1, {(i + 1,): Coefficient.constant(q) for i, q in enumerate(x)}
     )
+    return contract_vector(apply_j(xf), PSI_PLUS)
 
 
-def _mat6_add(a: Matrix6, b: Matrix6) -> Matrix6:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat6_is_zero(a: Matrix6) -> bool:
-    return all(x == 0 for row in a for x in row)
-
-
-_MAT6_ZERO: Matrix6 = tuple((Fraction(0),) * 6 for _ in range(6))
-_MAT6_ID: Matrix6 = tuple(
-    tuple(Fraction(1) if r == c else Fraction(0) for c in range(6))
-    for r in range(6)
-)
-
-
-def _mat6_scale(a: Matrix6, s: Fraction) -> Matrix6:
-    return tuple(tuple(s * x for x in row) for row in a)
-
-
-@dataclass(frozen=True)
-class ModelSU3Structure:
-    """The flat model: omega, Psi+/-, J and the canonical tensor A with
-    A_X = -(Psi+ contracted with JX)."""
-
-    omega: InvariantForm
-    psi_plus: InvariantForm
-    psi_minus: InvariantForm
-    volume: InvariantForm
-    a_matrices: Tuple[Matrix6, ...]
-
-    def a_two_form(self, x: Sequence[Fraction]) -> InvariantForm:
-        """The 2-form (JX) -| Psi+ whose negative endomorphism is A_X."""
-        xf = InvariantForm.make(
-            1, {(i + 1,): Coefficient.constant(q) for i, q in enumerate(x)}
-        )
-        return contract_vector(apply_j(xf), PSI_PLUS)
-
-    def a_norm_squared(self, x: Sequence[Fraction]) -> Fraction:
-        """|A_X|^2 in the 2-form norm (half the endomorphism Frobenius
-        norm); this is the normalization in which |A_X|^2 = 2|X|^2."""
-        beta = self.a_two_form(x)
-        return inner(beta, beta).constant_part()
-
-
-def model_structure() -> ModelSU3Structure:
-    mats = tuple(_a_matrix_for(e(i)) for i in range(1, 7))
-    m = ModelSU3Structure(
-        omega=OMEGA,
-        psi_plus=PSI_PLUS,
-        psi_minus=PSI_MINUS,
-        volume=VOLUME,
-        a_matrices=mats,
-    )
-    # constructor invariants
-    for i in range(6):
-        x = [Fraction(0)] * 6
-        x[i] = Fraction(1)
-        if m.a_norm_squared(x) != 2:
-            raise AssertionError(f"A-matrices: |e{i + 1}|^2 is not 2")
-    total = _MAT6_ZERO
-    for a in mats:
-        total = _mat6_add(total, _mat6_mul(a, a))
-    if total != _mat6_scale(_MAT6_ID, Fraction(-4)):
-        raise AssertionError("A-matrices: the sum of squares is not -4")
-    return m
+def a_norm_squared(x: Sequence[Fraction]) -> Fraction:
+    """|A_X|^2 in the 2-form norm (half the endomorphism Frobenius
+    norm); this is the normalization in which |A_X|^2 = 2|X|^2."""
+    beta = a_two_form(x)
+    return inner(beta, beta).constant_part()
 
 
 # basis of the 8-dim primitive (1,1) space used by the star check
@@ -258,19 +192,21 @@ def _rank(rows: List[List[Fraction]]) -> int:
 # Suite 1: pointwise linear-algebra identities of the model structure
 
 def verify_pointwise_identities() -> VerificationReport:
-    m = model_structure()
     checks: List[CheckResult] = []
     basis = [e(i) for i in range(1, 7)]
     om2 = wedge(OMEGA, OMEGA)
+    # beta_i = (J e_i) -| Psi+, so A_{e_i} theta = -(theta -| beta_i)
+    beta = [
+        a_two_form([Fraction(int(k == i)) for k in range(6)]) for i in range(6)
+    ]
+    psi_plus_of = [contract_frame(PSI_PLUS, i) for i in range(1, 7)]
 
     # norm identity polarized over basis pairs:
     # <A_ei 2-form, A_ej 2-form> = 2 delta_ij
     residuals = []
     for i in range(6):
         for j in range(6):
-            xi = [Fraction(int(k == i)) for k in range(6)]
-            xj = [Fraction(int(k == j)) for k in range(6)]
-            val = inner(m.a_two_form(xi), m.a_two_form(xj)).constant_part()
+            val = inner(beta[i], beta[j]).constant_part()
             want = Fraction(2 if i == j else 0)
             if val != want:
                 residuals.append((f"(e{i+1},e{j+1})", scalar_form(val - want)))
@@ -285,82 +221,63 @@ def verify_pointwise_identities() -> VerificationReport:
     residuals = []
     for s in samples:
         x = [Fraction(q) for q in s]
-        got = m.a_norm_squared(x)
+        got = a_norm_squared(x)
         want = 2 * sum(q * q for q in x)
         if got != want:
             residuals.append((str(s), scalar_form(got - want)))
     checks.append(_forms_check("a0_norm_rational_samples", residuals))
 
-    # sum of the squared endomorphisms is -4 id
-    total = _MAT6_ZERO
-    for a in m.a_matrices:
-        total = _mat6_add(total, _mat6_mul(a, a))
-    diff = _mat6_add(total, _mat6_scale(_MAT6_ID, Fraction(4)))
-    checks.append(
-        CheckResult(
-            "a1_composition_sum",
-            _mat6_is_zero(diff),
-            "0" if _mat6_is_zero(diff) else repr(diff),
+    # sum of the squared endomorphisms is -4 id, on every e^k, where
+    # A_{e_i}^2 theta = (theta -| beta_i) -| beta_i
+    residuals = [
+        (
+            f"e{k}",
+            sum((contract_vector(contract_vector(x, b), b) for b in beta), x * 4),
         )
-    )
+        for k, x in enumerate(basis, start=1)
+    ]
+    checks.append(_forms_check("a1_composition_sum", residuals))
 
     # sum_i A_X e_i ^ (e_i -| Psi+) = -2 X ^ omega, X over basis
-    residuals = []
-    for xi, x in enumerate(basis, start=1):
-        a_mat = m.a_matrices[xi - 1]
-        total_form = InvariantForm.zero(3)
-        for i in range(1, 7):
-            image = InvariantForm.make(
-                1,
-                {
-                    (r + 1,): Coefficient.constant(a_mat[r][i - 1])
-                    for r in range(6)
-                    if a_mat[r][i - 1]
-                },
-            )
-            total_form = total_form + wedge(image, contract_frame(PSI_PLUS, i))
-        residuals.append((f"e{xi}", total_form + wedge(x, OMEGA) * 2))
+    residuals = [
+        (
+            f"e{k}",
+            sum(
+                (
+                    wedge(-contract_frame(b, i), psi_plus_of[i - 1])
+                    for i in range(1, 7)
+                ),
+                wedge(x, OMEGA) * 2,
+            ),
+        )
+        for k, (x, b) in enumerate(zip(basis, beta), start=1)
+    ]
     checks.append(_forms_check("a10_contraction_sum", residuals))
 
     # X -| Psi- = -JX -| Psi+
     residuals = [
-        (
-            f"e{i}",
-            contract_frame(PSI_MINUS, i)
-            + contract_vector(apply_j(e(i)), PSI_PLUS),
-        )
+        (f"e{i}", contract_frame(PSI_MINUS, i) + beta[i - 1])
         for i in range(1, 7)
     ]
     checks.append(_forms_check("a3_psi_minus_contraction", residuals))
 
     # (X -| Psi+) ^ Psi+ = X ^ omega^2
     residuals = [
-        (
-            f"e{i}",
-            wedge(contract_frame(PSI_PLUS, i), PSI_PLUS) - wedge(e(i), om2),
-        )
+        (f"e{i}", wedge(psi_plus_of[i - 1], PSI_PLUS) - wedge(e(i), om2))
         for i in range(1, 7)
     ]
     checks.append(_forms_check("a4_wedge_psi_plus", residuals))
 
     # (JX -| Psi+) ^ omega = X ^ Psi+
     residuals = [
-        (
-            f"e{i}",
-            wedge(contract_vector(apply_j(e(i)), PSI_PLUS), OMEGA)
-            - wedge(e(i), PSI_PLUS),
-        )
+        (f"e{i}", wedge(beta[i - 1], OMEGA) - wedge(e(i), PSI_PLUS))
         for i in range(1, 7)
     ]
     checks.append(_forms_check("a5_wedge_omega", residuals))
 
     # *(X ^ Psi+) = JX -| Psi+
     residuals = [
-        (
-            f"e{i}",
-            hodge_star(wedge(e(i), PSI_PLUS))
-            - contract_vector(apply_j(e(i)), PSI_PLUS),
-        )
+        (f"e{i}", hodge_star(wedge(e(i), PSI_PLUS)) - beta[i - 1])
         for i in range(1, 7)
     ]
     checks.append(_forms_check("a6_star_wedge", residuals))
@@ -392,7 +309,7 @@ def verify_pointwise_identities() -> VerificationReport:
 
     # alpha normalization: alpha(X -| Psi+) = 2X
     residuals = [
-        (f"e{i}", alpha(contract_frame(PSI_PLUS, i)) - e(i) * 2)
+        (f"e{i}", alpha(psi_plus_of[i - 1]) - e(i) * 2)
         for i in range(1, 7)
     ]
     checks.append(_forms_check("alpha_adjoint_normalization", residuals))
@@ -464,11 +381,7 @@ def verify_killing_suite() -> VerificationReport:
         ),
         _form_check("phi_k_type_11", apply_j(phi_k) - phi_k),
         _form_check("phi_k_primitive", scalar_form(inner(phi_k, OMEGA))),
-        CheckResult(
-            "phi_k_basic",
-            basic_check(phi_k),
-            "0" if basic_check(phi_k) else "vertical dependence",
-        ),
+        _basic_check("phi_k_basic", phi_k),
     ]
     return VerificationReport("killing_suite", tuple(checks))
 
@@ -595,11 +508,7 @@ def verify_moduli_generators() -> VerificationReport:
         _form_check("d_phi_v_wedge_omega", wedge(d(phi), OMEGA)),
         _form_check("delta_phi_v", codifferential(phi)),
         _form_check("laplace_phi_v", laplacian(phi) - phi * 12),
-        CheckResult(
-            "phi_v_basic",
-            basic_check(phi),
-            "0" if basic_check(phi) else "vertical dependence",
-        ),
+        _basic_check("phi_v_basic", phi),
         _value_check("generator_rank_8", Fraction(8 - rank)),
         _value_check(
             "rank_meets_spectral_bound", Fraction(bound - rank)

@@ -1,12 +1,14 @@
 """Command line surface: golden outputs, byte stability across runs,
 exit codes and the file-output path."""
 
+import argparse
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -276,6 +278,36 @@ def test_huge_cutoff_is_refused_up_front(space, cutoff):
     # a guard against an unbounded walk: the refusal itself takes
     # milliseconds, the rest is interpreter start-up
     assert elapsed < 10
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--space", "cp3", "--cutoff", "1e10000000"),
+        ("all", "--cutoff", "1e-10000000"),
+    ],
+    ids=["spectrum", "all"],
+)
+def test_exponent_cutoff_is_a_fast_usage_error(argv):
+    start = time.perf_counter()
+    proc = _cli(*argv)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"decimal exponent beyond 4300 in magnitude" in proc.stderr
+    # converting the literal would build a ten-million-digit power of ten
+    assert elapsed < 10
+
+
+def test_exponent_cutoff_bound_is_4300():
+    from nkspectra.cli import _fraction_arg
+
+    assert _fraction_arg("1e4300") == 10**4300
+    assert _fraction_arg("2.5E-4_300") == Fraction(5, 2 * 10**4300)
+    assert _fraction_arg("1e0_0001") == 10
+    for text in ("1e4301", "-1e-4301", "1e00000000000000004301", "1e43_010"):
+        with pytest.raises(argparse.ArgumentTypeError, match="exponent"):
+            _fraction_arg(text)
 
 
 @pytest.mark.parametrize("case", ["flag", "cp3", "s3xs3", "verify-flag", "identities"])

@@ -20,7 +20,6 @@ from nkspectra.dga import (
     GQ,
     LIE_BASIS,
     MAT_IDENTITY,
-    MODEL,
     OMEGA,
     PSI_MINUS,
     PSI_PLUS,
@@ -220,25 +219,29 @@ def test_mat_mul_matches_the_naive_triple_sum(a, b):
 
 def test_suites_make_few_forms():
     # each operator sums its image terms into one dict and calls make
-    # once (1462 calls); summing forms term by term makes about three
-    # times as many
+    # once (1462 calls over every suite); summing forms term by term
+    # makes about three times as many.  The pointwise suite builds A once
+    # as six 2-forms (883 calls when it was rebuilt for every product)
     script = (
         "import sys\n"
         "from nkspectra import dga, nkcheck\n"
-        "calls = []\n"
-        "def hook(frame, event, arg):\n"
-        "    if event == 'call' and frame.f_code.co_name == 'make':\n"
-        "        calls.append(frame.f_code)\n"
-        "sys.setprofile(hook)\n"
-        "nkcheck.run_all_suites()\n"
-        "sys.setprofile(None)\n"
         "code = dga.InvariantForm.make.__code__\n"
-        "assert all(c is code for c in calls)\n"
-        "print(len(calls))\n"
+        "for suite in (nkcheck.run_all_suites, nkcheck.verify_pointwise_identities):\n"
+        "    calls = []\n"
+        "    def hook(frame, event, arg):\n"
+        "        if event == 'call' and frame.f_code.co_name == 'make':\n"
+        "            calls.append(frame.f_code)\n"
+        "    sys.setprofile(hook)\n"
+        "    suite()\n"
+        "    sys.setprofile(None)\n"
+        "    assert all(c is code for c in calls)\n"
+        "    print(len(calls))\n"
     )
     proc = _run_script(script)
     assert proc.returncode == 0, proc.stderr
-    assert 0 < int(proc.stdout) <= 2100
+    every, pointwise = map(int, proc.stdout.split())
+    assert 0 < every <= 2100
+    assert 0 < pointwise <= 700
 
 
 def _inversions(indices):
@@ -465,7 +468,6 @@ def test_apply_j_images():
         assert (apply_j(apply_j(e(i))) + e(i)).is_zero()
     assert (apply_j(OMEGA) - OMEGA).is_zero()
     assert (apply_j(PSI_PLUS) + PSI_MINUS).is_zero()
-    assert MODEL.j_images[1] == (2, 1)
 
 
 def test_apply_j_is_an_isometry_on_two_forms():
@@ -596,6 +598,13 @@ def test_degree_validation():
         alpha(e(1))
     with pytest.raises(ValueError):
         contract_vector(e(1, 2), OMEGA)
+    with pytest.raises(ValueError):
+        contract_vector(e(1), scalar_form(1))
+    for index in (0, 10, 12):
+        with pytest.raises(ValueError):
+            contract_frame(PSI_PLUS, index)
+    with pytest.raises(ValueError):
+        contract_frame(scalar_form(1), 1)
     with pytest.raises(ValueError):
         type_decompose(PSI_PLUS)
     with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from nkspectra.dga import (
     PSI_PLUS,
     apply_j,
     codifferential,
+    contract_frame,
     contract_vector,
     d,
     e,
@@ -28,7 +29,8 @@ from nkspectra.dga import (
 from nkspectra.nkcheck import (
     CheckResult,
     VerificationReport,
-    model_structure,
+    a_norm_squared,
+    a_two_form,
     moduli_generator_rank,
     run_all_suites,
     verify_eigenfunction_suite,
@@ -101,29 +103,39 @@ def test_report_string_rendering():
 
 
 def test_model_structure_norms():
-    m = model_structure()
     for i in range(6):
         x = [Fraction(0)] * 6
         x[i] = Fraction(1)
-        assert m.a_norm_squared(x) == 2
+        assert a_norm_squared(x) == 2
     # |A_X|^2 = 2|X|^2 off the axes too
     x = [Fraction(1), Fraction(-2), Fraction(0), Fraction(3), Fraction(1, 2), Fraction(0)]
     norm_x = sum(q * q for q in x)
-    assert m.a_norm_squared(x) == 2 * norm_x
+    assert a_norm_squared(x) == 2 * norm_x
 
 
 def test_model_structure_composition_sum():
-    m = model_structure()
-    total = None
-    for a in m.a_matrices:
-        square = nkcheck._mat6_mul(a, a)
-        total = square if total is None else nkcheck._mat6_add(total, square)
-    assert total == nkcheck._mat6_scale(nkcheck._MAT6_ID, Fraction(-4))
+    # an oracle for a1_composition_sum that never composes forms: A_{e_i}
+    # as a 6x6 matrix whose column k holds -(e_k -| beta_i), squared and
+    # summed with plain list arithmetic
+    def a_matrix(i):
+        beta = contract_vector(apply_j(e(i)), PSI_PLUS)
+        cols = [
+            [-contract_frame(beta, k).coefficient(r).constant_part() for r in range(1, 7)]
+            for k in range(1, 7)
+        ]
+        return [[cols[c][r] for c in range(6)] for r in range(6)]
+
+    total = [[Fraction(0)] * 6 for _ in range(6)]
+    for i in range(1, 7):
+        a = a_matrix(i)
+        for r in range(6):
+            for c in range(6):
+                total[r][c] += sum(a[r][k] * a[k][c] for k in range(6))
+    assert total == [[Fraction(-4 if r == c else 0) for c in range(6)] for r in range(6)]
 
 
 def test_a_two_form_against_direct_contraction():
-    m = model_structure()
-    beta = m.a_two_form([Fraction(1)] + [Fraction(0)] * 5)
+    beta = a_two_form([Fraction(1)] + [Fraction(0)] * 5)
     assert (beta - contract_vector(apply_j(e(1)), PSI_PLUS)).is_zero()
     # moving J across the contraction flips the sign:
     # (JX) -| Psi+ = -(X -| Psi-)
@@ -236,27 +248,37 @@ def test_suite_sizes():
 
 
 def test_model_checks_fire_under_dash_O():
-    # A-matrices of twice the length, a non-primitive form in the
-    # primitive basis, and a basis that does not span; the checks are
-    # explicit raises, so python -O keeps them
+    # a doubled A makes its norm and composition checks report FAIL and
+    # `identities` exit 1; a non-primitive form in the primitive basis and
+    # a basis that does not span raise.  Both kinds work under python -O
     script = (
-        "from fractions import Fraction as F\n"
-        "from nkspectra import nkcheck as n\n"
-        "a_matrix, basis = n._a_matrix_for, n._PRIMITIVE_11_BASIS\n"
+        "import contextlib, io\n"
+        "from nkspectra import cli, nkcheck as n\n"
+        "a_two_form, basis = n.a_two_form, n._PRIMITIVE_11_BASIS\n"
+        "n.a_two_form = lambda x: a_two_form(x) * 2\n"
+        "report = n.verify_pointwise_identities()\n"
+        "print(' '.join(c.name for c in report.checks if not c.passed))\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as table:\n"
+        "    code = cli.main(['identities'])\n"
+        "print(code, '[FAIL] a1_composition_sum' in table.getvalue())\n"
+        "n.a_two_form = a_two_form\n"
         "fired = 0\n"
-        "for a_for, primitive, suite in (\n"
-        "    (lambda f: n._mat6_scale(a_matrix(f), F(2)), basis, n.model_structure),\n"
-        "    (a_matrix, basis[:-1] + (n.OMEGA,), n.verify_pointwise_identities),\n"
-        "    (a_matrix, basis[:1] * 8, n.verify_pointwise_identities),\n"
-        "):\n"
-        "    n._a_matrix_for, n._PRIMITIVE_11_BASIS = a_for, primitive\n"
+        "for primitive in (basis[:-1] + (n.OMEGA,), basis[:1] * 8):\n"
+        "    n._PRIMITIVE_11_BASIS = primitive\n"
         "    try:\n"
-        "        suite()\n"
+        "        n.verify_pointwise_identities()\n"
         "    except AssertionError:\n"
         "        fired += 1\n"
-        "raise SystemExit(fired + 1)\n"
+        "print(fired)\n"
     )
     src = os.path.dirname(os.path.dirname(nkcheck.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
-    assert proc.returncode == 4
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, timeout=60,
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    failed, exit_line, fired = proc.stdout.splitlines()
+    assert {"a0_norm_polarized", "a1_composition_sum"} <= set(failed.split())
+    assert exit_line == "1 True"
+    assert fired == "2"

@@ -13,7 +13,8 @@ from scratch as the (1,0) x (0,1) tangent product minus one trivial
 summand; a mismatch raises AssertionError (also under `python -O`) rather
 than returning silently wrong multiplicities.
 
-Hom counts on CP3 and on the flag come from Kostant's closed forms in
+Hom counts on S3 x S3 are one Clebsch-Gordan interval count per fiber
+label.  On CP3 and on the flag they come from Kostant's closed forms in
 integer coordinates: the branching formula for SO5 -> U2 and the
 multiplicity formula for su3 weights.  Each label's closed-form table is
 checked before it is read (top type once, no negative multiplicity,
@@ -36,7 +37,6 @@ from .rootrep import (
     canonical_weight,
     dimension,
     tensor_decompose_su2,
-    tensor_decompose_su2_multi,
     weight_multiplicities,
 )
 
@@ -56,14 +56,13 @@ class Bundle(Enum):
 class HomogeneousSpace:
     space: Space
     group: Group
-    isotropy: str
     isometry_dim: int
 
 
 _SPACES = {
-    Space.S3XS3: HomogeneousSpace(Space.S3XS3, Group.SU2_CUBED, "diagonal SU2", 9),
-    Space.CP3: HomogeneousSpace(Space.CP3, Group.SO5, "U2", 10),
-    Space.FLAG: HomogeneousSpace(Space.FLAG, Group.SU3, "maximal torus T^2", 8),
+    Space.S3XS3: HomogeneousSpace(Space.S3XS3, Group.SU2_CUBED, 9),
+    Space.CP3: HomogeneousSpace(Space.CP3, Group.SO5, 10),
+    Space.FLAG: HomogeneousSpace(Space.FLAG, Group.SU3, 8),
 }
 
 
@@ -367,10 +366,19 @@ def _so5_u2_types(irrep: IrrepLabel) -> Dict[U2Label, int]:
     return table
 
 
+def _diagonal_su2_multiplicity(labels: Tuple[int, ...], k: int) -> int:
+    """Multiplicity of V_k in V_a (x) V_b (x) V_c under the diagonal su2:
+    the j in CG(a, b) with k in CG(j, c), one parity class of an interval."""
+    a, b, c = labels
+    if (a + b + c + k) % 2:
+        return 0
+    return max(0, (min(a + b, c + k) - max(abs(a - b), abs(c - k))) // 2 + 1)
+
+
 def hom_dimension(space: Space, irrep: IrrepLabel, bundle: Bundle) -> int:
     """dim Hom_K(V_irrep restricted to K, fiber of the bundle).
 
-    S3 x S3 reads the Clebsch-Gordan content of the diagonal su2.  CP3
+    S3 x S3 counts intermediate Clebsch-Gordan labels per fiber label.  CP3
     reads Kostant's SO5 -> U2 branching at the fiber types.  The flag
     reads Kostant's weight multiplicities at the dominant representatives
     of the fiber weights: 0 for functions, and 2 m(0) + 3 m(3 omega1) +
@@ -384,8 +392,7 @@ def hom_dimension(space: Space, irrep: IrrepLabel, bundle: Bundle) -> int:
     fiber = isotropy_module(space, bundle)
 
     if space is Space.S3XS3:
-        content = tensor_decompose_su2_multi(irrep.labels)
-        return sum(content.get(k, 0) for k in fiber.content)
+        return sum(_diagonal_su2_multiplicity(irrep.labels, k) for k in fiber.content)
 
     if space is Space.CP3:
         types = _so5_u2_types(irrep)

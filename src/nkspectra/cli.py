@@ -5,9 +5,9 @@ Output is byte-stable for identical arguments: every ordering is
 explicit and all rationals render as exact "p/q" strings (plain "p"
 when integral).  Exit status is 0 on success, 1 when an assertion or a
 verification suite fails, 2 on usage errors, an unwritable --output path,
-a cutoff literal whose decimal exponent exceeds MAX_CUTOFF_EXPONENT in
-magnitude and a cutoff whose label box exceeds rootrep.MAX_LABEL_BOX
-included.
+a cutoff literal whose decimal exponent (or reduced denominator, in
+digits) exceeds MAX_CUTOFF_EXPONENT and a cutoff whose label box exceeds
+rootrep.MAX_LABEL_BOX included.
 """
 
 from __future__ import annotations
@@ -329,6 +329,12 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
     if value < 0:
         raise argparse.ArgumentTypeError("cutoff must be nonnegative")
+    # the reports print the cutoff, and str() refuses more than 4300 digits;
+    # a numerator that long is refused by the label box instead
+    if value.denominator >= 10**MAX_CUTOFF_EXPONENT:
+        raise argparse.ArgumentTypeError(
+            f"cutoff denominator beyond {MAX_CUTOFF_EXPONENT} digits"
+        )
     return value
 
 
@@ -349,10 +355,11 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--output", help="write the report to this path")
 
+    def add_space(p):
+        p.add_argument("--space", required=True, choices=[s.value for s in _SPACES])
+
     p_spec = sub.add_parser("spectrum", help="eigenvalue table up to a cutoff")
-    p_spec.add_argument(
-        "--space", required=True, choices=[s.value for s in _SPACES]
-    )
+    add_space(p_spec)
     p_spec.add_argument(
         "--bundle",
         choices=[b.value for b in _BUNDLES],
@@ -363,9 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_spec)
 
     p_mod = sub.add_parser("moduli-bound", help="deformation space upper bound")
-    p_mod.add_argument(
-        "--space", required=True, choices=[s.value for s in _SPACES]
-    )
+    add_space(p_mod)
     add_common(p_mod)
 
     p_ver = sub.add_parser("verify-flag", help="run all verification suites")
@@ -377,9 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ein = sub.add_parser(
         "einstein-check", help="eigenvalue 2 and 6 multiplicities"
     )
-    p_ein.add_argument(
-        "--space", required=True, choices=[s.value for s in _SPACES]
-    )
+    add_space(p_ein)
     add_common(p_ein)
 
     p_all = sub.add_parser("all", help="every report in one run")

@@ -239,7 +239,6 @@ class LieBasis:
     are the squared lengths <u_k, u_k>.
     """
 
-    names: Tuple[str, ...]
     matrices: Tuple[Matrix, ...]
     brackets: Mapping[Tuple[int, int], Tuple[Fraction, ...]]
     norms: Tuple[Fraction, ...]
@@ -278,8 +277,7 @@ def _build_lie_basis(units: Sequence[Sparse] = BASIS_UNITS) -> LieBasis:
         matrix([[gq(*u.get((r, c), (0, 0))) for c in range(3)] for r in range(3)])
         for u in units
     )
-    names = ("e1", "e2", "e3", "e4", "e5", "e6", "h1", "h2", "h3")
-    return LieBasis(names=names, matrices=mats, brackets=brackets, norms=norms)
+    return LieBasis(matrices=mats, brackets=brackets, norms=norms)
 
 
 LIE_BASIS = _build_lie_basis()
@@ -538,18 +536,17 @@ def wedge_all(*forms: InvariantForm) -> InvariantForm:
 # --------------------------------------------------------------------------
 # Exterior differential
 
-def _coefficient_of_bracket(a: int, b: int) -> Coefficient:
-    """c_{[u_a, u_b]} as a coefficient function."""
-    return Coefficient.from_vector(LIE_BASIS.bracket(a, b))
-
-
 @lru_cache(maxsize=None)
 def _d_symbol(symbol_index: int) -> InvariantForm:
     """d of the coefficient symbol with the given coordinate slot 1..8."""
     # slot 1..6 -> Z = e_i, slot 7..8 -> Z = h_{slot-6}; the frame index
-    # of Z coincides with the slot in both cases
+    # of Z coincides with the slot in both cases, and u_a . c_Z = c_{[u_a, Z]}
     return _collect(
-        1, (((a,), _coefficient_of_bracket(a, symbol_index)) for a in range(1, 10))
+        1,
+        (
+            ((a,), Coefficient.from_vector(LIE_BASIS.bracket(a, symbol_index)))
+            for a in range(1, 10)
+        ),
     )
 
 
@@ -700,7 +697,7 @@ def alpha(beta: InvariantForm) -> InvariantForm:
         raise ValueError("alpha takes 2-forms")
     _require_horizontal(beta, "alpha")
     return InvariantForm.make(
-        1, {(i,): inner(beta, contract_frame(PSI_PLUS, i)) for i in _HORIZONTAL}
+        1, {(i,): inner(beta, PSI_PLUS_CONTRACTED[i - 1]) for i in _HORIZONTAL}
     )
 
 
@@ -729,26 +726,13 @@ def type_decompose(
 
 def vertical_lie_derivative(a: InvariantForm, j: int) -> InvariantForm:
     """Lie derivative along the left-invariant vertical vector h_j
-    (j = 1, 2, 3), acting on coefficients by c_Z -> c_{[h_j, Z]} and on
-    the coframe by L theta^k = -theta^k([h_j, .])."""
+    (j = 1, 2, 3), by Cartan's formula L = (h_j -| d) + d (h_j -|); the
+    second term is absent on a 0-form.  On coefficients this is
+    c_Z -> c_{[h_j, Z]}, on the coframe L theta^k = -theta^k([h_j, .])."""
     if j not in (1, 2, 3):
         raise ValueError("vertical index must be 1, 2 or 3")
-    h = 6 + j
-
-    def images():
-        for idx, c in a.terms:
-            # coefficient action
-            for slot, q in enumerate(c.coords):
-                if slot and q:
-                    yield idx, _coefficient_of_bracket(h, slot).scale(q)
-            # coframe action, one factor at a time
-            for pos, k in enumerate(idx):
-                for target in range(1, 10):
-                    q = LIE_BASIS.bracket(h, target)[k - 1]
-                    if q:
-                        yield idx[:pos] + (target,) + idx[pos + 1:], c.scale(-q)
-
-    return _collect(a.degree, images())
+    out = contract_frame(d(a), 6 + j)
+    return out if a.degree == 0 else out + d(contract_frame(a, 6 + j))
 
 
 def basic_check(a: InvariantForm) -> bool:
@@ -765,6 +749,8 @@ def basic_check(a: InvariantForm) -> bool:
 OMEGA = e(1, 2) - e(3, 4) + e(5, 6)
 PSI_PLUS = e(1, 3, 6) + e(2, 4, 6) + e(2, 3, 5) - e(1, 4, 5)
 PSI_MINUS = e(2, 3, 6) - e(1, 4, 6) - e(1, 3, 5) - e(2, 4, 5)
+# the six 2-forms e_i -| Psi^+, i = 1..6
+PSI_PLUS_CONTRACTED = tuple(contract_frame(PSI_PLUS, i) for i in _HORIZONTAL)
 VOLUME = -e(1, 2, 3, 4, 5, 6)
 
 H1 = coframe(7) * Fraction(1, 2)
@@ -882,34 +868,42 @@ def _v_display(c: Coefficient) -> Tuple[Fraction, Fraction, Fraction]:
     return min(candidates, key=score)
 
 
-def format_coefficient(c: Coefficient) -> str:
-    parts: List[Tuple[Fraction, str]] = []
-    if c.coords[0]:
-        parts.append((c.coords[0], ""))
-    for i in range(1, 7):
-        if c.coords[i]:
-            parts.append((c.coords[i], f"x_{i}"))
-    for q, name in zip(_v_display(c), ("v_1", "v_2", "v_3")):
-        if q:
-            parts.append((q, name))
-    if not parts:
-        return "0"
+def _join_signed(parts: Sequence[Tuple[bool, str]]) -> str:
+    """Join (negative, body) pairs as "a - b + c"; "0" when empty."""
     out = ""
-    for pos, (q, sym) in enumerate(parts):
+    for negative, body in parts:
+        if out:
+            out += (" - " if negative else " + ") + body
+        else:
+            out = ("-" if negative else "") + body
+    return out or "0"
+
+
+def _coefficient_parts(c: Coefficient) -> List[Tuple[bool, str]]:
+    """(negative, magnitude) per nonzero entry: the constant, x_1..x_6,
+    then the displayed v-part."""
+    entries = [(c.coords[0], "")]
+    entries += [(q, f"x_{i}") for i, q in enumerate(c.coords[1:7], 1)]
+    entries += zip(_v_display(c), ("v_1", "v_2", "v_3"))
+    parts = []
+    for q, sym in entries:
+        if not q:
+            continue
         mag = abs(q)
-        if sym and mag == 1:
-            body = sym
-        elif not sym:
+        if not sym:
             body = str(mag)
+        elif mag == 1:
+            body = sym
         elif mag.denominator == 1:
             body = f"{mag}{sym}"
         else:
             body = f"({mag}){sym}"
-        if pos == 0:
-            out = ("-" if q < 0 else "") + body
-        else:
-            out += (" - " if q < 0 else " + ") + body
-    return out
+        parts.append((q < 0, body))
+    return parts
+
+
+def format_coefficient(c: Coefficient) -> str:
+    return _join_signed(_coefficient_parts(c))
 
 
 def _format_atoms(idx: Indices) -> str:
@@ -924,35 +918,15 @@ def _format_atoms(idx: Indices) -> str:
 
 def format_form(a: InvariantForm) -> str:
     """Render a form in the documented grammar (see module docstring)."""
-    if a.is_zero():
-        return "0"
-    rendered: List[Tuple[str, bool]] = []  # (body, negative)
+    if a.degree == 0:
+        return format_coefficient(a.coefficient())
+    rendered = []
     for idx, c in a.terms:
-        vertical_count = sum(1 for i in idx if i > 6)
-        scaled = c.scale(2 ** vertical_count)
+        parts = _coefficient_parts(c.scale(2 ** sum(i > 6 for i in idx)))
         atoms = _format_atoms(idx)
-        if not atoms:
-            rendered.append((format_coefficient(scaled).lstrip("-"),
-                             format_coefficient(scaled).startswith("-")))
-            continue
-        coeff_str = format_coefficient(scaled)
-        negative = False
-        if coeff_str == "1":
-            body = atoms
-        elif coeff_str == "-1":
-            body, negative = atoms, True
+        if len(parts) > 1:
+            rendered.append((False, f"({_join_signed(parts)}) {atoms}"))
         else:
-            if coeff_str.startswith("-") and " " not in coeff_str:
-                coeff_str, negative = coeff_str[1:], True
-            if " " in coeff_str:
-                body = f"({coeff_str}) {atoms}"
-            else:
-                body = f"{coeff_str} {atoms}"
-        rendered.append((body, negative))
-    out = ""
-    for pos, (body, negative) in enumerate(rendered):
-        if pos == 0:
-            out = ("-" if negative else "") + body
-        else:
-            out += (" - " if negative else " + ") + body
-    return out
+            negative, body = parts[0]
+            rendered.append((negative, atoms if body == "1" else f"{body} {atoms}"))
+    return _join_signed(rendered)

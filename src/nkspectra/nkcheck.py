@@ -39,6 +39,7 @@ from .dga import (
     OMEGA,
     PSI_MINUS,
     PSI_PLUS,
+    PSI_PLUS_CONTRACTED,
     VOLUME,
     alpha,
     apply_j,
@@ -97,15 +98,6 @@ class VerificationReport:
             "passed": self.passed,
             "checks": [c.to_json_dict() for c in self.checks],
         }
-
-    def __str__(self):
-        lines = [f"suite {self.suite}: " + ("PASS" if self.passed else "FAIL")]
-        for c in self.checks:
-            lines.append(
-                f"  [{'pass' if c.passed else 'FAIL'}] {c.name}"
-                + ("" if c.passed else f"  residual = {c.residual}")
-            )
-        return "\n".join(lines)
 
 
 def _form_check(name: str, residual: InvariantForm) -> CheckResult:
@@ -199,7 +191,6 @@ def verify_pointwise_identities() -> VerificationReport:
     beta = [
         a_two_form([Fraction(int(k == i)) for k in range(6)]) for i in range(6)
     ]
-    psi_plus_of = [contract_frame(PSI_PLUS, i) for i in range(1, 7)]
 
     # norm identity polarized over basis pairs:
     # <A_ei 2-form, A_ej 2-form> = 2 delta_ij
@@ -244,7 +235,7 @@ def verify_pointwise_identities() -> VerificationReport:
             f"e{k}",
             sum(
                 (
-                    wedge(-contract_frame(b, i), psi_plus_of[i - 1])
+                    wedge(-contract_frame(b, i), PSI_PLUS_CONTRACTED[i - 1])
                     for i in range(1, 7)
                 ),
                 wedge(x, OMEGA) * 2,
@@ -263,7 +254,7 @@ def verify_pointwise_identities() -> VerificationReport:
 
     # (X -| Psi+) ^ Psi+ = X ^ omega^2
     residuals = [
-        (f"e{i}", wedge(psi_plus_of[i - 1], PSI_PLUS) - wedge(e(i), om2))
+        (f"e{i}", wedge(PSI_PLUS_CONTRACTED[i - 1], PSI_PLUS) - wedge(e(i), om2))
         for i in range(1, 7)
     ]
     checks.append(_forms_check("a4_wedge_psi_plus", residuals))
@@ -309,7 +300,7 @@ def verify_pointwise_identities() -> VerificationReport:
 
     # alpha normalization: alpha(X -| Psi+) = 2X
     residuals = [
-        (f"e{i}", alpha(psi_plus_of[i - 1]) - e(i) * 2)
+        (f"e{i}", alpha(PSI_PLUS_CONTRACTED[i - 1]) - e(i) * 2)
         for i in range(1, 7)
     ]
     checks.append(_forms_check("alpha_adjoint_normalization", residuals))

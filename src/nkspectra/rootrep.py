@@ -121,7 +121,6 @@ def su3_label(k: int, l: int) -> IrrepLabel:
 @dataclass(frozen=True)
 class RootSystem:
     group: Group
-    ambient_dim: int
     positive_roots: Tuple[Weight, ...]
     rho: Weight
 
@@ -155,7 +154,7 @@ def _build_root_system(group: Group) -> RootSystem:
     rho = tuple(
         sum((r[i] for r in roots), Fraction(0)) * _HALF for i in range(n)
     )
-    return RootSystem(group=group, ambient_dim=n, positive_roots=roots, rho=rho)
+    return RootSystem(group=group, positive_roots=roots, rho=rho)
 
 
 _ROOT_SYSTEMS = {group: _build_root_system(group) for group in Group}
@@ -412,20 +411,6 @@ def tensor_decompose_su2(a: int, b: int) -> List[Tuple[int, int]]:
     if a < 0 or b < 0:
         raise ValueError("labels must be nonnegative")
     return [(k, 1) for k in range(a + b, abs(a - b) - 1, -2)]
-
-
-def tensor_decompose_su2_multi(labels) -> Dict[int, int]:
-    """Iterated Clebsch-Gordan product of a sequence of su2 labels,
-    with multiplicity bookkeeping.  Associativity makes the order
-    irrelevant; the test suite asserts that."""
-    acc: Dict[int, int] = {0: 1}
-    for lab in labels:
-        nxt: Dict[int, int] = {}
-        for cur, mult in acc.items():
-            for k, _ in tensor_decompose_su2(cur, lab):
-                nxt[k] = nxt.get(k, 0) + mult
-        acc = nxt
-    return acc
 
 
 # Largest label box a walk may search: three times the 26^3 = 17576

@@ -28,7 +28,6 @@ from nkspectra.rootrep import (
     so5_label,
     su2cubed_label,
     su3_label,
-    tensor_decompose_su2_multi,
     weight_multiplicities,
 )
 
@@ -185,18 +184,42 @@ def _peel_strings(weights):
     return out
 
 
-@given(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)))
-@settings(max_examples=60, deadline=None)
-def test_diagonal_su2_content_against_weight_peeling(labels):
+def _diagonal_weights(labels):
+    # weights of V_a (x) V_b (x) V_c under the diagonal su2
     weights = [0]
     for k in labels:
         weights = [w + m for w in weights for m in range(-k, k + 1, 2)]
-    assert tensor_decompose_su2_multi(labels) == _peel_strings(weights)
+    return weights
+
+
+def _peeled_hom(labels, bundle):
+    content = _peel_strings(_diagonal_weights(labels))
+    return sum(content.get(k, 0) for k in isotropy_module(Space.S3XS3, bundle).content)
+
+
+@given(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)))
+@settings(max_examples=60, deadline=None)
+def test_diagonal_su2_content_against_weight_peeling(labels):
+    content = _peel_strings(_diagonal_weights(labels))
+    for k in range(sum(labels) + 2):
+        assert branching._diagonal_su2_multiplicity(labels, k) == content.get(k, 0)
+    for bundle in Bundle:
+        got = hom_dimension(Space.S3XS3, su2cubed_label(*labels), bundle)
+        assert got == sum(content.get(k, 0) for k in isotropy_module(Space.S3XS3, bundle).content)
+
+
+def test_s3xs3_hom_against_weight_peeling_to_eigenvalue_150():
+    labels = list(iter_labels(Group.SU2_CUBED, Fraction(150)))
+    assert len(labels) > 100
+    for lab in labels:
+        for bundle in Bundle:
+            expected = _peeled_hom(lab.labels, bundle)
+            assert hom_dimension(Space.S3XS3, lab, bundle) == expected, (lab, bundle)
 
 
 def test_s3xs3_hom_via_triple_tensor():
-    content = tensor_decompose_su2_multi((2, 2, 2))
-    assert content == {0: 1, 2: 3, 4: 2, 6: 1}
+    content = {k: branching._diagonal_su2_multiplicity((2, 2, 2), k) for k in range(8)}
+    assert content == {0: 1, 1: 0, 2: 3, 3: 0, 4: 2, 5: 0, 6: 1, 7: 0}
     lab = su2cubed_label(2, 2, 2)
     assert hom_dimension(Space.S3XS3, lab, Bundle.FUNCTIONS) == 1
     assert hom_dimension(Space.S3XS3, lab, Bundle.LAMBDA11) == 5

@@ -299,6 +299,40 @@ def test_exponent_cutoff_is_a_fast_usage_error(argv):
     assert elapsed < 10
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--space", "cp3", "--cutoff", "1e-4300"),
+        ("all", "--cutoff", "1e-4300"),
+    ],
+    ids=["spectrum", "all"],
+)
+def test_long_cutoff_denominator_is_a_usage_error(argv):
+    # 1/10**4300 has a 4301-digit denominator, which str() cannot print
+    proc = _cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    err = proc.stderr.decode()
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].endswith(
+        "argument --cutoff: cutoff denominator beyond 4300 digits"
+    )
+
+
+def test_cutoff_denominator_bound_is_4300_digits():
+    from nkspectra.cli import _fraction_arg
+
+    # both reduce to 4300-digit denominators
+    assert _fraction_arg("2.5E-4300") == Fraction(1, 4 * 10**4299)
+    assert _fraction_arg("1.5e-4299") == Fraction(3, 2 * 10**4299)
+    for text in ("1e-4300", "1.3e-4300", "0.1E-4_299"):
+        with pytest.raises(argparse.ArgumentTypeError, match="denominator"):
+            _fraction_arg(text)
+    proc = _cli("spectrum", "--space", "cp3", "--cutoff", "2.5E-4300", "--format", "json")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["cutoff"] == "1/4" + "0" * 4299
+
+
 def test_exponent_cutoff_bound_is_4300():
     from nkspectra.cli import _fraction_arg
 

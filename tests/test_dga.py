@@ -517,6 +517,34 @@ def test_alpha_inverts_the_contraction_up_to_two():
         assert (alpha(contract_vector(x, PSI_PLUS)) - x * 2).is_zero()
 
 
+def test_alpha_reads_the_contractions_built_at_import():
+    # the six e_i -| Psi+ are constants; every suite together called
+    # alpha 14 times, and rebuilding them cost 84 contract_frame calls
+    script = (
+        "import sys\n"
+        "from nkspectra import nkcheck\n"
+        "depth = [0]\n"
+        "calls = {'alpha': 0, 'contract_frame': 0, 'in alpha': 0}\n"
+        "def hook(frame, event, arg):\n"
+        "    name = frame.f_code.co_name\n"
+        "    if name == 'alpha' and event in ('call', 'return'):\n"
+        "        depth[0] += 1 if event == 'call' else -1\n"
+        "    if event == 'call' and name in calls:\n"
+        "        calls[name] += 1\n"
+        "        if name == 'contract_frame' and depth[0]:\n"
+        "            calls['in alpha'] += 1\n"
+        "sys.setprofile(hook)\n"
+        "nkcheck.run_all_suites()\n"
+        "sys.setprofile(None)\n"
+        "print(calls['alpha'], calls['contract_frame'], calls['in alpha'])\n"
+    )
+    proc = _run_script(script)
+    assert proc.returncode == 0, proc.stderr
+    alpha_calls, contractions, inside_alpha = map(int, proc.stdout.split())
+    assert alpha_calls > 0 and contractions > 0
+    assert inside_alpha == 0
+
+
 def test_type_decomposition_projectors():
     rng = random.Random(1009)
     for _ in range(20):
@@ -567,6 +595,50 @@ def test_vertical_lie_derivative_validation():
         vertical_lie_derivative(OMEGA, 4)
     assert vertical_lie_derivative(OMEGA, 1).is_zero()
     assert not vertical_lie_derivative(e(1, 3), 1).is_zero()
+
+
+def test_vertical_lie_derivative_on_the_coframe_and_the_symbols():
+    # Cartan's formula against the bracket table: L theta^k =
+    # -sum_t [h_j, u_t]_k theta^t on the coframe and c_Z -> c_{[h_j, Z]}
+    # on the symbols (Z = e_1..e_6, h_1, h_2 in slots 1..8)
+    for j in (1, 2, 3):
+        h = 6 + j
+        for k in range(1, 10):
+            want = InvariantForm.make(
+                1,
+                {
+                    (t,): Coefficient.constant(-LIE_BASIS.bracket(h, t)[k - 1])
+                    for t in range(1, 10)
+                },
+            )
+            assert vertical_lie_derivative(coframe(k), j) == want, (j, k)
+        for slot, name in enumerate(("x1", "x2", "x3", "x4", "x5", "x6", "v1", "v2"), 1):
+            want = scalar_form(Coefficient.from_vector(LIE_BASIS.bracket(h, slot)))
+            assert vertical_lie_derivative(symbol_form(name), j) == want, (j, name)
+
+
+_SYMBOLIC_FORMS = st.integers(0, 4).flatmap(
+    lambda p: st.dictionaries(
+        st.lists(st.integers(1, 9), min_size=p, max_size=p, unique=True).map(
+            lambda idx: tuple(sorted(idx))
+        ),
+        st.tuples(
+            st.integers(-3, 3),
+            st.sampled_from(("x1", "x2", "x4", "x6", "v1", "v2", "v3")),
+            st.integers(-3, 3),
+        ).map(lambda t: Coefficient.constant(t[0]) + Coefficient.symbol(t[1]).scale(t[2])),
+        max_size=4,
+    ).map(lambda data: InvariantForm.make(p, data))
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_SYMBOLIC_FORMS, _CONSTANT_FORMS, st.integers(1, 3))
+def test_vertical_lie_derivative_is_a_derivation(a, b, j):
+    # one factor stays constant so every product of coefficients is linear
+    lhs = vertical_lie_derivative(wedge(a, b), j)
+    rhs = wedge(vertical_lie_derivative(a, j), b) + wedge(a, vertical_lie_derivative(b, j))
+    assert lhs == rhs
 
 
 def test_nonlinear_coefficient_guard():

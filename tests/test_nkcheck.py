@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 
 from nkspectra import dga, nkcheck
+from nkspectra.cli import _suites_table
 from nkspectra.dga import (
     OMEGA,
     PSI_MINUS,
@@ -87,18 +88,26 @@ def test_json_layout():
 
 
 def test_report_string_rendering():
+    # reports render through the command line's suite table
+    def render(report):
+        return _suites_table({"suites": [report.to_json_dict()], "passed": report.passed})
+
     good = verify_injectivity_argument()
-    text = str(good)
-    assert text.splitlines()[0] == "suite injectivity_argument: PASS"
-    assert all(line.startswith("  [pass]") for line in text.splitlines()[1:])
+    lines = render(good)
+    assert lines[0] == "suite injectivity_argument: PASS"
+    assert all(line.startswith("  [pass]") for line in lines[1:-1])
+    assert lines[-1] == "all suites passed"
 
     bad = VerificationReport(
         suite="demo",
         checks=(CheckResult("broken", False, "e_12"),),
     )
     assert not bad.passed
-    assert "FAIL" in str(bad)
-    assert "residual = e_12" in str(bad)
+    assert render(bad) == [
+        "suite demo: FAIL",
+        "  [FAIL] broken  residual = e_12",
+        "SUITE FAILURES PRESENT",
+    ]
     assert bad.to_json_dict()["checks"][0]["status"] == "fail"
 
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nkspectra import rootrep
+from nkspectra.branching import _diagonal_su2_multiplicity
 from nkspectra.rootrep import (
     MAX_LABEL_BOX,
     Group,
@@ -28,7 +29,6 @@ from nkspectra.rootrep import (
     su2cubed_label,
     su3_label,
     tensor_decompose_su2,
-    tensor_decompose_su2_multi,
     weight_inner,
     weight_multiplicities,
 )
@@ -232,8 +232,7 @@ def test_tensor_decompose_dimension_sum():
 
 
 def test_diagonal_restriction_of_triple_product():
-    content = tensor_decompose_su2_multi((2, 2, 2))
-    total = sum((k + 1) * m for k, m in content.items())
+    total = sum((k + 1) * _diagonal_su2_multiplicity((2, 2, 2), k) for k in range(8))
     assert total == 27
 
 

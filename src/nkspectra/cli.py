@@ -338,8 +338,16 @@ def _fraction_arg(text: str) -> Fraction:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as one line, like every other refusal; subparsers
+    inherit the class."""
+
+    def error(self, message):
+        self.exit(2, f"nkspectra: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nkspectra",
         description="Exact spectra, moduli bounds and identity verification "
         "for the homogeneous nearly Kahler 6-manifolds.",

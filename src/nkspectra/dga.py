@@ -17,7 +17,9 @@ Lie algebra basis (also the frame, indexed 1..9):
 
 where E_pq is the matrix unit.  The metric is <A, B> = -tr(AB)/2, which
 on the traceless part is minus one twelfth of the Killing form and makes
-{e_i, sqrt(2) h_j} orthonormal (|e_i| = 1, |h_j|^2 = 1/2).
+{e_i, sqrt(2) h_j} orthonormal (|e_i| = 1, |h_j|^2 = 1/2).  Matrices are
+sparse: {(p, q): (re, im)} holds the nonzero entries, rows and columns
+0..2, so E_pq is {(p - 1, q - 1): (1, 0)}.
 
 Coframe indices 1..6 are the unit horizontal 1-forms e^1..e^6; indices
 7, 8, 9 are the algebraic duals k^1, k^2, k^3 of h_1, h_2, h_3 (so
@@ -78,114 +80,60 @@ class VerticalComponent(ValueError):
 
 
 # --------------------------------------------------------------------------
-# Gaussian-rational 3x3 matrices (used to evaluate coefficient functions at
-# group elements, and as the dense oracle for the sparse basis table below)
+# Gaussian-rational 3x3 matrices, stored sparse
 
-@dataclass(frozen=True)
-class GQ:
-    """Gaussian rational re + im*i."""
+# A sparse matrix maps (p, q), 0 <= p, q <= 2, to the nonzero entry at row
+# p, column q as an (re, im) pair of integers or Fractions.
+Sparse = Dict[Tuple[int, int], Tuple[Fraction, Fraction]]
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
-
-    def __add__(self, o: "GQ") -> "GQ":
-        return GQ(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, o: "GQ") -> "GQ":
-        return GQ(self.re - o.re, self.im - o.im)
-
-    def __neg__(self) -> "GQ":
-        return GQ(-self.re, -self.im)
-
-    def __mul__(self, o: "GQ") -> "GQ":
-        return GQ(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
-
-    def conj(self) -> "GQ":
-        return GQ(self.re, -self.im)
-
-    def is_zero(self) -> bool:
-        return not (self.re or self.im)
+IDENTITY: Sparse = {(0, 0): (1, 0), (1, 1): (1, 0), (2, 2): (1, 0)}
 
 
-Matrix = Tuple[Tuple[GQ, ...], ...]
+def _accumulate(entries: Iterable) -> Sparse:
+    """Sum (key, re, im) entries into one sparse matrix, dropping zeros."""
+    out: Dict = {}
+    for key, re, im in entries:
+        zr, zi = out.get(key, (0, 0))
+        out[key] = (zr + re, zi + im)
+    return {key: z for key, z in out.items() if z != (0, 0)}
 
 
-def gq(re=0, im=0) -> GQ:
-    return GQ(Fraction(re), Fraction(im))
+def sparse_mul(a: Sparse, b: Sparse) -> Sparse:
+    """Matrix product, one term per pair of nonzero entries that meet."""
+    return _accumulate(
+        ((p, s), ar * br - ai * bi, ar * bi + ai * br)
+        for (p, q), (ar, ai) in a.items()
+        for (r, s), (br, bi) in b.items()
+        if q == r
+    )
 
 
-def matrix(rows: Sequence[Sequence[GQ]]) -> Matrix:
-    return tuple(tuple(row) for row in rows)
+def sparse_sum(terms: Iterable[Tuple[Fraction, Sparse]]) -> Sparse:
+    """The combination sum of c M over (c, M) pairs with real scalars c."""
+    return _accumulate(
+        (key, c * re, c * im) for c, m in terms for key, (re, im) in m.items()
+    )
 
 
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return matrix([[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
+def sparse_dagger(a: Sparse) -> Sparse:
+    """Conjugate transpose."""
+    return {(q, p): (re, -im) for (p, q), (re, im) in a.items()}
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return matrix([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
-
-
-def mat_scale(a: Matrix, s: GQ) -> Matrix:
-    return matrix([[s * x for x in row] for row in a])
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product; zero factors are skipped, so a product of sparse
-    matrices costs only the pairs of nonzero entries that meet."""
-    rows = []
-    for row in a:
-        re = [Fraction(0)] * 3
-        im = [Fraction(0)] * 3
-        for x, brow in zip(row, b):
-            if not (x.re or x.im):
-                continue
-            for c, y in enumerate(brow):
-                if y.re or y.im:
-                    re[c] += x.re * y.re - x.im * y.im
-                    im[c] += x.re * y.im + x.im * y.re
-        rows.append(tuple(map(GQ, re, im)))
-    return tuple(rows)
-
-
-def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
-
-
-def mat_dagger(a: Matrix) -> Matrix:
-    return matrix([[a[c][r].conj() for c in range(3)] for r in range(3)])
-
-
-def mat_trace(a: Matrix) -> GQ:
-    return a[0][0] + a[1][1] + a[2][2]
-
-
-def mat_is_zero(a: Matrix) -> bool:
-    return all(x.is_zero() for row in a for x in row)
-
-
-MAT_IDENTITY: Matrix = matrix(
-    [[gq(1) if r == c else gq() for c in range(3)] for r in range(3)]
-)
-
-
-def mat_inner(a: Matrix, b: Matrix) -> Fraction:
-    """<A, B> = -tr(AB)/2; real on skew-Hermitian arguments."""
-    t = mat_trace(mat_mul(a, b))
-    if t.im != 0:
+def _sparse_inner(m: Sparse, u: Sparse) -> Fraction:
+    """<M, U> = -tr(MU)/2, reading M only where it faces an entry of U."""
+    re = im = 0
+    for (q, p), (ur, ui) in u.items():
+        mr, mi = m.get((p, q), (0, 0))
+        re += mr * ur - mi * ui
+        im += mr * ui + mi * ur
+    if im != 0:
         raise AssertionError("inner product of non-skew-Hermitian matrices")
-    return -t.re / 2
+    return Fraction(-re, 2)
 
 
 # --------------------------------------------------------------------------
-# The u_3 basis as sparse matrix units
-
-# A sparse matrix maps (p, q) to the nonzero entry at row p, column q, as
-# an (re, im) pair; the basis below has Gaussian-integer entries.
-Sparse = Dict[Tuple[int, int], Tuple[int, int]]
+# The u_3 basis and its structure constants
 
 BASIS_UNITS: Tuple[Sparse, ...] = (
     {(0, 1): (1, 0), (1, 0): (-1, 0)},  # e_1 = E_12 - E_21
@@ -200,46 +148,12 @@ BASIS_UNITS: Tuple[Sparse, ...] = (
 )
 
 
-def _add_entry(m: Dict, key: Tuple[int, int], re, im) -> None:
-    xr, xi = m.get(key, (0, 0))
-    m[key] = (xr + re, xi + im)
-
-
-def _sparse_inner(m: Dict, u: Sparse) -> Fraction:
-    """<M, U> = -tr(MU)/2, reading M only where it faces an entry of U."""
-    re = im = 0
-    for (q, p), (ur, ui) in u.items():
-        mr, mi = m.get((p, q), (0, 0))
-        re += mr * ur - mi * ui
-        im += mr * ui + mi * ur
-    if im != 0:
-        raise AssertionError("inner product of non-skew-Hermitian matrices")
-    return Fraction(-re, 2)
-
-
-def _sparse_bracket(a: Sparse, b: Sparse) -> Sparse:
-    """[A, B] from [E_pq, E_rs] = d_qr E_ps - d_sp E_rq."""
-    out: Sparse = {}
-    for (p, q), (ar, ai) in a.items():
-        for (r, s), (br, bi) in b.items():
-            zr, zi = ar * br - ai * bi, ar * bi + ai * br
-            if q == r:
-                _add_entry(out, (p, s), zr, zi)
-            if s == p:
-                _add_entry(out, (r, q), -zr, -zi)
-    return {key: z for key, z in out.items() if z != (0, 0)}
-
-
 @dataclass(frozen=True)
 class LieBasis:
-    """The nine u_3 basis elements with their structure constants.
+    """Structure constants of the nine u_3 basis elements: brackets[(a, b)]
+    for 1 <= a < b <= 9 holds the expansion of [u_a, u_b] in the basis;
+    norms are the squared lengths <u_k, u_k>."""
 
-    matrices are the dense forms of BASIS_UNITS; brackets[(a, b)] for
-    1 <= a < b <= 9 holds the expansion of [u_a, u_b] in the basis; norms
-    are the squared lengths <u_k, u_k>.
-    """
-
-    matrices: Tuple[Matrix, ...]
     brackets: Mapping[Tuple[int, int], Tuple[Fraction, ...]]
     norms: Tuple[Fraction, ...]
 
@@ -252,9 +166,9 @@ class LieBasis:
 
 
 def _build_lie_basis(units: Sequence[Sparse] = BASIS_UNITS) -> LieBasis:
-    """Structure constants from the matrix-unit rule; the basis is
-    orthogonal, so each coordinate is one pairing.  The norms and the
-    recomposition of every commutator are checked on the sparse entries."""
+    """Structure constants from [u, v] = uv - vu; the basis is orthogonal,
+    so each coordinate is one pairing.  The norms and the recomposition of
+    every commutator are checked."""
     norms = tuple(_sparse_inner(u, u) for u in units)
     if norms != (Fraction(1),) * 6 + (Fraction(1, 2),) * 3:
         raise AssertionError(f"basis norms {[str(n) for n in norms]}")
@@ -262,31 +176,26 @@ def _build_lie_basis(units: Sequence[Sparse] = BASIS_UNITS) -> LieBasis:
     brackets = {}
     for a in range(1, 10):
         for b in range(a + 1, 10):
-            comm = _sparse_bracket(units[a - 1], units[b - 1])
-            coeffs = tuple(_sparse_inner(comm, u) / n for u, n in zip(units, norms))
-            recomposed: Dict = {}
-            for c, u in zip(coeffs, units):
-                if c:
-                    for key, (ur, ui) in u.items():
-                        _add_entry(recomposed, key, c * ur, c * ui)
-            if {k: z for k, z in recomposed.items() if z != (0, 0)} != comm:
+            u, v = units[a - 1], units[b - 1]
+            comm = sparse_sum(((1, sparse_mul(u, v)), (-1, sparse_mul(v, u))))
+            coeffs = tuple(_sparse_inner(comm, w) / n for w, n in zip(units, norms))
+            if sparse_sum(zip(coeffs, units)) != comm:
                 raise AssertionError(f"[u_{a}, u_{b}]: basis expansion failed")
             brackets[(a, b)] = coeffs
-
-    mats = tuple(
-        matrix([[gq(*u.get((r, c), (0, 0))) for c in range(3)] for r in range(3)])
-        for u in units
-    )
-    return LieBasis(matrices=mats, brackets=brackets, norms=norms)
+    return LieBasis(brackets=brackets, norms=norms)
 
 
 LIE_BASIS = _build_lie_basis()
 
 
-def su3_basis() -> Tuple[Matrix, ...]:
-    """Eight-matrix basis of su_3: the six e_i plus h_1-h_2, h_2-h_3."""
-    m = LIE_BASIS.matrices
-    return m[:6] + (mat_sub(m[6], m[7]), mat_sub(m[7], m[8]))
+def su3_basis() -> Tuple[Sparse, ...]:
+    """Eight-matrix basis of su_3: the six e_i plus h_1-h_2, h_2-h_3, as
+    new dicts, so no caller can edit BASIS_UNITS through them."""
+    e_1_to_6, (h1, h2, h3) = BASIS_UNITS[:6], BASIS_UNITS[6:]
+    return tuple(map(dict, e_1_to_6)) + (
+        sparse_sum(((1, h1), (-1, h2))),
+        sparse_sum(((1, h2), (-1, h3))),
+    )
 
 
 # --------------------------------------------------------------------------
@@ -444,6 +353,8 @@ class InvariantForm:
                 raise ValueError("inhomogeneous term")
             if any(i < 1 or i > 9 for i in idx):
                 raise ValueError("coframe index out of range")
+            if any(i >= j for i, j in zip(idx, idx[1:])):
+                raise ValueError("coframe indices must ascend without repeats")
             clean[idx] = c
         return InvariantForm(degree, tuple(sorted(clean.items())))
 
@@ -785,26 +696,12 @@ class KillingData:
     phi_k: InvariantForm
 
 
-def _validate_su3(xi: Matrix) -> None:
-    if not mat_is_zero(mat_add(xi, mat_dagger(xi))):
-        raise ValueError("xi must be skew-Hermitian")
-    if not mat_trace(xi).is_zero():
-        raise ValueError("xi must be traceless")
-
-
-def killing_data(xi: Optional[Matrix] = None) -> KillingData:
-    """The symbolic Killing-field forms; identities proved over the
-    symbols hold for every xi in su_3 simultaneously.  A concrete xi, if
-    given, is only validated; killing_values evaluates the symbols at it.
-    The forms are built once per process and the same frozen object is
-    returned on every call."""
-    if xi is not None:
-        _validate_su3(xi)
-    return _symbolic_killing_data()
-
-
 @lru_cache(maxsize=None)
-def _symbolic_killing_data() -> KillingData:
+def killing_data() -> KillingData:
+    """The symbolic Killing-field forms; identities proved over the
+    symbols hold for every xi in su_3 simultaneously, and killing_values
+    evaluates the symbols at a concrete xi.  The forms are built once per
+    process and the same frozen object is returned on every call."""
     x = [Coefficient.symbol(f"x{i}") for i in range(1, 7)]
     v1 = Coefficient.symbol("v1")
     v2 = Coefficient.symbol("v2")
@@ -829,20 +726,24 @@ def _symbolic_killing_data() -> KillingData:
     )
 
 
-def killing_values(xi: Matrix, g: Matrix) -> Dict[str, Fraction]:
+def killing_values(xi: Sparse, g: Sparse) -> Dict[str, Fraction]:
     """Numeric values of the coefficient functions at the group element
-    g: x_i = <Ad(g^-1) xi, e_i>, v_j likewise with h_j.  g must be a
-    Gaussian-rational unitary so the evaluation stays exact."""
-    _validate_su3(xi)
-    g_dagger = mat_dagger(g)
-    if not mat_is_zero(mat_sub(mat_mul(g, g_dagger), MAT_IDENTITY)):
+    g: x_i = <Ad(g^-1) xi, e_i>, v_j likewise with h_j.  xi in su_3 and
+    the Gaussian-rational unitary g are sparse matrices, so the
+    evaluation stays exact."""
+    if not all(p in range(3) and q in range(3) for m in (xi, g) for p, q in m):
+        raise ValueError("matrix entries need row and column in 0..2")
+    if sparse_sum(((1, xi), (1, sparse_dagger(xi)))):
+        raise ValueError("xi must be skew-Hermitian")
+    # the diagonal of a skew-Hermitian matrix is imaginary
+    if sum(xi.get((p, p), (0, 0))[1] for p in range(3)):
+        raise ValueError("xi must be traceless")
+    g_dagger = sparse_dagger(g)
+    if sparse_sum(((1, sparse_mul(g, g_dagger)), (-1, IDENTITY))):
         raise ValueError("g must be unitary")
-    ad = mat_mul(mat_mul(g_dagger, xi), g)
-    entries = {
-        (p, q): (z.re, z.im) for p, row in enumerate(ad) for q, z in enumerate(row)
-    }
+    ad = sparse_mul(sparse_mul(g_dagger, xi), g)
     vals = {
-        name: _sparse_inner(entries, u)
+        name: _sparse_inner(ad, u)
         for name, u in zip(
             ("x1", "x2", "x3", "x4", "x5", "x6", "v1", "v2", "v3"), BASIS_UNITS
         )

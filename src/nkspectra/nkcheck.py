@@ -30,17 +30,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from . import dga
 from .branching import Space
 from .dga import (
     Coefficient,
+    IDENTITY,
     InvariantForm,
-    Matrix,
     OMEGA,
     PSI_MINUS,
     PSI_PLUS,
     PSI_PLUS_CONTRACTED,
     VOLUME,
+    Sparse,
     alpha,
     apply_j,
     basic_check,
@@ -50,14 +50,13 @@ from .dga import (
     d,
     e,
     format_form,
-    gq,
     hodge_star,
     inner,
     killing_data,
     killing_values,
     laplacian,
-    matrix,
     scalar_form,
+    sparse_mul,
     su3_basis,
     symbol_form,
     type_decompose,
@@ -445,31 +444,25 @@ def verify_eigenfunction_suite() -> VerificationReport:
 # (conjugating by an orthogonal matrix keeps it off-diagonal), so two of
 # the samples interleave a phase matrix between rotations in different
 # coordinate planes.
-def _sample_unitaries() -> Tuple[Matrix, ...]:
-    i1 = gq(1)
-    ii = gq(0, 1)
-    z = gq()
+def _sample_unitaries() -> Tuple[Sparse, ...]:
+    def rot(p, q, c, s):
+        # rotation in the (p, q) coordinate plane, fixing the third axis
+        r = 3 - p - q
+        return {
+            (p, p): (c, 0), (p, q): (s, 0), (q, p): (-s, 0), (q, q): (c, 0),
+            (r, r): (1, 0),
+        }
 
-    def rot12(c, s):
-        return matrix([[gq(c), gq(s), z], [gq(-s), gq(c), z], [z, z, i1]])
-
-    def rot13(c, s):
-        return matrix([[gq(c), z, gq(s)], [z, i1, z], [gq(-s), z, gq(c)]])
-
-    def rot23(c, s):
-        return matrix([[i1, z, z], [z, gq(c), gq(s)], [z, gq(-s), gq(c)]])
-
-    ident = matrix([[i1, z, z], [z, i1, z], [z, z, i1]])
-    r12 = rot12(Fraction(3, 5), Fraction(4, 5))
-    r13 = rot13(Fraction(5, 13), Fraction(12, 13))
-    r23 = rot23(Fraction(8, 17), Fraction(15, 17))
-    d1 = matrix([[ii, z, z], [z, i1, z], [z, z, ii]])
+    r12 = rot(0, 1, Fraction(3, 5), Fraction(4, 5))
+    r13 = rot(0, 2, Fraction(5, 13), Fraction(12, 13))
+    r23 = rot(1, 2, Fraction(8, 17), Fraction(15, 17))
+    d1 = {(0, 0): (0, 1), (1, 1): (1, 0), (2, 2): (0, 1)}
     return (
-        ident,
-        dga.mat_mul(r13, r23),
-        dga.mat_mul(d1, dga.mat_mul(r12, r13)),
-        dga.mat_mul(r12, dga.mat_mul(d1, r23)),
-        dga.mat_mul(r12, r23),
+        IDENTITY,
+        sparse_mul(r13, r23),
+        sparse_mul(d1, sparse_mul(r12, r13)),
+        sparse_mul(r12, sparse_mul(d1, r23)),
+        sparse_mul(r12, r23),
     )
 
 

@@ -82,7 +82,7 @@ class IrrepLabel:
         n = _RANK[self.group]
         if len(self.labels) != n:
             raise ValueError(f"{self.group} label needs {n} entries")
-        if any(not isinstance(x, int) or x < 0 for x in self.labels):
+        if any(type(x) is not int or x < 0 for x in self.labels):
             raise ValueError("labels must be nonnegative integers")
         if self.group is Group.SO5 and self.labels[0] < self.labels[1]:
             raise ValueError("so5 labels require a >= b")

@@ -23,3 +23,29 @@ def _weyl_dimension(irrep) -> int:
 @pytest.fixture(scope="session")
 def weyl_dimension():
     return _weyl_dimension
+
+
+def _naive_mul(a, b):
+    """The 3x3 Gaussian-rational product (AB)_rc = sum_k A_rk B_kc as a
+    triple sum over dense (re, im) Fraction pairs, read from and returned
+    as {(p, q): (re, im)} with the zero entries left out."""
+    dense_a, dense_b = (
+        [[tuple(map(Fraction, m.get((p, q), (0, 0)))) for q in range(3)] for p in range(3)]
+        for m in (a, b)
+    )
+    out = {}
+    for r in range(3):
+        for c in range(3):
+            re = im = Fraction(0)
+            for k in range(3):
+                (ar, ai), (br, bi) = dense_a[r][k], dense_b[k][c]
+                re += ar * br - ai * bi
+                im += ar * bi + ai * br
+            if re or im:
+                out[(r, c)] = (re, im)
+    return out
+
+
+@pytest.fixture(scope="session")
+def naive_mul():
+    return _naive_mul

@@ -186,21 +186,23 @@ def test_all_subcommand_structure(capsys):
 
 
 def test_usage_errors_exit_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["spectrum", "--space", "cp3"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["spectrum", "--space", "nowhere", "--cutoff", "12"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["spectrum", "--space", "cp3", "--cutoff", "-3"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["spectrum", "--space", "cp3", "--cutoff", "a/b"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["all", "--format", "csv"])
-    assert exc.value.code == 2
+    for argv in (
+        [],
+        ["bogus"],
+        ["spectrum", "--space", "cp3"],
+        ["spectrum", "--space", "nowhere", "--cutoff", "12"],
+        ["spectrum", "--space", "cp3", "--cutoff", "-3"],
+        ["spectrum", "--space", "cp3", "--cutoff", "a/b"],
+        ["spectrum", "--space", "cp3", "--cutoff", "12", "--format", "xml"],
+        ["all", "--format", "csv"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("nkspectra: "), captured.err
 
 
 def test_rational_cutoff_accepted(capsys):

@@ -3,6 +3,7 @@ Hodge/J/type operators, the symbolic Killing-field identities and the
 printer grammar."""
 
 import ast
+import itertools
 import os
 import random
 import subprocess
@@ -17,9 +18,8 @@ from hypothesis import strategies as st
 from nkspectra import dga
 from nkspectra.dga import (
     BASIS_UNITS,
-    GQ,
+    IDENTITY,
     LIE_BASIS,
-    MAT_IDENTITY,
     OMEGA,
     PSI_MINUS,
     PSI_PLUS,
@@ -42,17 +42,14 @@ from nkspectra.dga import (
     e,
     format_coefficient,
     format_form,
-    gq,
     hodge_star,
     inner,
     killing_data,
     killing_values,
     laplacian,
-    mat_commutator,
-    mat_inner,
-    mat_mul,
-    matrix,
     scalar_form,
+    sparse_dagger,
+    sparse_mul,
     su3_basis,
     symbol_form,
     type_decompose,
@@ -70,59 +67,59 @@ V3 = Coefficient.symbol("v3")
 # ---------------------------------------------------------------------------
 # Lie algebra layer
 
-def test_basis_is_orthogonal_with_the_right_norms():
-    mats = LIE_BASIS.matrices
-    for i in range(9):
-        for j in range(9):
+def _combine(*terms):
+    """sum of c M over (c, M) pairs, entry by entry, zeros left out"""
+    out = {}
+    for c, m in terms:
+        for key, (re, im) in m.items():
+            zr, zi = out.get(key, (0, 0))
+            out[key] = (zr + c * re, zi + c * im)
+    return {key: z for key, z in out.items() if z != (0, 0)}
+
+
+def _commutator(mul, a, b):
+    return _combine((1, mul(a, b)), (-1, mul(b, a)))
+
+
+def _inner(mul, a, b):
+    """<A, B> = -tr(AB)/2, real on skew-Hermitian arguments."""
+    ab = mul(a, b)
+    re, im = (sum(ab.get((p, p), (0, 0))[k] for p in range(3)) for k in (0, 1))
+    assert im == 0
+    return -Fraction(re) / 2
+
+
+def test_basis_is_orthogonal_with_the_right_norms(naive_mul):
+    for i, a in enumerate(BASIS_UNITS):
+        for j, b in enumerate(BASIS_UNITS):
             expected = Fraction(0)
             if i == j:
                 expected = Fraction(1) if i < 6 else Fraction(1, 2)
-            assert mat_inner(mats[i], mats[j]) == expected
+            assert _inner(naive_mul, a, b) == expected
+    assert LIE_BASIS.norms == tuple(_inner(naive_mul, u, u) for u in BASIS_UNITS)
 
 
-def test_jacobi_identity_all_triples():
-    mats = LIE_BASIS.matrices
-    for a in mats:
-        for b in mats:
-            for c in mats:
-                lhs = mat_commutator(mat_commutator(a, b), c)
-                mid = mat_commutator(mat_commutator(b, c), a)
-                rhs = mat_commutator(mat_commutator(c, a), b)
-                total = [
-                    [lhs[p][q] + mid[p][q] + rhs[p][q] for q in range(3)]
-                    for p in range(3)
-                ]
-                assert all(z.is_zero() for row in total for z in row)
+def test_jacobi_identity_all_triples(naive_mul):
+    def comm(a, b):
+        return _commutator(naive_mul, a, b)
+
+    # the Jacobiator is alternating (comm is antisymmetric and the sum
+    # cyclic), so the 84 ascending triples of distinct elements settle
+    # all 729
+    for a, b, c in itertools.combinations(BASIS_UNITS, 3):
+        assert _combine(
+            (1, comm(comm(a, b), c)),
+            (1, comm(comm(b, c), a)),
+            (1, comm(comm(c, a), b)),
+        ) == {}
 
 
-def test_bracket_table_reconstructs_commutators():
-    mats = LIE_BASIS.matrices
+def test_bracket_table_reconstructs_commutators(naive_mul):
     for a in range(1, 10):
         for b in range(1, 10):
-            coords = LIE_BASIS.bracket(a, b)
-            rebuilt = None
-            for q, m in zip(coords, mats):
-                scaled = [[gq(q) * entry for entry in row] for row in m]
-                if rebuilt is None:
-                    rebuilt = scaled
-                else:
-                    rebuilt = [
-                        [rebuilt[p][r] + scaled[p][r] for r in range(3)]
-                        for p in range(3)
-                    ]
-            want = mat_commutator(mats[a - 1], mats[b - 1])
-            assert all(
-                (rebuilt[p][r] - want[p][r]).is_zero()
-                for p in range(3)
-                for r in range(3)
-            )
-
-
-def test_basis_matrices_come_from_the_unit_table():
-    for units, m in zip(BASIS_UNITS, LIE_BASIS.matrices):
-        for p in range(3):
-            for q in range(3):
-                assert m[p][q] == gq(*units.get((p, q), (0, 0)))
+            rebuilt = _combine(*zip(LIE_BASIS.bracket(a, b), BASIS_UNITS))
+            want = _commutator(naive_mul, BASIS_UNITS[a - 1], BASIS_UNITS[b - 1])
+            assert rebuilt == want
 
 
 def _replace_unit(k, units):
@@ -168,50 +165,23 @@ def test_bracket_builder_checks_fire_under_dash_O():
     assert _run_script(script, "-O").returncode == 3
 
 
-def test_import_makes_no_dense_products():
-    # a fresh interpreter, so the import really runs; calls are counted
-    # with a profile hook, which sees every Python-level call
-    script = (
-        "import sys\n"
-        "calls = []\n"
-        "def hook(frame, event, arg):\n"
-        "    if event == 'call' and frame.f_code.co_name == 'mat_mul':\n"
-        "        calls.append(frame.f_code)\n"
-        "sys.setprofile(hook)\n"
-        "import nkspectra.dga\n"
-        "sys.setprofile(None)\n"
-        "code = nkspectra.dga.mat_mul.__code__\n"
-        "assert all(c is code for c in calls)\n"
-        "print(len(calls))\n"
-    )
-    proc = _run_script(script)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "0\n"
-
-
-_GQ_PARTS = st.one_of(
+_PARTS = st.one_of(
     st.just(Fraction(0)),
     st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)),
 )
-_GQ_MATRICES = st.lists(
-    st.builds(GQ, _GQ_PARTS, _GQ_PARTS), min_size=9, max_size=9
-).map(lambda xs: matrix([xs[0:3], xs[3:6], xs[6:9]]))
+_MATRICES = st.lists(st.tuples(_PARTS, _PARTS), min_size=9, max_size=9).map(
+    lambda xs: {(k // 3, k % 3): z for k, z in enumerate(xs) if z != (0, 0)}
+)
 
 
 @settings(max_examples=100, deadline=None)
-@given(_GQ_MATRICES, _GQ_MATRICES)
-def test_mat_mul_matches_the_naive_triple_sum(a, b):
-    naive = [
-        [sum((a[r][k] * b[k][c] for k in range(3)), gq()) for c in range(3)]
-        for r in range(3)
-    ]
-    got = mat_mul(a, b)
-    assert got == matrix(naive)
-    assert all(
-        isinstance(z.re, Fraction) and isinstance(z.im, Fraction)
-        for row in got
-        for z in row
-    )
+@given(_MATRICES, _MATRICES)
+def test_sparse_mul_matches_the_naive_triple_sum(naive_mul, a, b):
+    got = sparse_mul(a, b)
+    assert got == naive_mul(a, b)
+    assert all(isinstance(x, Fraction) for z in got.values() for x in z)
+    # (AB)^dagger = B^dagger A^dagger
+    assert sparse_dagger(got) == naive_mul(sparse_dagger(b), sparse_dagger(a))
 
 
 # ---------------------------------------------------------------------------
@@ -329,8 +299,9 @@ def test_no_assert_statements(path):
 def test_su3_basis_is_traceless():
     mats = su3_basis()
     assert len(mats) == 8
+    assert all(m is not u for m in mats for u in BASIS_UNITS)
     for m in mats:
-        assert (m[0][0] + m[1][1] + m[2][2]).is_zero()
+        assert all(sum(m.get((p, p), (0, 0))[k] for p in range(3)) == 0 for k in (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -683,6 +654,11 @@ def test_degree_validation():
         wedge(VOLUME, wedge_all(coframe(7), coframe(8), coframe(9), e(1)))
     assert e(1, 1).is_zero()
     assert wedge(e(1), e(1)).is_zero()
+    # stored index tuples ascend: e_21 or e_11 would print as a term and
+    # e_12 + e_21 would not cancel
+    for idx in ((2, 1), (1, 1)):
+        with pytest.raises(ValueError):
+            InvariantForm.make(2, {idx: Coefficient.constant(1)})
 
 
 # ---------------------------------------------------------------------------
@@ -731,25 +707,9 @@ def test_phi_v_and_phi_k_shapes():
     assert kd.phi_k.coefficient(1, 2) == (V1 - V2) * Fraction(4)
 
 
-def test_killing_data_validation():
-    bad = matrix([[gq(1), gq(), gq()], [gq(), gq(), gq()], [gq(), gq(), gq()]])
-    with pytest.raises(ValueError):
-        killing_data(bad)
-    traced = matrix([[gq(0, 1), gq(), gq()], [gq(), gq(), gq()], [gq(), gq(), gq()]])
-    with pytest.raises(ValueError):
-        killing_data(traced)
-
-
 def test_killing_values_numeric():
-    h1 = LIE_BASIS.matrices[6]
-    h2 = LIE_BASIS.matrices[7]
-    xi = [[h1[p][q] - h2[p][q] for q in range(3)] for p in range(3)]
-    xi = matrix(xi)
-    cyc = matrix([
-        [gq(), gq(), gq(1)],
-        [gq(1), gq(), gq()],
-        [gq(), gq(1), gq()],
-    ])
+    xi = {(0, 0): (0, 1), (1, 1): (0, -1)}  # h_1 - h_2
+    cyc = {(0, 2): (1, 0), (1, 0): (1, 0), (2, 1): (1, 0)}
     # conjugation by the cycle 1 -> 2 -> 3 permutes the diagonal of
     # i diag(1,-1,0) to i diag(-1,0,1)
     vals = killing_values(xi, cyc)
@@ -758,36 +718,34 @@ def test_killing_values_numeric():
     assert vals["v3"] == Fraction(1, 2)
     assert all(vals[f"x{i}"] == 0 for i in range(1, 7))
 
-    diag = matrix([
-        [gq(0, 1), gq(), gq()],
-        [gq(), gq(1), gq()],
-        [gq(), gq(), gq(0, -1)],
-    ])
-    e1 = LIE_BASIS.matrices[0]
-    vals = killing_values(e1, diag)
+    diag = {(0, 0): (0, 1), (1, 1): (1, 0), (2, 2): (0, -1)}
+    vals = killing_values(BASIS_UNITS[0], diag)
     assert vals["x2"] == -1
     assert all(vals[k] == 0 for k in vals if k != "x2")
 
 
 def test_killing_values_validation():
-    e1 = LIE_BASIS.matrices[0]
-    not_unitary = matrix([
-        [gq(2), gq(), gq()],
-        [gq(), gq(1), gq()],
-        [gq(), gq(), gq(1)],
-    ])
-    with pytest.raises(ValueError):
-        killing_values(e1, not_unitary)
+    for xi, g, message in (
+        (BASIS_UNITS[0], {(0, 0): (2, 0), (1, 1): (1, 0), (2, 2): (1, 0)}, "unitary"),
+        ({(0, 0): (1, 0)}, IDENTITY, "skew-Hermitian"),
+        ({(0, 0): (0, 1)}, IDENTITY, "traceless"),
+        # skew-Hermitian and traceless on rows 0..2, which is all the
+        # product and the pairings read
+        ({(0, 0): (0, 1), (1, 1): (0, -1), (5, 5): (0, 1)}, IDENTITY, "0..2"),
+        # g g^dagger = 1 with the first row moved to column 3
+        (BASIS_UNITS[0], {(0, 3): (1, 0), (1, 1): (1, 0), (2, 2): (1, 0)}, "0..2"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            killing_values(xi, g)
 
 
 def test_killing_values_sum_check_fires(monkeypatch):
     # with h_3 replaced by a copy of h_1, v_3 reads v_1 and the su_3 trace
     # relation fails at xi = h_1 - h_2
     monkeypatch.setattr(dga, "BASIS_UNITS", _replace_unit(8, {(0, 0): (0, 1)}))
-    h1, h2 = LIE_BASIS.matrices[6], LIE_BASIS.matrices[7]
-    xi = matrix([[h1[p][q] - h2[p][q] for q in range(3)] for p in range(3)])
+    xi = {(0, 0): (0, 1), (1, 1): (0, -1)}
     with pytest.raises(AssertionError, match="v_1 \\+ v_2 \\+ v_3"):
-        killing_values(xi, MAT_IDENTITY)
+        killing_values(xi, IDENTITY)
 
 
 def test_coefficient_evaluate_matches_symbolic_relations():
@@ -809,9 +767,9 @@ _SYMBOL_MATRICES = {
 }
 
 
-def _coefficient_of_matrix(m):
-    comps = [mat_inner(m, LIE_BASIS.matrices[i]) for i in range(6)]
-    comps += [2 * mat_inner(m, LIE_BASIS.matrices[6 + j]) for j in range(3)]
+def _coefficient_of_matrix(mul, m):
+    comps = [_inner(mul, m, BASIS_UNITS[i]) for i in range(6)]
+    comps += [2 * _inner(mul, m, BASIS_UNITS[6 + j]) for j in range(3)]
     return Coefficient.from_vector(comps)
 
 
@@ -827,17 +785,14 @@ def _restrict_vertical(a):
     return out
 
 
-def test_su3_frame_differential_matches():
+def test_su3_frame_differential_matches(naive_mul):
     # rebuild d on the coefficient symbols from the 8-dimensional
     # traceless frame: horizontal legs as usual, vertical legs through
     # the inverse Gram matrix of (h1-h2, h2-h3)
-    mats = LIE_BASIS.matrices
-    b1 = matrix([[mats[6][p][q] - mats[7][p][q] for q in range(3)] for p in range(3)])
-    b2 = matrix([[mats[7][p][q] - mats[8][p][q] for q in range(3)] for p in range(3)])
-    gram = [
-        [mat_inner(b1, b1), mat_inner(b1, b2)],
-        [mat_inner(b2, b1), mat_inner(b2, b2)],
-    ]
+    mats = BASIS_UNITS
+    b1 = _combine((1, mats[6]), (-1, mats[7]))
+    b2 = _combine((1, mats[7]), (-1, mats[8]))
+    gram = [[_inner(naive_mul, x, y) for y in (b1, b2)] for x in (b1, b2)]
     assert gram == [[1, Fraction(-1, 2)], [Fraction(-1, 2), 1]]
     det = gram[0][0] * gram[1][1] - gram[0][1] * gram[1][0]
     inverse = [
@@ -853,7 +808,7 @@ def test_su3_frame_differential_matches():
     def flat(b):
         parts = InvariantForm.zero(1)
         for j in range(3):
-            parts = parts + _restrict_vertical(coframe(7 + j)) * mat_inner(b, mats[6 + j])
+            parts = parts + _restrict_vertical(coframe(7 + j)) * _inner(naive_mul, b, mats[6 + j])
         return parts
 
     duals = []
@@ -864,10 +819,10 @@ def test_su3_frame_differential_matches():
         w = mats[slot]
         rebuilt = InvariantForm.zero(1)
         for i in range(6):
-            c = _coefficient_of_matrix(mat_commutator(mats[i], w))
+            c = _coefficient_of_matrix(naive_mul, _commutator(naive_mul, mats[i], w))
             rebuilt = rebuilt + coframe(i + 1) * c
         for b, dual in zip((b1, b2), duals):
-            c = _coefficient_of_matrix(mat_commutator(b, w))
+            c = _coefficient_of_matrix(naive_mul, _commutator(naive_mul, b, w))
             rebuilt = rebuilt + dual * c
         assert (rebuilt - _restrict_vertical(d(symbol_form(name)))).is_zero(), name
 

@@ -49,32 +49,21 @@ def test_su2_standard_casimir_matches_matrix_model():
     assert casimir_eigenvalue(su2_label(1)) == Fraction(-3, 8)
 
 
-def test_su3_standard_casimir_matches_matrix_model():
+def test_su3_standard_casimir_matches_matrix_model(naive_mul):
     # the nine u_3 generators live in the dga module; assemble the su_3
     # Casimir from a -B-orthogonal basis (B = 6 tr for su_3)
-    from nkspectra.dga import LIE_BASIS, gq, mat_mul, mat_scale, mat_sub
+    from nkspectra.dga import BASIS_UNITS
 
-    mats = LIE_BASIS.matrices
-    es = mats[:6]
-    t1 = mat_sub(mats[6], mats[7])
-    t2_raw = mat_sub(
-        mat_sub(mat_scale(mats[6], gq(1)), mat_scale(mats[8], gq(2))),
-        mat_scale(mats[7], gq(-1)),
-    )  # h1 + h2 - 2 h3
-
-    def minus_b(x):
-        t = mat_mul(x, x)
-        trace = t[0][0].re + t[1][1].re + t[2][2].re
-        return -6 * trace
+    t1 = {(0, 0): (0, 1), (1, 1): (0, -1)}  # h1 - h2
+    t2_raw = {(0, 0): (0, 1), (1, 1): (0, 1), (2, 2): (0, -2)}  # h1 + h2 - 2 h3
 
     total = [[Fraction(0)] * 3 for _ in range(3)]
-    for x in list(es) + [t1, t2_raw]:
-        sq = mat_mul(x, x)
-        w = minus_b(x)
-        for r in range(3):
-            for c in range(3):
-                assert sq[r][c].im == 0 or r != c
-                total[r][c] += sq[r][c].re / w
+    for x in BASIS_UNITS[:6] + (t1, t2_raw):
+        sq = naive_mul(x, x)
+        minus_b = -6 * sum(sq.get((p, p), (0, 0))[0] for p in range(3))
+        for (r, c), (re, im) in sq.items():
+            assert im == 0 or r != c
+            total[r][c] += re / minus_b
     for r in range(3):
         for c in range(3):
             expected = casimir_eigenvalue(su3_label(1, 0)) if r == c else 0
@@ -398,3 +387,6 @@ def test_so5_label_validation():
         so5_label(1, 2)
     with pytest.raises(ValueError):
         su2_label(-1)
+    # bool is an int subclass; V(True,False) would equal V(1,0)
+    with pytest.raises(ValueError):
+        su3_label(True, False)

@@ -61,3 +61,23 @@ def test_every_traced_name_resolves():
             assert callable(getattr(mod, name, None)), f"{modname}.{name}"
     rootrep = importlib.import_module("nkspectra.rootrep")
     assert callable(rootrep.WeightTable.multiplicity)
+
+
+def _imported_roots(path: Path):
+    """Top-level names of the absolute imports in one source file."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_imports_stay_within_the_declared_dependencies():
+    # pyproject.toml declares no runtime dependency and the test extra
+    # pytest and hypothesis
+    stdlib = set(sys.stdlib_module_names)
+    for path in sorted((ROOT / "src" / "nkspectra").glob("*.py")):
+        assert set(_imported_roots(path)) <= stdlib, path.name
+    allowed = stdlib | {"pytest", "hypothesis", "nkspectra"}
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        assert set(_imported_roots(path)) <= allowed, path.name

@@ -19,9 +19,12 @@ integer coordinates: the branching formula for SO5 -> U2 and the
 multiplicity formula for su3 weights.  Each label's closed-form table is
 checked before it is read (top type once, no negative multiplicity,
 total dimension equal to the Weyl dimension), with explicit raises that
-survive `python -O`.  The Freudenthal and product-weight tables of
-`rootrep.weight_multiplicities` and `restrict_so5_to_u2` are kept as the
-independent oracles the test suite compares against.
+survive `python -O`.  Before any Hom is counted, a spectrum run sums the
+closed-form size of every walked label's Kostant table and is refused
+when the sum exceeds MAX_KOSTANT_POINTS.  The Freudenthal and
+product-weight tables of `rootrep.weight_multiplicities` and
+`restrict_so5_to_u2` are kept as the independent oracles the test suite
+compares against.
 """
 
 from __future__ import annotations
@@ -29,11 +32,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .rootrep import (
     Group,
     IrrepLabel,
+    LabelBoxTooLarge,
     canonical_weight,
     dimension,
     tensor_decompose_su2,
@@ -80,6 +84,8 @@ class U2Label:
     b: int
 
     def __post_init__(self):
+        if type(self.a) is not int or type(self.b) is not int:
+            raise ValueError("U2 labels must be integers")
         if self.a < 0:
             raise ValueError("SU2 part must be nonnegative")
         if (self.a - self.b) % 2 != 0:
@@ -364,6 +370,37 @@ def _so5_u2_types(irrep: IrrepLabel) -> Dict[U2Label, int]:
                 total += m * (l1 - l2 + 1)
     _check_kostant_table(irrep, U2Label(a - b, a + b), table, total)
     return table
+
+
+# Largest number of Kostant points one spectrum run may evaluate: about
+# five times the 105312 that cp3 needs at cutoff 1000, the most of the two
+# spaces that read Kostant tables (the flag needs 45928 there).
+MAX_KOSTANT_POINTS = 500_000
+
+
+class KostantRunTooLarge(LabelBoxTooLarge):
+    """The walked labels need more than MAX_KOSTANT_POINTS Kostant points."""
+
+
+def kostant_points(irrep: IrrepLabel) -> int:
+    """Size of the Kostant table hom_dimension builds for an su3 or so5
+    label: the (i, j) box of _su3_dominant_multiplicities, or the so5
+    weight octagon |l1|, |l2| <= a, |l1| + |l2| <= a + b."""
+    if irrep.group is Group.SU3:
+        k, l = irrep.labels
+        return ((2 * k + l) // 3 + 1) * ((k + 2 * l) // 3 + 1)
+    a, b = irrep.labels
+    return (2 * a + 1) ** 2 - 2 * (a - b) * (a - b + 1)
+
+
+def check_kostant_budget(space: Space, labels: Sequence[IrrepLabel]) -> None:
+    """Raise KostantRunTooLarge when the Hom counts of the labels on the
+    space would evaluate more than MAX_KOSTANT_POINTS Kostant points."""
+    if space is not Space.S3XS3 and sum(map(kostant_points, labels)) > MAX_KOSTANT_POINTS:
+        raise KostantRunTooLarge(
+            f"the cutoff needs more {space.value} Kostant points than "
+            f"the bound of {MAX_KOSTANT_POINTS}"
+        )
 
 
 def _diagonal_su2_multiplicity(labels: Tuple[int, ...], k: int) -> int:

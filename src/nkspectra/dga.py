@@ -38,10 +38,13 @@ u . c_W = c_{[u, W]}, so
     d c_W = sum_i c_{[e_i, W]} e^i + sum_j c_{[h_j, W]} k^j
 
 (the sqrt(2) normalizations of the vertical frame and coframe cancel).
-The coefficient ring is the linear span of {1, x_1..x_6, v_1, v_2}:
-every identity verified here is linear in these symbols, and products
-of two non-constant coefficients raise NonlinearCoefficient instead of
-silently leaving the ring.
+The coefficient ring is the linear span of {1, x_1..x_6, v_1, v_2}, and
+a coefficient is a 0-form.  Every form is one sorted map from (coframe
+indices, coefficient slot) to a nonzero Fraction, where slot 0 is the
+constant, slots 1..6 are x_1..x_6 and slots 7, 8 are v_1, v_2.  Every
+identity verified here is linear in these symbols, and a product of two
+non-constant slots raises NonlinearCoefficient instead of silently
+leaving the ring.
 
 Printer grammar (stable, for golden tests)
 ------------------------------------------
@@ -66,6 +69,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import groupby
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 
@@ -199,107 +203,11 @@ def su3_basis() -> Tuple[Sparse, ...]:
 
 
 # --------------------------------------------------------------------------
-# Coefficient ring
-
-_SYMBOLS = ("1", "x1", "x2", "x3", "x4", "x5", "x6", "v1", "v2")
-_SYMBOL_INDEX = {s: i for i, s in enumerate(_SYMBOLS)}
-_ZERO9 = (Fraction(0),) * 9
-
-
-@dataclass(frozen=True)
-class Coefficient:
-    """Element of span{1, x_1..x_6, v_1, v_2}; v_3 = -v_1 - v_2 is
-    eliminated at construction so the representation is canonical and
-    zero testing is coordinate equality."""
-
-    coords: Tuple[Fraction, ...] = _ZERO9
-
-    def __post_init__(self):
-        if len(self.coords) != 9:
-            raise ValueError("coefficient needs 9 coordinates")
-
-    @staticmethod
-    def constant(q) -> "Coefficient":
-        c = [Fraction(0)] * 9
-        c[0] = Fraction(q)
-        return Coefficient(tuple(c))
-
-    @staticmethod
-    def symbol(name: str) -> "Coefficient":
-        if name == "v3":
-            return -(Coefficient.symbol("v1") + Coefficient.symbol("v2"))
-        c = [Fraction(0)] * 9
-        c[_SYMBOL_INDEX[name]] = Fraction(1)
-        return Coefficient(tuple(c))
-
-    @staticmethod
-    def from_vector(components: Sequence[Fraction]) -> "Coefficient":
-        """Coefficient c_W for W with the given nine u_3 coordinates
-        (e_1..e_6, h_1, h_2, h_3); the h_3 part is folded into v_1, v_2."""
-        lam = [Fraction(x) for x in components]
-        if len(lam) != 9:
-            raise ValueError("expected 9 components")
-        c = [Fraction(0)] * 9
-        c[1:7] = lam[0:6]
-        c[7] = lam[6] - lam[8]
-        c[8] = lam[7] - lam[8]
-        return Coefficient(tuple(c))
-
-    def __add__(self, o: "Coefficient") -> "Coefficient":
-        return Coefficient(tuple(a + b for a, b in zip(self.coords, o.coords)))
-
-    def __sub__(self, o: "Coefficient") -> "Coefficient":
-        return Coefficient(tuple(a - b for a, b in zip(self.coords, o.coords)))
-
-    def __neg__(self) -> "Coefficient":
-        return Coefficient(tuple(-a for a in self.coords))
-
-    def scale(self, q) -> "Coefficient":
-        q = Fraction(q)
-        return Coefficient(tuple(q * a if a else a for a in self.coords))
-
-    def __mul__(self, o) -> "Coefficient":
-        if not isinstance(o, Coefficient):
-            return self.scale(o)
-        if self.is_constant():
-            return o.scale(self.coords[0])
-        if o.is_constant():
-            return self.scale(o.coords[0])
-        raise NonlinearCoefficient(
-            f"product of non-constant coefficients {self} and {o}"
-        )
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coords)
-
-    def is_constant(self) -> bool:
-        return all(a == 0 for a in self.coords[1:])
-
-    def constant_part(self) -> Fraction:
-        return self.coords[0]
-
-    def evaluate(self, values: Mapping[str, Fraction]) -> Fraction:
-        """Numeric value given x_i, v_j assignments (v_3 not needed)."""
-        total = self.coords[0]
-        for s, c in zip(_SYMBOLS[1:], self.coords[1:]):
-            if c:
-                total += c * Fraction(values[s])
-        return total
-
-    def __str__(self):
-        return format_coefficient(self)
-
-
-_ZERO_COEFF = Coefficient()
-_ONE_COEFF = Coefficient.constant(1)
-
-
-# --------------------------------------------------------------------------
 # Invariant forms
 
 Indices = Tuple[int, ...]
+# coefficient slots: 0 is the constant, 1..6 are x_1..x_6, 7 and 8 are v_1, v_2
+_SYMBOLS = ("1", "x1", "x2", "x3", "x4", "x5", "x6", "v1", "v2")
 
 
 def _normalize_indices(indices: Sequence[int]) -> Tuple[Optional[Indices], int]:
@@ -318,87 +226,103 @@ def _normalize_indices(indices: Sequence[int]) -> Tuple[Optional[Indices], int]:
     return tuple(idx_list), sign
 
 
+def _times(s: int, t: int) -> int:
+    """Slot of the product of two slot symbols; only a constant may meet
+    a non-constant symbol, so the ring stays linear."""
+    if s and t:
+        raise NonlinearCoefficient(
+            f"product of non-constant coefficients {_SYMBOLS[s]} and {_SYMBOLS[t]}"
+        )
+    return s or t
+
+
 def _collect(
-    degree: int, terms: Iterable[Tuple[Sequence[int], Coefficient]]
+    degree: int, terms: Iterable[Tuple[Sequence[int], int, Fraction]]
 ) -> InvariantForm:
     """Sum image terms into one form.  Each term is a tuple of coframe
-    indices in any order with its coefficient; the indices are sorted
-    with the permutation sign, and a term with a repeated index is 0."""
-    data: Dict[Indices, Coefficient] = {}
-    for indices, c in terms:
+    indices in any order, a coefficient slot and a value; the indices are
+    sorted with the permutation sign, and a term with a repeated index is 0."""
+    data: Dict[Tuple[Indices, int], Fraction] = {}
+    for indices, slot, q in terms:
         idx, sign = _normalize_indices(indices)
-        if idx is None:
-            continue
-        if sign < 0:
-            c = -c
-        data[idx] = data[idx] + c if idx in data else c
+        if idx is not None:
+            data[idx, slot] = data.get((idx, slot), 0) + (q if sign > 0 else -q)
     return InvariantForm.make(degree, data)
 
 
 @dataclass(frozen=True)
 class InvariantForm:
-    """Homogeneous invariant form: map from ascending coframe index
-    tuples (1..6 horizontal, 7..9 vertical) to coefficients."""
+    """Homogeneous invariant form: sorted ((indices, slot), value) pairs
+    with ascending coframe indices (1..6 horizontal, 7..9 vertical)."""
 
     degree: int
-    terms: Tuple[Tuple[Indices, Coefficient], ...]
+    terms: Tuple[Tuple[Tuple[Indices, int], Fraction], ...]
 
     @staticmethod
-    def make(degree: int, data: Mapping[Indices, Coefficient]) -> "InvariantForm":
+    def make(
+        degree: int, data: Mapping[Tuple[Indices, int], Fraction]
+    ) -> "InvariantForm":
+        """The one validating constructor: data maps (indices, slot) to an
+        int or a Fraction; zero values are dropped."""
         clean = {}
-        for idx, c in data.items():
-            if c.is_zero():
-                continue
+        for (idx, slot), q in data.items():
+            if any(type(i) is not int for i in idx + (slot,)):
+                raise ValueError("coframe indices and slots must be ints")
+            if type(q) not in (int, Fraction):
+                raise ValueError(f"coefficient {q!r} is not an int or a Fraction")
             if len(idx) != degree:
                 raise ValueError("inhomogeneous term")
-            if any(i < 1 or i > 9 for i in idx):
-                raise ValueError("coframe index out of range")
-            if any(i >= j for i, j in zip(idx, idx[1:])):
-                raise ValueError("coframe indices must ascend without repeats")
-            clean[idx] = c
+            if any(i >= j for i, j in zip((0,) + idx, idx + (10,))):
+                raise ValueError("coframe indices must ascend within 1..9")
+            if not 0 <= slot < len(_SYMBOLS):
+                raise ValueError("coefficient slot out of range")
+            if q:
+                clean[idx, slot] = q if type(q) is Fraction else Fraction(q)
         return InvariantForm(degree, tuple(sorted(clean.items())))
 
     @staticmethod
     def zero(degree: int) -> "InvariantForm":
         return InvariantForm(degree, ())
 
-    def as_dict(self) -> Dict[Indices, Coefficient]:
-        return dict(self.terms)
-
-    def coefficient(self, *indices: int) -> Coefficient:
+    def constant_part(self, *indices: int) -> Fraction:
+        """Constant slot of the coefficient at the index tuple, read with
+        the sign of its sorting permutation (default: a 0-form's value)."""
         idx, sign = _normalize_indices(indices)
-        if idx is None:
-            return _ZERO_COEFF
-        c = self.as_dict().get(idx, _ZERO_COEFF)
-        return c if sign == 1 else -c
+        return sign * dict(self.terms).get((idx, 0), Fraction(0))
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_horizontal(self) -> bool:
-        return all(all(i <= 6 for i in idx) for idx, _ in self.terms)
+        return all(i <= 6 for (idx, _), _ in self.terms for i in idx)
 
     def __add__(self, o: "InvariantForm") -> "InvariantForm":
         if self.degree != o.degree:
             raise ValueError("degree mismatch in sum")
-        data = self.as_dict()
-        for idx, c in o.terms:
-            data[idx] = data.get(idx, _ZERO_COEFF) + c
+        data = dict(self.terms)
+        for key, q in o.terms:
+            data[key] = data.get(key, 0) + q
         return InvariantForm.make(self.degree, data)
 
     def __sub__(self, o: "InvariantForm") -> "InvariantForm":
         return self + (-o)
 
     def __neg__(self) -> "InvariantForm":
-        return InvariantForm(
-            self.degree, tuple((idx, -c) for idx, c in self.terms)
-        )
+        return InvariantForm(self.degree, tuple((key, -q) for key, q in self.terms))
 
     def __mul__(self, s) -> "InvariantForm":
-        c = s if isinstance(s, Coefficient) else Coefficient.constant(s)
-        return InvariantForm.make(
-            self.degree, {idx: c * cf for idx, cf in self.terms}
+        """Product with a rational or a 0-form."""
+        if not isinstance(s, InvariantForm):
+            # a one-term constant 0-form; make checks the products' type
+            s = InvariantForm(0, ((((), 0), s),))
+        elif s.degree:
+            raise TypeError("a form is scaled by a rational or a 0-form only")
+        terms = (
+            (idx, _times(slot, t), q * r)
+            for (idx, slot), q in self.terms
+            for (_, t), r in s.terms
         )
+        return _collect(self.degree, terms)
 
     __rmul__ = __mul__
 
@@ -408,34 +332,36 @@ class InvariantForm:
 
 def coframe(index: int) -> InvariantForm:
     """The coframe 1-form with the given index (1..6 = e^i, 7..9 = k^j)."""
-    if not 1 <= index <= 9:
-        raise ValueError("coframe index out of range")
-    return InvariantForm.make(1, {(index,): _ONE_COEFF})
+    return InvariantForm.make(1, {((index,), 0): 1})
 
 
 def e(*indices: int) -> InvariantForm:
     """Monomial e_{i_1 ... i_p}; indices need not be sorted."""
-    return _collect(len(indices), [(indices, _ONE_COEFF)])
+    if any(type(i) is not int for i in indices):
+        raise ValueError("coframe indices must be ints")
+    return _collect(len(indices), [(indices, 0, Fraction(1))])
 
 
-def scalar_form(c) -> InvariantForm:
-    coeff = c if isinstance(c, Coefficient) else Coefficient.constant(c)
-    return InvariantForm.make(0, {(): coeff})
+def scalar_form(q) -> InvariantForm:
+    """The constant 0-form q."""
+    return InvariantForm.make(0, {((), 0): q})
 
 
 def symbol_form(name: str) -> InvariantForm:
-    """0-form wrapping one coefficient symbol (x1..x6, v1, v2, v3)."""
-    return scalar_form(Coefficient.symbol(name))
+    """0-form of one coefficient symbol (x1..x6, v1, v2, v3 = -v1 - v2)."""
+    if name == "v3":
+        return InvariantForm.make(0, {((), 7): -1, ((), 8): -1})
+    return InvariantForm.make(0, {((), _SYMBOLS.index(name)): 1})
 
 
 def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
     if a.degree + b.degree > 9:
         raise ValueError("wedge degree exceeds coframe dimension")
     terms = (
-        (ia + ib, ca * cb)
-        for ia, ca in a.terms
-        for ib, cb in b.terms
-        if set(ia).isdisjoint(ib)  # before the coefficients multiply
+        (ia + ib, _times(sa, sb), qa * qb)
+        for (ia, sa), qa in a.terms
+        for (ib, sb), qb in b.terms
+        if set(ia).isdisjoint(ib)  # before the slots multiply
     )
     return _collect(a.degree + b.degree, terms)
 
@@ -448,17 +374,18 @@ def wedge_all(*forms: InvariantForm) -> InvariantForm:
 # Exterior differential
 
 @lru_cache(maxsize=None)
-def _d_symbol(symbol_index: int) -> InvariantForm:
-    """d of the coefficient symbol with the given coordinate slot 1..8."""
+def _d_symbol(slot: int) -> InvariantForm:
+    """d of the coefficient symbol in slot 1..8."""
     # slot 1..6 -> Z = e_i, slot 7..8 -> Z = h_{slot-6}; the frame index
-    # of Z coincides with the slot in both cases, and u_a . c_Z = c_{[u_a, Z]}
-    return _collect(
-        1,
-        (
-            ((a,), Coefficient.from_vector(LIE_BASIS.bracket(a, symbol_index)))
-            for a in range(1, 10)
-        ),
-    )
+    # of Z coincides with the slot in both cases, and u_a . c_Z = c_{[u_a, Z]},
+    # whose h_3 coordinate folds into v_1, v_2 through v_3 = -v_1 - v_2
+    def images():
+        for a in range(1, 10):
+            lam = LIE_BASIS.bracket(a, slot)
+            for s, q in enumerate(lam[:6] + (lam[6] - lam[8], lam[7] - lam[8]), 1):
+                yield (a,), s, q
+
+    return _collect(1, images())
 
 
 @lru_cache(maxsize=None)
@@ -466,12 +393,12 @@ def _d_monomial(indices: Indices) -> InvariantForm:
     """d of a constant basis monomial: Maurer-Cartan d e^k = -sum over
     a < b of c^k_ab e^ab in place of each factor, with the Leibniz sign."""
     terms = (
-        (indices[:pos] + ab + indices[pos + 1:], (-1) ** (pos + 1) * coeffs[k - 1])
+        (indices[:pos] + ab + indices[pos + 1:], 0, (-1) ** (pos + 1) * coeffs[k - 1])
         for pos, k in enumerate(indices)
         for ab, coeffs in LIE_BASIS.brackets.items()
         if coeffs[k - 1]
     )
-    return _collect(len(indices) + 1, ((i, Coefficient.constant(q)) for i, q in terms))
+    return _collect(len(indices) + 1, terms)
 
 
 def d(a: InvariantForm) -> InvariantForm:
@@ -480,13 +407,12 @@ def d(a: InvariantForm) -> InvariantForm:
 
     def images():
         # d(c e^I) = dc ^ e^I + c d(e^I)
-        for idx, c in a.terms:
-            for slot, q in enumerate(c.coords):
-                if slot and q:
-                    for j, ds in _d_symbol(slot).terms:
-                        yield j + idx, ds.scale(q)
-            for jdx, m in _d_monomial(idx).terms:
-                yield jdx, c * m
+        for (idx, slot), q in a.terms:
+            if slot:
+                for ((j,), s), ds in _d_symbol(slot).terms:
+                    yield (j,) + idx, s, q * ds
+            for (jdx, _), m in _d_monomial(idx).terms:
+                yield jdx, slot, q * m
 
     return _collect(a.degree + 1, images())
 
@@ -509,9 +435,9 @@ def hodge_star(a: InvariantForm) -> InvariantForm:
         raise ValueError("horizontal degree exceeds 6")
 
     def images():
-        for idx, c in a.terms:
+        for (idx, slot), q in a.terms:
             comp = tuple(i for i in _HORIZONTAL if i not in idx)
-            yield comp, c.scale(-_normalize_indices(idx + comp)[1])
+            yield comp, slot, -_normalize_indices(idx + comp)[1] * q
 
     return _collect(6 - a.degree, images())
 
@@ -532,18 +458,20 @@ def laplacian(a: InvariantForm) -> InvariantForm:
     return d(codifferential(a)) + codifferential(d(a))
 
 
-def inner(a: InvariantForm, b: InvariantForm) -> Coefficient:
-    """Pointwise inner product of two horizontal forms of equal degree."""
+def inner(a: InvariantForm, b: InvariantForm) -> InvariantForm:
+    """Pointwise inner product of two horizontal forms of equal degree,
+    as a 0-form."""
     _require_horizontal(a, "inner")
     _require_horizontal(b, "inner")
     if a.degree != b.degree:
         raise ValueError("degree mismatch in inner product")
-    bd = b.as_dict()
-    total = _ZERO_COEFF
-    for idx, c in a.terms:
-        if idx in bd:
-            total = total + c * bd[idx]
-    return total
+    terms = (
+        ((), _times(sa, sb), qa * qb)
+        for (ia, sa), qa in a.terms
+        for (ib, sb), qb in b.terms
+        if ia == ib
+    )
+    return _collect(0, terms)
 
 
 # --------------------------------------------------------------------------
@@ -562,11 +490,10 @@ def apply_j(a: InvariantForm) -> InvariantForm:
     _require_horizontal(a, "apply_j")
 
     def images():
-        for idx, c in a.terms:
-            sign = 1
+        for (idx, slot), q in a.terms:
             for i in idx:
-                sign *= _J_IMAGES[i][1]
-            yield tuple(_J_IMAGES[i][0] for i in idx), c.scale(sign)
+                q *= _J_IMAGES[i][1]
+            yield tuple(_J_IMAGES[i][0] for i in idx), slot, q
 
     return _collect(a.degree, images())
 
@@ -574,13 +501,13 @@ def apply_j(a: InvariantForm) -> InvariantForm:
 def contract_frame(a: InvariantForm, frame_index: int) -> InvariantForm:
     """Interior product with the frame vector u_k (algebraic pairing
     u_k -| theta^k = 1)."""
-    if not 1 <= frame_index <= 9:
-        raise ValueError("frame index out of range")
+    if type(frame_index) is not int or not 1 <= frame_index <= 9:
+        raise ValueError("frame index must be an int in 1..9")
     if a.degree == 0:
         raise ValueError("a 0-form has no interior product")
     terms = (
-        (idx[:pos] + idx[pos + 1:], c.scale((-1) ** pos))
-        for idx, c in a.terms
+        (idx[:pos] + idx[pos + 1:], slot, (-1) ** pos * q)
+        for (idx, slot), q in a.terms
         for pos, k in enumerate(idx)
         if k == frame_index
     )
@@ -596,7 +523,9 @@ def contract_vector(v: InvariantForm, a: InvariantForm) -> InvariantForm:
     if a.degree == 0:
         raise ValueError("a 0-form has no interior product")
     terms = (
-        (idx, cv * c) for (i,), cv in v.terms for idx, c in contract_frame(a, i).terms
+        (idx, _times(sv, s), qv * q)
+        for ((i,), sv), qv in v.terms
+        for (idx, s), q in contract_frame(a, i).terms
     )
     return _collect(a.degree - 1, terms)
 
@@ -607,9 +536,12 @@ def alpha(beta: InvariantForm) -> InvariantForm:
     if beta.degree != 2:
         raise ValueError("alpha takes 2-forms")
     _require_horizontal(beta, "alpha")
-    return InvariantForm.make(
-        1, {(i,): inner(beta, PSI_PLUS_CONTRACTED[i - 1]) for i in _HORIZONTAL}
+    terms = (
+        ((i,), slot, q)
+        for i in _HORIZONTAL
+        for (_, slot), q in inner(beta, PSI_PLUS_CONTRACTED[i - 1]).terms
     )
+    return _collect(1, terms)
 
 
 def type_decompose(
@@ -640,7 +572,7 @@ def vertical_lie_derivative(a: InvariantForm, j: int) -> InvariantForm:
     (j = 1, 2, 3), by Cartan's formula L = (h_j -| d) + d (h_j -|); the
     second term is absent on a 0-form.  On coefficients this is
     c_Z -> c_{[h_j, Z]}, on the coframe L theta^k = -theta^k([h_j, .])."""
-    if j not in (1, 2, 3):
+    if type(j) is not int or j not in (1, 2, 3):
         raise ValueError("vertical index must be 1, 2 or 3")
     out = contract_frame(d(a), 6 + j)
     return out if a.degree == 0 else out + d(contract_frame(a, 6 + j))
@@ -702,12 +634,10 @@ def killing_data() -> KillingData:
     symbols hold for every xi in su_3 simultaneously, and killing_values
     evaluates the symbols at a concrete xi.  The forms are built once per
     process and the same frozen object is returned on every call."""
-    x = [Coefficient.symbol(f"x{i}") for i in range(1, 7)]
-    v1 = Coefficient.symbol("v1")
-    v2 = Coefficient.symbol("v2")
-    v3 = Coefficient.symbol("v3")
+    x = [symbol_form(f"x{i}") for i in range(1, 7)]
+    v1, v2, v3 = map(symbol_form, ("v1", "v2", "v3"))
 
-    xi_flat = InvariantForm.make(1, {(i + 1,): x[i] for i in range(6)})
+    xi_flat = InvariantForm.make(1, {((i,), i): 1 for i in _HORIZONTAL})
     a1 = coframe(5) * x[5] - coframe(6) * x[4]
     a2 = coframe(4) * x[2] - coframe(3) * x[3]
     a3 = coframe(1) * x[1] - coframe(2) * x[0]
@@ -756,10 +686,10 @@ def killing_values(xi: Sparse, g: Sparse) -> Dict[str, Fraction]:
 # --------------------------------------------------------------------------
 # Printer
 
-def _v_display(c: Coefficient) -> Tuple[Fraction, Fraction, Fraction]:
+def _v_display(coords: Sequence[Fraction]) -> Tuple[Fraction, Fraction, Fraction]:
     """Choose the (v1, v2, v3) representative of the v-part, scoring by
     fewest nonzeros, then smallest absolute-value sum, then the tuple."""
-    g1, g2 = c.coords[7], c.coords[8]
+    g1, g2 = coords[7], coords[8]
     candidates = {(g1 + t, g2 + t, t) for t in (Fraction(0), -g1, -g2)}
 
     def score(tup):
@@ -780,12 +710,12 @@ def _join_signed(parts: Sequence[Tuple[bool, str]]) -> str:
     return out or "0"
 
 
-def _coefficient_parts(c: Coefficient) -> List[Tuple[bool, str]]:
-    """(negative, magnitude) per nonzero entry: the constant, x_1..x_6,
-    then the displayed v-part."""
-    entries = [(c.coords[0], "")]
-    entries += [(q, f"x_{i}") for i, q in enumerate(c.coords[1:7], 1)]
-    entries += zip(_v_display(c), ("v_1", "v_2", "v_3"))
+def _coefficient_parts(coords: Sequence[Fraction]) -> List[Tuple[bool, str]]:
+    """(negative, magnitude) per nonzero entry of the slot values: the
+    constant, x_1..x_6, then the displayed v-part."""
+    entries = [(coords[0], "")]
+    entries += [(q, f"x_{i}") for i, q in enumerate(coords[1:7], 1)]
+    entries += zip(_v_display(coords), ("v_1", "v_2", "v_3"))
     parts = []
     for q, sym in entries:
         if not q:
@@ -803,10 +733,6 @@ def _coefficient_parts(c: Coefficient) -> List[Tuple[bool, str]]:
     return parts
 
 
-def format_coefficient(c: Coefficient) -> str:
-    return _join_signed(_coefficient_parts(c))
-
-
 def _format_atoms(idx: Indices) -> str:
     horizontal = [i for i in idx if i <= 6]
     vertical = [i - 6 for i in idx if i > 6]
@@ -819,13 +745,16 @@ def _format_atoms(idx: Indices) -> str:
 
 def format_form(a: InvariantForm) -> str:
     """Render a form in the documented grammar (see module docstring)."""
-    if a.degree == 0:
-        return format_coefficient(a.coefficient())
     rendered = []
-    for idx, c in a.terms:
-        parts = _coefficient_parts(c.scale(2 ** sum(i > 6 for i in idx)))
+    for idx, group in groupby(a.terms, key=lambda term: term[0][0]):
+        coords = [Fraction(0)] * len(_SYMBOLS)
+        for (_, slot), q in group:
+            coords[slot] = q * 2 ** sum(i > 6 for i in idx)
+        parts = _coefficient_parts(coords)
         atoms = _format_atoms(idx)
-        if len(parts) > 1:
+        if not atoms:  # a 0-form prints as its coefficient
+            rendered += parts
+        elif len(parts) > 1:
             rendered.append((False, f"({_join_signed(parts)}) {atoms}"))
         else:
             negative, body = parts[0]

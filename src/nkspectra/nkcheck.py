@@ -32,7 +32,6 @@ from typing import Dict, List, Sequence, Tuple
 
 from .branching import Space
 from .dga import (
-    Coefficient,
     IDENTITY,
     InvariantForm,
     OMEGA,
@@ -128,9 +127,7 @@ def _value_check(name: str, residual: Fraction) -> CheckResult:
 
 def a_two_form(x: Sequence[Fraction]) -> InvariantForm:
     """The 2-form (JX) -| Psi+ whose negative endomorphism is A_X."""
-    xf = InvariantForm.make(
-        1, {(i + 1,): Coefficient.constant(q) for i, q in enumerate(x)}
-    )
+    xf = InvariantForm.make(1, {((i,), 0): q for i, q in enumerate(x, 1)})
     return contract_vector(apply_j(xf), PSI_PLUS)
 
 
@@ -280,7 +277,7 @@ def verify_pointwise_identities() -> VerificationReport:
         residuals.append((f"phi{n}", hodge_star(wedge(phi, OMEGA)) + phi))
     rows = [
         [
-            phi.coefficient(i, j).constant_part()
+            phi.constant_part(i, j)
             for i in range(1, 7)
             for j in range(i + 1, 7)
         ]
@@ -343,9 +340,7 @@ def verify_killing_suite() -> VerificationReport:
             "d_xi_20_part",
             type_decompose(dxi)[1] + contract_vector(jxi, PSI_PLUS),
         ),
-        _form_check(
-            "d_xi_primitive", scalar_form(inner(dxi, OMEGA))
-        ),
+        _form_check("d_xi_primitive", inner(dxi, OMEGA)),
         _form_check("delta_phi_k", codifferential(phi_k) - xi * 8),
         _form_check(
             "laplace_phi_k",
@@ -370,7 +365,7 @@ def verify_killing_suite() -> VerificationReport:
             + contract_vector(xi, d(PSI_MINUS)),
         ),
         _form_check("phi_k_type_11", apply_j(phi_k) - phi_k),
-        _form_check("phi_k_primitive", scalar_form(inner(phi_k, OMEGA))),
+        _form_check("phi_k_primitive", inner(phi_k, OMEGA)),
         _basic_check("phi_k_basic", phi_k),
     ]
     return VerificationReport("killing_suite", tuple(checks))
@@ -389,7 +384,7 @@ def verify_eigenfunction_suite() -> VerificationReport:
     eta_formula = (
         d(jdf)
         + contract_vector(df, PSI_PLUS) * 2
-        + OMEGA * Coefficient.symbol("v1") * Fraction(lam, 3)
+        + OMEGA * f * Fraction(lam, 3)
     )
     eta_projected = type_decompose(d(jdf))[0]
     kd = killing_data()
@@ -397,9 +392,7 @@ def verify_eigenfunction_suite() -> VerificationReport:
         _form_check("eigenfunction", laplacian(f) - f * lam),
         _form_check("eta_constructions_agree", eta_formula - eta_projected),
         _form_check("eta_type_11", apply_j(eta_formula) - eta_formula),
-        _form_check(
-            "eta_primitive", scalar_form(inner(eta_formula, OMEGA))
-        ),
+        _form_check("eta_primitive", inner(eta_formula, OMEGA)),
         _form_check(
             "delta_eta",
             codifferential(eta_formula) - jdf * Fraction(2 * lam, 3) + jdf * 4,
@@ -418,8 +411,8 @@ def verify_eigenfunction_suite() -> VerificationReport:
         _form_check("delta_j_df", codifferential(jdf)),
         _form_check(
             "laplace_f_omega",
-            laplacian(OMEGA * Coefficient.symbol("v1"))
-            - OMEGA * Coefficient.symbol("v1") * (lam + 12)
+            laplacian(OMEGA * f)
+            - OMEGA * f * (lam + 12)
             + contract_vector(df, PSI_PLUS) * 2,
         ),
         _form_check(
@@ -488,7 +481,7 @@ def verify_moduli_generators() -> VerificationReport:
     bound = moduli_upper_bound(Space.FLAG).nk_upper_bound
     checks = [
         _form_check("phi_v_type_11", apply_j(phi) - phi),
-        _form_check("phi_v_primitive", scalar_form(inner(phi, OMEGA))),
+        _form_check("phi_v_primitive", inner(phi, OMEGA)),
         _form_check("d_phi_v_wedge_omega", wedge(d(phi), OMEGA)),
         _form_check("delta_phi_v", codifferential(phi)),
         _form_check("laplace_phi_v", laplacian(phi) - phi * 12),
@@ -522,7 +515,7 @@ def verify_injectivity_argument() -> VerificationReport:
     eta = (
         d(jdf)
         + contract_vector(df, PSI_PLUS) * 2
-        + OMEGA * Coefficient.symbol("v1") * 4
+        + OMEGA * f * 4
     )
     raw = d(jdf) + contract_vector(df, PSI_PLUS) * 2
     checks = [
@@ -534,7 +527,7 @@ def verify_injectivity_argument() -> VerificationReport:
         _form_check("delta_raw_eta_piece", codifferential(raw) - jdf * 8),
         _form_check(
             "delta_trace_piece",
-            codifferential(OMEGA * Coefficient.symbol("v1") * 4) + jdf * 4,
+            codifferential(OMEGA * f * 4) + jdf * 4,
         ),
         _form_check("delta_j_xi", codifferential(jxi)),
         _form_check(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .branching import Bundle, Space, U2Label, hom_dimension, space_data
+from .branching import Bundle, Space, U2Label, check_kostant_budget, hom_dimension, space_data
 from .rootrep import (
     Group,
     IrrepLabel,
@@ -71,14 +71,17 @@ def enumerate_spectrum(
 
     Each (space, bundle) keeps the widest table built in this process and
     answers any smaller cutoff by filtering it; every call returns a new
-    list.
+    list.  LabelBoxTooLarge (or its KostantRunTooLarge) is raised before
+    any Hom is counted when the cutoff walks too many labels or needs too
+    many Kostant points.
     """
     cutoff = Fraction(cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be nonnegative")
     key = (space, bundle)
     if key not in _TABLES or _TABLES[key][0] < cutoff:
-        labels = iter_labels(space_data(space).group, cutoff)
+        labels = list(iter_labels(space_data(space).group, cutoff))
+        check_kostant_budget(space, labels)
         entries = [e for e in (_entry(space, bundle, lab) for lab in labels) if e]
         entries.sort(key=lambda e: (e.eigenvalue, e.irrep.labels))
         _TABLES[key] = (cutoff, entries)

@@ -1,9 +1,14 @@
-"""Oracles shared by more than one test module."""
+"""Oracles and the subprocess harness shared by more than one test
+module."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import nkspectra
 from nkspectra.rootrep import root_system, weight_inner
 
 
@@ -49,3 +54,18 @@ def _naive_mul(a, b):
 @pytest.fixture(scope="session")
 def naive_mul():
     return _naive_mul
+
+
+def _run_python(args, *flags):
+    """Run `python *flags *args` in a fresh interpreter that imports this
+    checkout, with stdout and stderr captured as bytes."""
+    src = os.path.dirname(os.path.dirname(nkspectra.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, *flags, *args], capture_output=True, env=env, timeout=60
+    )
+
+
+@pytest.fixture(scope="session")
+def run_python():
+    return _run_python

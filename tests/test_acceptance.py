@@ -13,7 +13,6 @@ from nkspectra.dga import (
     H1,
     H2,
     H3,
-    Coefficient,
     InvariantForm,
     apply_j,
     codifferential,
@@ -122,7 +121,7 @@ def test_criterion_07_structure_equation_regression():
     assert (d(symbol_form("v2")) - (a3 - a1)).is_zero()
     assert (d(symbol_form("v3")) - (a1 - a2)).is_zero()
     ja1, ja2, ja3 = kd.ja
-    v1, v2, v3 = (Coefficient.symbol(s) for s in ("v1", "v2", "v3"))
+    v1, v2, v3 = (symbol_form(s) for s in ("v1", "v2", "v3"))
     assert (d(ja1) - contract_vector(-a1 + a2 + a3, PSI_PLUS) - e(5, 6) * ((v2 - v3) * Fraction(4))).is_zero()
     assert (d(ja2) - contract_vector(a1 - a2 + a3, PSI_PLUS) - e(3, 4) * ((v1 - v3) * Fraction(4))).is_zero()
     assert (d(ja3) - contract_vector(a1 + a2 - a3, PSI_PLUS) - e(1, 2) * ((v1 - v2) * Fraction(4))).is_zero()
@@ -188,7 +187,7 @@ def test_criterion_11_property_sweeps():
         data = {}
         for _ in range(rng.randint(1, 3)):
             idx = tuple(sorted(rng.sample(range(1, top + 1), degree)))
-            data[idx] = Coefficient.constant(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+            data[idx, 0] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
         return InvariantForm.make(degree, data)
 
     for _ in range(60):
@@ -201,6 +200,6 @@ def test_criterion_11_property_sweeps():
     for _ in range(60):
         p = rng.randint(0, 6)
         a = random_form(p, 6) if p else InvariantForm.make(
-            0, {(): Coefficient.constant(Fraction(rng.randint(-6, 6)))}
+            0, {((), 0): Fraction(rng.randint(-6, 6))}
         )
         assert (hodge_star(hodge_star(a)) - a * ((-1) ** p)).is_zero()

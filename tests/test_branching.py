@@ -1,8 +1,5 @@
 """Isotropy fibers and Hom_K multiplicities for the three spaces."""
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -166,6 +163,30 @@ def test_u2_label_validation():
         U2Label(-1, 1)
     assert U2Label(3, -1).dim == 4
     assert str(U2Label(0, 2)) == "E(0,2)"
+    # U2Label(0.5, 0.5) had dim 1.5, and U2Label(True, True) equalled
+    # E(1,1) but printed E(True,True)
+    for a, b in ((0.5, 0.5), (True, True), (1, True), (2.0, 0), (Fraction(2), 0)):
+        with pytest.raises(ValueError):
+            U2Label(a, b)
+
+
+def test_kostant_points_count_the_tables_hom_dimension_builds():
+    # brute force: the su3 pairs (i, j) with 3i <= 2k + l and 3j <= k + 2l,
+    # and the so5 weights with |l1|, |l2| <= a and |l1| + |l2| <= a + b
+    for label in iter_labels(Group.SU3, Fraction(100)):
+        k, l = label.labels
+        box = sum(
+            3 * i <= 2 * k + l and 3 * j <= k + 2 * l
+            for i in range(k + l + 1)
+            for j in range(k + l + 1)
+        )
+        assert branching.kostant_points(label) == box, label
+    for label in iter_labels(Group.SO5, Fraction(100)):
+        a, b = label.labels
+        octagon = sum(
+            abs(x) + abs(y) <= a + b for x in range(-a, a + 1) for y in range(-a, a + 1)
+        )
+        assert branching.kostant_points(label) == octagon, label
 
 
 def _peel_strings(weights):
@@ -297,7 +318,7 @@ def test_kostant_checks_fire(monkeypatch, space, attr, broken, message):
         hom_dimension(space, label, Bundle.FUNCTIONS)
 
 
-def test_kostant_checks_fire_under_dash_O():
+def test_kostant_checks_fire_under_dash_O(run_python):
     # the checks are explicit raises, so python -O keeps them
     script = (
         "from nkspectra import branching as b\n"
@@ -309,10 +330,8 @@ def test_kostant_checks_fire_under_dash_O():
         "except AssertionError:\n"
         "    raise SystemExit(3)\n"
     )
-    src = os.path.dirname(os.path.dirname(branching.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
-    assert proc.returncode == 3
+    proc = run_python(["-c", script], "-O")
+    assert proc.returncode == 3, proc.stderr
 
 
 def test_isotropy_modules_are_built_once():
@@ -347,7 +366,7 @@ def test_isotropy_checks_fire(broken, message):
         branching._build_isotropy_modules(broken)
 
 
-def test_isotropy_checks_fire_under_dash_O():
+def test_isotropy_checks_fire_under_dash_O(run_python):
     # the checks are explicit raises, so python -O keeps them
     script = (
         "from nkspectra import branching as b\n"
@@ -357,7 +376,5 @@ def test_isotropy_checks_fire_under_dash_O():
         "except AssertionError:\n"
         "    raise SystemExit(3)\n"
     )
-    src = os.path.dirname(os.path.dirname(branching.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
-    assert proc.returncode == 3
+    proc = run_python(["-c", script], "-O")
+    assert proc.returncode == 3, proc.stderr

@@ -4,17 +4,14 @@ exit codes and the file-output path."""
 import argparse
 import hashlib
 import json
-import os
-import subprocess
-import sys
 import time
 from fractions import Fraction
 
 import pytest
 
-import nkspectra
 from nkspectra import spectrum
 from nkspectra.cli import main
+from nkspectra.branching import MAX_KOSTANT_POINTS
 from nkspectra.rootrep import MAX_LABEL_BOX
 
 CP3_TABLE = """\
@@ -253,22 +250,15 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     )
 
 
-def _cli(*argv, optimize=False):
-    src = os.path.dirname(os.path.dirname(nkspectra.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    flags = ["-O"] if optimize else []
-    return subprocess.run(
-        [sys.executable, *flags, "-m", "nkspectra.cli", *argv],
-        capture_output=True, env=env, timeout=60,
-    )
+CLI = ("-m", "nkspectra.cli")
 
 
 @pytest.mark.parametrize(
     "space,cutoff", [("s3xs3", "1e8"), ("flag", "1e9"), ("cp3", "1e400")]
 )
-def test_huge_cutoff_is_refused_up_front(space, cutoff):
+def test_huge_cutoff_is_refused_up_front(space, cutoff, run_python):
     start = time.perf_counter()
-    proc = _cli("spectrum", "--space", space, "--cutoff", cutoff)
+    proc = run_python([*CLI, "spectrum", "--space", space, "--cutoff", cutoff])
     elapsed = time.perf_counter() - start
     assert proc.returncode == 2
     assert proc.stdout == b""
@@ -282,6 +272,20 @@ def test_huge_cutoff_is_refused_up_front(space, cutoff):
     assert elapsed < 10
 
 
+@pytest.mark.parametrize("space,cutoff", [("flag", "20000"), ("cp3", "5000")])
+def test_too_many_kostant_points_is_refused_up_front(space, cutoff, run_python):
+    # both fit the label box, and ran 28 s and 8 s of Kostant tables
+    start = time.perf_counter()
+    proc = run_python([*CLI, "spectrum", "--space", space, "--cutoff", cutoff])
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    err = proc.stderr.decode()
+    assert err.startswith("nkspectra: ") and err.count("\n") == 1
+    assert str(MAX_KOSTANT_POINTS) in err
+    assert elapsed < 10
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -290,9 +294,9 @@ def test_huge_cutoff_is_refused_up_front(space, cutoff):
     ],
     ids=["spectrum", "all"],
 )
-def test_exponent_cutoff_is_a_fast_usage_error(argv):
+def test_exponent_cutoff_is_a_fast_usage_error(argv, run_python):
     start = time.perf_counter()
-    proc = _cli(*argv)
+    proc = run_python([*CLI, *argv])
     elapsed = time.perf_counter() - start
     assert proc.returncode == 2
     assert proc.stdout == b""
@@ -309,9 +313,9 @@ def test_exponent_cutoff_is_a_fast_usage_error(argv):
     ],
     ids=["spectrum", "all"],
 )
-def test_long_cutoff_denominator_is_a_usage_error(argv):
+def test_long_cutoff_denominator_is_a_usage_error(argv, run_python):
     # 1/10**4300 has a 4301-digit denominator, which str() cannot print
-    proc = _cli(*argv)
+    proc = run_python([*CLI, *argv])
     assert proc.returncode == 2
     assert proc.stdout == b""
     err = proc.stderr.decode()
@@ -321,7 +325,7 @@ def test_long_cutoff_denominator_is_a_usage_error(argv):
     )
 
 
-def test_cutoff_denominator_bound_is_4300_digits():
+def test_cutoff_denominator_bound_is_4300_digits(run_python):
     from nkspectra.cli import _fraction_arg
 
     # both reduce to 4300-digit denominators
@@ -330,7 +334,7 @@ def test_cutoff_denominator_bound_is_4300_digits():
     for text in ("1e-4300", "1.3e-4300", "0.1E-4_299"):
         with pytest.raises(argparse.ArgumentTypeError, match="denominator"):
             _fraction_arg(text)
-    proc = _cli("spectrum", "--space", "cp3", "--cutoff", "2.5E-4300", "--format", "json")
+    proc = run_python([*CLI, "spectrum", "--space", "cp3", "--cutoff", "2.5E-4300", "--format", "json"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["cutoff"] == "1/4" + "0" * 4299
 
@@ -347,13 +351,13 @@ def test_exponent_cutoff_bound_is_4300():
 
 
 @pytest.mark.parametrize("case", ["flag", "cp3", "s3xs3", "verify-flag", "identities"])
-def test_cli_under_dash_O_is_byte_identical(case):
+def test_cli_under_dash_O_is_byte_identical(case, run_python):
     if case in ("flag", "cp3", "s3xs3"):
         argv = ("spectrum", "--space", case, "--cutoff", "12", "--format", "json")
     else:
         argv = (case, "--format", "json")
-    plain = _cli(*argv)
-    optimized = _cli(*argv, optimize=True)
+    plain = run_python([*CLI, *argv])
+    optimized = run_python([*CLI, *argv], "-O")
     assert plain.returncode == 0 and optimized.returncode == 0
     assert optimized.stdout == plain.stdout
     assert plain.stdout

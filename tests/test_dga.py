@@ -4,10 +4,7 @@ printer grammar."""
 
 import ast
 import itertools
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +24,6 @@ from nkspectra.dga import (
     H1,
     H2,
     H3,
-    Coefficient,
     InvariantForm,
     NonlinearCoefficient,
     VerticalComponent,
@@ -40,7 +36,6 @@ from nkspectra.dga import (
     contract_vector,
     d,
     e,
-    format_coefficient,
     format_form,
     hodge_star,
     inner,
@@ -58,10 +53,24 @@ from nkspectra.dga import (
     wedge_all,
 )
 
-X = [Coefficient.symbol(f"x{i}") for i in range(1, 7)]
-V1 = Coefficient.symbol("v1")
-V2 = Coefficient.symbol("v2")
-V3 = Coefficient.symbol("v3")
+X = [symbol_form(f"x{i}") for i in range(1, 7)]
+V1 = symbol_form("v1")
+V2 = symbol_form("v2")
+V3 = symbol_form("v3")
+_NAMES = ("x1", "x2", "x3", "x4", "x5", "x6", "v1", "v2", "v3")
+
+
+def _coefficient_form(components):
+    """The 0-form c_W for W with nine u_3 coordinates (e_1..e_6, h_1..h_3),
+    summed from the symbol 0-forms."""
+    return sum((symbol_form(n) * q for n, q in zip(_NAMES, components)), scalar_form(0))
+
+
+def _with_coefficients(degree, data):
+    """The form sum of c e^idx over a map {idx: 0-form c}."""
+    return InvariantForm.make(
+        degree, {(idx, slot): q for idx, c in data.items() for (_, slot), q in c.terms}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -142,17 +151,7 @@ def test_bracket_builder_checks_fire(units, message):
         dga._build_lie_basis(units)
 
 
-def _run_script(script, *flags):
-    """Run a script in a fresh interpreter that imports this checkout."""
-    src = os.path.dirname(os.path.dirname(dga.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    return subprocess.run(
-        [sys.executable, *flags, "-c", script],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-
-
-def test_bracket_builder_checks_fire_under_dash_O():
+def test_bracket_builder_checks_fire_under_dash_O(run_python):
     # the checks are explicit raises, so python -O keeps them
     script = (
         "from nkspectra import dga\n"
@@ -162,7 +161,7 @@ def test_bracket_builder_checks_fire_under_dash_O():
         "except AssertionError:\n"
         "    raise SystemExit(3)\n"
     )
-    assert _run_script(script, "-O").returncode == 3
+    assert run_python(["-c", script], "-O").returncode == 3
 
 
 _PARTS = st.one_of(
@@ -187,11 +186,12 @@ def test_sparse_mul_matches_the_naive_triple_sum(naive_mul, a, b):
 # ---------------------------------------------------------------------------
 # The term accumulator
 
-def test_suites_make_few_forms():
+def test_suites_make_few_forms(run_python):
     # each operator sums its image terms into one dict and calls make
-    # once (1462 calls over every suite); summing forms term by term
-    # makes about three times as many.  The pointwise suite builds A once
-    # as six 2-forms (883 calls when it was rebuilt for every product)
+    # once (1242 calls over every suite, 630 in the pointwise one, where
+    # inner now makes its 0-form through make too); summing forms term by
+    # term makes about three times as many.  The pointwise suite builds A
+    # once as six 2-forms (883 calls when it was rebuilt for every product)
     script = (
         "import sys\n"
         "from nkspectra import dga, nkcheck\n"
@@ -207,7 +207,7 @@ def test_suites_make_few_forms():
         "    assert all(c is code for c in calls)\n"
         "    print(len(calls))\n"
     )
-    proc = _run_script(script)
+    proc = run_python(["-c", script])
     assert proc.returncode == 0, proc.stderr
     every, pointwise = map(int, proc.stdout.split())
     assert 0 < every <= 2100
@@ -241,9 +241,7 @@ _CONSTANT_FORMS = st.integers(0, 4).flatmap(
         st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3)),
         max_size=6,
     ).map(
-        lambda data: InvariantForm.make(
-            p, {idx: Coefficient.constant(q) for idx, q in data.items()}
-        )
+        lambda data: InvariantForm.make(p, {(idx, 0): q for idx, q in data.items()})
     )
 )
 
@@ -252,19 +250,20 @@ _CONSTANT_FORMS = st.integers(0, 4).flatmap(
 @given(_CONSTANT_FORMS, _CONSTANT_FORMS)
 def test_wedge_matches_the_term_by_term_sum(a, b):
     naive = {}
-    for ia, ca in a.terms:
-        for ib, cb in b.terms:
+    for (ia, _), qa in a.terms:
+        for (ib, _), qb in b.terms:
             if set(ia) & set(ib):
                 continue
             key = tuple(sorted(ia + ib))
             sign = (-1) ** _inversions(ia + ib)
-            q = sign * ca.constant_part() * cb.constant_part()
-            naive[key] = naive.get(key, 0) + q
+            naive[key] = naive.get(key, 0) + sign * qa * qb
     got = wedge(a, b)
     assert got.degree == a.degree + b.degree
-    assert [idx for idx, _ in got.terms] == sorted(idx for idx, _ in got.terms)
-    assert all(c.is_constant() for _, c in got.terms)
-    assert {idx: c.constant_part() for idx, c in got.terms} == {
+    assert [key for key, _ in got.terms] == sorted(key for key, _ in got.terms)
+    # constants stay in slot 0, and every stored value is a nonzero Fraction
+    assert all(slot == 0 for (_, slot), _ in got.terms)
+    assert all(type(q) is Fraction and q for _, q in got.terms)
+    assert {idx: q for (idx, _), q in got.terms} == {
         idx: q for idx, q in naive.items() if q
     }
 
@@ -275,7 +274,7 @@ def test_projector_check_fires(monkeypatch):
         type_decompose(e(1, 3))
 
 
-def test_projector_check_fires_under_dash_O():
+def test_projector_check_fires_under_dash_O(run_python):
     script = (
         "from nkspectra import dga\n"
         "dga.alpha = lambda beta: dga.InvariantForm.zero(1)\n"
@@ -284,7 +283,7 @@ def test_projector_check_fires_under_dash_O():
         "except AssertionError:\n"
         "    raise SystemExit(3)\n"
     )
-    assert _run_script(script, "-O").returncode == 3
+    assert run_python(["-c", script], "-O").returncode == 3
 
 
 @pytest.mark.parametrize(
@@ -356,12 +355,12 @@ def _random_form(rng, degree, symbolic=False):
     for _ in range(rng.randint(1, 4)):
         idx = tuple(sorted(rng.sample(range(1, 10), degree)))
         if symbolic and rng.random() < 0.5:
-            c = Coefficient.symbol(rng.choice(["x1", "x3", "x5", "v1", "v2"]))
-            c = c.scale(Fraction(rng.randint(-3, 3)))
+            c = symbol_form(rng.choice(["x1", "x3", "x5", "v1", "v2"]))
+            c = c * Fraction(rng.randint(-3, 3))
         else:
-            c = Coefficient.constant(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-        data[idx] = data.get(idx, Coefficient()) + c
-    return InvariantForm.make(degree, data)
+            c = scalar_form(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+        data[idx] = data.get(idx, scalar_form(0)) + c
+    return _with_coefficients(degree, data)
 
 
 def test_d_squared_vanishes_on_random_forms():
@@ -395,7 +394,7 @@ def test_hodge_star_involution():
             data = {}
             for _ in range(rng.randint(1, 4)):
                 idx = tuple(sorted(rng.sample(range(1, 7), degree)))
-                data[idx] = Coefficient.constant(Fraction(rng.randint(-5, 5)))
+                data[idx, 0] = Fraction(rng.randint(-5, 5))
             a = InvariantForm.make(degree, data)
             assert (hodge_star(hodge_star(a)) - a * ((-1) ** degree)).is_zero()
 
@@ -407,7 +406,7 @@ def test_wedge_with_star_computes_the_norm():
             data = {}
             for _ in range(rng.randint(1, 3)):
                 idx = tuple(sorted(rng.sample(range(1, 7), degree)))
-                data[idx] = Coefficient.constant(Fraction(rng.randint(-5, 5)))
+                data[idx, 0] = Fraction(rng.randint(-5, 5))
             a = InvariantForm.make(degree, data)
             norm = inner(a, a).constant_part()
             assert (wedge(a, hodge_star(a)) - VOLUME * norm).is_zero()
@@ -445,9 +444,7 @@ def test_apply_j_is_an_isometry_on_two_forms():
     rng = random.Random(733)
     for _ in range(25):
         data = {
-            tuple(sorted(rng.sample(range(1, 7), 2))): Coefficient.constant(
-                Fraction(rng.randint(-4, 4))
-            )
+            (tuple(sorted(rng.sample(range(1, 7), 2))), 0): Fraction(rng.randint(-4, 4))
             for _ in range(3)
         }
         a = InvariantForm.make(2, data)
@@ -483,12 +480,12 @@ def test_alpha_inverts_the_contraction_up_to_two():
     rng = random.Random(853)
     for _ in range(10):
         x = InvariantForm.make(
-            1, {(i,): Coefficient.constant(Fraction(rng.randint(-3, 3))) for i in range(1, 7)}
+            1, {((i,), 0): Fraction(rng.randint(-3, 3)) for i in range(1, 7)}
         )
         assert (alpha(contract_vector(x, PSI_PLUS)) - x * 2).is_zero()
 
 
-def test_alpha_reads_the_contractions_built_at_import():
+def test_alpha_reads_the_contractions_built_at_import(run_python):
     # the six e_i -| Psi+ are constants; every suite together called
     # alpha 14 times, and rebuilding them cost 84 contract_frame calls
     script = (
@@ -509,7 +506,7 @@ def test_alpha_reads_the_contractions_built_at_import():
         "sys.setprofile(None)\n"
         "print(calls['alpha'], calls['contract_frame'], calls['in alpha'])\n"
     )
-    proc = _run_script(script)
+    proc = run_python(["-c", script])
     assert proc.returncode == 0, proc.stderr
     alpha_calls, contractions, inside_alpha = map(int, proc.stdout.split())
     assert alpha_calls > 0 and contractions > 0
@@ -520,9 +517,7 @@ def test_type_decomposition_projectors():
     rng = random.Random(1009)
     for _ in range(20):
         data = {
-            tuple(sorted(rng.sample(range(1, 7), 2))): Coefficient.constant(
-                Fraction(rng.randint(-4, 4))
-            )
+            (tuple(sorted(rng.sample(range(1, 7), 2))), 0): Fraction(rng.randint(-4, 4))
             for _ in range(4)
         }
         a = InvariantForm.make(2, data)
@@ -578,13 +573,13 @@ def test_vertical_lie_derivative_on_the_coframe_and_the_symbols():
             want = InvariantForm.make(
                 1,
                 {
-                    (t,): Coefficient.constant(-LIE_BASIS.bracket(h, t)[k - 1])
+                    ((t,), 0): -LIE_BASIS.bracket(h, t)[k - 1]
                     for t in range(1, 10)
                 },
             )
             assert vertical_lie_derivative(coframe(k), j) == want, (j, k)
         for slot, name in enumerate(("x1", "x2", "x3", "x4", "x5", "x6", "v1", "v2"), 1):
-            want = scalar_form(Coefficient.from_vector(LIE_BASIS.bracket(h, slot)))
+            want = _coefficient_form(LIE_BASIS.bracket(h, slot))
             assert vertical_lie_derivative(symbol_form(name), j) == want, (j, name)
 
 
@@ -597,9 +592,9 @@ _SYMBOLIC_FORMS = st.integers(0, 4).flatmap(
             st.integers(-3, 3),
             st.sampled_from(("x1", "x2", "x4", "x6", "v1", "v2", "v3")),
             st.integers(-3, 3),
-        ).map(lambda t: Coefficient.constant(t[0]) + Coefficient.symbol(t[1]).scale(t[2])),
+        ).map(lambda t: scalar_form(t[0]) + symbol_form(t[1]) * t[2]),
         max_size=4,
-    ).map(lambda data: InvariantForm.make(p, data))
+    ).map(lambda data: _with_coefficients(p, data))
 )
 
 
@@ -620,7 +615,13 @@ def test_nonlinear_coefficient_guard():
     # wedge skips overlapping terms before it multiplies their coefficients
     assert wedge(coframe(1) * X[0], coframe(1) * X[1]).is_zero()
     with pytest.raises(NonlinearCoefficient):
-        Coefficient.symbol("v1") * Coefficient.symbol("v2")
+        symbol_form("v1") * symbol_form("v2")
+    with pytest.raises(NonlinearCoefficient):
+        inner(e(1) * X[0], e(1) * V1)
+    # a form is scaled by a rational or a 0-form, never by a form of
+    # positive degree
+    with pytest.raises(TypeError):
+        e(1) * e(2)
 
 
 def test_vertical_component_guards():
@@ -658,7 +659,29 @@ def test_degree_validation():
     # e_12 + e_21 would not cancel
     for idx in ((2, 1), (1, 1)):
         with pytest.raises(ValueError):
-            InvariantForm.make(2, {idx: Coefficient.constant(1)})
+            InvariantForm.make(2, {(idx, 0): 1})
+    # indices and slots are ints, never bool or float, and values are
+    # exact: coframe(True) printed e_True, (2.0,) printed e_2.0,
+    # e(1, 3) + e(True, 3) printed 2 e_13, and 0.1 was stored as its
+    # binary expansion
+    for key, q in (
+        (((2.0,), 0), 1), (((True,), 0), 1), (((2,), True), 1),
+        (((2,), 1.0), 1), (((2,), 9), 1), (((2,), -1), 1),
+        (((2,), 0), 0.1), (((2,), 0), 0.0), (((2,), 0), True),
+    ):
+        with pytest.raises(ValueError):
+            InvariantForm.make(1, {key: q})
+    for build in (
+        lambda: coframe(True),
+        lambda: e(True, 3),
+        lambda: e(1, True),
+        lambda: scalar_form(0.1),
+        lambda: e(1) * 0.5,
+        lambda: contract_frame(PSI_PLUS, True),
+        lambda: vertical_lie_derivative(OMEGA, True),
+    ):
+        with pytest.raises(ValueError):
+            build()
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +727,8 @@ def test_phi_v_and_phi_k_shapes():
     assert (prim - kd.phi_v).is_zero() and anti.is_zero() and trace.is_zero()
     assert basic_check(kd.phi_v)
     assert basic_check(kd.phi_k)
-    assert kd.phi_k.coefficient(1, 2) == (V1 - V2) * Fraction(4)
+    # the e_12 coefficient, read by contracting with u_1 then u_2
+    assert contract_frame(contract_frame(kd.phi_k, 1), 2) == (V1 - V2) * 4
 
 
 def test_killing_values_numeric():
@@ -749,14 +773,22 @@ def test_killing_values_sum_check_fires(monkeypatch):
 
 
 def test_coefficient_evaluate_matches_symbolic_relations():
-    vals = {
-        "x1": Fraction(2), "x2": Fraction(-1), "x3": Fraction(0),
-        "x4": Fraction(1, 2), "x5": Fraction(3), "x6": Fraction(0),
-        "v1": Fraction(1, 3), "v2": Fraction(-1),
-    }
-    assert V3.evaluate(vals) == -vals["v1"] - vals["v2"]
-    c = X[0].scale(2) + V1
-    assert c.evaluate(vals) == 2 * Fraction(2) + Fraction(1, 3)
+    # v_3 is stored as -v_1 - v_2 in slots 7 and 8, and reading the slots
+    # at a point agrees with the values killing_values computes there
+    assert V3.terms == ((((), 7), Fraction(-1)), (((), 8), Fraction(-1)))
+    # xi = e_2 + h_1 - h_2 at a rotation in the (1, 3) plane, where x_2,
+    # v_1 and v_3 are all nonzero
+    xi = {(0, 1): (0, 1), (1, 0): (0, 1), (0, 0): (0, 1), (1, 1): (0, -1)}
+    g = {(0, 0): (Fraction(3, 5), 0), (0, 2): (Fraction(4, 5), 0),
+         (2, 0): (Fraction(-4, 5), 0), (2, 2): (Fraction(3, 5), 0), (1, 1): (1, 0)}
+    vals = dict(killing_values(xi, g), **{"1": 1})
+    assert all(vals[name] for name in ("x2", "v1", "v3"))
+
+    def evaluate(c):
+        return sum(q * vals[dga._SYMBOLS[slot]] for (_, slot), q in c.terms)
+
+    assert evaluate(V3) == vals["v3"]
+    assert evaluate(X[1] * 2 + V1 + scalar_form(3)) == 2 * vals["x2"] + vals["v1"] + 3
 
 
 # ---------------------------------------------------------------------------
@@ -770,18 +802,19 @@ _SYMBOL_MATRICES = {
 def _coefficient_of_matrix(mul, m):
     comps = [_inner(mul, m, BASIS_UNITS[i]) for i in range(6)]
     comps += [2 * _inner(mul, m, BASIS_UNITS[6 + j]) for j in range(3)]
-    return Coefficient.from_vector(comps)
+    return _coefficient_form(comps)
 
 
 def _restrict_vertical(a):
     # impose k^3 = -k^1 - k^2, the relation cutting the u3 torus down to
     # the traceless one
     out = InvariantForm.zero(a.degree)
-    for idx, c in a.terms:
+    for (idx, slot), q in a.terms:
         if idx == (9,):
+            c = InvariantForm.make(0, {((), slot): q})
             out = out + coframe(7) * (-c) + coframe(8) * (-c)
         else:
-            out = out + InvariantForm.make(a.degree, {idx: c})
+            out = out + InvariantForm.make(a.degree, {(idx, slot): q})
     return out
 
 
@@ -841,8 +874,9 @@ def test_format_scalars_and_fractions():
     assert format_form(e(1, 2) * Fraction(1, 2) - e(3, 4) * Fraction(3, 2)) == (
         "1/2 e_12 - 3/2 e_34"
     )
-    assert format_coefficient(X[0].scale(Fraction(1, 2))) == "(1/2)x_1"
-    assert format_coefficient(X[0].scale(3)) == "3x_1"
+    assert format_form(X[0] * Fraction(1, 2)) == "(1/2)x_1"
+    assert format_form(X[0] * 3) == "3x_1"
+    assert format_form(scalar_form(0)) == "0"
 
 
 def test_format_vertical_atoms():

@@ -3,8 +3,6 @@ reports must serialize stably, and a few headline identities are
 replayed directly against the calculus."""
 
 import json
-import os
-import subprocess
 import sys
 from fractions import Fraction
 
@@ -129,7 +127,7 @@ def test_model_structure_composition_sum():
     def a_matrix(i):
         beta = contract_vector(apply_j(e(i)), PSI_PLUS)
         cols = [
-            [-contract_frame(beta, k).coefficient(r).constant_part() for r in range(1, 7)]
+            [-contract_frame(beta, k).constant_part(r) for r in range(1, 7)]
             for k in range(1, 7)
         ]
         return [[cols[c][r] for c in range(6)] for r in range(6)]
@@ -161,7 +159,7 @@ def test_primitive_basis_spans_rank_eight():
     rows = []
     pairs = [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
     for form in nkcheck._PRIMITIVE_11_BASIS:
-        rows.append([form.coefficient(i, j).constant_part() for i, j in pairs])
+        rows.append([form.constant_part(i, j) for i, j in pairs])
     assert nkcheck._rank(rows) == 8
 
 
@@ -256,7 +254,7 @@ def test_suite_sizes():
     assert len(verify_injectivity_argument().checks) == 7
 
 
-def test_model_checks_fire_under_dash_O():
+def test_model_checks_fire_under_dash_O(run_python):
     # a doubled A makes its norm and composition checks report FAIL and
     # `identities` exit 1; a non-primitive form in the primitive basis and
     # a basis that does not span raise.  Both kinds work under python -O
@@ -280,14 +278,9 @@ def test_model_checks_fire_under_dash_O():
         "        fired += 1\n"
         "print(fired)\n"
     )
-    src = os.path.dirname(os.path.dirname(nkcheck.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, timeout=60,
-        capture_output=True, text=True,
-    )
+    proc = run_python(["-c", script], "-O")
     assert proc.returncode == 0, proc.stderr
-    failed, exit_line, fired = proc.stdout.splitlines()
+    failed, exit_line, fired = proc.stdout.decode().splitlines()
     assert {"a0_norm_polarized", "a1_composition_sum"} <= set(failed.split())
     assert exit_line == "1 True"
     assert fired == "2"

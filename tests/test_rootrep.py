@@ -2,10 +2,7 @@
 multiplicities, cross-checked against independent matrix models."""
 
 import itertools
-import os
 import re
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -357,7 +354,7 @@ def test_closed_form_checks_fire(monkeypatch):
         weight_multiplicities(su3_label(2, 1))
 
 
-def test_closed_form_checks_fire_under_dash_O():
+def test_closed_form_checks_fire_under_dash_O(run_python):
     # the import runs the eigenvalue check, and the checks are explicit
     # raises, so python -O keeps them
     script = (
@@ -376,10 +373,8 @@ def test_closed_form_checks_fire_under_dash_O():
         "        fired += 1\n"
         "raise SystemExit(fired + 1)\n"
     )
-    src = os.path.dirname(os.path.dirname(rootrep.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
-    assert proc.returncode == 4
+    proc = run_python(["-c", script], "-O")
+    assert proc.returncode == 4, proc.stderr
 
 
 def test_so5_label_validation():

@@ -2,16 +2,27 @@
 top of them (deformation bounds, Einstein eigenvalue checks, the scalar
 curvature normalization)."""
 
-import os
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
 
 from nkspectra import spectrum
-from nkspectra.branching import Bundle, Space, hom_dimension, space_data
-from nkspectra.rootrep import iter_labels, so5_label, su2cubed_label, su3_label
+from nkspectra import branching
+from nkspectra.branching import (
+    MAX_KOSTANT_POINTS,
+    Bundle,
+    KostantRunTooLarge,
+    Space,
+    hom_dimension,
+    space_data,
+)
+from nkspectra.rootrep import (
+    Group,
+    iter_labels,
+    so5_label,
+    su2cubed_label,
+    su3_label,
+)
 from nkspectra.spectrum import (
     ModuliReport,
     einstein_deformation_check,
@@ -193,7 +204,7 @@ def test_moduli_report_validates_arithmetic():
         )
 
 
-def test_spectrum_checks_fire_under_dash_O():
+def test_spectrum_checks_fire_under_dash_O(run_python):
     # a wrong contribution, a wrong eigenvalue, a wrong moduli difference
     # and unequal isotropy Casimirs; the checks are explicit raises, so
     # python -O keeps them
@@ -217,10 +228,8 @@ def test_spectrum_checks_fire_under_dash_O():
         "        fired += 1\n"
         "raise SystemExit(fired + 1)\n"
     )
-    src = os.path.dirname(os.path.dirname(spectrum.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
-    assert proc.returncode == 5
+    proc = run_python(["-c", script], "-O")
+    assert proc.returncode == 5, proc.stderr
 
 
 def test_einstein_eigenvalues_are_absent():
@@ -292,3 +301,31 @@ def test_one_weyl_dimension_per_label(space, weyl_dimension):
             else:
                 assert entry.hom_dim == hom
                 assert entry.irrep_dim == weyl_dimension(lab)
+
+
+def test_kostant_budget_refuses_before_any_hom(monkeypatch):
+    # flag at cutoff 20000 ran 28 s and cp3 at 5000 ran 8 s of Kostant
+    # tables; the walked labels' closed-form table sizes refuse both
+    def no_hom(*args):
+        raise AssertionError("a Hom was counted")
+
+    monkeypatch.setattr(spectrum, "hom_dimension", no_hom)
+    for space, cutoff in ((Space.FLAG, 20000), (Space.CP3, 5000)):
+        with pytest.raises(KostantRunTooLarge, match=str(MAX_KOSTANT_POINTS)):
+            enumerate_spectrum(space, Bundle.LAMBDA11, cutoff)
+    # cutoff 1000 stays within the bound on both Kostant spaces, and
+    # S3 x S3 builds no Kostant table
+    for space, group in ((Space.FLAG, Group.SU3), (Space.CP3, Group.SO5)):
+        labels = list(iter_labels(group, Fraction(1000)))
+        assert sum(map(branching.kostant_points, labels)) <= MAX_KOSTANT_POINTS
+    branching.check_kostant_budget(
+        Space.S3XS3, list(iter_labels(Group.SU2_CUBED, Fraction(1000)))
+    )
+    # the first refused cutoffs, and a cutoff just below each
+    for space, group, accepted, refused in (
+        (Space.CP3, Group.SO5, Fraction(2119), Fraction(2120)),
+        (Space.FLAG, Group.SU3, Fraction(3245), Fraction(9736, 3)),
+    ):
+        branching.check_kostant_budget(space, list(iter_labels(group, accepted)))
+        with pytest.raises(KostantRunTooLarge):
+            branching.check_kostant_budget(space, list(iter_labels(group, refused)))

@@ -15,16 +15,16 @@ than returning silently wrong multiplicities.
 
 Hom counts on S3 x S3 are one Clebsch-Gordan interval count per fiber
 label.  On CP3 and on the flag they come from Kostant's closed forms in
-integer coordinates: the branching formula for SO5 -> U2 and the
-multiplicity formula for su3 weights.  Each label's closed-form table is
-checked before it is read (top type once, no negative multiplicity,
-total dimension equal to the Weyl dimension), with explicit raises that
-survive `python -O`.  Before any Hom is counted, a spectrum run sums the
-closed-form size of every walked label's Kostant table and is refused
-when the sum exceeds MAX_KOSTANT_POINTS.  The Freudenthal and
-product-weight tables of `rootrep.weight_multiplicities` and
-`restrict_so5_to_u2` are kept as the independent oracles the test suite
-compares against.
+integer coordinates, the branching formula for SO5 -> U2 and the
+multiplicity formula for su3 weights, evaluated only at the label's top
+and at the fiber points (the U2 types of the fiber, or its torus weights,
+converted once at import to the coordinates the sum reads).  What is read is
+checked with explicit raises that survive `python -O`: the top occurs
+once, nothing is negative, and multiplicities agree within each Weyl
+orbit of fiber weights and on each pair of dual U2 types.  The
+Freudenthal and product-weight tables of `rootrep.weight_multiplicities`
+and `restrict_so5_to_u2` are kept as the independent oracles the test
+suite compares against.
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .rootrep import (
     Group,
     IrrepLabel,
-    LabelBoxTooLarge,
     canonical_weight,
     dimension,
     tensor_decompose_su2,
@@ -261,19 +260,20 @@ def restrict_so5_to_u2(irrep: IrrepLabel) -> List[Tuple[U2Label, int]]:
 # Both sets used here are {beta1, beta2, beta1 + beta2}: the positive
 # roots of su3 for the weight multiplicities, and the so5 roots e1, e2,
 # e1 + e2 outside u2 for the branching.  Weyl tables hold (sign, matrix)
-# pairs acting on integer coordinate pairs.
+# pairs acting on integer beta1, beta2 coordinates, scaled by 3 for su3
+# and by 2 for so5 so that lambda + rho and mu + rho are integral.
 
-# su3 in Dynkin coordinates; s1(x, y) = (-x, x + y), s2(x, y) = (x + y, -y)
+# su3 on simple-root coordinates; s1(x, y) = (y - x, y), s2(x, y) = (x, x - y)
 _SU3_WEYL = (
     (1, ((1, 0), (0, 1))),
-    (-1, ((-1, 0), (1, 1))),
-    (-1, ((1, 1), (0, -1))),
-    (1, ((-1, -1), (1, 0))),
-    (1, ((0, 1), (-1, -1))),
+    (-1, ((-1, 1), (0, 1))),
+    (-1, ((1, 0), (1, -1))),
+    (1, ((0, -1), (1, -1))),
+    (1, ((-1, 1), (-1, 0))),
     (-1, ((0, -1), (-1, 0))),
 )
 
-# so5 in doubled epsilon coordinates: the eight signed permutations
+# so5 on epsilon coordinates: the eight signed permutations
 _SO5_WEYL = (
     (1, ((1, 0), (0, 1))),
     (-1, ((0, 1), (1, 0))),
@@ -297,46 +297,16 @@ def _weyl_images(weyl, v: Tuple[int, int]) -> List[Tuple[int, Tuple[int, int]]]:
     return [(sign, (a * x + b * y, c * x + d * y)) for sign, ((a, b), (c, d)) in weyl]
 
 
-def _check_kostant_table(irrep: IrrepLabel, top, table: Dict, total: int) -> None:
-    """The checks that stand in for a full weight table: the top weight
-    or type occurs once, nothing is negative, and the table accounts for
-    the whole Weyl dimension."""
-    if table.get(top) != 1:
-        raise AssertionError(f"{irrep}: top {top} has multiplicity {table.get(top)}")
-    negative = [key for key, m in table.items() if m < 0]
-    if negative:
-        raise AssertionError(f"{irrep}: negative Kostant multiplicity at {negative[0]}")
-    if total != dimension(irrep):
-        raise AssertionError(
-            f"{irrep}: Kostant multiplicities add up to {total}, not {dimension(irrep)}"
-        )
-
-
-def _su3_dominant_multiplicities(irrep: IrrepLabel) -> Dict[Tuple[int, int], int]:
-    """Nonzero multiplicities of the dominant weights of an su3 irrep,
-    keyed by Dynkin coordinates, from Kostant's multiplicity formula."""
-    k, l = irrep.labels
-    images = _weyl_images(_SU3_WEYL, (k + 1, l + 1))
-    table: Dict[Tuple[int, int], int] = {}
-    total = 0
-    # dominant weights lambda - i alpha1 - j alpha2, alpha1 = (2, -1) and
-    # alpha2 = (-1, 2); i and j stay below the simple-root coordinates of
-    # lambda, (2k + l)/3 and (k + 2l)/3
-    for i in range((2 * k + l) // 3 + 1):
-        for j in range((k + 2 * l) // 3 + 1):
-            x, y = k - 2 * i + j, l + i - 2 * j
-            if x < 0 or y < 0:
-                continue
-            m = 0
-            for sign, (u, v) in images:
-                du, dv = u - x - 1, v - y - 1
-                # exact: w(lambda + rho) - (mu + rho) lies in the root lattice
-                m += sign * _partition((2 * du + dv) // 3, (du + 2 * dv) // 3)
-            if m:
-                table[(x, y)] = m
-                total += m * (1 if x == y == 0 else 3 if x == 0 or y == 0 else 6)
-    _check_kostant_table(irrep, (k, l), table, total)
-    return table
+def _kostant(images, scale: int, point: Tuple[int, int]) -> int:
+    """Kostant's signed sum at mu, from the images w(lambda + rho) and
+    point = mu + rho in scaled coordinates; a difference off the root
+    lattice, which then holds for every w, contributes nothing."""
+    x, y = point
+    return sum(
+        sign * _partition((u - x) // scale, (v - y) // scale)
+        for sign, (u, v) in images
+        if (u - x) % scale == 0 == (v - y) % scale
+    )
 
 
 def _su3_dominant(weight) -> Tuple[int, int]:
@@ -346,61 +316,28 @@ def _su3_dominant(weight) -> Tuple[int, int]:
     return (int(s[0] - s[1]), int(s[1] - s[2]))
 
 
-def _so5_u2_types(irrep: IrrepLabel) -> Dict[U2Label, int]:
-    """Restriction of an so5 irrep to U2 from Kostant's branching formula.
-
-    A U2 type E(m, q) has highest weight ((q + m)/2, (q - m)/2) in the so5
-    torus; every one that occurs is a weight of the irrep, so the search
-    runs over the weight octagon |l1|, |l2| <= a, |l1| + |l2| <= a + b.
-    """
-    a, b = irrep.labels
-    images = _weyl_images(_SO5_WEYL, (2 * a + 3, 2 * b + 1))  # 2 (lambda + rho)
-    table: Dict[U2Label, int] = {}
-    total = 0
-    for l1 in range(-a, a + 1):
-        for l2 in range(-a, l1 + 1):
-            if abs(l1) + abs(l2) > a + b:
-                continue
-            m = 0
-            for sign, (u, v) in images:
-                # both differences are even: every image coordinate is odd
-                m += sign * _partition((u - 2 * l1 - 3) // 2, (v - 2 * l2 - 1) // 2)
-            if m:
-                table[U2Label(l1 - l2, l1 + l2)] = m
-                total += m * (l1 - l2 + 1)
-    _check_kostant_table(irrep, U2Label(a - b, a + b), table, total)
-    return table
-
-
-# Largest number of Kostant points one spectrum run may evaluate: about
-# five times the 105312 that cp3 needs at cutoff 1000, the most of the two
-# spaces that read Kostant tables (the flag needs 45928 there).
-MAX_KOSTANT_POINTS = 500_000
-
-
-class KostantRunTooLarge(LabelBoxTooLarge):
-    """The walked labels need more than MAX_KOSTANT_POINTS Kostant points."""
-
-
-def kostant_points(irrep: IrrepLabel) -> int:
-    """Size of the Kostant table hom_dimension builds for an su3 or so5
-    label: the (i, j) box of _su3_dominant_multiplicities, or the so5
-    weight octagon |l1|, |l2| <= a, |l1| + |l2| <= a + b."""
-    if irrep.group is Group.SU3:
-        k, l = irrep.labels
-        return ((2 * k + l) // 3 + 1) * ((k + 2 * l) // 3 + 1)
-    a, b = irrep.labels
-    return (2 * a + 1) ** 2 - 2 * (a - b) * (a - b + 1)
-
-
-def check_kostant_budget(space: Space, labels: Sequence[IrrepLabel]) -> None:
-    """Raise KostantRunTooLarge when the Hom counts of the labels on the
-    space would evaluate more than MAX_KOSTANT_POINTS Kostant points."""
-    if space is not Space.S3XS3 and sum(map(kostant_points, labels)) > MAX_KOSTANT_POINTS:
-        raise KostantRunTooLarge(
-            f"the cutoff needs more {space.value} Kostant points than "
-            f"the bound of {MAX_KOSTANT_POINTS}"
+def _fiber_points(space: Space, bundle: Bundle) -> Tuple[Tuple[Tuple[int, int], str], ...]:
+    """mu + rho in scaled coordinates for each point Hom reads, with the
+    class of points that must share its multiplicity: on CP3 a U2 type
+    E(m, q), of highest weight ((q + m)/2, (q - m)/2), and its dual (so5
+    irreps are self-dual); on the flag a canonical torus weight
+    w1 alpha1 - w3 alpha2 and its Weyl orbit."""
+    if space is Space.CP3:
+        return tuple(
+            ((t.b + t.a + 3, t.b - t.a + 1), f"E({t.a},{abs(t.b)}) and its dual")
+            for t in isotropy_module(space, bundle).content
         )
+    return tuple(
+        ((int(3 * w[0]) + 3, 3 - int(3 * w[2])), f"the Weyl orbit of {_su3_dominant(w)}")
+        for w in isotropy_module(space, bundle).content
+    )
+
+
+_FIBER_POINTS = {
+    (space, bundle): _fiber_points(space, bundle)
+    for space in (Space.CP3, Space.FLAG)
+    for bundle in Bundle
+}
 
 
 def _diagonal_su2_multiplicity(labels: Tuple[int, ...], k: int) -> int:
@@ -416,24 +353,42 @@ def hom_dimension(space: Space, irrep: IrrepLabel, bundle: Bundle) -> int:
     """dim Hom_K(V_irrep restricted to K, fiber of the bundle).
 
     S3 x S3 counts intermediate Clebsch-Gordan labels per fiber label.  CP3
-    reads Kostant's SO5 -> U2 branching at the fiber types.  The flag
-    reads Kostant's weight multiplicities at the dominant representatives
-    of the fiber weights: 0 for functions, and 2 m(0) + 3 m(3 omega1) +
-    3 m(3 omega2) for lambda11.  The weight tables of
-    `weight_multiplicities` and `restrict_so5_to_u2` are not on this
-    path; the tests use them as oracles.
+    sums Kostant's SO5 -> U2 branching over the fiber types, and the flag
+    Kostant's weight multiplicities over the fiber weights, one signed
+    Weyl sum per point.  Before the sum is returned, the top type or
+    weight must have multiplicity 1, no multiplicity read may be negative,
+    and the multiplicities must agree on each dual pair (CP3) or Weyl
+    orbit (flag) of fiber points; each check raises AssertionError, also
+    under `python -O`.  The weight tables of `weight_multiplicities` and
+    `restrict_so5_to_u2` are not on this path; the tests use them as
+    oracles.
     """
     data = space_data(space)
     if irrep.group is not data.group:
         raise ValueError(f"{space.value} needs labels of {data.group.value}")
-    fiber = isotropy_module(space, bundle)
 
     if space is Space.S3XS3:
-        return sum(_diagonal_su2_multiplicity(irrep.labels, k) for k in fiber.content)
+        fiber = isotropy_module(space, bundle).content
+        return sum(_diagonal_su2_multiplicity(irrep.labels, k) for k in fiber)
 
+    # top = lambda + rho scaled: 2 (a + 3/2, b + 1/2) for so5, and for su3
+    # 3 times the simple-root coordinates of k omega1 + l omega2 + rho
+    x, y = irrep.labels
     if space is Space.CP3:
-        types = _so5_u2_types(irrep)
-        return sum(types.get(lab, 0) for lab in fiber.content)
-
-    table = _su3_dominant_multiplicities(irrep)
-    return sum(table.get(_su3_dominant(w), 0) for w in fiber.content)
+        top, name, weyl, scale = (2 * x + 3, 2 * y + 1), f"E({x - y},{x + y})", _SO5_WEYL, 2
+    else:
+        top, name, weyl, scale = (2 * x + y + 3, x + 2 * y + 3), f"({x}, {y})", _SU3_WEYL, 3
+    images = _weyl_images(weyl, top)
+    m = _kostant(images, scale, top)
+    if m != 1:
+        raise AssertionError(f"{irrep}: top {name} has multiplicity {m}")
+    shared: Dict[str, int] = {}
+    total = 0
+    for point, symmetry_class in _FIBER_POINTS[space, bundle]:
+        m = _kostant(images, scale, point)
+        if m < 0:
+            raise AssertionError(f"{irrep}: negative Kostant multiplicity on {symmetry_class}")
+        if shared.setdefault(symmetry_class, m) != m:
+            raise AssertionError(f"{irrep}: Kostant multiplicities differ on {symmetry_class}")
+        total += m
+    return total

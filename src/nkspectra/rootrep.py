@@ -422,6 +422,16 @@ class LabelBoxTooLarge(ValueError):
     """The cutoff needs a label box of more than MAX_LABEL_BOX labels."""
 
 
+def exact_cutoff(value) -> Fraction:
+    """The cutoff as a Fraction; ValueError unless it is a nonnegative int
+    or Fraction (a bool or a float is refused, not rounded)."""
+    if type(value) not in (int, Fraction):
+        raise ValueError(f"cutoff {value!r} is not an int or a Fraction")
+    if value < 0:
+        raise ValueError("cutoff must be nonnegative")
+    return Fraction(value)
+
+
 def iter_labels(group: Group, cutoff: Fraction) -> Iterator[IrrepLabel]:
     """All labels of the family with Laplace eigenvalue <= cutoff, in
     lexicographic order: nested loops over the coordinates, each stopping
@@ -430,12 +440,10 @@ def iter_labels(group: Group, cutoff: Fraction) -> Iterator[IrrepLabel]:
     LabelBoxTooLarge is raised on the call, before any label is walked,
     when (first axis label above the cutoff + 1) ** rank exceeds
     MAX_LABEL_BOX.  One axis is enough: every form is symmetric in its
-    coordinates once so5 labels are sorted.
+    coordinates once so5 labels are sorted.  The cutoff must be a
+    nonnegative int or Fraction.
     """
-    cutoff = Fraction(cutoff)
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
-    bound = math.floor(6 * cutoff)
+    bound = math.floor(6 * exact_cutoff(cutoff))
     rank = _RANK[group]
     edge = 0
     while _SIX_LAPLACE[group](edge, *(0,) * (rank - 1)) <= bound:

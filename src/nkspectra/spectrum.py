@@ -15,12 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .branching import Bundle, Space, U2Label, check_kostant_budget, hom_dimension, space_data
+from .branching import Bundle, Space, U2Label, hom_dimension, space_data
 from .rootrep import (
     Group,
     IrrepLabel,
     casimir_eigenvalue,
     dimension,
+    exact_cutoff,
     iter_labels,
     laplace_eigenvalue,
     root_system,
@@ -69,19 +70,17 @@ def enumerate_spectrum(
     """All isotypic components with eigenvalue <= cutoff and nonzero
     multiplicity, sorted by (eigenvalue, label).
 
-    Each (space, bundle) keeps the widest table built in this process and
-    answers any smaller cutoff by filtering it; every call returns a new
-    list.  LabelBoxTooLarge (or its KostantRunTooLarge) is raised before
-    any Hom is counted when the cutoff walks too many labels or needs too
-    many Kostant points.
+    The cutoff must be a nonnegative int or Fraction.  Each (space,
+    bundle) keeps the widest table built in this process and answers any
+    smaller cutoff by filtering it; every call returns a new list.
+    LabelBoxTooLarge is raised before any Hom is counted when the cutoff
+    walks too many labels; below that bound every label's Hom is a few
+    Kostant sums, so no other bound is needed.
     """
-    cutoff = Fraction(cutoff)
-    if cutoff < 0:
-        raise ValueError("cutoff must be nonnegative")
+    cutoff = exact_cutoff(cutoff)
     key = (space, bundle)
     if key not in _TABLES or _TABLES[key][0] < cutoff:
-        labels = list(iter_labels(space_data(space).group, cutoff))
-        check_kostant_budget(space, labels)
+        labels = iter_labels(space_data(space).group, cutoff)
         entries = [e for e in (_entry(space, bundle, lab) for lab in labels) if e]
         entries.sort(key=lambda e: (e.eigenvalue, e.irrep.labels))
         _TABLES[key] = (cutoff, entries)
@@ -89,10 +88,8 @@ def enumerate_spectrum(
 
 
 def eigenspace_multiplicity(space: Space, bundle: Bundle, eigenvalue) -> int:
-    """Total multiplicity (sum of contributions) at one exact eigenvalue."""
-    eigenvalue = Fraction(eigenvalue)
-    if eigenvalue < 0:
-        raise ValueError("eigenvalue must be nonnegative")
+    """Total multiplicity (sum of contributions) at one exact eigenvalue,
+    a nonnegative int or Fraction like any cutoff."""
     return sum(
         e.contribution
         for e in enumerate_spectrum(space, bundle, eigenvalue)

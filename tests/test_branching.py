@@ -170,25 +170,6 @@ def test_u2_label_validation():
             U2Label(a, b)
 
 
-def test_kostant_points_count_the_tables_hom_dimension_builds():
-    # brute force: the su3 pairs (i, j) with 3i <= 2k + l and 3j <= k + 2l,
-    # and the so5 weights with |l1|, |l2| <= a and |l1| + |l2| <= a + b
-    for label in iter_labels(Group.SU3, Fraction(100)):
-        k, l = label.labels
-        box = sum(
-            3 * i <= 2 * k + l and 3 * j <= k + 2 * l
-            for i in range(k + l + 1)
-            for j in range(k + l + 1)
-        )
-        assert branching.kostant_points(label) == box, label
-    for label in iter_labels(Group.SO5, Fraction(100)):
-        a, b = label.labels
-        octagon = sum(
-            abs(x) + abs(y) <= a + b for x in range(-a, a + 1) for y in range(-a, a + 1)
-        )
-        assert branching.kostant_points(label) == octagon, label
-
-
 def _peel_strings(weights):
     # independent su2 string peeler on a weight multiset
     profile = {}
@@ -287,6 +268,19 @@ def test_kostant_hom_matches_weight_tables_up_to_150():
     assert checked == 176
 
 
+def _sweep_mismatches(kostant_homs):
+    """The (space, label, bundle) keys whose Hom differs from the whole
+    Kostant tables of the test oracle."""
+    return [
+        key for key, expected in kostant_homs.items() if hom_dimension(*key) != expected
+    ]
+
+
+def test_hom_matches_whole_kostant_tables_up_to_1000(kostant_homs):
+    assert len(kostant_homs) == 1230
+    assert _sweep_mismatches(kostant_homs) == []
+
+
 def _flip_sign(index):
     def broken(table):
         sign, matrix = table[index]
@@ -300,38 +294,87 @@ def _two_root_partition(x, y):
     return 1 if x >= 0 and y >= 0 else 0
 
 
+def _first_check_message(space, cutoff):
+    """The message of the first per-label check that raises on a label
+    up to the cutoff, in either bundle, or None."""
+    for lab in iter_labels(space_data(space).group, cutoff):
+        for bundle in Bundle:
+            try:
+                hom_dimension(space, lab, bundle)
+            except AssertionError as exc:
+                return str(exc)
+    return None
+
+
 @pytest.mark.parametrize(
     "space,attr,broken,message",
     [
         # entry 0 is the identity, so5 entry 1 the coordinate swap
         (Space.CP3, "_SO5_WEYL", _flip_sign(0), "top E"),
         (Space.FLAG, "_SU3_WEYL", _flip_sign(0), "top"),
-        (Space.CP3, "_SO5_WEYL", _flip_sign(1), "add up to"),
+        (Space.CP3, "_SO5_WEYL", _flip_sign(1), "and its dual"),
         (Space.CP3, "_partition", lambda _: _two_root_partition, "negative"),
-        (Space.FLAG, "_partition", lambda _: _two_root_partition, "add up to"),
+        (Space.FLAG, "_partition", lambda _: _two_root_partition, "negative"),
     ],
 )
-def test_kostant_checks_fire(monkeypatch, space, attr, broken, message):
-    label = so5_label(2, 1) if space is Space.CP3 else su3_label(2, 1)
+def test_kostant_checks_fire(monkeypatch, kostant_homs, space, attr, broken, message):
+    # a broken Kostant input is caught by a per-label check at a label up
+    # to eigenvalue 60, or else by the sweep against the whole tables
     monkeypatch.setattr(branching, attr, broken(getattr(branching, attr)))
-    with pytest.raises(AssertionError, match=message):
-        hom_dimension(space, label, Bundle.FUNCTIONS)
+    raised = _first_check_message(space, Fraction(60))
+    if raised is None:
+        assert _sweep_mismatches(kostant_homs), "the broken input went unnoticed"
+    else:
+        assert message in raised
+
+
+@pytest.mark.parametrize(
+    "space,attr,index,message",
+    [
+        (Space.FLAG, "_SU3_WEYL", 1, "V(0,0): Kostant multiplicities differ on the Weyl orbit of (3, 0)"),
+        (Space.CP3, "_SO5_WEYL", 3, "V(0,0): Kostant multiplicities differ on E(1,3) and its dual"),
+    ],
+    ids=["weyl-orbit", "self-duality"],
+)
+def test_symmetry_checks_fire(monkeypatch, space, attr, index, message):
+    # at the trivial label both broken tables keep the top at 1 and every
+    # multiplicity read nonnegative, but read 4 at E(1,-3) against 0 at
+    # E(1,3), and 2 against 0 within the Weyl orbit of 3 omega1
+    monkeypatch.setattr(branching, attr, _flip_sign(index)(getattr(branching, attr)))
+    trivial = IrrepLabel(space_data(space).group, (0, 0))
+    assert hom_dimension(space, trivial, Bundle.FUNCTIONS) == 1
+    with pytest.raises(AssertionError) as info:
+        hom_dimension(space, trivial, Bundle.LAMBDA11)
+    assert str(info.value) == message
 
 
 def test_kostant_checks_fire_under_dash_O(run_python):
-    # the checks are explicit raises, so python -O keeps them
+    # the checks are explicit raises, so python -O keeps them: the top,
+    # the sign, the Weyl-orbit and the self-duality check, in that order
     script = (
         "from nkspectra import branching as b\n"
-        "from nkspectra.rootrep import su3_label\n"
-        "(s, m), rest = b._SU3_WEYL[0], b._SU3_WEYL[1:]\n"
-        "b._SU3_WEYL = ((-s, m),) + rest\n"
-        "try:\n"
-        "    b.hom_dimension(b.Space.FLAG, su3_label(1, 1), b.Bundle.FUNCTIONS)\n"
-        "except AssertionError:\n"
-        "    raise SystemExit(3)\n"
+        "from nkspectra.rootrep import Group, IrrepLabel\n"
+        "for space, attr, index in ((b.Space.FLAG, '_SU3_WEYL', 0),\n"
+        "        (b.Space.FLAG, '_SU3_WEYL', 3), (b.Space.FLAG, '_SU3_WEYL', 1),\n"
+        "        (b.Space.CP3, '_SO5_WEYL', 3)):\n"
+        "    table = getattr(b, attr)\n"
+        "    (s, m), rest = table[index], table[index + 1:]\n"
+        "    setattr(b, attr, table[:index] + ((-s, m),) + rest)\n"
+        "    label = IrrepLabel(b.space_data(space).group, (0, 0))\n"
+        "    try:\n"
+        "        b.hom_dimension(space, label, b.Bundle.LAMBDA11)\n"
+        "    except AssertionError as exc:\n"
+        "        print(exc)\n"
+        "    setattr(b, attr, table)\n"
     )
     proc = run_python(["-c", script], "-O")
-    assert proc.returncode == 3, proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines() == [
+        "V(0,0): top (0, 0) has multiplicity -1",
+        "V(0,0): negative Kostant multiplicity on the Weyl orbit of (0, 3)",
+        "V(0,0): Kostant multiplicities differ on the Weyl orbit of (3, 0)",
+        "V(0,0): Kostant multiplicities differ on E(1,3) and its dual",
+    ]
 
 
 def test_isotropy_modules_are_built_once():

@@ -11,7 +11,6 @@ import pytest
 
 from nkspectra import spectrum
 from nkspectra.cli import main
-from nkspectra.branching import MAX_KOSTANT_POINTS
 from nkspectra.rootrep import MAX_LABEL_BOX
 
 CP3_TABLE = """\
@@ -79,29 +78,49 @@ def test_output_is_byte_stable(capsys):
     assert runs[0] == runs[1]
 
 
-# SHA-256 of `spectrum --format json --cutoff 1000` per (space, bundle),
-# pinned from the root-data implementation of the eigenvalues, dimensions
-# and the label walk
-CUTOFF_1000_JSON_SHA256 = {
-    ("s3xs3", "lambda11"): "fb6510a763d6b60cddaa2af97b5727f77c7d5f170650893f319f1c6180f082ce",
-    ("s3xs3", "functions"): "fc98283c9bd09b223e1ef100d1452318033dc173d795710e559406e6954118d8",
-    ("cp3", "lambda11"): "1cb4b1348c263666ed63ba6d45bfc4381b02a8aa77107a09027a370535969ff2",
-    ("cp3", "functions"): "d0a3430f65cbf028c0def2bb339a3648f152e25459e757f818a4dd7def4b87f1",
-    ("flag", "lambda11"): "63a02fe812439845913dec55e1031bd20a01cc3685a519bb4fd60b7417bc89a7",
-    ("flag", "functions"): "e88fdcdbd249b3c7712a637a594550349c25514619a8bec1aaf5ed53ebcf4786",
+# SHA-256 of `spectrum --format json` per (space, bundle, cutoff), pinned
+# from the root-data implementation of the eigenvalues, dimensions and the
+# label walk at cutoff 1000, and from the whole Kostant tables at the last
+# cutoffs the Kostant work bound accepted (2119 on cp3, 3245 on the flag)
+SPECTRUM_JSON_SHA256 = {
+    ("s3xs3", "lambda11", "1000"): "fb6510a763d6b60cddaa2af97b5727f77c7d5f170650893f319f1c6180f082ce",
+    ("s3xs3", "functions", "1000"): "fc98283c9bd09b223e1ef100d1452318033dc173d795710e559406e6954118d8",
+    ("cp3", "lambda11", "1000"): "1cb4b1348c263666ed63ba6d45bfc4381b02a8aa77107a09027a370535969ff2",
+    ("cp3", "functions", "1000"): "d0a3430f65cbf028c0def2bb339a3648f152e25459e757f818a4dd7def4b87f1",
+    ("flag", "lambda11", "1000"): "63a02fe812439845913dec55e1031bd20a01cc3685a519bb4fd60b7417bc89a7",
+    ("flag", "functions", "1000"): "e88fdcdbd249b3c7712a637a594550349c25514619a8bec1aaf5ed53ebcf4786",
+    ("cp3", "lambda11", "2119"): "f3edb081f226e73fc5bcfd58367c5d26bee1ec0d120008e153acca6cf7a7dc67",
+    ("cp3", "functions", "2119"): "81ab8bd6787c88ba177cbd7301a357c6290903db733522bcc554fad5395eda8f",
+    ("flag", "lambda11", "3245"): "63ba2303f1ad48a7e88580ac106e9bb543e06065fd2afd566b2cba25afb6327e",
+    ("flag", "functions", "3245"): "38348fc79a1afbf4d1e9c4f3316e468fa0ba8049d6b6096c5fd153d2eb9d36d3",
 }
 
 
-@pytest.mark.parametrize("space,bundle", sorted(CUTOFF_1000_JSON_SHA256))
-def test_spectrum_json_at_1000_is_pinned(monkeypatch, capsys, space, bundle):
+def _pinned_json(monkeypatch, capsys, space, bundle, cutoff):
     monkeypatch.setattr(spectrum, "_TABLES", {})
     code, out = _run(
         capsys, "spectrum", "--space", space, "--bundle", bundle,
-        "--cutoff", "1000", "--format", "json",
+        "--cutoff", cutoff, "--format", "json",
     )
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == CUTOFF_1000_JSON_SHA256[(space, bundle)]
+    assert digest == SPECTRUM_JSON_SHA256[(space, bundle, cutoff)]
+
+
+@pytest.mark.parametrize(
+    "space,bundle", sorted(key[:2] for key in SPECTRUM_JSON_SHA256 if key[2] == "1000")
+)
+def test_spectrum_json_at_1000_is_pinned(monkeypatch, capsys, space, bundle):
+    _pinned_json(monkeypatch, capsys, space, bundle, "1000")
+
+
+@pytest.mark.parametrize(
+    "space,bundle,cutoff", sorted(key for key in SPECTRUM_JSON_SHA256 if key[2] != "1000")
+)
+def test_spectrum_json_at_the_old_kostant_bound_is_pinned(
+    monkeypatch, capsys, space, bundle, cutoff
+):
+    _pinned_json(monkeypatch, capsys, space, bundle, cutoff)
 
 
 def test_json_round_trip(capsys):
@@ -273,16 +292,19 @@ def test_huge_cutoff_is_refused_up_front(space, cutoff, run_python):
 
 
 @pytest.mark.parametrize("space,cutoff", [("flag", "20000"), ("cp3", "5000")])
-def test_too_many_kostant_points_is_refused_up_front(space, cutoff, run_python):
-    # both fit the label box, and ran 28 s and 8 s of Kostant tables
+def test_cutoffs_past_the_old_kostant_bound_run(space, cutoff, run_python):
+    # both fit the label box, and the deleted Kostant work bound refused them
     start = time.perf_counter()
-    proc = run_python([*CLI, "spectrum", "--space", space, "--cutoff", cutoff])
+    proc = run_python([*CLI, "spectrum", "--space", space, "--cutoff", cutoff, "--format", "json"])
     elapsed = time.perf_counter() - start
-    assert proc.returncode == 2
-    assert proc.stdout == b""
-    err = proc.stderr.decode()
-    assert err.startswith("nkspectra: ") and err.count("\n") == 1
-    assert str(MAX_KOSTANT_POINTS) in err
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    doc = json.loads(proc.stdout)
+    assert doc["cutoff"] == cutoff
+    doc["cutoff"] = "1000"
+    doc["entries"] = [en for en in doc["entries"] if Fraction(en["eigenvalue"]) <= 1000]
+    digest = hashlib.sha256((json.dumps(doc, indent=2) + "\n").encode()).hexdigest()
+    assert digest == SPECTRUM_JSON_SHA256[(space, "lambda11", "1000")]
     assert elapsed < 10
 
 

@@ -7,11 +7,8 @@ from fractions import Fraction
 import pytest
 
 from nkspectra import spectrum
-from nkspectra import branching
 from nkspectra.branching import (
-    MAX_KOSTANT_POINTS,
     Bundle,
-    KostantRunTooLarge,
     Space,
     hom_dimension,
     space_data,
@@ -167,6 +164,24 @@ def test_negative_cutoff_rejected():
         eigenspace_multiplicity(Space.FLAG, Bundle.FUNCTIONS, -1)
 
 
+@pytest.mark.parametrize(
+    "value", [True, False, 0.1, float("inf"), 12.0, "12", None], ids=repr
+)
+def test_inexact_cutoffs_are_refused(monkeypatch, value):
+    # True used to read as cutoff 1, 0.1 as 3602879701896397/36028797018963968,
+    # and inf raised OverflowError
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    calls = (
+        lambda: iter_labels(Group.SO5, value),
+        lambda: enumerate_spectrum(Space.CP3, Bundle.LAMBDA11, value),
+        lambda: eigenspace_multiplicity(Space.CP3, Bundle.LAMBDA11, value),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
+            call()
+    assert spectrum._TABLES == {}
+
+
 def test_eigenspace_multiplicity_off_spectrum():
     assert eigenspace_multiplicity(Space.CP3, Bundle.FUNCTIONS, Fraction(5)) == 0
     assert eigenspace_multiplicity(Space.CP3, Bundle.FUNCTIONS, Fraction(8)) == 5
@@ -301,31 +316,3 @@ def test_one_weyl_dimension_per_label(space, weyl_dimension):
             else:
                 assert entry.hom_dim == hom
                 assert entry.irrep_dim == weyl_dimension(lab)
-
-
-def test_kostant_budget_refuses_before_any_hom(monkeypatch):
-    # flag at cutoff 20000 ran 28 s and cp3 at 5000 ran 8 s of Kostant
-    # tables; the walked labels' closed-form table sizes refuse both
-    def no_hom(*args):
-        raise AssertionError("a Hom was counted")
-
-    monkeypatch.setattr(spectrum, "hom_dimension", no_hom)
-    for space, cutoff in ((Space.FLAG, 20000), (Space.CP3, 5000)):
-        with pytest.raises(KostantRunTooLarge, match=str(MAX_KOSTANT_POINTS)):
-            enumerate_spectrum(space, Bundle.LAMBDA11, cutoff)
-    # cutoff 1000 stays within the bound on both Kostant spaces, and
-    # S3 x S3 builds no Kostant table
-    for space, group in ((Space.FLAG, Group.SU3), (Space.CP3, Group.SO5)):
-        labels = list(iter_labels(group, Fraction(1000)))
-        assert sum(map(branching.kostant_points, labels)) <= MAX_KOSTANT_POINTS
-    branching.check_kostant_budget(
-        Space.S3XS3, list(iter_labels(Group.SU2_CUBED, Fraction(1000)))
-    )
-    # the first refused cutoffs, and a cutoff just below each
-    for space, group, accepted, refused in (
-        (Space.CP3, Group.SO5, Fraction(2119), Fraction(2120)),
-        (Space.FLAG, Group.SU3, Fraction(3245), Fraction(9736, 3)),
-    ):
-        branching.check_kostant_budget(space, list(iter_labels(group, accepted)))
-        with pytest.raises(KostantRunTooLarge):
-            branching.check_kostant_budget(space, list(iter_labels(group, refused)))

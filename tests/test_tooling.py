@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -81,3 +82,24 @@ def test_imports_stay_within_the_declared_dependencies():
     allowed = stdlib | {"pytest", "hypothesis", "nkspectra"}
     for path in sorted((ROOT / "tests").glob("*.py")):
         assert set(_imported_roots(path)) <= allowed, path.name
+
+
+def test_readme_names_of_the_package_resolve():
+    # every backticked `module.NAME` in README.md that starts with a
+    # nkspectra module (with or without the package prefix) names an
+    # attribute, so a deleted or renamed name cannot linger in the docs
+    modules = {path.stem for path in (ROOT / "src" / "nkspectra").glob("*.py")}
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    checked = 0
+    for dotted in re.findall(r"`([A-Za-z_][\w.]*\.\w+)`", text):
+        parts = dotted.split(".")
+        if parts[0] == "nkspectra":
+            parts = parts[1:]
+        if parts[0] not in modules:
+            continue
+        obj = importlib.import_module(f"nkspectra.{parts[0]}")
+        for part in parts[1:]:
+            assert hasattr(obj, part), dotted
+            obj = getattr(obj, part)
+        checked += 1
+    assert checked >= 7

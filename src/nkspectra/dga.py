@@ -192,16 +192,6 @@ def _build_lie_basis(units: Sequence[Sparse] = BASIS_UNITS) -> LieBasis:
 LIE_BASIS = _build_lie_basis()
 
 
-def su3_basis() -> Tuple[Sparse, ...]:
-    """Eight-matrix basis of su_3: the six e_i plus h_1-h_2, h_2-h_3, as
-    new dicts, so no caller can edit BASIS_UNITS through them."""
-    e_1_to_6, (h1, h2, h3) = BASIS_UNITS[:6], BASIS_UNITS[6:]
-    return tuple(map(dict, e_1_to_6)) + (
-        sparse_sum(((1, h1), (-1, h2))),
-        sparse_sum(((1, h2), (-1, h3))),
-    )
-
-
 # --------------------------------------------------------------------------
 # Invariant forms
 

@@ -22,6 +22,10 @@ from the difference formula
     (Delta - Delta_H) phi = (J (delta phi)) -| Psi+
 
 which only needs operators the engine already has.
+
+The rank of the moduli generators xi -> phi_v is read on the symbols
+too: the span of v_1, v_2 closed under the frame derivatives, with no
+group element sampled (see moduli_generator_rank).
 """
 
 from __future__ import annotations
@@ -32,14 +36,12 @@ from typing import Dict, List, Sequence, Tuple
 
 from .branching import Space
 from .dga import (
-    IDENTITY,
     InvariantForm,
     OMEGA,
     PSI_MINUS,
     PSI_PLUS,
     PSI_PLUS_CONTRACTED,
     VOLUME,
-    Sparse,
     alpha,
     apply_j,
     basic_check,
@@ -52,11 +54,8 @@ from .dga import (
     hodge_star,
     inner,
     killing_data,
-    killing_values,
     laplacian,
     scalar_form,
-    sparse_mul,
-    su3_basis,
     symbol_form,
     type_decompose,
     wedge,
@@ -432,46 +431,31 @@ def verify_eigenfunction_suite() -> VerificationReport:
 # --------------------------------------------------------------------------
 # Suite 4: the 8-dim space of moduli generators
 
-# Gaussian-rational unitaries used as sample points on the flag manifold.
-# Real rotations alone never separate the real-antisymmetric part of su_3
-# (conjugating by an orthogonal matrix keeps it off-diagonal), so two of
-# the samples interleave a phase matrix between rotations in different
-# coordinate planes.
-def _sample_unitaries() -> Tuple[Sparse, ...]:
-    def rot(p, q, c, s):
-        # rotation in the (p, q) coordinate plane, fixing the third axis
-        r = 3 - p - q
-        return {
-            (p, p): (c, 0), (p, q): (s, 0), (q, p): (-s, 0), (q, q): (c, 0),
-            (r, r): (1, 0),
-        }
-
-    r12 = rot(0, 1, Fraction(3, 5), Fraction(4, 5))
-    r13 = rot(0, 2, Fraction(5, 13), Fraction(12, 13))
-    r23 = rot(1, 2, Fraction(8, 17), Fraction(15, 17))
-    d1 = {(0, 0): (0, 1), (1, 1): (1, 0), (2, 2): (0, 1)}
-    return (
-        IDENTITY,
-        sparse_mul(r13, r23),
-        sparse_mul(d1, sparse_mul(r12, r13)),
-        sparse_mul(r12, sparse_mul(d1, r23)),
-        sparse_mul(r12, r23),
-    )
-
-
 def moduli_generator_rank() -> int:
-    """Rank of the map xi -> phi_v: each su_3 generator is sent to its
-    (v_1, v_2, v_3) value triple at the sample points; linear
-    independence of the 8 resulting functions is a finite rank check."""
-    samples = _sample_unitaries()
-    rows = []
-    for xi in su3_basis():
-        row: List[Fraction] = []
-        for g in samples:
-            vals = killing_values(xi, g)
-            row.extend((vals["v1"], vals["v2"], vals["v3"]))
-        rows.append(row)
-    return _rank(rows)
+    """Rank of the map xi -> phi_v from su_3, computed on the symbols.
+
+    phi_v = v_1 e_56 - v_2 e_34 + v_3 e_12 vanishes exactly when v_1 and
+    v_2 do, and v_j(g) = <xi, Ad(g) h_j>.  On the connected group these
+    all vanish iff xi is orthogonal to the smallest ad-invariant subspace
+    holding h_1, h_2, so the rank is that subspace's dimension modulo the
+    centre.  A frame vector acts on the symbols by u . c_W = c_{[u, W]},
+    so in slots 1..8 (the symbols c_W up to the centre, where v_3 folds
+    into v_1, v_2) the subspace is the span of v_1 and v_2 closed under
+    the nine frame derivatives u_a -| d.  It is grown until no derivative
+    leaves it; the result is exact, where evaluating at sample points
+    only bounds it from below.
+    """
+    rows: List[List[Fraction]] = []
+    pending = [symbol_form("v1"), symbol_form("v2")]
+    while pending:
+        c = pending.pop()
+        values = dict(c.terms)
+        row = [values.get(((), slot), Fraction(0)) for slot in range(1, 9)]
+        if _rank(rows + [row]) > len(rows):
+            rows.append(row)
+            dc = d(c)
+            pending += [contract_frame(dc, a) for a in range(1, 10)]
+    return len(rows)
 
 
 def verify_moduli_generators() -> VerificationReport:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .branching import Bundle, Space, U2Label, hom_dimension, space_data
@@ -31,33 +32,29 @@ from .rootrep import (
 
 @dataclass(frozen=True)
 class SpectrumEntry:
-    irrep: IrrepLabel
-    eigenvalue: Fraction
-    hom_dim: int
-    irrep_dim: int
-    contribution: int
+    """One isotypic component: the irrep and its Hom_K dimension; the
+    eigenvalue, the dimension and the contribution are read off them."""
 
-    def __post_init__(self):
-        if self.contribution != self.hom_dim * self.irrep_dim:
-            raise AssertionError(f"{self.irrep}: contribution is not Hom times dimension")
-        if self.eigenvalue != laplace_eigenvalue(self.irrep):
-            raise AssertionError(f"{self.irrep}: eigenvalue {self.eigenvalue} is wrong")
+    irrep: IrrepLabel
+    hom_dim: int
+
+    @cached_property  # read by the sort, the cutoff filter and the printer
+    def eigenvalue(self) -> Fraction:
+        return laplace_eigenvalue(self.irrep)
+
+    @property
+    def irrep_dim(self) -> int:
+        return dimension(self.irrep)
+
+    @property
+    def contribution(self) -> int:
+        return self.hom_dim * self.irrep_dim
 
 
 def _entry(space: Space, bundle: Bundle, irrep: IrrepLabel) -> Optional[SpectrumEntry]:
-    """The isotypic component of irrep, or None when Hom_K is 0; the
-    dimension and the eigenvalue are computed only for a nonzero Hom."""
+    """The isotypic component of irrep, or None when Hom_K is 0."""
     hom = hom_dimension(space, irrep, bundle)
-    if hom == 0:
-        return None
-    dim = dimension(irrep)
-    return SpectrumEntry(
-        irrep=irrep,
-        eigenvalue=laplace_eigenvalue(irrep),
-        hom_dim=hom,
-        irrep_dim=dim,
-        contribution=hom * dim,
-    )
+    return SpectrumEntry(irrep, hom) if hom else None
 
 
 # (space, bundle) -> (cutoff, entries): the widest table built so far
@@ -111,14 +108,11 @@ class ModuliReport:
     dim_omega11_12: int
     dim_isometry: int
     dim_omega0_12: int
-    nk_upper_bound: int
     einstein_extra: Tuple[int, int]
 
-    def __post_init__(self):
-        if self.nk_upper_bound != (
-            self.dim_omega11_12 - self.dim_isometry - self.dim_omega0_12
-        ):
-            raise AssertionError(f"{self.space.value}: the moduli bound is not the difference")
+    @property
+    def nk_upper_bound(self) -> int:
+        return self.dim_omega11_12 - self.dim_isometry - self.dim_omega0_12
 
     def reported_bound(self) -> int:
         return max(0, self.nk_upper_bound)
@@ -144,7 +138,6 @@ def moduli_upper_bound(space: Space) -> ModuliReport:
         dim_omega11_12=dim_11,
         dim_isometry=iso,
         dim_omega0_12=dim_0,
-        nk_upper_bound=dim_11 - iso - dim_0,
         einstein_extra=einstein_deformation_check(space),
     )
 

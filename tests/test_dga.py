@@ -45,7 +45,6 @@ from nkspectra.dga import (
     scalar_form,
     sparse_dagger,
     sparse_mul,
-    su3_basis,
     symbol_form,
     type_decompose,
     vertical_lie_derivative,
@@ -293,14 +292,6 @@ def test_no_assert_statements(path):
     # python -O strips assert statements; every check in src is a raise
     tree = ast.parse(path.read_text(encoding="utf-8"))
     assert [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)] == []
-
-
-def test_su3_basis_is_traceless():
-    mats = su3_basis()
-    assert len(mats) == 8
-    assert all(m is not u for m in mats for u in BASIS_UNITS)
-    for m in mats:
-        assert all(sum(m.get((p, p), (0, 0))[k] for p in range(3)) == 0 for k in (0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from fractions import Fraction
 from nkspectra import dga, nkcheck
 from nkspectra.cli import _suites_table
 from nkspectra.dga import (
+    InvariantForm,
     OMEGA,
     PSI_MINUS,
     PSI_PLUS,
@@ -168,15 +169,13 @@ def test_moduli_generator_rank():
 
 
 def test_moduli_generator_rank_makes_few_dense_products():
-    # three sparse products per killing_values call (the unitarity check
-    # and Ad(g^-1) xi) over 8 generators and 5 samples, plus 6 that build
-    # the samples
-    calls = 0
+    # the rank is read on the symbols: no matrix product and no point
+    # evaluation
+    codes = {dga.sparse_mul.__code__: 0, dga.killing_values.__code__: 0}
 
     def hook(frame, event, arg):
-        nonlocal calls
-        if event == "call" and frame.f_code is dga.sparse_mul.__code__:
-            calls += 1
+        if event == "call" and frame.f_code in codes:
+            codes[frame.f_code] += 1
 
     sys.setprofile(hook)
     try:
@@ -184,7 +183,67 @@ def test_moduli_generator_rank_makes_few_dense_products():
     finally:
         sys.setprofile(None)
     assert rank == 8
-    assert 0 < calls <= 126
+    assert list(codes.values()) == [0, 0]
+
+
+def test_broken_frame_derivatives_fail_the_rank_checks(monkeypatch):
+    # with every frame derivative zero the span never grows past v_1, v_2,
+    # and both rank checks report the missing 6
+    monkeypatch.setattr(
+        nkcheck, "contract_frame", lambda form, a: InvariantForm.zero(form.degree - 1)
+    )
+    assert moduli_generator_rank() == 2
+    checks = {c.name: c for c in verify_moduli_generators().checks}
+    for name in ("generator_rank_8", "rank_meets_spectral_bound"):
+        assert not checks[name].passed
+        assert checks[name].residual == "6"
+
+
+def _sample_unitaries(mul):
+    """Five Gaussian-rational unitaries.  Real rotations alone never
+    separate the real-antisymmetric part of su_3 (conjugating by an
+    orthogonal matrix keeps it off-diagonal), so two of the samples
+    interleave a phase matrix between rotations in different planes."""
+    def rot(p, q, c, s):
+        # rotation in the (p, q) coordinate plane, fixing the third axis
+        r = 3 - p - q
+        return {
+            (p, p): (c, 0), (p, q): (s, 0), (q, p): (-s, 0), (q, q): (c, 0),
+            (r, r): (1, 0),
+        }
+
+    r12 = rot(0, 1, Fraction(3, 5), Fraction(4, 5))
+    r13 = rot(0, 2, Fraction(5, 13), Fraction(12, 13))
+    r23 = rot(1, 2, Fraction(8, 17), Fraction(15, 17))
+    d1 = {(0, 0): (0, 1), (1, 1): (1, 0), (2, 2): (0, 1)}
+    return (
+        {(p, p): (1, 0) for p in range(3)},
+        mul(r13, r23),
+        mul(d1, mul(r12, r13)),
+        mul(r12, mul(d1, r23)),
+        mul(r12, r23),
+    )
+
+
+def test_sampled_rank_matches_the_symbolic_rank(naive_mul):
+    # an oracle on the numeric path: the generators' (v_1, v_2, v_3)
+    # values at five points already have rank 8; killing_values refuses
+    # a point that is not unitary
+    su3 = dga.BASIS_UNITS[:6] + (
+        {(0, 0): (0, 1), (1, 1): (0, -1)},  # h_1 - h_2
+        {(1, 1): (0, 1), (2, 2): (0, -1)},  # h_2 - h_3
+    )
+    samples = _sample_unitaries(naive_mul)
+    rows = [
+        [
+            value
+            for g in samples
+            for name, value in dga.killing_values(xi, g).items()
+            if name in ("v1", "v2", "v3")
+        ]
+        for xi in su3
+    ]
+    assert nkcheck._rank(rows) == 8 == moduli_generator_rank()
 
 
 def test_suites_share_one_killing_data(monkeypatch):
@@ -235,15 +294,6 @@ def test_hermitian_laplacian_closes_killing_chain():
     f = symbol_form("v1")
     eta = type_decompose(d(apply_j(d(f))))[0]
     assert (nkcheck._hermitian_laplacian(eta) - eta * 12).is_zero()
-
-
-def test_sample_unitaries_are_unitary(naive_mul):
-    identity = {(p, p): (1, 0) for p in range(3)}
-    samples = nkcheck._sample_unitaries()
-    assert len(samples) >= 4
-    for g in samples:
-        g_dagger = {(q, p): (re, -im) for (p, q), (re, im) in g.items()}
-        assert naive_mul(g, g_dagger) == identity
 
 
 def test_suite_sizes():

@@ -2,6 +2,7 @@
 top of them (deformation bounds, Einstein eigenvalue checks, the scalar
 curvature normalization)."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -208,43 +209,58 @@ def test_moduli_reports():
 
 
 def test_moduli_report_validates_arithmetic():
-    with pytest.raises(AssertionError):
-        ModuliReport(
-            space=Space.FLAG,
-            dim_omega11_12=32,
-            dim_isometry=8,
-            dim_omega0_12=16,
-            nk_upper_bound=9,
-            einstein_extra=(0, 0),
-        )
+    # the bound is the difference of the three dimensions, derived on
+    # read: a report stores no bound, so it cannot hold a wrong one
+    report = ModuliReport(Space.FLAG, 32, 8, 16, (0, 0))
+    assert report.nk_upper_bound == 8
+    slack = ModuliReport(Space.FLAG, 20, 8, 16, (0, 0))
+    assert (slack.nk_upper_bound, slack.reported_bound()) == (-4, 0)
+    with pytest.raises(TypeError):
+        ModuliReport(Space.FLAG, 32, 8, 16, 9, (0, 0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        report.nk_upper_bound = 9
+
+
+def test_spectrum_entry_derives_eigenvalue_dimension_and_contribution():
+    entry = spectrum.SpectrumEntry(su3_label(1, 1), 2)
+    assert (entry.eigenvalue, entry.irrep_dim, entry.contribution) == (12, 8, 16)
+    for name in ("eigenvalue", "irrep_dim", "contribution"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(entry, name, 0)
+    with pytest.raises(TypeError):
+        spectrum.SpectrumEntry(su3_label(1, 1), Fraction(12), 2, 8, 16)
+
+
+def test_one_eigenvalue_per_entry(monkeypatch):
+    # the sort, the cutoff filter and every later read share one value
+    calls = []
+    laplace = spectrum.laplace_eigenvalue
+
+    def counting(irrep):
+        calls.append(irrep)
+        return laplace(irrep)
+
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    monkeypatch.setattr(spectrum, "laplace_eigenvalue", counting)
+    entries = enumerate_spectrum(Space.S3XS3, Bundle.LAMBDA11, 300)
+    assert sum(e.eigenvalue for e in entries) == sum(map(laplace, calls))
+    assert len(calls) == len(entries) == 504
 
 
 def test_spectrum_checks_fire_under_dash_O(run_python):
-    # a wrong contribution, a wrong eigenvalue, a wrong moduli difference
-    # and unequal isotropy Casimirs; the checks are explicit raises, so
-    # python -O keeps them
+    # unequal isotropy Casimirs; the check is an explicit raise, so
+    # python -O keeps it
     script = (
         "from fractions import Fraction as F\n"
         "from nkspectra import spectrum as s\n"
-        "from nkspectra.rootrep import su3_label\n"
-        "lab = su3_label(1, 1)\n"
         "s._isotropy_casimirs = lambda space: [F(-1, 3), F(-1, 2)]\n"
-        "checks = (\n"
-        "    lambda: s.SpectrumEntry(lab, F(12), 2, 8, 15),\n"
-        "    lambda: s.SpectrumEntry(lab, F(9), 2, 8, 16),\n"
-        "    lambda: s.ModuliReport(s.Space.FLAG, 32, 8, 16, 9, (0, 0)),\n"
-        "    lambda: s.scal_normalization_check(s.Space.FLAG),\n"
-        ")\n"
-        "fired = 0\n"
-        "for check in checks:\n"
-        "    try:\n"
-        "        check()\n"
-        "    except AssertionError:\n"
-        "        fired += 1\n"
-        "raise SystemExit(fired + 1)\n"
+        "try:\n"
+        "    s.scal_normalization_check(s.Space.FLAG)\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(2)\n"
     )
     proc = run_python(["-c", script], "-O")
-    assert proc.returncode == 5, proc.stderr
+    assert proc.returncode == 2, proc.stderr
 
 
 def test_einstein_eigenvalues_are_absent():

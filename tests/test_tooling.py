@@ -84,6 +84,28 @@ def test_imports_stay_within_the_declared_dependencies():
         assert set(_imported_roots(path)) <= allowed, path.name
 
 
+def _unused_imports(path: Path):
+    """Names bound by an import in one source file and never loaded there;
+    __future__ imports bind nothing."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.add(alias.asname or alias.name.split(".")[0])
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - used)
+
+
+def test_every_imported_name_is_used():
+    # the package's __init__ imports in order to re-export
+    for path in sorted((ROOT / "src" / "nkspectra").glob("*.py")):
+        if path.stem != "__init__":
+            assert _unused_imports(path) == [], path.name
+
+
 def test_readme_names_of_the_package_resolve():
     # every backticked `module.NAME` in README.md that starts with a
     # nkspectra module (with or without the package prefix) names an

@@ -39,8 +39,9 @@ u . c_W = c_{[u, W]}, so
 
 (the sqrt(2) normalizations of the vertical frame and coframe cancel).
 The coefficient ring is the linear span of {1, x_1..x_6, v_1, v_2}, and
-a coefficient is a 0-form.  Every form is one sorted map from (coframe
-indices, coefficient slot) to a nonzero Fraction, where slot 0 is the
+a coefficient is a 0-form.  Every form maps (monomial, slot) to a nonzero
+Fraction: the monomial e^I is a 9-bit mask with bit k - 1 set for k in I,
+every permutation sign comes from one rule (_merge), and slot 0 is the
 constant, slots 1..6 are x_1..x_6 and slots 7, 8 are v_1, v_2.  Every
 identity verified here is linear in these symbols, and a product of two
 non-constant slots raises NonlinearCoefficient instead of silently
@@ -69,8 +70,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import groupby
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 
 class NonlinearCoefficient(ValueError):
@@ -195,25 +195,37 @@ LIE_BASIS = _build_lie_basis()
 # --------------------------------------------------------------------------
 # Invariant forms
 
-Indices = Tuple[int, ...]
+# a coframe monomial e^I is a 9-bit mask with bit k - 1 set for each k in I;
+# _INDICES[mask] is I as an ascending tuple
+_INDICES: Tuple[Tuple[int, ...], ...] = tuple(
+    tuple(k for k in range(1, 10) if mask >> (k - 1) & 1) for mask in range(512)
+)
 # coefficient slots: 0 is the constant, 1..6 are x_1..x_6, 7 and 8 are v_1, v_2
 _SYMBOLS = ("1", "x1", "x2", "x3", "x4", "x5", "x6", "v1", "v2")
 
 
-def _normalize_indices(indices: Sequence[int]) -> Tuple[Optional[Indices], int]:
-    """Ascending order of the indices with the sign of the sorting
-    permutation; (None, 0) when an index repeats."""
-    idx = tuple(indices)
-    if len(set(idx)) != len(idx):
-        return None, 0
-    sign = 1
-    idx_list = list(idx)
-    for i in range(len(idx_list)):
-        for j in range(len(idx_list) - 1 - i):
-            if idx_list[j] > idx_list[j + 1]:
-                idx_list[j], idx_list[j + 1] = idx_list[j + 1], idx_list[j]
-                sign = -sign
-    return tuple(idx_list), sign
+def _merge(a: int, b: int) -> int:
+    """The sign in e^a ^ e^b = sign e^(a | b): 0 when the masks share a
+    factor, else -1 to the number of pairs i in a, j in b with i > j.
+    Every permutation sign of the calculus is one of these."""
+    if a & b:
+        return 0
+    pairs = 0
+    for j in _INDICES[b]:
+        pairs += (a >> j).bit_count()  # the factors of a above j
+    return -1 if pairs & 1 else 1
+
+
+def _monomial(indices: Iterable[int]) -> Tuple[int, int]:
+    """Mask of e_{i_1} ^ ... ^ e_{i_p} and the sign that sorts it, 0 when
+    an index repeats; each index must be an int in 1..9."""
+    mask, sign = 0, 1
+    for i in indices:
+        if type(i) is not int or not 1 <= i <= 9:
+            raise ValueError("coframe indices must be ints in 1..9")
+        sign *= _merge(mask, 1 << (i - 1))
+        mask |= 1 << (i - 1)
+    return mask, sign
 
 
 def _times(s: int, t: int) -> int:
@@ -226,73 +238,76 @@ def _times(s: int, t: int) -> int:
     return s or t
 
 
-def _collect(
-    degree: int, terms: Iterable[Tuple[Sequence[int], int, Fraction]]
-) -> InvariantForm:
-    """Sum image terms into one form.  Each term is a tuple of coframe
-    indices in any order, a coefficient slot and a value; the indices are
-    sorted with the permutation sign, and a term with a repeated index is 0."""
-    data: Dict[Tuple[Indices, int], Fraction] = {}
-    for indices, slot, q in terms:
-        idx, sign = _normalize_indices(indices)
-        if idx is not None:
-            data[idx, slot] = data.get((idx, slot), 0) + (q if sign > 0 else -q)
-    return InvariantForm.make(degree, data)
+def _collect(degree: int, terms: Iterable[Tuple[int, int, Fraction]]) -> InvariantForm:
+    """Sum signed (mask, slot, value) terms into one form in (index tuple,
+    slot) order, dropping zero sums.  Masks and slots are valid by
+    construction (made by _merge or by make); the degree is checked."""
+    data: Dict[Tuple[int, int], Fraction] = {}
+    for mask, slot, q in terms:
+        data[mask, slot] = data[mask, slot] + q if (mask, slot) in data else q
+    if any(mask.bit_count() != degree for mask, _ in data):
+        raise AssertionError(f"a term of another degree in a {degree}-form")
+    ordered = sorted(data.items(), key=lambda term: (_INDICES[term[0][0]], term[0][1]))
+    return InvariantForm(degree, tuple(term for term in ordered if term[1]))
 
 
 @dataclass(frozen=True)
 class InvariantForm:
-    """Homogeneous invariant form: sorted ((indices, slot), value) pairs
-    with ascending coframe indices (1..6 horizontal, 7..9 vertical)."""
+    """Homogeneous invariant form: ((mask, slot), value) pairs in the
+    order of (index tuple, slot), with nonzero Fraction values; bit k - 1
+    of a mask is the coframe factor k (1..6 horizontal, 7..9 vertical)."""
 
     degree: int
-    terms: Tuple[Tuple[Tuple[Indices, int], Fraction], ...]
+    terms: Tuple[Tuple[Tuple[int, int], Fraction], ...]
 
     @staticmethod
     def make(
-        degree: int, data: Mapping[Tuple[Indices, int], Fraction]
+        degree: int, data: Mapping[Tuple[Tuple[int, ...], int], Fraction]
     ) -> "InvariantForm":
-        """The one validating constructor: data maps (indices, slot) to an
-        int or a Fraction; zero values are dropped."""
-        clean = {}
+        """The one validating constructor: data maps (ascending coframe
+        indices, slot) to an int or a Fraction; zero values are dropped."""
+        terms = []
         for (idx, slot), q in data.items():
-            if any(type(i) is not int for i in idx + (slot,)):
-                raise ValueError("coframe indices and slots must be ints")
+            if type(slot) is not int or not 0 <= slot < len(_SYMBOLS):
+                raise ValueError("a coefficient slot is an int in 0..8")
             if type(q) not in (int, Fraction):
                 raise ValueError(f"coefficient {q!r} is not an int or a Fraction")
             if len(idx) != degree:
                 raise ValueError("inhomogeneous term")
-            if any(i >= j for i, j in zip((0,) + idx, idx + (10,))):
-                raise ValueError("coframe indices must ascend within 1..9")
-            if not 0 <= slot < len(_SYMBOLS):
-                raise ValueError("coefficient slot out of range")
-            if q:
-                clean[idx, slot] = q if type(q) is Fraction else Fraction(q)
-        return InvariantForm(degree, tuple(sorted(clean.items())))
+            mask = _monomial(idx)[0]
+            if _INDICES[mask] != idx:
+                raise ValueError("coframe indices must ascend")
+            terms.append((mask, slot, Fraction(q)))
+        return _collect(degree, terms)
 
     @staticmethod
     def zero(degree: int) -> "InvariantForm":
         return InvariantForm(degree, ())
 
+    def slot_values(self, *indices: int) -> Tuple[Fraction, ...]:
+        """The nine slot values of the coefficient at e_{indices}, read
+        with the sign of their sorting permutation (0 when an index
+        repeats); a p-form is read at p ints in 1..9."""
+        if len(indices) != self.degree:
+            raise ValueError(f"a {self.degree}-form is read at {self.degree} indices")
+        mask, sign = _monomial(indices)
+        stored = {slot: sign * q for (m, slot), q in self.terms if m == mask}
+        return tuple(stored.get(slot, Fraction(0)) for slot in range(9))
+
     def constant_part(self, *indices: int) -> Fraction:
-        """Constant slot of the coefficient at the index tuple, read with
-        the sign of its sorting permutation (default: a 0-form's value)."""
-        idx, sign = _normalize_indices(indices)
-        return sign * dict(self.terms).get((idx, 0), Fraction(0))
+        """The constant slot of slot_values (no indices: a 0-form's value)."""
+        return self.slot_values(*indices)[0]
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_horizontal(self) -> bool:
-        return all(i <= 6 for (idx, _), _ in self.terms for i in idx)
+        return all(mask < 1 << 6 for (mask, _), _ in self.terms)
 
     def __add__(self, o: "InvariantForm") -> "InvariantForm":
         if self.degree != o.degree:
             raise ValueError("degree mismatch in sum")
-        data = dict(self.terms)
-        for key, q in o.terms:
-            data[key] = data.get(key, 0) + q
-        return InvariantForm.make(self.degree, data)
+        return _collect(self.degree, ((*key, q) for key, q in self.terms + o.terms))
 
     def __sub__(self, o: "InvariantForm") -> "InvariantForm":
         return self + (-o)
@@ -301,18 +316,12 @@ class InvariantForm:
         return InvariantForm(self.degree, tuple((key, -q) for key, q in self.terms))
 
     def __mul__(self, s) -> "InvariantForm":
-        """Product with a rational or a 0-form."""
+        """Product with a rational or a 0-form: the wedge with a 0-form."""
         if not isinstance(s, InvariantForm):
-            # a one-term constant 0-form; make checks the products' type
-            s = InvariantForm(0, ((((), 0), s),))
+            s = scalar_form(s)
         elif s.degree:
             raise TypeError("a form is scaled by a rational or a 0-form only")
-        terms = (
-            (idx, _times(slot, t), q * r)
-            for (idx, slot), q in self.terms
-            for (_, t), r in s.terms
-        )
-        return _collect(self.degree, terms)
+        return wedge(self, s)
 
     __rmul__ = __mul__
 
@@ -327,9 +336,8 @@ def coframe(index: int) -> InvariantForm:
 
 def e(*indices: int) -> InvariantForm:
     """Monomial e_{i_1 ... i_p}; indices need not be sorted."""
-    if any(type(i) is not int for i in indices):
-        raise ValueError("coframe indices must be ints")
-    return _collect(len(indices), [(indices, 0, Fraction(1))])
+    mask, sign = _monomial(indices)
+    return _collect(len(indices), [(mask, 0, Fraction(sign))] if sign else [])
 
 
 def scalar_form(q) -> InvariantForm:
@@ -348,10 +356,10 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
     if a.degree + b.degree > 9:
         raise ValueError("wedge degree exceeds coframe dimension")
     terms = (
-        (ia + ib, _times(sa, sb), qa * qb)
-        for (ia, sa), qa in a.terms
-        for (ib, sb), qb in b.terms
-        if set(ia).isdisjoint(ib)  # before the slots multiply
+        (ma | mb, _times(sa, sb), sign * qa * qb)
+        for (ma, sa), qa in a.terms
+        for (mb, sb), qb in b.terms
+        if (sign := _merge(ma, mb))  # before the slots multiply
     )
     return _collect(a.degree + b.degree, terms)
 
@@ -373,22 +381,26 @@ def _d_symbol(slot: int) -> InvariantForm:
         for a in range(1, 10):
             lam = LIE_BASIS.bracket(a, slot)
             for s, q in enumerate(lam[:6] + (lam[6] - lam[8], lam[7] - lam[8]), 1):
-                yield (a,), s, q
+                yield 1 << (a - 1), s, q
 
     return _collect(1, images())
 
 
 @lru_cache(maxsize=None)
-def _d_monomial(indices: Indices) -> InvariantForm:
-    """d of a constant basis monomial: Maurer-Cartan d e^k = -sum over
-    a < b of c^k_ab e^ab in place of each factor, with the Leibniz sign."""
-    terms = (
-        (indices[:pos] + ab + indices[pos + 1:], 0, (-1) ** (pos + 1) * coeffs[k - 1])
-        for pos, k in enumerate(indices)
-        for ab, coeffs in LIE_BASIS.brackets.items()
-        if coeffs[k - 1]
-    )
-    return _collect(len(indices) + 1, terms)
+def _d_monomial(mask: int) -> InvariantForm:
+    """d of a constant basis monomial, d e^I = sum over k in I of
+    d e^k ^ (u_k -| e^I), where d e^k = -sum over a < b of c^k_ab e^ab."""
+
+    def images():
+        for k in _INDICES[mask]:
+            rest = mask ^ (1 << (k - 1))
+            lead = _merge(1 << (k - 1), rest)  # u_k -| e^I = lead e^rest
+            for (a, b), coeffs in LIE_BASIS.brackets.items():
+                ab = (1 << (a - 1)) | (1 << (b - 1))
+                if coeffs[k - 1] and (sign := _merge(ab, rest)):
+                    yield ab | rest, 0, -lead * sign * coeffs[k - 1]
+
+    return _collect(mask.bit_count() + 1, images())
 
 
 def d(a: InvariantForm) -> InvariantForm:
@@ -397,12 +409,13 @@ def d(a: InvariantForm) -> InvariantForm:
 
     def images():
         # d(c e^I) = dc ^ e^I + c d(e^I)
-        for (idx, slot), q in a.terms:
+        for (mask, slot), q in a.terms:
             if slot:
-                for ((j,), s), ds in _d_symbol(slot).terms:
-                    yield (j,) + idx, s, q * ds
-            for (jdx, _), m in _d_monomial(idx).terms:
-                yield jdx, slot, q * m
+                for (j, s), dc in _d_symbol(slot).terms:
+                    if sign := _merge(j, mask):
+                        yield j | mask, s, sign * q * dc
+            for (m, _), dm in _d_monomial(mask).terms:
+                yield m, slot, q * dm
 
     return _collect(a.degree + 1, images())
 
@@ -423,13 +436,12 @@ def hodge_star(a: InvariantForm) -> InvariantForm:
     _require_horizontal(a, "hodge_star")
     if a.degree > 6:
         raise ValueError("horizontal degree exceeds 6")
-
-    def images():
-        for (idx, slot), q in a.terms:
-            comp = tuple(i for i in _HORIZONTAL if i not in idx)
-            yield comp, slot, -_normalize_indices(idx + comp)[1] * q
-
-    return _collect(6 - a.degree, images())
+    # e^I goes to -s e^C, C the complement of I and e^I ^ e^C = s e_123456
+    terms = (
+        (0b111111 ^ mask, slot, -_merge(mask, 0b111111 ^ mask) * q)
+        for (mask, slot), q in a.terms
+    )
+    return _collect(6 - a.degree, terms)
 
 
 def codifferential(a: InvariantForm) -> InvariantForm:
@@ -456,10 +468,10 @@ def inner(a: InvariantForm, b: InvariantForm) -> InvariantForm:
     if a.degree != b.degree:
         raise ValueError("degree mismatch in inner product")
     terms = (
-        ((), _times(sa, sb), qa * qb)
-        for (ia, sa), qa in a.terms
-        for (ib, sb), qb in b.terms
-        if ia == ib
+        (0, _times(sa, sb), qa * qb)
+        for (ma, sa), qa in a.terms
+        for (mb, sb), qb in b.terms
+        if ma == mb
     )
     return _collect(0, terms)
 
@@ -480,10 +492,11 @@ def apply_j(a: InvariantForm) -> InvariantForm:
     _require_horizontal(a, "apply_j")
 
     def images():
-        for (idx, slot), q in a.terms:
-            for i in idx:
-                q *= _J_IMAGES[i][1]
-            yield tuple(_J_IMAGES[i][0] for i in idx), slot, q
+        for (mask, slot), q in a.terms:
+            image, sign = _monomial(_J_IMAGES[i][0] for i in _INDICES[mask])
+            for i in _INDICES[mask]:
+                sign *= _J_IMAGES[i][1]
+            yield image, slot, sign * q
 
     return _collect(a.degree, images())
 
@@ -495,11 +508,11 @@ def contract_frame(a: InvariantForm, frame_index: int) -> InvariantForm:
         raise ValueError("frame index must be an int in 1..9")
     if a.degree == 0:
         raise ValueError("a 0-form has no interior product")
+    bit = 1 << (frame_index - 1)
     terms = (
-        (idx[:pos] + idx[pos + 1:], slot, (-1) ** pos * q)
-        for (idx, slot), q in a.terms
-        for pos, k in enumerate(idx)
-        if k == frame_index
+        (mask ^ bit, slot, _merge(bit, mask ^ bit) * q)
+        for (mask, slot), q in a.terms
+        if mask & bit
     )
     return _collect(a.degree - 1, terms)
 
@@ -513,9 +526,9 @@ def contract_vector(v: InvariantForm, a: InvariantForm) -> InvariantForm:
     if a.degree == 0:
         raise ValueError("a 0-form has no interior product")
     terms = (
-        (idx, _times(sv, s), qv * q)
-        for ((i,), sv), qv in v.terms
-        for (idx, s), q in contract_frame(a, i).terms
+        (mask, _times(sv, s), qv * q)
+        for (mv, sv), qv in v.terms
+        for (mask, s), q in contract_frame(a, *_INDICES[mv]).terms
     )
     return _collect(a.degree - 1, terms)
 
@@ -527,7 +540,7 @@ def alpha(beta: InvariantForm) -> InvariantForm:
         raise ValueError("alpha takes 2-forms")
     _require_horizontal(beta, "alpha")
     terms = (
-        ((i,), slot, q)
+        (1 << (i - 1), slot, q)
         for i in _HORIZONTAL
         for (_, slot), q in inner(beta, PSI_PLUS_CONTRACTED[i - 1]).terms
     )
@@ -662,12 +675,8 @@ def killing_values(xi: Sparse, g: Sparse) -> Dict[str, Fraction]:
     if sparse_sum(((1, sparse_mul(g, g_dagger)), (-1, IDENTITY))):
         raise ValueError("g must be unitary")
     ad = sparse_mul(sparse_mul(g_dagger, xi), g)
-    vals = {
-        name: _sparse_inner(ad, u)
-        for name, u in zip(
-            ("x1", "x2", "x3", "x4", "x5", "x6", "v1", "v2", "v3"), BASIS_UNITS
-        )
-    }
+    names = _SYMBOLS[1:] + ("v3",)
+    vals = {name: _sparse_inner(ad, u) for name, u in zip(names, BASIS_UNITS)}
     if vals["v1"] + vals["v2"] + vals["v3"] != 0:
         raise AssertionError("v_1 + v_2 + v_3 must vanish on su_3")
     return vals
@@ -723,25 +732,20 @@ def _coefficient_parts(coords: Sequence[Fraction]) -> List[Tuple[bool, str]]:
     return parts
 
 
-def _format_atoms(idx: Indices) -> str:
-    horizontal = [i for i in idx if i <= 6]
-    vertical = [i - 6 for i in idx if i > 6]
-    atoms = []
-    if horizontal:
-        atoms.append("e_" + "".join(str(i) for i in horizontal))
-    atoms.extend(f"h_{j}" for j in vertical)
-    return "^".join(atoms)
+def _format_atoms(mask: int) -> str:
+    horizontal = "".join(str(i) for i in _INDICES[mask & 0b111111])
+    atoms = ["e_" + horizontal] if horizontal else []
+    return "^".join(atoms + [f"h_{j}" for j in _INDICES[mask >> 6]])
 
 
 def format_form(a: InvariantForm) -> str:
     """Render a form in the documented grammar (see module docstring)."""
     rendered = []
-    for idx, group in groupby(a.terms, key=lambda term: term[0][0]):
-        coords = [Fraction(0)] * len(_SYMBOLS)
-        for (_, slot), q in group:
-            coords[slot] = q * 2 ** sum(i > 6 for i in idx)
+    for mask in dict.fromkeys(mask for (mask, _), _ in a.terms):
+        scale = 2 ** (mask >> 6).bit_count()
+        coords = [q * scale if q else q for q in a.slot_values(*_INDICES[mask])]
         parts = _coefficient_parts(coords)
-        atoms = _format_atoms(idx)
+        atoms = _format_atoms(mask)
         if not atoms:  # a 0-form prints as its coefficient
             rendered += parts
         elif len(parts) > 1:

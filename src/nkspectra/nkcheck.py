@@ -150,29 +150,26 @@ _PRIMITIVE_11_BASIS: Tuple[InvariantForm, ...] = (
 )
 
 
-def _rank(rows: List[List[Fraction]]) -> int:
-    rows = [row[:] for row in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+def _reduce(span: Dict[int, List[Fraction]], row: Sequence[Fraction]) -> bool:
+    """Reduce a row against an echelon span, {pivot: row whose first
+    nonzero entry is a 1 at the pivot}; a nonzero remainder joins the span
+    and True is returned."""
+    for pivot in sorted(span):
+        if row[pivot]:
+            factor = row[pivot]
+            row = [x - factor * y for x, y in zip(row, span[pivot])]
+    lead = next((col for col, x in enumerate(row) if x), None)
+    if lead is None:
+        return False
+    span[lead] = [x / row[lead] for x in row]
+    return True
+
+
+def _rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    span: Dict[int, List[Fraction]] = {}
+    for row in rows:
+        _reduce(span, row)
+    return len(span)
 
 
 # --------------------------------------------------------------------------
@@ -445,17 +442,14 @@ def moduli_generator_rank() -> int:
     leaves it; the result is exact, where evaluating at sample points
     only bounds it from below.
     """
-    rows: List[List[Fraction]] = []
+    span: Dict[int, List[Fraction]] = {}
     pending = [symbol_form("v1"), symbol_form("v2")]
     while pending:
         c = pending.pop()
-        values = dict(c.terms)
-        row = [values.get(((), slot), Fraction(0)) for slot in range(1, 9)]
-        if _rank(rows + [row]) > len(rows):
-            rows.append(row)
+        if _reduce(span, c.slot_values()[1:]):
             dc = d(c)
             pending += [contract_frame(dc, a) for a in range(1, 10)]
-    return len(rows)
+    return len(span)
 
 
 def verify_moduli_generators() -> VerificationReport:

@@ -68,8 +68,14 @@ def _coefficient_form(components):
 def _with_coefficients(degree, data):
     """The form sum of c e^idx over a map {idx: 0-form c}."""
     return InvariantForm.make(
-        degree, {(idx, slot): q for idx, c in data.items() for (_, slot), q in c.terms}
+        degree,
+        {(idx, slot): q for idx, c in data.items() for slot, q in enumerate(c.slot_values())},
     )
+
+
+def _tuple_terms(form):
+    """The stored terms of a form with each mask read as its index tuple."""
+    return [((dga._INDICES[mask], slot), q) for (mask, slot), q in form.terms]
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +192,19 @@ def test_sparse_mul_matches_the_naive_triple_sum(naive_mul, a, b):
 # The term accumulator
 
 def test_suites_make_few_forms(run_python):
-    # each operator sums its image terms into one dict and calls make
-    # once (1242 calls over every suite, 630 in the pointwise one, where
-    # inner now makes its 0-form through make too); summing forms term by
-    # term makes about three times as many.  The pointwise suite builds A
-    # once as six 2-forms (883 calls when it was rebuilt for every product)
+    # each operator, make and the sum of two forms hand their signed terms
+    # to the one accumulator _collect once (1397 calls over every suite,
+    # 656 in the pointwise one); summing forms term by term makes about
+    # three times as many.  The pointwise suite builds A once as six
+    # 2-forms (883 forms when it was rebuilt for every product)
     script = (
         "import sys\n"
         "from nkspectra import dga, nkcheck\n"
-        "code = dga.InvariantForm.make.__code__\n"
+        "code = dga._collect.__code__\n"
         "for suite in (nkcheck.run_all_suites, nkcheck.verify_pointwise_identities):\n"
         "    calls = []\n"
         "    def hook(frame, event, arg):\n"
-        "        if event == 'call' and frame.f_code.co_name == 'make':\n"
+        "        if event == 'call' and frame.f_code.co_name == '_collect':\n"
         "            calls.append(frame.f_code)\n"
         "    sys.setprofile(hook)\n"
         "    suite()\n"
@@ -213,6 +219,12 @@ def test_suites_make_few_forms(run_python):
     assert 0 < pointwise <= 700
 
 
+def test_collect_refuses_a_term_of_another_degree():
+    # masks and slots are valid by construction; the popcount is checked
+    with pytest.raises(AssertionError, match="another degree"):
+        dga._collect(2, [(0b100, 0, Fraction(1))])
+
+
 def _inversions(indices):
     return sum(a > b for i, a in enumerate(indices) for b in indices[i + 1:])
 
@@ -224,12 +236,23 @@ def _inversions(indices):
         st.lists(st.integers(1, 9), max_size=9, unique=True),
     )
 )
-def test_normalize_indices_matches_the_inversion_count(indices):
-    got = dga._normalize_indices(indices)
+def test_merge_sign_matches_the_inversion_count(indices):
+    # e_{indices} is sorted by one _merge per factor: the sign is the
+    # parity of the inversions, 0 when an index repeats
+    mask, sign = dga._monomial(indices)
+    assert dga._INDICES[mask] == tuple(sorted(set(indices)))
     if len(set(indices)) < len(indices):
-        assert got == (None, 0)
-    else:
-        assert got == (tuple(sorted(indices)), (-1) ** _inversions(indices))
+        assert sign == 0
+        return
+    assert sign == (-1) ** _inversions(indices)
+    # and _merge of every split into two sorted blocks counts the
+    # inversions between the blocks
+    for k in range(len(indices) + 1):
+        head, tail = sorted(indices[:k]), sorted(indices[k:])
+        got = dga._merge(dga._monomial(head)[0], dga._monomial(tail)[0])
+        assert got == (-1) ** _inversions(head + tail)
+    if indices:
+        assert dga._merge(mask, dga._monomial(indices[:1])[0]) == 0
 
 
 _CONSTANT_FORMS = st.integers(0, 4).flatmap(
@@ -249,8 +272,8 @@ _CONSTANT_FORMS = st.integers(0, 4).flatmap(
 @given(_CONSTANT_FORMS, _CONSTANT_FORMS)
 def test_wedge_matches_the_term_by_term_sum(a, b):
     naive = {}
-    for (ia, _), qa in a.terms:
-        for (ib, _), qb in b.terms:
+    for (ia, _), qa in _tuple_terms(a):
+        for (ib, _), qb in _tuple_terms(b):
             if set(ia) & set(ib):
                 continue
             key = tuple(sorted(ia + ib))
@@ -258,11 +281,13 @@ def test_wedge_matches_the_term_by_term_sum(a, b):
             naive[key] = naive.get(key, 0) + sign * qa * qb
     got = wedge(a, b)
     assert got.degree == a.degree + b.degree
-    assert [key for key, _ in got.terms] == sorted(key for key, _ in got.terms)
+    # terms are stored in (index tuple, slot) order, which is not mask order
+    keys = [key for key, _ in _tuple_terms(got)]
+    assert keys == sorted(keys)
     # constants stay in slot 0, and every stored value is a nonzero Fraction
     assert all(slot == 0 for (_, slot), _ in got.terms)
     assert all(type(q) is Fraction and q for _, q in got.terms)
-    assert {idx: q for (idx, _), q in got.terms} == {
+    assert {idx: q for (idx, _), q in _tuple_terms(got)} == {
         idx: q for idx, q in naive.items() if q
     }
 
@@ -354,6 +379,16 @@ def _random_form(rng, degree, symbolic=False):
     return _with_coefficients(degree, data)
 
 
+def test_d_squared_vanishes_on_every_basis_form():
+    # all 4599 (monomial, slot) pairs of degree 0..8; a 9-form's d has no
+    # room left
+    for p in range(9):
+        for idx in itertools.combinations(range(1, 10), p):
+            for slot in range(9):
+                form = InvariantForm.make(p, {(idx, slot): 1})
+                assert d(d(form)).is_zero(), (idx, slot)
+
+
 def test_d_squared_vanishes_on_random_forms():
     rng = random.Random(20260814)
     for _ in range(120):
@@ -419,6 +454,16 @@ def test_inner_product_values():
     assert inner(VOLUME, VOLUME).constant_part() == 1
     assert inner(e(1, 2), e(1, 2)).constant_part() == 1
     assert inner(e(1, 2), e(3, 4)).is_zero()
+
+
+def test_slot_values_read_with_the_sorting_sign():
+    form = e(1, 2) * X[0] - e(1, 2) * 3
+    zeros = (Fraction(0),) * 9
+    assert form.slot_values(1, 2) == (-3, 1) + zeros[2:]
+    assert form.slot_values(2, 1) == (3, -1) + zeros[2:]
+    assert form.slot_values(1, 1) == form.slot_values(3, 4) == zeros
+    assert form.constant_part(2, 1) == 3
+    assert all(type(q) is Fraction for q in form.slot_values(2, 1))
 
 
 def test_apply_j_images():
@@ -646,6 +691,18 @@ def test_degree_validation():
         wedge(VOLUME, wedge_all(coframe(7), coframe(8), coframe(9), e(1)))
     assert e(1, 1).is_zero()
     assert wedge(e(1), e(1)).is_zero()
+    # a form is read at degree many ints in 1..9: OMEGA.constant_part(True,
+    # 2) read 1, the reads at 10, 0 and 1.5 read 0, and so did a 0-form
+    # read at one index
+    for form, indices in (
+        (OMEGA, (True, 2)), (OMEGA, (10,)), (OMEGA, (0,)), (OMEGA, (1.5,)),
+        (OMEGA, (1, 10)), (OMEGA, (0, 2)), (OMEGA, (1.5, 2)),
+        (scalar_form(3), (1,)), (OMEGA, ()),
+    ):
+        with pytest.raises(ValueError):
+            form.constant_part(*indices)
+        with pytest.raises(ValueError):
+            form.slot_values(*indices)
     # stored index tuples ascend: e_21 or e_11 would print as a term and
     # e_12 + e_21 would not cancel
     for idx in ((2, 1), (1, 1)):
@@ -668,6 +725,7 @@ def test_degree_validation():
         lambda: e(1, True),
         lambda: scalar_form(0.1),
         lambda: e(1) * 0.5,
+        lambda: e(1) * True,
         lambda: contract_frame(PSI_PLUS, True),
         lambda: vertical_lie_derivative(OMEGA, True),
     ):
@@ -766,7 +824,7 @@ def test_killing_values_sum_check_fires(monkeypatch):
 def test_coefficient_evaluate_matches_symbolic_relations():
     # v_3 is stored as -v_1 - v_2 in slots 7 and 8, and reading the slots
     # at a point agrees with the values killing_values computes there
-    assert V3.terms == ((((), 7), Fraction(-1)), (((), 8), Fraction(-1)))
+    assert _tuple_terms(V3) == [(((), 7), Fraction(-1)), (((), 8), Fraction(-1))]
     # xi = e_2 + h_1 - h_2 at a rotation in the (1, 3) plane, where x_2,
     # v_1 and v_3 are all nonzero
     xi = {(0, 1): (0, 1), (1, 0): (0, 1), (0, 0): (0, 1), (1, 1): (0, -1)}
@@ -776,7 +834,7 @@ def test_coefficient_evaluate_matches_symbolic_relations():
     assert all(vals[name] for name in ("x2", "v1", "v3"))
 
     def evaluate(c):
-        return sum(q * vals[dga._SYMBOLS[slot]] for (_, slot), q in c.terms)
+        return sum(q * vals[name] for name, q in zip(dga._SYMBOLS, c.slot_values()))
 
     assert evaluate(V3) == vals["v3"]
     assert evaluate(X[1] * 2 + V1 + scalar_form(3)) == 2 * vals["x2"] + vals["v1"] + 3
@@ -800,7 +858,7 @@ def _restrict_vertical(a):
     # impose k^3 = -k^1 - k^2, the relation cutting the u3 torus down to
     # the traceless one
     out = InvariantForm.zero(a.degree)
-    for (idx, slot), q in a.terms:
+    for (idx, slot), q in _tuple_terms(a):
         if idx == (9,):
             c = InvariantForm.make(0, {((), slot): q})
             out = out + coframe(7) * (-c) + coframe(8) * (-c)
@@ -853,6 +911,14 @@ def test_su3_frame_differential_matches(naive_mul):
 
 # ---------------------------------------------------------------------------
 # Printer
+
+def test_terms_print_in_index_tuple_order():
+    # e_23 is mask 6 and e_14 is mask 9; terms keep the index-tuple order
+    both = e(2, 3) + e(1, 4)
+    assert [dga._INDICES[mask] for (mask, _), _ in both.terms] == [(1, 4), (2, 3)]
+    assert format_form(both) == "e_14 + e_23"
+    assert format_form(e(2, 7) - e(1, 9)) == "-2 e_1^h_3 + 2 e_2^h_1"
+
 
 def test_format_model_forms():
     assert format_form(OMEGA) == "e_12 - e_34 + e_56"

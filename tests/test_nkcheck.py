@@ -186,6 +186,22 @@ def test_moduli_generator_rank_makes_few_dense_products():
     assert list(codes.values()) == [0, 0]
 
 
+def test_moduli_generator_rank_reduces_each_candidate_once(monkeypatch):
+    # v_1, v_2 and the nine derivatives of each of the 8 rows kept: 74
+    # candidates, each reduced once against the echelon span
+    calls = []
+    reduce = nkcheck._reduce
+
+    def counting(span, row):
+        calls.append(len(span))
+        return reduce(span, row)
+
+    monkeypatch.setattr(nkcheck, "_reduce", counting)
+    assert moduli_generator_rank() == 8
+    assert len(calls) == 74
+    assert max(calls) == 8
+
+
 def test_broken_frame_derivatives_fail_the_rank_checks(monkeypatch):
     # with every frame derivative zero the span never grows past v_1, v_2,
     # and both rank checks report the missing 6
@@ -268,6 +284,13 @@ def test_suites_share_one_killing_data(monkeypatch):
 
 
 def test_rank_helper():
+    assert nkcheck._rank([]) == 0
+    # the kept row (1, 1) is not zero at the later pivot 1, so a candidate
+    # is reduced in pivot order
+    span = {}
+    rows = ([Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]) * 2
+    assert [nkcheck._reduce(span, row) for row in rows] == [True, True, False, False]
+    assert span == {0: [1, 1], 1: [0, 1]}
     assert nkcheck._rank([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
     assert nkcheck._rank([[Fraction(0), Fraction(0)]]) == 0
     assert nkcheck._rank([

@@ -106,6 +106,20 @@ def test_every_imported_name_is_used():
             assert _unused_imports(path) == [], path.name
 
 
+def test_only_dga_reads_the_stored_terms():
+    # the (mask, slot) key format is dga's own; every other module reads a
+    # form through slot_values, constant_part or format_form
+    for path in sorted((ROOT / "src" / "nkspectra").glob("*.py")):
+        if path.stem == "dga":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "terms"
+        ]
+        assert reads == [], path.name
+
+
 def test_readme_names_of_the_package_resolve():
     # every backticked `module.NAME` in README.md that starts with a
     # nkspectra module (with or without the package prefix) names an

@@ -13,7 +13,7 @@ rootrep.MAX_LABEL_BOX included.
 from __future__ import annotations
 
 import argparse
-import csv
+import importlib.util
 import io
 import json
 import re
@@ -21,7 +21,6 @@ import sys
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from . import nkcheck
 from .branching import Bundle, Space
 from .rootrep import LabelBoxTooLarge
 from .spectrum import (
@@ -30,6 +29,27 @@ from .spectrum import (
     moduli_upper_bound,
     scal_normalization_check,
 )
+
+
+def _lazy_module(name: str):
+    # the module `name`, whose body first runs when an attribute of it is
+    # read (the importlib.util.LazyLoader recipe); a module that is already
+    # loaded is reused, and the package gets the attribute an import sets
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    package, _, child = name.rpartition(".")
+    setattr(sys.modules[package], child, module)
+    return module
+
+
+# the exterior calculus (nkcheck, and dga under it) loads when
+# verify-flag, identities or all first reads it, not with every command
+nkcheck = _lazy_module(__package__ + ".nkcheck")
 
 _SPACES = (Space.S3XS3, Space.CP3, Space.FLAG)
 _BUNDLES = (Bundle.FUNCTIONS, Bundle.LAMBDA11)
@@ -241,6 +261,8 @@ def _to_table(payload: Dict) -> str:
 
 
 def _to_csv(payload: Dict) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     cmd = payload["command"]

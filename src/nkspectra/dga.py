@@ -267,7 +267,10 @@ class InvariantForm:
         """The one validating constructor: data maps (ascending coframe
         indices, slot) to an int or a Fraction; zero values are dropped."""
         terms = []
-        for (idx, slot), q in data.items():
+        for key, q in data.items():
+            if type(key) is not tuple or len(key) != 2 or type(key[0]) is not tuple:
+                raise ValueError("a key is an (ascending index tuple, slot) pair")
+            idx, slot = key
             if type(slot) is not int or not 0 <= slot < len(_SYMBOLS):
                 raise ValueError("a coefficient slot is an int in 0..8")
             if type(q) not in (int, Fraction):

@@ -383,3 +383,78 @@ def test_cli_under_dash_O_is_byte_identical(case, run_python):
     assert plain.returncode == 0 and optimized.returncode == 0
     assert optimized.stdout == plain.stdout
     assert plain.stdout
+
+
+# Each command in a fresh interpreter: its exit code, whether dga was
+# imported, and whether nkcheck's body ran (read past the lazy module's
+# attribute hook, which would itself load the body).
+_LOADED = """
+import contextlib, io, sys
+from nkspectra import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+body = object.__getattribute__(sys.modules["nkspectra.nkcheck"], "__dict__")
+print(code, "nkspectra.dga" in sys.modules, "run_all_suites" in body)
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+@pytest.mark.parametrize(
+    "argv,loads",
+    [
+        (("spectrum", "--space", "flag", "--cutoff", "12"), False),
+        (("moduli-bound", "--space", "flag"), False),
+        (("einstein-check", "--space", "cp3"), False),
+        (("verify-flag",), True),
+        (("identities",), True),
+        (("all",), True),
+    ],
+)
+def test_only_the_suite_commands_load_the_exterior_calculus(argv, loads, flags, run_python):
+    proc = run_python(["-c", _LOADED, *argv], *flags)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"0", str(loads).encode(), str(loads).encode()]
+
+
+# nkcheck imported before or after cli: one module object, and a patch made
+# on it before cli is imported is the function cli calls
+_ONE_NKCHECK = """
+import sys
+import pytest
+if sys.argv[1] == "nkcheck-first":
+    import nkspectra.nkcheck
+import nkspectra.cli
+import nkspectra.nkcheck
+import nkspectra
+one = sys.modules["nkspectra.nkcheck"]
+print(nkspectra.cli.nkcheck is one, nkspectra.nkcheck is one)
+"""
+
+_PATCHED_BEFORE_CLI = """
+import pytest
+from nkspectra import nkcheck
+
+def patched():
+    raise LookupError("the patched suite ran")
+
+with pytest.MonkeyPatch.context() as mp:
+    mp.setattr(nkcheck, "verify_pointwise_identities", patched)
+    from nkspectra import cli
+    try:
+        cli.main(["identities"])
+    except LookupError as exc:
+        print(exc)
+"""
+
+
+@pytest.mark.parametrize("order", ["nkcheck-first", "cli-first"])
+def test_one_nkcheck_module_whichever_is_imported_first(order, run_python):
+    proc = run_python(["-c", _ONE_NKCHECK, order])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"True", b"True"]
+
+
+def test_a_patch_made_before_cli_is_imported_reaches_cli(run_python):
+    proc = run_python(["-c", _PATCHED_BEFORE_CLI])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"the patched suite ran\n"

@@ -716,6 +716,9 @@ def test_degree_validation():
         (((2.0,), 0), 1), (((True,), 0), 1), (((2,), True), 1),
         (((2,), 1.0), 1), (((2,), 9), 1), (((2,), -1), 1),
         (((2,), 0), 0.1), (((2,), 0), 0.0), (((2,), 0), True),
+        # a key is an (index tuple, slot) pair: a mask in the index place
+        # raised TypeError and a bare string failed to unpack
+        ((64, 0), 1), ("x", 1), (((2,), 0, 0), 1),
     ):
         with pytest.raises(ValueError):
             InvariantForm.make(1, {key: q})

@@ -2,10 +2,13 @@
 
 import ast
 import importlib
+import json
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -139,3 +142,28 @@ def test_readme_names_of_the_package_resolve():
             obj = getattr(obj, part)
         checked += 1
     assert checked >= 7
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--space", "cp3", "--cutoff", "12", "--format", "json"),
+        ("identities", "--format", "json"),
+    ],
+)
+def test_traced_run_reports_every_command(argv, run_python):
+    # traced.py reads sys.modules["nkspectra.nkcheck"] right after it
+    # imports nkspectra.cli, so cli must put the module there even for a
+    # command that never loads it
+    traced = run_python([str(ROOT / "benchmarks" / "traced.py"), *argv])
+    assert traced.returncode == 0, traced.stderr
+    report = json.loads(traced.stderr.splitlines()[-1])
+    assert report["exit_code"] == 0 and report["stderr"] == ""
+    assert traced.stdout == run_python(["-m", "nkspectra.cli", *argv]).stdout
+    ran = {name for name in report["self_s"] if name.startswith("nkcheck.")}
+    if argv[0] == "identities":
+        assert ran == {"nkcheck.verify_pointwise_identities"}
+        assert report["counts"]["nkcheck.checks"] > 0
+        assert report["counts"]["nkcheck.checks_passed"] == report["counts"]["nkcheck.checks"]
+    else:
+        assert ran == set()

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from nkspectra import spectrum
+from nkspectra import cli, spectrum
 from nkspectra.cli import main
 from nkspectra.rootrep import MAX_LABEL_BOX
 
@@ -76,6 +76,77 @@ def test_output_is_byte_stable(capsys):
         assert code == 0
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+# SHA-256 of stdout for every subcommand in every format it accepts, on
+# each space, pinned before the subcommands shared one dispatch table
+REPORT_SHA256 = {
+    "spectrum": {
+        "--space s3xs3 --cutoff 12 --format table": "1a3eec64ba2e65071ba9686a67f9cf7e3e735c948d7e779bc66f4595fa037503",
+        "--space s3xs3 --cutoff 12 --format json": "e0c5058cbee3550051092a211cf177f363019ebad42610a0456523221071fa8e",
+        "--space s3xs3 --cutoff 12 --format csv": "83cdb7cc28082d7eb6ef438b943cadbdf193b6ec82f0437a8168d4a11edd2755",
+        "--space cp3 --cutoff 12 --format table": "c615ee1ef67ae92a7d695a79b0467c03ee964537d5f66aab5691c6877a4e513f",
+        "--space cp3 --cutoff 12 --format json": "20900126102221a245c6cf23fde9bc1937cb85b00a6d6b420a2c5e4a7212ef8b",
+        "--space cp3 --cutoff 12 --format csv": "26d62caeaae01bd68e89a381d5aad2cd6ff52630ec58c3a385b16ceafa17694f",
+        "--space flag --cutoff 12 --format table": "8700a141e554abe99fc24418de83e3f1726391b7f0e19f2b71b3ba18af03f4e2",
+        "--space flag --cutoff 12 --format json": "a9592a644293987a2c0ed06232ac14c561d9dfc1fc6b46de7467adcc1942b219",
+        "--space flag --cutoff 12 --format csv": "80a1404089b431c4409b8e6aa51ce7588c373902feebe143a1cfd5363757025c",
+    },
+    "moduli-bound": {
+        "--space s3xs3 --format table": "e4805310c5ca0c3a5458cfca39969d46732645c19547a9508ecba49c93714ca2",
+        "--space s3xs3 --format json": "b1ca907c3c6a679fcac520f0673e27492bcb67a8461fdf54ab71662593f197ca",
+        "--space s3xs3 --format csv": "01fcc90214c94ebfd6ce452a3bdd6cb98788eb3d622e3dee94998145bac5b1f2",
+        "--space cp3 --format table": "5140d05870d4f2a214531fbc536f3b6ee497dd2804b107213da83b9d1d657b25",
+        "--space cp3 --format json": "e559c523b6cf6aa24463265797a75dad3aed2bcb393813ba97672906a24c0f03",
+        "--space cp3 --format csv": "ff47735789aa024bc4a4498046ea3a321877697ddc00e0f2958708d22dc7ca98",
+        "--space flag --format table": "1f606a6eeb8ac9afd4eb5de2688f2d1617d805077ba8e044ad575ede9b44e621",
+        "--space flag --format json": "b589247adc835294a154e4bd404ebe819381edbadb3fa9ab0e249cbffdc89f68",
+        "--space flag --format csv": "5f1b07a69492c941293fdeb2d33b0562750308a567026d08b0914f07e1167cad",
+    },
+    "einstein-check": {
+        "--space s3xs3 --format table": "d067de2e3c0701679047112e358151fadabb29455bcde1dd12776a06b2d46247",
+        "--space s3xs3 --format json": "e08d0fbe7a7ba03ce3483f53b92cc8065976a905d5989a4d537ca3b3ced92d1e",
+        "--space s3xs3 --format csv": "d5745117f063396bcf2e9f989080858d1131cc08ef3e338b09db5f45f81b0884",
+        "--space cp3 --format table": "65846b208ec8f699b32a91946e73616fe8019a266c45b994f9326c7b492a68fe",
+        "--space cp3 --format json": "84dde8b5875f5e2cae233480c4f65f6dfcb816ecc37f95f4c7d7ce1630e6f2f5",
+        "--space cp3 --format csv": "d5745117f063396bcf2e9f989080858d1131cc08ef3e338b09db5f45f81b0884",
+        "--space flag --format table": "8eb1fe5f0637399c66a12b894b891be1e13bc4b8a43cff335561016d0fa833eb",
+        "--space flag --format json": "53067dc918d6af06aa485f4fa989ae4eae50a85be67818f156138b7aa2cf1604",
+        "--space flag --format csv": "d5745117f063396bcf2e9f989080858d1131cc08ef3e338b09db5f45f81b0884",
+    },
+    "identities": {
+        "--format table": "8c5daf7ff415c0a641623bb53d65aed270237aa7469f738f65736585e28e460d",
+        "--format json": "8ec88058af25191d928608276b7f5646a603c059abd4d233e512347d86136aae",
+        "--format csv": "3eeac4c584c8b0603a9ee4fcc105ed335092b56c72e1671bfc7c5939f266da32",
+    },
+    "verify-flag": {
+        "--format table": "3cb6ec6244fb8c0c6e25875c11443c47f4e4e02f1db2193fbf5349b375a73624",
+        "--format json": "a88cb5961924f236ba3b6d8b6b48d330ec333680d5bfac648cb1db3ceb866759",
+        "--format csv": "ec821371f57afef057ec034319918e382c8e541dd3fc9b247b6254f28abf4b14",
+    },
+    "all": {
+        "--cutoff 12 --format table": "308663f2785182e82af645734948cfd3a97665aea309c1de6f0dd7f7e391d740",
+        "--cutoff 12 --format json": "c46d70b1b9199c916e2508a66e9f75d0e39aaca58c2b8d37e0c3efedb9c969da",
+    },
+}
+
+
+def _subcommands():
+    parser = cli._build_parser()
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return sorted(action.choices)
+
+
+@pytest.mark.parametrize("subcommand", _subcommands())
+def test_every_report_is_pinned(subcommand, capsys):
+    # a subcommand the parser accepts must have pinned reports, and
+    # each must run and print them unchanged
+    pins = REPORT_SHA256.get(subcommand)
+    assert pins, f"no pinned report for {subcommand}"
+    for args, digest in pins.items():
+        code, out = _run(capsys, subcommand, *args.split())
+        assert code == 0, args
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args
 
 
 # SHA-256 of `spectrum --format json` per (space, bundle, cutoff), pinned
@@ -246,8 +317,6 @@ def test_output_file(tmp_path, capsys):
 
 
 def test_all_csv_refused_before_any_computation(monkeypatch):
-    from nkspectra import cli
-
     def computed(cutoff):
         raise RuntimeError("the report was built before the usage check")
 

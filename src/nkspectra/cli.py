@@ -1,12 +1,19 @@
 """Command-line interface: reproducible reports over the spectrum
 tables, moduli bounds and verification suites.
 
+Each subcommand is registered once, in ``_COMMANDS``: the builder of its
+JSON payload from the parsed arguments, its table renderer and its CSV
+renderer (none for ``all``, which refuses CSV).  Every payload names its
+subcommand under ``command``, which picks the renderer; ``all`` renders
+its embedded reports through their own tables.
+
 Output is byte-stable for identical arguments: every ordering is
 explicit and all rationals render as exact "p/q" strings (plain "p"
 when integral).  Exit status is 0 on success, 1 when an assertion or a
 verification suite fails, 2 on usage errors, an unwritable --output path,
-a cutoff literal whose decimal exponent (or reduced denominator, in
-digits) exceeds MAX_CUTOFF_EXPONENT and a cutoff whose label box exceeds
+a cutoff literal whose decimal exponent or any of whose numbers (in
+digits), or whose reduced denominator (in digits), exceeds
+MAX_CUTOFF_EXPONENT and a cutoff whose label box exceeds
 rootrep.MAX_LABEL_BOX included.
 """
 
@@ -19,7 +26,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .branching import Bundle, Space
 from .rootrep import LabelBoxTooLarge
@@ -111,23 +118,16 @@ def _einstein_payload(space: Space) -> Dict:
     }
 
 
-def _suites_payload(reports) -> Dict:
+def _suites_payload(command: str, reports) -> Dict:
     return {
         "passed": all(r.passed for r in reports),
         "suites": [r.to_json_dict() for r in reports],
+        "command": command,
     }
 
 
 def _verify_payload() -> Dict:
-    payload = _suites_payload(nkcheck.run_all_suites())
-    payload["command"] = "verify-flag"
-    return payload
-
-
-def _identities_payload() -> Dict:
-    payload = _suites_payload((nkcheck.verify_pointwise_identities(),))
-    payload["command"] = "identities"
-    return payload
+    return _suites_payload("verify-flag", nkcheck.run_all_suites())
 
 
 def _all_payload(cutoff: Fraction) -> Dict:
@@ -159,7 +159,7 @@ def _pad_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> List[st
     return lines
 
 
-def _spectrum_rows(payload: Dict) -> Tuple[List[str], List[List[str]]]:
+def _spectrum_csv(payload: Dict) -> List[List[str]]:
     headers = ["eigenvalue", "irrep", "hom_dim", "dim", "contribution"]
     rows = [
         [
@@ -171,7 +171,7 @@ def _spectrum_rows(payload: Dict) -> Tuple[List[str], List[List[str]]]:
         ]
         for en in payload["entries"]
     ]
-    return headers, rows
+    return [headers, *rows]
 
 
 def _spectrum_table(payload: Dict) -> List[str]:
@@ -179,7 +179,7 @@ def _spectrum_table(payload: Dict) -> List[str]:
         f"spectrum  space={payload['space']}  bundle={payload['bundle']}"
         f"  cutoff={payload['cutoff']}"
     ]
-    headers, rows = _spectrum_rows(payload)
+    headers, *rows = _spectrum_csv(payload)
     lines.extend(_pad_table(headers, rows))
     lines.append(f"entries: {len(rows)}")
     return lines
@@ -205,6 +205,17 @@ def _moduli_table(payload: Dict) -> List[str]:
     return lines
 
 
+def _moduli_csv(payload: Dict) -> List[list]:
+    return [
+        ["key", "value"],
+        *([key, payload[key]] for key, _ in _MODULI_FIELDS),
+        ["einstein_extra_2", payload["einstein_extra"][0]],
+        ["einstein_extra_6", payload["einstein_extra"][1]],
+        ["isotropy_casimir", payload["isotropy_casimir"]],
+        ["scal", payload["scal"]],
+    ]
+
+
 def _einstein_table(payload: Dict) -> List[str]:
     verdict = "excluded" if payload["einstein_deformations_excluded"] else "PRESENT"
     return [
@@ -215,92 +226,80 @@ def _einstein_table(payload: Dict) -> List[str]:
     ]
 
 
+def _einstein_csv(payload: Dict) -> List[list]:
+    return [
+        ["key", "value"],
+        ["multiplicity_at_2", payload["multiplicity_at_2"]],
+        ["multiplicity_at_6", payload["multiplicity_at_6"]],
+    ]
+
+
 def _suites_table(payload: Dict) -> List[str]:
     lines = []
     for suite in payload["suites"]:
-        lines.append(
-            f"suite {suite['suite']}: " + ("PASS" if suite["passed"] else "FAIL")
-        )
+        lines.append(f"suite {suite['suite']}: {'PASS' if suite['passed'] else 'FAIL'}")
         for check in suite["checks"]:
-            mark = "pass" if check["status"] == "pass" else "FAIL"
-            line = f"  [{mark}] {check['name']}"
-            if check["status"] != "pass":
-                line += f"  residual = {check['residual']}"
-            lines.append(line)
-    lines.append(
-        "all suites passed" if payload["passed"] else "SUITE FAILURES PRESENT"
-    )
+            if check["status"] == "pass":
+                lines.append(f"  [pass] {check['name']}")
+            else:
+                lines.append(f"  [FAIL] {check['name']}  residual = {check['residual']}")
+    lines.append("all suites passed" if payload["passed"] else "SUITE FAILURES PRESENT")
     return lines
 
 
-def _to_table(payload: Dict) -> str:
-    cmd = payload["command"]
-    if cmd == "spectrum":
-        lines = _spectrum_table(payload)
-    elif cmd == "moduli-bound":
-        lines = _moduli_table(payload)
-    elif cmd == "einstein-check":
-        lines = _einstein_table(payload)
-    elif cmd in ("verify-flag", "identities"):
-        lines = _suites_table(payload)
-    elif cmd == "all":
-        lines = []
-        for sub in payload["spectrum"]:
-            lines.extend(_spectrum_table(sub))
-            lines.append("")
-        for sub in payload["moduli"]:
-            lines.extend(_moduli_table(sub))
-            lines.append("")
-        for sub in payload["einstein"]:
-            lines.extend(_einstein_table(sub))
-            lines.append("")
-        lines.extend(_suites_table(payload["verification"]))
-    else:  # pragma: no cover - commands are a closed set
-        raise ValueError(cmd)
-    return "\n".join(lines) + "\n"
+def _suites_csv(payload: Dict) -> List[List[str]]:
+    return [["suite", "check", "status", "residual"]] + [
+        [suite["suite"], check["name"], check["status"], check["residual"]]
+        for suite in payload["suites"]
+        for check in suite["checks"]
+    ]
 
 
-def _to_csv(payload: Dict) -> str:
-    import csv
+def _all_table(payload: Dict) -> List[str]:
+    lines = []
+    for sub in payload["spectrum"] + payload["moduli"] + payload["einstein"]:
+        lines += _COMMANDS[sub["command"]][1](sub) + [""]
+    return lines + _suites_table(payload["verification"])
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    cmd = payload["command"]
-    if cmd == "spectrum":
-        headers, rows = _spectrum_rows(payload)
-        writer.writerow(headers)
-        writer.writerows(rows)
-    elif cmd == "moduli-bound":
-        writer.writerow(["key", "value"])
-        for key, _ in _MODULI_FIELDS:
-            writer.writerow([key, payload[key]])
-        writer.writerow(["einstein_extra_2", payload["einstein_extra"][0]])
-        writer.writerow(["einstein_extra_6", payload["einstein_extra"][1]])
-        writer.writerow(["isotropy_casimir", payload["isotropy_casimir"]])
-        writer.writerow(["scal", payload["scal"]])
-    elif cmd == "einstein-check":
-        writer.writerow(["key", "value"])
-        writer.writerow(["multiplicity_at_2", payload["multiplicity_at_2"]])
-        writer.writerow(["multiplicity_at_6", payload["multiplicity_at_6"]])
-    elif cmd in ("verify-flag", "identities"):
-        writer.writerow(["suite", "check", "status", "residual"])
-        for suite in payload["suites"]:
-            for check in suite["checks"]:
-                writer.writerow(
-                    [suite["suite"], check["name"], check["status"], check["residual"]]
-                )
-    else:  # pragma: no cover - `all` is refused before any computation
-        raise ValueError(cmd)
-    return buf.getvalue()
+
+# subcommand -> (its payload from the parsed arguments, its table lines,
+# its CSV rows or None where CSV is refused)
+_COMMANDS = {
+    "spectrum": (
+        lambda a: _spectrum_payload(Space(a.space), Bundle(a.bundle), a.cutoff),
+        _spectrum_table,
+        _spectrum_csv,
+    ),
+    "moduli-bound": (
+        lambda a: _moduli_payload(Space(a.space)), _moduli_table, _moduli_csv
+    ),
+    "verify-flag": (lambda a: _verify_payload(), _suites_table, _suites_csv),
+    "identities": (
+        lambda a: _suites_payload(
+            "identities", (nkcheck.verify_pointwise_identities(),)
+        ),
+        _suites_table,
+        _suites_csv,
+    ),
+    "einstein-check": (
+        lambda a: _einstein_payload(Space(a.space)), _einstein_table, _einstein_csv
+    ),
+    "all": (lambda a: _all_payload(a.cutoff), _all_table, None),
+}
 
 
 def _emit(payload: Dict, fmt: str, output: Optional[str]) -> None:
+    _, table, csv_rows = _COMMANDS[payload["command"]]
     if fmt == "json":
         text = json.dumps(payload, indent=2) + "\n"
     elif fmt == "csv":
-        text = _to_csv(payload)
+        import csv
+
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(csv_rows(payload))
+        text = buf.getvalue()
     else:
-        text = _to_table(payload)
+        text = "\n".join(table(payload)) + "\n"
     if output:
         try:
             with open(output, "w", encoding="utf-8") as fh:
@@ -310,14 +309,6 @@ def _emit(payload: Dict, fmt: str, output: Optional[str]) -> None:
             sys.exit(2)
     else:
         sys.stdout.write(text)
-
-
-def _payload_failed(payload: Dict) -> bool:
-    if payload["command"] in ("verify-flag", "identities"):
-        return not payload["passed"]
-    if payload["command"] == "all":
-        return not payload["verification"]["passed"]
-    return False
 
 
 # --------------------------------------------------------------------------
@@ -345,10 +336,18 @@ def _fraction_arg(text: str) -> Fraction:
             raise argparse.ArgumentTypeError(
                 f"decimal exponent beyond {MAX_CUTOFF_EXPONENT} in magnitude"
             )
+    # int() reads at most 4300 digits, so Fraction() would call a valid
+    # literal with a longer number "not a rational"
+    runs = re.findall(r"\d+", text.replace("_", ""))
+    if max(map(len, runs), default=0) > MAX_CUTOFF_EXPONENT:
+        raise argparse.ArgumentTypeError(
+            f"cutoff literal has a number beyond {MAX_CUTOFF_EXPONENT} digits"
+        )
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+        shown = text if len(text) <= 32 else text[:32] + "..."
+        raise argparse.ArgumentTypeError(f"not a rational: {shown!r}") from exc
     if value < 0:
         raise argparse.ArgumentTypeError("cutoff must be nonnegative")
     # the reports print the cutoff, and str() refuses more than 4300 digits;
@@ -429,23 +428,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.format == "csv" and args.subcommand == "all":
-        parser.error("csv format is not available for `all`")
+    build, _, csv_rows = _COMMANDS[args.subcommand]
+    if args.format == "csv" and csv_rows is None:
+        parser.error(f"csv format is not available for `{args.subcommand}`")
     try:
-        if args.subcommand == "spectrum":
-            payload = _spectrum_payload(
-                Space(args.space), Bundle(args.bundle), args.cutoff
-            )
-        elif args.subcommand == "moduli-bound":
-            payload = _moduli_payload(Space(args.space))
-        elif args.subcommand == "verify-flag":
-            payload = _verify_payload()
-        elif args.subcommand == "identities":
-            payload = _identities_payload()
-        elif args.subcommand == "einstein-check":
-            payload = _einstein_payload(Space(args.space))
-        else:
-            payload = _all_payload(args.cutoff)
+        payload = build(args)
         _emit(payload, args.format, args.output)
     except AssertionError as exc:
         print(f"nkspectra: internal assertion failed: {exc}", file=sys.stderr)
@@ -453,7 +440,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except LabelBoxTooLarge as exc:
         print(f"nkspectra: {exc}", file=sys.stderr)
         return 2
-    return 1 if _payload_failed(payload) else 0
+    # the suite reports carry a verdict, and `all` carries its suites' one
+    return 0 if payload.get("verification", payload).get("passed", True) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

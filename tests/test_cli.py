@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from nkspectra import cli, spectrum
+from nkspectra import cli, nkcheck, spectrum
 from nkspectra.cli import main
 from nkspectra.rootrep import MAX_LABEL_BOX
 
@@ -272,6 +272,42 @@ def test_all_subcommand_structure(capsys):
     }
 
 
+_PLANTED = nkcheck.VerificationReport(
+    "pointwise_identities", (nkcheck.CheckResult("planted_check", False, "2 e_12"),)
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *((command, "--format", fmt)
+          for command in ("identities", "verify-flag")
+          for fmt in ("table", "json", "csv")),
+        ("all", "--format", "table"),
+        ("all", "--format", "json"),
+        ("spectrum", "--space", "flag", "--cutoff", "12"),
+    ],
+    ids=" ".join,
+)
+def test_a_failing_check_exits_one(argv, monkeypatch, capsys):
+    monkeypatch.setattr(nkcheck, "verify_pointwise_identities", lambda: _PLANTED)
+    code, out = _run(capsys, *argv)
+    if argv[0] == "spectrum":  # no suite runs, so nothing fails
+        assert code == 0
+        return
+    assert code == 1
+    fmt = argv[-1]
+    if fmt == "json":
+        doc = json.loads(out)
+        assert doc.get("verification", doc)["passed"] is False
+    elif fmt == "csv":
+        assert "pointwise_identities,planted_check,fail,2 e_12\n" in out
+    else:
+        assert "suite pointwise_identities: FAIL\n" in out
+        assert "  [FAIL] planted_check  residual = 2 e_12\n" in out
+        assert out.endswith("SUITE FAILURES PRESENT\n")
+
+
 def test_usage_errors_exit_two(capsys):
     for argv in (
         [],
@@ -397,23 +433,35 @@ def test_exponent_cutoff_is_a_fast_usage_error(argv, run_python):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,message",
     [
-        ("spectrum", "--space", "cp3", "--cutoff", "1e-4300"),
-        ("all", "--cutoff", "1e-4300"),
+        (("spectrum", "--space", "cp3", "--cutoff", "1e-4300"), "cutoff denominator"),
+        (("all", "--cutoff", "1e-4300"), "cutoff denominator"),
+        # valid rationals with a number longer than int() reads
+        (("spectrum", "--space", "cp3", "--cutoff", "1" + "0" * 5000), "cutoff literal has a number"),
+        (("all", "--cutoff", "1/" + "7" * 4301), "cutoff literal has a number"),
     ],
-    ids=["spectrum", "all"],
+    ids=["spectrum", "all", "long-numerator", "long-denominator"],
 )
-def test_long_cutoff_denominator_is_a_usage_error(argv, run_python):
+def test_long_cutoff_denominator_is_a_usage_error(argv, message, run_python):
     # 1/10**4300 has a 4301-digit denominator, which str() cannot print
     proc = run_python([*CLI, *argv])
     assert proc.returncode == 2
     assert proc.stdout == b""
     err = proc.stderr.decode()
     assert "Traceback" not in err
-    assert err.splitlines()[-1].endswith(
-        "argument --cutoff: cutoff denominator beyond 4300 digits"
-    )
+    # one line that names the bound and echoes none of the literal
+    assert err.count("\n") == 1 and len(proc.stderr) < 100
+    assert err.endswith(f"argument --cutoff: {message} beyond 4300 digits\n")
+
+
+def test_refused_cutoff_is_echoed_as_a_short_prefix():
+    with pytest.raises(argparse.ArgumentTypeError) as exc:
+        cli._fraction_arg("x" * 5000)
+    assert str(exc.value) == "not a rational: '" + "x" * 32 + "...'"
+    with pytest.raises(argparse.ArgumentTypeError) as exc:
+        cli._fraction_arg("a/b")
+    assert str(exc.value) == "not a rational: 'a/b'"
 
 
 def test_cutoff_denominator_bound_is_4300_digits(run_python):
@@ -441,12 +489,29 @@ def test_exponent_cutoff_bound_is_4300():
             _fraction_arg(text)
 
 
-@pytest.mark.parametrize("case", ["flag", "cp3", "s3xs3", "verify-flag", "identities"])
+_DASH_O_CASES = {
+    **{
+        space: ("spectrum", "--space", space, "--cutoff", "12", "--format", "json")
+        for space in ("flag", "cp3", "s3xs3")
+    },
+    "verify-flag": ("verify-flag", "--format", "json"),
+    "identities": ("identities", "--format", "json"),
+    **{
+        f"{command}-{fmt}": (command, *space, "--format", fmt)
+        for command, space in (
+            ("moduli-bound", ("--space", "flag")),
+            ("einstein-check", ("--space", "flag")),
+            ("identities", ()),
+        )
+        for fmt in ("table", "csv")
+    },
+    "all-table": ("all",),
+}
+
+
+@pytest.mark.parametrize("case", list(_DASH_O_CASES))
 def test_cli_under_dash_O_is_byte_identical(case, run_python):
-    if case in ("flag", "cp3", "s3xs3"):
-        argv = ("spectrum", "--space", case, "--cutoff", "12", "--format", "json")
-    else:
-        argv = (case, "--format", "json")
+    argv = _DASH_O_CASES[case]
     plain = run_python([*CLI, *argv])
     optimized = run_python([*CLI, *argv], "-O")
     assert plain.returncode == 0 and optimized.returncode == 0

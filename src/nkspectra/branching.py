@@ -8,9 +8,9 @@ knows the fibers we care about (trivial line for functions, the
 8-dimensional primitive (1,1) two-form module) and how to restrict
 representations of the big group to the isotropy group in each case.
 
-The primitive (1,1) fibers are hard-coded and, once at import, re-derived
-from scratch as the (1,0) x (0,1) tangent product minus one trivial
-summand; a mismatch raises AssertionError (also under `python -O`) rather
+The primitive (1,1) fibers are derived once, at import, as the
+(1,0) x (0,1) tangent product minus one trivial summand; a fiber that is
+not 8-dimensional raises AssertionError (also under `python -O`) rather
 than returning silently wrong multiplicities.
 
 Hom counts on S3 x S3 are one Clebsch-Gordan interval count per fiber
@@ -29,7 +29,6 @@ suite compares against.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Tuple
@@ -157,27 +156,6 @@ def _derive_lambda11(space: Space) -> Tuple:
     return tuple(sorted(weights))
 
 
-# hard-coded primitive (1,1) fibers
-_LAMBDA11_CONTENT = {
-    Space.S3XS3: (4, 2),
-    Space.CP3: (
-        U2Label(0, 0),
-        U2Label(1, -3),
-        U2Label(1, 3),
-        U2Label(2, 0),
-    ),
-    Space.FLAG: tuple(
-        sorted(
-            [canonical_weight(Group.SU3, w) for w in (
-                (2, -1, -1), (-2, 1, 1),
-                (-1, 2, -1), (1, -2, 1),
-                (-1, -1, 2), (1, 1, -2),
-                (0, 0, 0), (0, 0, 0),
-            )]
-        )
-    ),
-}
-
 _FUNCTIONS_CONTENT = {
     Space.S3XS3: (0,),
     Space.CP3: (U2Label(0, 0),),
@@ -185,24 +163,18 @@ _FUNCTIONS_CONTENT = {
 }
 
 
-def _build_isotropy_modules(
-    lambda11_content: Dict[Space, Tuple] = _LAMBDA11_CONTENT,
-) -> Dict[Tuple[Space, Bundle], IsotropyModule]:
+def _build_isotropy_modules() -> Dict[Tuple[Space, Bundle], IsotropyModule]:
     """The six fiber modules, checked once: every function fiber is a
-    line, and every hard-coded primitive (1,1) fiber has dimension 8 and
-    equals the content re-derived from the tangent decomposition."""
+    line, and every primitive (1,1) fiber, derived from the tangent
+    decomposition, has dimension 8."""
     modules = {}
     for space in Space:
         functions = IsotropyModule(space, Bundle.FUNCTIONS, _FUNCTIONS_CONTENT[space])
-        lambda11 = IsotropyModule(space, Bundle.LAMBDA11, lambda11_content[space])
+        lambda11 = IsotropyModule(space, Bundle.LAMBDA11, _derive_lambda11(space))
         if functions.total_dimension() != 1:
             raise AssertionError(f"{space.value}: the function fiber is not a line")
         if lambda11.total_dimension() != 8:
             raise AssertionError(f"{space.value}: the (1,1) fiber is not 8-dimensional")
-        if Counter(lambda11.content) != Counter(_derive_lambda11(space)):
-            raise AssertionError(
-                f"{space.value}: the (1,1) fiber is not the derived one"
-            )
         modules[space, Bundle.FUNCTIONS] = functions
         modules[space, Bundle.LAMBDA11] = lambda11
     return modules

@@ -11,10 +11,10 @@ Output is byte-stable for identical arguments: every ordering is
 explicit and all rationals render as exact "p/q" strings (plain "p"
 when integral).  Exit status is 0 on success, 1 when an assertion or a
 verification suite fails, 2 on usage errors, an unwritable --output path,
-a cutoff literal whose decimal exponent or any of whose numbers (in
-digits), or whose reduced denominator (in digits), exceeds
-MAX_CUTOFF_EXPONENT and a cutoff whose label box exceeds
-rootrep.MAX_LABEL_BOX included.
+a cutoff literal whose decimal exponent exceeds MAX_CUTOFF_EXPONENT, any
+of whose numbers or whose reduced denominator has more digits than the
+interpreter's int_max_str_digits limit (4300 by default), and a cutoff
+whose label box exceeds rootrep.MAX_LABEL_BOX included.
 """
 
 from __future__ import annotations
@@ -325,10 +325,14 @@ _DECIMAL_EXPONENT = re.compile(
 
 
 def _fraction_arg(text: str) -> Fraction:
+    # int() and str() refuse numbers with more digits than the interpreter's
+    # limit (-X int_max_str_digits, 4300 by default); 4300 also holds where
+    # the limit is lifted (0) or missing (Python before 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
     literal = _DECIMAL_EXPONENT.fullmatch(text)
     if literal:
         digits = literal.group(1).replace("_", "").lstrip("0")
-        # the length first: int() refuses more than 4300 digits
+        # the length first: int() refuses a number beyond the limit
         if (
             len(digits) > len(str(MAX_CUTOFF_EXPONENT))
             or int(digits or 0) > MAX_CUTOFF_EXPONENT
@@ -336,13 +340,11 @@ def _fraction_arg(text: str) -> Fraction:
             raise argparse.ArgumentTypeError(
                 f"decimal exponent beyond {MAX_CUTOFF_EXPONENT} in magnitude"
             )
-    # int() reads at most 4300 digits, so Fraction() would call a valid
-    # literal with a longer number "not a rational"
+    # Fraction() would call a valid literal with a longer number "not a
+    # rational"
     runs = re.findall(r"\d+", text.replace("_", ""))
-    if max(map(len, runs), default=0) > MAX_CUTOFF_EXPONENT:
-        raise argparse.ArgumentTypeError(
-            f"cutoff literal has a number beyond {MAX_CUTOFF_EXPONENT} digits"
-        )
+    if max(map(len, runs), default=0) > limit:
+        raise argparse.ArgumentTypeError(f"cutoff literal has a number beyond {limit} digits")
     try:
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -350,12 +352,10 @@ def _fraction_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {shown!r}") from exc
     if value < 0:
         raise argparse.ArgumentTypeError("cutoff must be nonnegative")
-    # the reports print the cutoff, and str() refuses more than 4300 digits;
-    # a numerator that long is refused by the label box instead
-    if value.denominator >= 10**MAX_CUTOFF_EXPONENT:
-        raise argparse.ArgumentTypeError(
-            f"cutoff denominator beyond {MAX_CUTOFF_EXPONENT} digits"
-        )
+    # the reports print the cutoff, which str() refuses beyond the limit; a
+    # numerator that long is refused by the label box instead
+    if value.denominator >= 10**limit:
+        raise argparse.ArgumentTypeError(f"cutoff denominator beyond {limit} digits")
     return value
 
 

@@ -17,7 +17,11 @@ Lie algebra basis (also the frame, indexed 1..9):
 
 where E_pq is the matrix unit.  The metric is <A, B> = -tr(AB)/2, which
 on the traceless part is minus one twelfth of the Killing form and makes
-{e_i, sqrt(2) h_j} orthonormal (|e_i| = 1, |h_j|^2 = 1/2).  Matrices are
+{e_i, sqrt(2) h_j} orthonormal (|e_i| = 1, |h_j|^2 = 1/2).  The
+structure constants [u_a, u_b] are one literal integer table, _BRACKETS,
+checked at import by d(d) = 0 on the coframe and on the coefficient
+symbols, which is its Jacobi identity; the tests re-derive it from the
+matrices.  The matrices themselves serve killing_values only.  They are
 sparse: {(p, q): (re, im)} holds the nonzero entries, rows and columns
 0..2, so E_pq is {(p - 1, q - 1): (1, 0)}.
 
@@ -152,44 +156,19 @@ BASIS_UNITS: Tuple[Sparse, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class LieBasis:
-    """Structure constants of the nine u_3 basis elements: brackets[(a, b)]
-    for 1 <= a < b <= 9 holds the expansion of [u_a, u_b] in the basis;
-    norms are the squared lengths <u_k, u_k>."""
-
-    brackets: Mapping[Tuple[int, int], Tuple[Fraction, ...]]
-    norms: Tuple[Fraction, ...]
-
-    def bracket(self, a: int, b: int) -> Tuple[Fraction, ...]:
-        if a == b:
-            return (Fraction(0),) * 9
-        if a < b:
-            return self.brackets[(a, b)]
-        return tuple(-c for c in self.brackets[(b, a)])
-
-
-def _build_lie_basis(units: Sequence[Sparse] = BASIS_UNITS) -> LieBasis:
-    """Structure constants from [u, v] = uv - vu; the basis is orthogonal,
-    so each coordinate is one pairing.  The norms and the recomposition of
-    every commutator are checked."""
-    norms = tuple(_sparse_inner(u, u) for u in units)
-    if norms != (Fraction(1),) * 6 + (Fraction(1, 2),) * 3:
-        raise AssertionError(f"basis norms {[str(n) for n in norms]}")
-
-    brackets = {}
-    for a in range(1, 10):
-        for b in range(a + 1, 10):
-            u, v = units[a - 1], units[b - 1]
-            comm = sparse_sum(((1, sparse_mul(u, v)), (-1, sparse_mul(v, u))))
-            coeffs = tuple(_sparse_inner(comm, w) / n for w, n in zip(units, norms))
-            if sparse_sum(zip(coeffs, units)) != comm:
-                raise AssertionError(f"[u_{a}, u_{b}]: basis expansion failed")
-            brackets[(a, b)] = coeffs
-    return LieBasis(brackets=brackets, norms=norms)
-
-
-LIE_BASIS = _build_lie_basis()
+# [u_a, u_b] = sum over c of _BRACKETS[a, b][c] u_c for a < b; pairs that
+# commute are left out
+_BRACKETS: Dict[Tuple[int, int], Dict[int, int]] = {
+    (1, 2): {7: 2, 8: -2}, (1, 3): {5: -1}, (1, 4): {6: -1}, (1, 5): {3: 1},
+    (1, 6): {4: 1}, (1, 7): {2: -1}, (1, 8): {2: 1},
+    (2, 3): {6: 1}, (2, 4): {5: -1}, (2, 5): {4: 1}, (2, 6): {3: -1},
+    (2, 7): {1: 1}, (2, 8): {1: -1},
+    (3, 4): {7: 2, 9: -2}, (3, 5): {1: -1}, (3, 6): {2: 1}, (3, 7): {4: -1},
+    (3, 9): {4: 1},
+    (4, 5): {2: -1}, (4, 6): {1: -1}, (4, 7): {3: 1}, (4, 9): {3: -1},
+    (5, 6): {8: 2, 9: -2}, (5, 8): {6: -1}, (5, 9): {6: 1},
+    (6, 8): {5: 1}, (6, 9): {5: -1},
+}
 
 
 # --------------------------------------------------------------------------
@@ -382,9 +361,10 @@ def _d_symbol(slot: int) -> InvariantForm:
     # whose h_3 coordinate folds into v_1, v_2 through v_3 = -v_1 - v_2
     def images():
         for a in range(1, 10):
-            lam = LIE_BASIS.bracket(a, slot)
-            for s, q in enumerate(lam[:6] + (lam[6] - lam[8], lam[7] - lam[8]), 1):
-                yield 1 << (a - 1), s, q
+            sign, pair = (1, (a, slot)) if a < slot else (-1, (slot, a))
+            for c, q in _BRACKETS.get(pair, {}).items():
+                for s, t in ((7, -1), (8, -1)) if c == 9 else ((c, 1),):
+                    yield 1 << (a - 1), s, Fraction(sign * t * q)
 
     return _collect(1, images())
 
@@ -398,10 +378,10 @@ def _d_monomial(mask: int) -> InvariantForm:
         for k in _INDICES[mask]:
             rest = mask ^ (1 << (k - 1))
             lead = _merge(1 << (k - 1), rest)  # u_k -| e^I = lead e^rest
-            for (a, b), coeffs in LIE_BASIS.brackets.items():
+            for (a, b), bracket in _BRACKETS.items():
                 ab = (1 << (a - 1)) | (1 << (b - 1))
-                if coeffs[k - 1] and (sign := _merge(ab, rest)):
-                    yield ab | rest, 0, -lead * sign * coeffs[k - 1]
+                if k in bracket and (sign := _merge(ab, rest)):
+                    yield ab | rest, 0, Fraction(-lead * sign * bracket[k])
 
     return _collect(mask.bit_count() + 1, images())
 
@@ -421,6 +401,15 @@ def d(a: InvariantForm) -> InvariantForm:
                 yield m, slot, q * dm
 
     return _collect(a.degree + 1, images())
+
+
+# d(d) = 0 on the coframe and on the symbols is the Jacobi identity of the
+# bracket table and of its action on the coefficients
+for _name, _form in [(f"e^{k}", coframe(k)) for k in range(1, 10)] + [
+    (name, symbol_form(name)) for name in _SYMBOLS[1:]
+]:
+    if not d(d(_form)).is_zero():
+        raise AssertionError(f"the bracket table fails the Jacobi identity: d(d({_name})) != 0")
 
 
 # --------------------------------------------------------------------------
@@ -605,16 +594,6 @@ VOLUME = -e(1, 2, 3, 4, 5, 6)
 H1 = coframe(7) * Fraction(1, 2)
 H2 = coframe(8) * Fraction(1, 2)
 H3 = coframe(9) * Fraction(1, 2)
-
-
-# structural sanity, cheap enough to run at import
-for _name, _residual in (
-    ("omega ^ psi+ = 0", wedge(OMEGA, PSI_PLUS)),
-    ("omega^3 = 6 vol", wedge_all(OMEGA, OMEGA, OMEGA) - VOLUME * 6),
-    ("psi+ ^ psi- = 4 vol", wedge(PSI_PLUS, PSI_MINUS) - VOLUME * 4),
-):
-    if not _residual.is_zero():
-        raise AssertionError(f"model identity {_name} fails")
 
 
 # --------------------------------------------------------------------------

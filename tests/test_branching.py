@@ -383,41 +383,38 @@ def test_isotropy_modules_are_built_once():
             assert isotropy_module(space, bundle) is isotropy_module(space, bundle)
 
 
-def _broken_lambda11(space, content):
-    return {**branching._LAMBDA11_CONTENT, space: content}
+# a broken (1,0) tangent module per space: V_1 on S3 x S3, E(1,1) alone on
+# CP3 and one root alone on the flag
+_BROKEN_TANGENTS = {
+    "s3xs3": ("_P10_S3XS3", (1,)),
+    "cp3": ("_P10_CP3", (U2Label(1, 1),)),
+    "flag": ("_FLAG_P10_ROOTS", ((1, -1, 0),)),
+}
 
 
-@pytest.mark.parametrize(
-    "broken,message",
-    [
-        # the right dimension, but not the tangent product
-        (_broken_lambda11(Space.S3XS3, (3, 3)), "not the derived one"),
-        (_broken_lambda11(Space.CP3, (U2Label(0, 0), U2Label(2, 0))), "not 8-dimensional"),
-        (
-            _broken_lambda11(
-                Space.FLAG,
-                branching._LAMBDA11_CONTENT[Space.FLAG][:-1]
-                + (canonical_weight(Group.SU3, (1, -1, 0)),),
-            ),
-            "not the derived one",
-        ),
-    ],
-    ids=["s3xs3", "cp3", "flag"],
-)
-def test_isotropy_checks_fire(broken, message):
-    with pytest.raises(AssertionError, match=message):
-        branching._build_isotropy_modules(broken)
+@pytest.mark.parametrize("space", list(_BROKEN_TANGENTS))
+def test_isotropy_checks_fire(space, monkeypatch):
+    monkeypatch.setattr(branching, *_BROKEN_TANGENTS[space])
+    with pytest.raises(AssertionError, match=f"{space}: the \\(1,1\\) fiber is not 8-dimensional"):
+        branching._build_isotropy_modules()
 
 
 def test_isotropy_checks_fire_under_dash_O(run_python):
     # the checks are explicit raises, so python -O keeps them
     script = (
         "from nkspectra import branching as b\n"
-        "broken = {**b._LAMBDA11_CONTENT, b.Space.S3XS3: (3, 3)}\n"
-        "try:\n"
-        "    b._build_isotropy_modules(broken)\n"
-        "except AssertionError:\n"
-        "    raise SystemExit(3)\n"
+        "from nkspectra.branching import U2Label\n"
+        f"for name, broken in {_BROKEN_TANGENTS!r}.values():\n"
+        "    saved = getattr(b, name)\n"
+        "    setattr(b, name, broken)\n"
+        "    try:\n"
+        "        b._build_isotropy_modules()\n"
+        "    except AssertionError as exc:\n"
+        "        print(exc)\n"
+        "    setattr(b, name, saved)\n"
     )
     proc = run_python(["-c", script], "-O")
-    assert proc.returncode == 3, proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines() == [
+        f"{space}: the (1,1) fiber is not 8-dimensional" for space in _BROKEN_TANGENTS
+    ]

@@ -432,27 +432,48 @@ def test_exponent_cutoff_is_a_fast_usage_error(argv, run_python):
     assert elapsed < 10
 
 
+_LIMIT_640 = ("-X", "int_max_str_digits=640")
+
+
 @pytest.mark.parametrize(
-    "argv,message",
+    "flags,argv,message",
     [
-        (("spectrum", "--space", "cp3", "--cutoff", "1e-4300"), "cutoff denominator"),
-        (("all", "--cutoff", "1e-4300"), "cutoff denominator"),
+        ((), ("spectrum", "--space", "cp3", "--cutoff", "1e-4300"), "cutoff denominator beyond 4300"),
+        ((), ("all", "--cutoff", "1e-4300"), "cutoff denominator beyond 4300"),
         # valid rationals with a number longer than int() reads
-        (("spectrum", "--space", "cp3", "--cutoff", "1" + "0" * 5000), "cutoff literal has a number"),
-        (("all", "--cutoff", "1/" + "7" * 4301), "cutoff literal has a number"),
+        (
+            (),
+            ("spectrum", "--space", "cp3", "--cutoff", "1" + "0" * 5000),
+            "cutoff literal has a number beyond 4300",
+        ),
+        ((), ("all", "--cutoff", "1/" + "7" * 4301), "cutoff literal has a number beyond 4300"),
+        # the bounds follow the interpreter's digit limit
+        (
+            _LIMIT_640,
+            ("spectrum", "--space", "cp3", "--cutoff", "1e-700"),
+            "cutoff denominator beyond 640",
+        ),
+        (
+            _LIMIT_640,
+            ("spectrum", "--space", "cp3", "--cutoff", "1/" + "7" * 700),
+            "cutoff literal has a number beyond 640",
+        ),
     ],
-    ids=["spectrum", "all", "long-numerator", "long-denominator"],
+    ids=[
+        "spectrum", "all", "long-numerator", "long-denominator",
+        "limit-640-denominator", "limit-640-long-denominator",
+    ],
 )
-def test_long_cutoff_denominator_is_a_usage_error(argv, message, run_python):
+def test_long_cutoff_denominator_is_a_usage_error(flags, argv, message, run_python):
     # 1/10**4300 has a 4301-digit denominator, which str() cannot print
-    proc = run_python([*CLI, *argv])
+    proc = run_python([*CLI, *argv], *flags)
     assert proc.returncode == 2
     assert proc.stdout == b""
     err = proc.stderr.decode()
     assert "Traceback" not in err
     # one line that names the bound and echoes none of the literal
     assert err.count("\n") == 1 and len(proc.stderr) < 100
-    assert err.endswith(f"argument --cutoff: {message} beyond 4300 digits\n")
+    assert err.endswith(f"argument --cutoff: {message} digits\n")
 
 
 def test_refused_cutoff_is_echoed_as_a_short_prefix():

@@ -4,7 +4,10 @@ printer grammar."""
 
 import ast
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +19,6 @@ from nkspectra import dga
 from nkspectra.dga import (
     BASIS_UNITS,
     IDENTITY,
-    LIE_BASIS,
     OMEGA,
     PSI_MINUS,
     PSI_PLUS,
@@ -110,7 +112,6 @@ def test_basis_is_orthogonal_with_the_right_norms(naive_mul):
             if i == j:
                 expected = Fraction(1) if i < 6 else Fraction(1, 2)
             assert _inner(naive_mul, a, b) == expected
-    assert LIE_BASIS.norms == tuple(_inner(naive_mul, u, u) for u in BASIS_UNITS)
 
 
 def test_jacobi_identity_all_triples(naive_mul):
@@ -128,10 +129,21 @@ def test_jacobi_identity_all_triples(naive_mul):
         ) == {}
 
 
+def _bracket(a, b):
+    """The nine u_3 coordinates of [u_a, u_b], read from dga._BRACKETS
+    by antisymmetry."""
+    if a > b:
+        return tuple(-q for q in _bracket(b, a))
+    images = dga._BRACKETS.get((a, b), {})
+    return tuple(images.get(c, 0) for c in range(1, 10))
+
+
 def test_bracket_table_reconstructs_commutators(naive_mul):
+    assert all(a < b for a, b in dga._BRACKETS)
+    assert all(type(q) is int and q for images in dga._BRACKETS.values() for q in images.values())
     for a in range(1, 10):
         for b in range(1, 10):
-            rebuilt = _combine(*zip(LIE_BASIS.bracket(a, b), BASIS_UNITS))
+            rebuilt = _combine(*zip(_bracket(a, b), BASIS_UNITS))
             want = _commutator(naive_mul, BASIS_UNITS[a - 1], BASIS_UNITS[b - 1])
             assert rebuilt == want
 
@@ -140,33 +152,27 @@ def _replace_unit(k, units):
     return BASIS_UNITS[:k] + (units,) + BASIS_UNITS[k + 1:]
 
 
-@pytest.mark.parametrize(
-    "units,message",
-    [
-        # h_1 = 2i E_11 has squared length 2
-        (_replace_unit(6, {(0, 0): (0, 2)}), "basis norms"),
-        # E_12 + i E_21 is not skew-Hermitian: its square has trace 2i
-        (_replace_unit(0, {(0, 1): (1, 0), (1, 0): (0, 1)}), "non-skew-Hermitian"),
-        # h_3 = i E_11 repeats h_1: the norms hold but E_33 leaves the span
-        (_replace_unit(8, {(0, 0): (0, 1)}), "basis expansion failed"),
-    ],
-)
-def test_bracket_builder_checks_fire(units, message):
-    with pytest.raises(AssertionError, match=message):
-        dga._build_lie_basis(units)
-
-
-def test_bracket_builder_checks_fire_under_dash_O(run_python):
-    # the checks are explicit raises, so python -O keeps them
-    script = (
-        "from nkspectra import dga\n"
-        "units = dga.BASIS_UNITS[:8] + ({(0, 0): (0, 1)},)\n"
-        "try:\n"
-        "    dga._build_lie_basis(units)\n"
-        "except AssertionError:\n"
-        "    raise SystemExit(3)\n"
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "dash-O"])
+def test_a_broken_bracket_table_fails_at_import(flags, tmp_path):
+    # [e_1, e_3] = -e_5 with its sign flipped: the import-time d(d) = 0
+    # check is an explicit raise, so python -O keeps it
+    package = tmp_path / "nkspectra"
+    package.mkdir()
+    for path in Path(dga.__file__).parent.glob("*.py"):
+        (package / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    source = (package / "dga.py").read_text(encoding="utf-8")
+    broken = source.replace("(1, 3): {5: -1}", "(1, 3): {5: 1}", 1)
+    assert broken != source
+    (package / "dga.py").write_text(broken, encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", "import nkspectra.dga"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(tmp_path)),
     )
-    assert run_python(["-c", script], "-O").returncode == 3
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines()[-1].startswith(
+        "AssertionError: the bracket table fails the Jacobi identity"
+    )
 
 
 _PARTS = st.one_of(
@@ -609,13 +615,13 @@ def test_vertical_lie_derivative_on_the_coframe_and_the_symbols():
             want = InvariantForm.make(
                 1,
                 {
-                    ((t,), 0): -LIE_BASIS.bracket(h, t)[k - 1]
+                    ((t,), 0): -_bracket(h, t)[k - 1]
                     for t in range(1, 10)
                 },
             )
             assert vertical_lie_derivative(coframe(k), j) == want, (j, k)
         for slot, name in enumerate(("x1", "x2", "x3", "x4", "x5", "x6", "v1", "v2"), 1):
-            want = _coefficient_form(LIE_BASIS.bracket(h, slot))
+            want = _coefficient_form(_bracket(h, slot))
             assert vertical_lie_derivative(symbol_form(name), j) == want, (j, name)
 
 

@@ -67,6 +67,31 @@ def test_every_traced_name_resolves():
     assert callable(rootrep.WeightTable.multiplicity)
 
 
+_MATRIX_CALLS = """\
+import sys
+calls = []
+def hook(frame, event, arg):
+    if event == "call" and frame.f_code.co_name in ("sparse_mul", "_sparse_inner"):
+        calls.append(frame.f_code.co_name)
+sys.setprofile(hook)
+import nkspectra.dga as dga
+during_import = len(calls)
+dga.killing_values(dga.BASIS_UNITS[0], dga.IDENTITY)
+sys.setprofile(None)
+print(during_import, len(calls) - during_import)
+"""
+
+
+def test_importing_dga_does_no_matrix_arithmetic(run_python):
+    # the brackets are a literal table; the matrices serve killing_values
+    # alone, which the hook does see
+    proc = run_python(["-c", _MATRIX_CALLS])
+    assert proc.returncode == 0, proc.stderr
+    during_import, after = map(int, proc.stdout.split())
+    assert during_import == 0
+    assert after > 0
+
+
 def _imported_roots(path: Path):
     """Top-level names of the absolute imports in one source file."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

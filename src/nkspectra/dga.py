@@ -331,6 +331,8 @@ def symbol_form(name: str) -> InvariantForm:
     """0-form of one coefficient symbol (x1..x6, v1, v2, v3 = -v1 - v2)."""
     if name == "v3":
         return InvariantForm.make(0, {((), 7): -1, ((), 8): -1})
+    if name not in _SYMBOLS[1:]:
+        raise ValueError(f"coefficient symbols are x1..x6, v1, v2 and v3, not {name!r}")
     return InvariantForm.make(0, {((), _SYMBOLS.index(name)): 1})
 
 
@@ -599,6 +601,12 @@ H3 = coframe(9) * Fraction(1, 2)
 # --------------------------------------------------------------------------
 # Killing-field data
 
+# the generic horizontal 1-form X = sum x_i e^i; slot i of an expression
+# linear in X is its value at e^i, so an identity linear in X holds at
+# every X iff it holds here
+_X_FLAT = InvariantForm.make(1, {((i,), i): 1 for i in _HORIZONTAL})
+
+
 @dataclass(frozen=True)
 class KillingData:
     """Symbolic forms attached to a Killing field of the flag manifold:
@@ -622,7 +630,6 @@ def killing_data() -> KillingData:
     x = [symbol_form(f"x{i}") for i in range(1, 7)]
     v1, v2, v3 = map(symbol_form, ("v1", "v2", "v3"))
 
-    xi_flat = InvariantForm.make(1, {((i,), i): 1 for i in _HORIZONTAL})
     a1 = coframe(5) * x[5] - coframe(6) * x[4]
     a2 = coframe(4) * x[2] - coframe(3) * x[3]
     a3 = coframe(1) * x[1] - coframe(2) * x[0]
@@ -630,10 +637,10 @@ def killing_data() -> KillingData:
     ja2 = coframe(3) * x[2] + coframe(4) * x[3]
     ja3 = coframe(1) * x[0] + coframe(2) * x[1]
     phi_v = e(5, 6) * v1 - e(3, 4) * v2 + e(1, 2) * v3
-    phi_k = type_decompose(d(xi_flat))[0]
+    phi_k = type_decompose(d(_X_FLAT))[0]
     return KillingData(
-        xi_flat=xi_flat,
-        j_xi_flat=apply_j(xi_flat),
+        xi_flat=_X_FLAT,
+        j_xi_flat=apply_j(_X_FLAT),
         a=(a1, a2, a3),
         ja=(ja1, ja2, ja3),
         phi_v=phi_v,

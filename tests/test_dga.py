@@ -199,10 +199,10 @@ def test_sparse_mul_matches_the_naive_triple_sum(naive_mul, a, b):
 
 def test_suites_make_few_forms(run_python):
     # each operator, make and the sum of two forms hand their signed terms
-    # to the one accumulator _collect once (1397 calls over every suite,
-    # 656 in the pointwise one); summing forms term by term makes about
-    # three times as many.  The pointwise suite builds A once as six
-    # 2-forms (883 forms when it was rebuilt for every product)
+    # to the one accumulator _collect once (987 calls over every suite,
+    # 284 in the pointwise one); summing forms term by term makes about
+    # three times as many.  The pointwise suite checks each identity that
+    # is linear in X once, at the generic X = sum x_i e^i
     script = (
         "import sys\n"
         "from nkspectra import dga, nkcheck\n"
@@ -221,8 +221,8 @@ def test_suites_make_few_forms(run_python):
     proc = run_python(["-c", script])
     assert proc.returncode == 0, proc.stderr
     every, pointwise = map(int, proc.stdout.split())
-    assert 0 < every <= 2100
-    assert 0 < pointwise <= 700
+    assert 0 < every <= 1050
+    assert 0 < pointwise <= 330
 
 
 def test_collect_refuses_a_term_of_another_degree():
@@ -740,6 +740,16 @@ def test_degree_validation():
     ):
         with pytest.raises(ValueError):
             build()
+
+
+def test_symbol_form_refuses_other_names():
+    # symbol_form("1") returned the constant 1 and symbol_form("x9") failed
+    # with "tuple.index(x): x not in tuple"
+    for name in ("1", "x0", "x7", "x9", "v4", "X1", "", 1):
+        with pytest.raises(ValueError, match="x1..x6, v1, v2 and v3"):
+            symbol_form(name)
+    names = [f"x{i}" for i in range(1, 7)] + ["v1", "v2", "v3"]
+    assert all(symbol_form(name).degree == 0 for name in names)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import json
 import sys
 from fractions import Fraction
 
+import pytest
+
 from nkspectra import dga, nkcheck
 from nkspectra.cli import _suites_table
 from nkspectra.dga import (
@@ -148,6 +150,15 @@ def test_a_two_form_against_direct_contraction():
     # moving J across the contraction flips the sign:
     # (JX) -| Psi+ = -(X -| Psi-)
     assert (beta + contract_vector(e(1), PSI_MINUS)).is_zero()
+
+
+def test_a_two_form_refuses_other_lengths():
+    # a_norm_squared([1, 2, 3]) padded the vector with zeros and returned
+    # 28, and a seventh component raised VerticalComponent
+    for x in ([1, 2, 3], [1] * 7, []):
+        for build in (a_two_form, a_norm_squared):
+            with pytest.raises(ValueError, match="6 components"):
+                build(x)
 
 
 def test_primitive_star_identity_example():
@@ -357,3 +368,52 @@ def test_model_checks_fire_under_dash_O(run_python):
     assert {"a0_norm_polarized", "a1_composition_sum"} <= set(failed.split())
     assert exit_line == "1 True"
     assert fired == "2"
+
+
+def test_a_fault_at_some_basis_vectors_shows_at_each(run_python):
+    # Psi- + e_123 is wrong at e_1, e_2 and e_3 only; the residual at the
+    # generic X = sum x_i e^i carries all three at once
+    script = (
+        "import contextlib, io\n"
+        "from nkspectra import cli, nkcheck as n\n"
+        "n.PSI_MINUS = n.PSI_MINUS + n.e(1, 2, 3)\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as table:\n"
+        "    code = cli.main(['identities'])\n"
+        "print(code)\n"
+        "print(*(l for l in table.getvalue().splitlines() if '[FAIL]' in l))\n"
+    )
+    for flags in ((), ("-O",)):
+        proc = run_python(["-c", script], *flags)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode().splitlines() == [
+            "1",
+            "  [FAIL] a3_psi_minus_contraction  residual = x_3 e_12 - x_2 e_13 + x_1 e_23",
+        ]
+
+
+def test_every_pointwise_check_fires_under_dash_O(run_python):
+    # each of the 14 checks reports FAIL under some planted fault, with the
+    # interpreter's checks switched off
+    script = (
+        "from nkspectra import nkcheck as n\n"
+        "faults = {\n"
+        "    'a_two_form': lambda x, f=n.a_two_form: f(x) * 2,\n"
+        "    'PSI_PLUS_CONTRACTED': tuple(p * 2 for p in n.PSI_PLUS_CONTRACTED),\n"
+        "    'PSI_MINUS': n.PSI_MINUS + n.e(1, 2, 3),\n"
+        # a (2,0) part keeps the primitive basis orthogonal to omega
+        "    'OMEGA': n.OMEGA + n.PSI_PLUS_CONTRACTED[0],\n"
+        "    'hodge_star': lambda a, f=n.hodge_star: f(a) * 2,\n"
+        "    'alpha': lambda a, f=n.alpha: f(a) * 2,\n"
+        "    'VOLUME': n.VOLUME * 2,\n"
+        "}\n"
+        "failed = set()\n"
+        "for name, fault in faults.items():\n"
+        "    good, n.__dict__[name] = n.__dict__[name], fault\n"
+        "    report = n.verify_pointwise_identities()\n"
+        "    n.__dict__[name] = good\n"
+        "    failed |= {c.name for c in report.checks if not c.passed}\n"
+        "print(len(report.checks), len(failed))\n"
+    )
+    proc = run_python(["-c", script], "-O")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode() == "14 14\n"

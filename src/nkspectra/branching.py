@@ -69,7 +69,10 @@ _SPACES = {
 
 
 def space_data(space: Space) -> HomogeneousSpace:
-    return _SPACES[space]
+    try:
+        return _SPACES[space]
+    except KeyError:
+        raise ValueError(f"a space is a Space, not {space!r}") from None
 
 
 @dataclass(frozen=True)
@@ -338,6 +341,8 @@ def hom_dimension(space: Space, irrep: IrrepLabel, bundle: Bundle) -> int:
     data = space_data(space)
     if irrep.group is not data.group:
         raise ValueError(f"{space.value} needs labels of {data.group.value}")
+    if type(bundle) is not Bundle:
+        raise ValueError(f"a bundle is a Bundle, not {bundle!r}")
 
     if space is Space.S3XS3:
         fiber = isotropy_module(space, bundle).content

@@ -311,11 +311,6 @@ class InvariantForm:
         return format_form(self)
 
 
-def coframe(index: int) -> InvariantForm:
-    """The coframe 1-form with the given index (1..6 = e^i, 7..9 = k^j)."""
-    return InvariantForm.make(1, {((index,), 0): 1})
-
-
 def e(*indices: int) -> InvariantForm:
     """Monomial e_{i_1 ... i_p}; indices need not be sorted."""
     mask, sign = _monomial(indices)
@@ -356,58 +351,50 @@ def wedge_all(*forms: InvariantForm) -> InvariantForm:
 # Exterior differential
 
 @lru_cache(maxsize=None)
-def _d_symbol(slot: int) -> InvariantForm:
-    """d of the coefficient symbol in slot 1..8."""
-    # slot 1..6 -> Z = e_i, slot 7..8 -> Z = h_{slot-6}; the frame index
-    # of Z coincides with the slot in both cases, and u_a . c_Z = c_{[u_a, Z]},
-    # whose h_3 coordinate folds into v_1, v_2 through v_3 = -v_1 - v_2
+def _d_image(mask: int, slot: int) -> Tuple[Tuple[int, int, int], ...]:
+    """Column (mask, slot) of d's integer matrix: the (mask, slot, int)
+    terms of d(c e^I) = dc ^ e^I + c d(e^I), for c the symbol in the slot
+    and e^I the monomial of the mask."""
+
     def images():
+        # dc = sum over a of c_{[u_a, Z]} e^a, where Z is e_i for slot
+        # 1..6 and h_{slot-6} for slot 7, 8 (its frame index is the slot);
+        # the h_3 coordinate folds into v_1, v_2 through v_3 = -v_1 - v_2
         for a in range(1, 10):
             sign, pair = (1, (a, slot)) if a < slot else (-1, (slot, a))
+            sign *= _merge(1 << (a - 1), mask)  # e^a ^ e^I, 0 when a is in I
             for c, q in _BRACKETS.get(pair, {}).items():
                 for s, t in ((7, -1), (8, -1)) if c == 9 else ((c, 1),):
-                    yield 1 << (a - 1), s, Fraction(sign * t * q)
-
-    return _collect(1, images())
-
-
-@lru_cache(maxsize=None)
-def _d_monomial(mask: int) -> InvariantForm:
-    """d of a constant basis monomial, d e^I = sum over k in I of
-    d e^k ^ (u_k -| e^I), where d e^k = -sum over a < b of c^k_ab e^ab."""
-
-    def images():
+                    yield (1 << (a - 1)) | mask, s, sign * t * q
+        # d e^I = sum over k in I of d e^k ^ (u_k -| e^I), where
+        # d e^k = -sum over a < b of c^k_ab e^ab
         for k in _INDICES[mask]:
             rest = mask ^ (1 << (k - 1))
             lead = _merge(1 << (k - 1), rest)  # u_k -| e^I = lead e^rest
             for (a, b), bracket in _BRACKETS.items():
                 ab = (1 << (a - 1)) | (1 << (b - 1))
                 if k in bracket and (sign := _merge(ab, rest)):
-                    yield ab | rest, 0, Fraction(-lead * sign * bracket[k])
+                    yield ab | rest, slot, -lead * sign * bracket[k]
 
-    return _collect(mask.bit_count() + 1, images())
+    column: Dict[Tuple[int, int], int] = {}
+    for m, s, c in images():
+        column[m, s] = column.get((m, s), 0) + c
+    return tuple((m, s, c) for (m, s), c in column.items() if c)
 
 
 def d(a: InvariantForm) -> InvariantForm:
     """Exterior differential (Maurer-Cartan on the coframe, the
-    Ad-equivariance rule on coefficients)."""
-
-    def images():
-        # d(c e^I) = dc ^ e^I + c d(e^I)
-        for (mask, slot), q in a.terms:
-            if slot:
-                for (j, s), dc in _d_symbol(slot).terms:
-                    if sign := _merge(j, mask):
-                        yield j | mask, s, sign * q * dc
-            for (m, _), dm in _d_monomial(mask).terms:
-                yield m, slot, q * dm
-
-    return _collect(a.degree + 1, images())
+    Ad-equivariance rule on coefficients), one cached integer column per
+    (mask, slot) term."""
+    terms = (
+        (m, s, q * c) for (mask, slot), q in a.terms for m, s, c in _d_image(mask, slot)
+    )
+    return _collect(a.degree + 1, terms)
 
 
 # d(d) = 0 on the coframe and on the symbols is the Jacobi identity of the
 # bracket table and of its action on the coefficients
-for _name, _form in [(f"e^{k}", coframe(k)) for k in range(1, 10)] + [
+for _name, _form in [(f"e^{k}", e(k)) for k in range(1, 10)] + [
     (name, symbol_form(name)) for name in _SYMBOLS[1:]
 ]:
     if not d(d(_form)).is_zero():
@@ -593,9 +580,9 @@ PSI_MINUS = e(2, 3, 6) - e(1, 4, 6) - e(1, 3, 5) - e(2, 4, 5)
 PSI_PLUS_CONTRACTED = tuple(contract_frame(PSI_PLUS, i) for i in _HORIZONTAL)
 VOLUME = -e(1, 2, 3, 4, 5, 6)
 
-H1 = coframe(7) * Fraction(1, 2)
-H2 = coframe(8) * Fraction(1, 2)
-H3 = coframe(9) * Fraction(1, 2)
+H1 = e(7) * Fraction(1, 2)
+H2 = e(8) * Fraction(1, 2)
+H3 = e(9) * Fraction(1, 2)
 
 
 # --------------------------------------------------------------------------
@@ -630,19 +617,14 @@ def killing_data() -> KillingData:
     x = [symbol_form(f"x{i}") for i in range(1, 7)]
     v1, v2, v3 = map(symbol_form, ("v1", "v2", "v3"))
 
-    a1 = coframe(5) * x[5] - coframe(6) * x[4]
-    a2 = coframe(4) * x[2] - coframe(3) * x[3]
-    a3 = coframe(1) * x[1] - coframe(2) * x[0]
-    ja1 = coframe(5) * x[4] + coframe(6) * x[5]
-    ja2 = coframe(3) * x[2] + coframe(4) * x[3]
-    ja3 = coframe(1) * x[0] + coframe(2) * x[1]
+    a = (e(5) * x[5] - e(6) * x[4], e(4) * x[2] - e(3) * x[3], e(1) * x[1] - e(2) * x[0])
     phi_v = e(5, 6) * v1 - e(3, 4) * v2 + e(1, 2) * v3
     phi_k = type_decompose(d(_X_FLAT))[0]
     return KillingData(
         xi_flat=_X_FLAT,
         j_xi_flat=apply_j(_X_FLAT),
-        a=(a1, a2, a3),
-        ja=(ja1, ja2, ja3),
+        a=a,
+        ja=tuple(map(apply_j, a)),
         phi_v=phi_v,
         phi_k=phi_k,
     )

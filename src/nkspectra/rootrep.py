@@ -79,9 +79,11 @@ class IrrepLabel:
     labels: Tuple[int, ...]
 
     def __post_init__(self):
-        n = _RANK[self.group]
-        if len(self.labels) != n:
-            raise ValueError(f"{self.group} label needs {n} entries")
+        n = _RANK.get(self.group)
+        if type(self.labels) is not tuple or len(self.labels) != n:
+            if n is None:
+                raise ValueError(f"a label's group is a Group, not {self.group!r}")
+            raise ValueError(f"{self.group} label needs a tuple of {n} entries")
         if any(type(x) is not int or x < 0 for x in self.labels):
             raise ValueError("labels must be nonnegative integers")
         if self.group is Group.SO5 and self.labels[0] < self.labels[1]:

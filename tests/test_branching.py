@@ -27,6 +27,7 @@ from nkspectra.rootrep import (
     su3_label,
     weight_multiplicities,
 )
+from nkspectra.spectrum import enumerate_spectrum
 
 
 def test_space_table():
@@ -154,6 +155,18 @@ def test_hom_rejects_wrong_group():
         hom_dimension(Space.CP3, su3_label(1, 1), Bundle.FUNCTIONS)
     with pytest.raises(ValueError):
         hom_dimension(Space.FLAG, so5_label(1, 1), Bundle.LAMBDA11)
+    # a space or a bundle named by its string raised a bare KeyError, in
+    # the Hom count and in the spectrum walk that calls it
+    for call in (
+        lambda: hom_dimension(Space.FLAG, su3_label(1, 1), "lambda11"),
+        lambda: hom_dimension(Space.S3XS3, su2cubed_label(1, 1, 0), "lambda11"),
+        lambda: hom_dimension("flag", su3_label(1, 1), Bundle.LAMBDA11),
+        lambda: enumerate_spectrum("flag", Bundle.LAMBDA11, 12),
+        lambda: enumerate_spectrum(Space.CP3, "functions", 12),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert "\n" not in str(err.value)
 
 
 def test_u2_label_validation():

@@ -33,7 +33,6 @@ from nkspectra.dga import (
     apply_j,
     basic_check,
     codifferential,
-    coframe,
     contract_frame,
     contract_vector,
     d,
@@ -199,8 +198,8 @@ def test_sparse_mul_matches_the_naive_triple_sum(naive_mul, a, b):
 
 def test_suites_make_few_forms(run_python):
     # each operator, make and the sum of two forms hand their signed terms
-    # to the one accumulator _collect once (987 calls over every suite,
-    # 284 in the pointwise one); summing forms term by term makes about
+    # to the one accumulator _collect once (920 calls over every suite,
+    # 270 in the pointwise one); summing forms term by term makes about
     # three times as many.  The pointwise suite checks each identity that
     # is linear in X once, at the generic X = sum x_i e^i
     script = (
@@ -223,6 +222,30 @@ def test_suites_make_few_forms(run_python):
     every, pointwise = map(int, proc.stdout.split())
     assert 0 < every <= 1050
     assert 0 < pointwise <= 330
+
+
+def test_suites_make_few_fraction_products(run_python):
+    # d reads one cached integer column per (mask, slot) term and makes one
+    # product per image term (6317 Fraction._mul calls over every suite;
+    # a product per sign and per value, as before, made 8050)
+    script = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from nkspectra import nkcheck\n"
+        "code = Fraction._mul.__code__\n"
+        "calls = 0\n"
+        "def hook(frame, event, arg):\n"
+        "    global calls\n"
+        "    if event == 'call' and frame.f_code is code:\n"
+        "        calls += 1\n"
+        "sys.setprofile(hook)\n"
+        "nkcheck.run_all_suites()\n"
+        "sys.setprofile(None)\n"
+        "print(calls)\n"
+    )
+    proc = run_python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert 0 < int(proc.stdout) <= 7000
 
 
 def test_collect_refuses_a_term_of_another_degree():
@@ -367,7 +390,7 @@ def test_model_wedge_relations():
 
 def test_d_squared_vanishes_on_generators():
     for k in range(1, 10):
-        assert d(d(coframe(k))).is_zero()
+        assert d(d(e(k))).is_zero()
     for name in ("x1", "x2", "x3", "x4", "x5", "x6", "v1", "v2", "v3"):
         assert d(d(symbol_form(name))).is_zero()
 
@@ -595,7 +618,7 @@ def test_basic_check_examples():
     assert basic_check(symbol_form("v1"))
     assert not basic_check(e(1, 3))
     assert not basic_check(symbol_form("x1"))
-    assert not basic_check(coframe(7))
+    assert not basic_check(e(7))
 
 
 def test_vertical_lie_derivative_validation():
@@ -619,7 +642,7 @@ def test_vertical_lie_derivative_on_the_coframe_and_the_symbols():
                     for t in range(1, 10)
                 },
             )
-            assert vertical_lie_derivative(coframe(k), j) == want, (j, k)
+            assert vertical_lie_derivative(e(k), j) == want, (j, k)
         for slot, name in enumerate(("x1", "x2", "x3", "x4", "x5", "x6", "v1", "v2"), 1):
             want = _coefficient_form(_bracket(h, slot))
             assert vertical_lie_derivative(symbol_form(name), j) == want, (j, name)
@@ -653,9 +676,9 @@ def test_nonlinear_coefficient_guard():
     with pytest.raises(NonlinearCoefficient):
         wedge(symbol_form("x1"), symbol_form("x2"))
     with pytest.raises(NonlinearCoefficient):
-        wedge(coframe(1) * X[0], coframe(2) * X[1])
+        wedge(e(1) * X[0], e(2) * X[1])
     # wedge skips overlapping terms before it multiplies their coefficients
-    assert wedge(coframe(1) * X[0], coframe(1) * X[1]).is_zero()
+    assert wedge(e(1) * X[0], e(1) * X[1]).is_zero()
     with pytest.raises(NonlinearCoefficient):
         symbol_form("v1") * symbol_form("v2")
     with pytest.raises(NonlinearCoefficient):
@@ -668,11 +691,11 @@ def test_nonlinear_coefficient_guard():
 
 def test_vertical_component_guards():
     with pytest.raises(VerticalComponent):
-        hodge_star(coframe(7))
+        hodge_star(e(7))
     with pytest.raises(VerticalComponent):
-        apply_j(wedge(e(1), coframe(8)))
+        apply_j(wedge(e(1), e(8)))
     with pytest.raises(VerticalComponent):
-        inner(coframe(7), coframe(7))
+        inner(e(7), e(7))
     # x1 is not basic: its differential has vertical legs, so no Hodge
     # laplacian exists downstairs
     with pytest.raises(VerticalComponent):
@@ -694,7 +717,7 @@ def test_degree_validation():
     with pytest.raises(ValueError):
         type_decompose(PSI_PLUS)
     with pytest.raises(ValueError):
-        wedge(VOLUME, wedge_all(coframe(7), coframe(8), coframe(9), e(1)))
+        wedge(VOLUME, wedge_all(e(7), e(8), e(9), e(1)))
     assert e(1, 1).is_zero()
     assert wedge(e(1), e(1)).is_zero()
     # a form is read at degree many ints in 1..9: OMEGA.constant_part(True,
@@ -715,7 +738,7 @@ def test_degree_validation():
         with pytest.raises(ValueError):
             InvariantForm.make(2, {(idx, 0): 1})
     # indices and slots are ints, never bool or float, and values are
-    # exact: coframe(True) printed e_True, (2.0,) printed e_2.0,
+    # exact: the coframe index True printed e_True, (2.0,) printed e_2.0,
     # e(1, 3) + e(True, 3) printed 2 e_13, and 0.1 was stored as its
     # binary expansion
     for key, q in (
@@ -729,7 +752,7 @@ def test_degree_validation():
         with pytest.raises(ValueError):
             InvariantForm.make(1, {key: q})
     for build in (
-        lambda: coframe(True),
+        lambda: e(True),
         lambda: e(True, 3),
         lambda: e(1, True),
         lambda: scalar_form(0.1),
@@ -880,7 +903,7 @@ def _restrict_vertical(a):
     for (idx, slot), q in _tuple_terms(a):
         if idx == (9,):
             c = InvariantForm.make(0, {((), slot): q})
-            out = out + coframe(7) * (-c) + coframe(8) * (-c)
+            out = out + e(7) * (-c) + e(8) * (-c)
         else:
             out = out + InvariantForm.make(a.degree, {(idx, slot): q})
     return out
@@ -909,7 +932,7 @@ def test_su3_frame_differential_matches(naive_mul):
     def flat(b):
         parts = InvariantForm.zero(1)
         for j in range(3):
-            parts = parts + _restrict_vertical(coframe(7 + j)) * _inner(naive_mul, b, mats[6 + j])
+            parts = parts + _restrict_vertical(e(7 + j)) * _inner(naive_mul, b, mats[6 + j])
         return parts
 
     duals = []
@@ -921,7 +944,7 @@ def test_su3_frame_differential_matches(naive_mul):
         rebuilt = InvariantForm.zero(1)
         for i in range(6):
             c = _coefficient_of_matrix(naive_mul, _commutator(naive_mul, mats[i], w))
-            rebuilt = rebuilt + coframe(i + 1) * c
+            rebuilt = rebuilt + e(i + 1) * c
         for b, dual in zip((b1, b2), duals):
             c = _coefficient_of_matrix(naive_mul, _commutator(naive_mul, b, w))
             rebuilt = rebuilt + dual * c
@@ -956,7 +979,7 @@ def test_format_scalars_and_fractions():
 
 
 def test_format_vertical_atoms():
-    assert format_form(d(coframe(1))) == "-2 e_2^h_1 + 2 e_2^h_2 + e_35 + e_46"
+    assert format_form(d(e(1))) == "-2 e_2^h_1 + 2 e_2^h_2 + e_35 + e_46"
 
 
 def test_format_symbolic_forms():

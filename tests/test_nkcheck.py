@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from nkspectra import dga, nkcheck
+from nkspectra import cli, dga, nkcheck
 from nkspectra.cli import _suites_table
 from nkspectra.dga import (
     InvariantForm,
@@ -168,10 +168,18 @@ def test_primitive_star_identity_example():
 
 
 def test_primitive_basis_spans_rank_eight():
-    rows = []
-    pairs = [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
-    for form in nkcheck._PRIMITIVE_11_BASIS:
-        rows.append([form.constant_part(i, j) for i, j in pairs])
+    # slot n of the projected generic form is the primitive (1,1) part of
+    # e^{p_n}: J-invariant, orthogonal to omega, and the eight span
+    beta = InvariantForm.make(
+        2, {(p, n): 1 for n, p in enumerate(nkcheck._PRIMITIVE_PAIRS, 1)}
+    )
+    phi = type_decompose(beta)[0]
+    assert (apply_j(phi) - phi).is_zero()
+    assert inner(phi, OMEGA).is_zero()
+    rows = [
+        [phi.slot_values(i, j)[n] for i in range(1, 7) for j in range(i + 1, 7)]
+        for n in range(1, 9)
+    ]
     assert nkcheck._rank(rows) == 8
 
 
@@ -340,12 +348,13 @@ def test_suite_sizes():
 
 def test_model_checks_fire_under_dash_O(run_python):
     # a doubled A makes its norm and composition checks report FAIL and
-    # `identities` exit 1; a non-primitive form in the primitive basis and
-    # a basis that does not span raise.  Both kinds work under python -O
+    # `identities` exit 1; index pairs whose primitive (1,1) projections do
+    # not span raise (e^13 and e^24 project to opposite forms).  Both kinds
+    # work under python -O
     script = (
         "import contextlib, io\n"
         "from nkspectra import cli, nkcheck as n\n"
-        "a_two_form, basis = n.a_two_form, n._PRIMITIVE_11_BASIS\n"
+        "a_two_form = n.a_two_form\n"
         "n.a_two_form = lambda x: a_two_form(x) * 2\n"
         "report = n.verify_pointwise_identities()\n"
         "print(' '.join(c.name for c in report.checks if not c.passed))\n"
@@ -353,21 +362,54 @@ def test_model_checks_fire_under_dash_O(run_python):
         "    code = cli.main(['identities'])\n"
         "print(code, '[FAIL] a1_composition_sum' in table.getvalue())\n"
         "n.a_two_form = a_two_form\n"
-        "fired = 0\n"
-        "for primitive in (basis[:-1] + (n.OMEGA,), basis[:1] * 8):\n"
-        "    n._PRIMITIVE_11_BASIS = primitive\n"
-        "    try:\n"
-        "        n.verify_pointwise_identities()\n"
-        "    except AssertionError:\n"
-        "        fired += 1\n"
-        "print(fired)\n"
+        "n._PRIMITIVE_PAIRS = tuple((2, 4) if p == (1, 4) else p for p in n._PRIMITIVE_PAIRS)\n"
+        "try:\n"
+        "    n.verify_pointwise_identities()\n"
+        "except AssertionError as err:\n"
+        "    print(err)\n"
     )
     proc = run_python(["-c", script], "-O")
     assert proc.returncode == 0, proc.stderr
     failed, exit_line, fired = proc.stdout.decode().splitlines()
     assert {"a0_norm_polarized", "a1_composition_sum"} <= set(failed.split())
     assert exit_line == "1 True"
-    assert fired == "2"
+    assert fired == "the primitive (1,1) projections do not span"
+
+
+def test_a_fault_at_one_sample_shows_at_its_slot(run_python):
+    # slot k of the a0 sample residual is the residual at sample k, so a
+    # norm off by 1 at the second sample prints as x_2
+    script = (
+        "import contextlib, io\n"
+        "from fractions import Fraction\n"
+        "from nkspectra import cli, nkcheck as n\n"
+        "norm = n.a_norm_squared\n"
+        "n.a_norm_squared = lambda x: norm(x) + (x[0] == Fraction(1, 2))\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as table:\n"
+        "    code = cli.main(['identities'])\n"
+        "print(code)\n"
+        "print(*(l for l in table.getvalue().splitlines() if '[FAIL]' in l))\n"
+    )
+    for flags in ((), ("-O",)):
+        proc = run_python(["-c", script], *flags)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode().splitlines() == [
+            "1",
+            "  [FAIL] a0_norm_rational_samples  residual = x_2",
+        ]
+
+
+def test_pointwise_identities_never_build_killing_data(monkeypatch, capsys):
+    # the pointwise suite works at the generic X alone; no Killing-field
+    # form is built, in the suite or in the `identities` report
+    def refuse():
+        raise AssertionError("killing_data called")
+
+    monkeypatch.setattr(dga, "killing_data", refuse)
+    monkeypatch.setattr(nkcheck, "killing_data", refuse)
+    assert verify_pointwise_identities().passed
+    assert cli.main(["identities"]) == 0
+    assert "all suites passed" in capsys.readouterr().out
 
 
 def test_a_fault_at_some_basis_vectors_shows_at_each(run_python):

@@ -385,3 +385,9 @@ def test_so5_label_validation():
     # bool is an int subclass; V(True,False) would equal V(1,0)
     with pytest.raises(ValueError):
         su3_label(True, False)
+    # a list label compared unequal to its tuple and was unhashable, and a
+    # group named by its string raised a bare KeyError
+    for group, labels in ((Group.SU3, [1, 1]), ("su3", (1, 1)), (None, (1,))):
+        with pytest.raises(ValueError) as err:
+            IrrepLabel(group, labels)
+        assert "\n" not in str(err.value)

@@ -29,9 +29,8 @@ suite compares against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .rootrep import (
     Group,
@@ -54,8 +53,7 @@ class Bundle(Enum):
     LAMBDA11 = "lambda11"
 
 
-@dataclass(frozen=True)
-class HomogeneousSpace:
+class HomogeneousSpace(NamedTuple):
     space: Space
     group: Group
     isometry_dim: int
@@ -75,22 +73,24 @@ def space_data(space: Space) -> HomogeneousSpace:
         raise ValueError(f"a space is a Space, not {space!r}") from None
 
 
-@dataclass(frozen=True)
-class U2Label:
+class U2Label(NamedTuple("U2Label", [("a", int), ("b", int)])):
     """Irreducible U2 representation Sym^a(C^2) tensor the b-th power of
     the determinant character square root; a and b must have equal
-    parity for the label to exist on U2."""
+    parity for the label to exist on U2, also through _make and _replace."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.a) is not int or type(self.b) is not int:
+    def __new__(cls, a: int, b: int):
+        if type(a) is not int or type(b) is not int:
             raise ValueError("U2 labels must be integers")
-        if self.a < 0:
+        if a < 0:
             raise ValueError("SU2 part must be nonnegative")
-        if (self.a - self.b) % 2 != 0:
+        if (a - b) % 2 != 0:
             raise ValueError("U2 label needs a = b mod 2")
+        return tuple.__new__(cls, (a, b))
+
+    # namedtuple's _make, which _replace calls, would skip __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def dim(self) -> int:
@@ -100,8 +100,7 @@ class U2Label:
         return f"E({self.a},{self.b})"
 
 
-@dataclass(frozen=True)
-class IsotropyModule:
+class IsotropyModule(NamedTuple):
     """Fiber module of one of the two bundles, as a K-representation.
 
     content holds su2 string labels for S3 x S3, U2Labels for CP3 and
@@ -188,7 +187,10 @@ _ISOTROPY_MODULES = _build_isotropy_modules()
 
 def isotropy_module(space: Space, bundle: Bundle) -> IsotropyModule:
     """Fiber K-module of the requested bundle, as checked at import."""
-    return _ISOTROPY_MODULES[space, bundle]
+    try:
+        return _ISOTROPY_MODULES[space, bundle]
+    except KeyError:
+        raise ValueError(f"a fiber needs a Space and a Bundle: {space!r}, {bundle!r}") from None
 
 
 def restrict_so5_to_u2(irrep: IrrepLabel) -> List[Tuple[U2Label, int]]:

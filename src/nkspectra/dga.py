@@ -71,10 +71,9 @@ of nonzero entries, the sum of absolute values, and the tuple itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 
 class NonlinearCoefficient(ValueError):
@@ -230,8 +229,7 @@ def _collect(degree: int, terms: Iterable[Tuple[int, int, Fraction]]) -> Invaria
     return InvariantForm(degree, tuple(term for term in ordered if term[1]))
 
 
-@dataclass(frozen=True)
-class InvariantForm:
+class InvariantForm(NamedTuple):
     """Homogeneous invariant form: ((mask, slot), value) pairs in the
     order of (index tuple, slot), with nonzero Fraction values; bit k - 1
     of a mask is the coframe factor k (1..6 horizontal, 7..9 vertical)."""
@@ -594,8 +592,7 @@ H3 = e(9) * Fraction(1, 2)
 _X_FLAT = InvariantForm.make(1, {((i,), i): 1 for i in _HORIZONTAL})
 
 
-@dataclass(frozen=True)
-class KillingData:
+class KillingData(NamedTuple):
     """Symbolic forms attached to a Killing field of the flag manifold:
     the dual 1-form, its rotation, the auxiliary a_i / Ja_i fields, the
     v-template 2-form phi_v and the primitive (1,1) part phi_k of d(xi)."""
@@ -613,7 +610,7 @@ def killing_data() -> KillingData:
     """The symbolic Killing-field forms; identities proved over the
     symbols hold for every xi in su_3 simultaneously, and killing_values
     evaluates the symbols at a concrete xi.  The forms are built once per
-    process and the same frozen object is returned on every call."""
+    process and the same immutable object is returned on every call."""
     x = [symbol_form(f"x{i}") for i in range(1, 7)]
     v1, v2, v3 = map(symbol_form, ("v1", "v2", "v3"))
 

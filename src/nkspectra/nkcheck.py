@@ -37,9 +37,8 @@ group element sampled (see moduli_generator_rank).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .branching import Space
 from .dga import (
@@ -74,8 +73,7 @@ from .spectrum import moduli_upper_bound
 # --------------------------------------------------------------------------
 # Report plumbing
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     residual: str
@@ -88,8 +86,7 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     suite: str
     checks: Tuple[CheckResult, ...]
 

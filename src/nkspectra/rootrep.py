@@ -32,10 +32,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 Weight = Tuple[Fraction, ...]
 
@@ -51,6 +50,14 @@ _AMBIENT = {Group.SU2: 1, Group.SU2_CUBED: 3, Group.SO5: 2, Group.SU3: 3}
 _RANK = {Group.SU2: 1, Group.SU2_CUBED: 3, Group.SO5: 2, Group.SU3: 2}
 
 
+def _of_group(table: Dict, group: Group):
+    # table[group], refusing anything but a Group with a one-line error
+    try:
+        return table[group]
+    except KeyError:
+        raise ValueError(f"a group is a Group, not {group!r}") from None
+
+
 def canonical_weight(group: Group, coords) -> Weight:
     """Return the canonical ambient representative of a weight.
 
@@ -58,7 +65,7 @@ def canonical_weight(group: Group, coords) -> Weight:
     zero; weight equality is equality of canonical representatives.
     """
     vec = tuple(Fraction(c) for c in coords)
-    if len(vec) != _AMBIENT[group]:
+    if len(vec) != _of_group(_AMBIENT, group):
         raise ValueError(f"expected {_AMBIENT[group]} coordinates for {group}")
     if group is Group.SU3:
         mean = sum(vec, Fraction(0)) / 3
@@ -66,28 +73,31 @@ def canonical_weight(group: Group, coords) -> Weight:
     return vec
 
 
-@dataclass(frozen=True)
-class IrrepLabel:
-    """Highest-weight label of an irreducible representation.
+class IrrepLabel(NamedTuple("IrrepLabel", [("group", Group), ("labels", Tuple[int, ...])])):
+    """Highest-weight label of an irreducible representation, validated by
+    the constructor, _make and _replace alike.
 
     labels: (k) for Sym^k E of su2; (a, b, c) for the outer tensor cube;
     (a, b) with a >= b >= 0 for so5; (k, l) for the su3 Cartan summand in
     Sym^k E (x) Sym^l conj(E).
     """
 
-    group: Group
-    labels: Tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = _RANK.get(self.group)
-        if type(self.labels) is not tuple or len(self.labels) != n:
+    def __new__(cls, group: Group, labels: Tuple[int, ...]):
+        n = _RANK.get(group)
+        if type(labels) is not tuple or len(labels) != n:
             if n is None:
-                raise ValueError(f"a label's group is a Group, not {self.group!r}")
-            raise ValueError(f"{self.group} label needs a tuple of {n} entries")
-        if any(type(x) is not int or x < 0 for x in self.labels):
+                raise ValueError(f"a label's group is a Group, not {group!r}")
+            raise ValueError(f"{group} label needs a tuple of {n} entries")
+        if any(type(x) is not int or x < 0 for x in labels):
             raise ValueError("labels must be nonnegative integers")
-        if self.group is Group.SO5 and self.labels[0] < self.labels[1]:
+        if group is Group.SO5 and labels[0] < labels[1]:
             raise ValueError("so5 labels require a >= b")
+        return tuple.__new__(cls, (group, labels))
+
+    # namedtuple's _make, which _replace calls, would skip __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def is_trivial(self) -> bool:
@@ -120,8 +130,7 @@ def su3_label(k: int, l: int) -> IrrepLabel:
     return IrrepLabel(Group.SU3, (k, l))
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     group: Group
     positive_roots: Tuple[Weight, ...]
     rho: Weight
@@ -165,7 +174,7 @@ _ROOT_SYSTEMS = {group: _build_root_system(group) for group in Group}
 def root_system(group: Group) -> RootSystem:
     """Hard-coded canonical root datum for one of the four families,
     built once at import."""
-    return _ROOT_SYSTEMS[group]
+    return _of_group(_ROOT_SYSTEMS, group)
 
 
 def weight_inner(group: Group, lam, mu) -> Fraction:
@@ -189,11 +198,12 @@ def casimir_eigenvalue(irrep: IrrepLabel, metric_scale: Fraction = Fraction(1)) 
     """Casimir scalar of the irrep with respect to -metric_scale * B.
 
     Always <= 0, and 0 exactly for the trivial label.  Computed as
-    -<gamma, gamma + 2 rho> / metric_scale in the -B pairing.
+    -<gamma, gamma + 2 rho> / metric_scale in the -B pairing; the scale
+    is a positive int or Fraction (a bool or a float is refused).
     """
+    if type(metric_scale) not in (int, Fraction) or metric_scale <= 0:
+        raise ValueError(f"metric_scale {metric_scale!r} is not a positive int or Fraction")
     scale = Fraction(metric_scale)
-    if scale <= 0:
-        raise ValueError("metric_scale must be positive")
     gamma = irrep.highest_weight()
     rho = root_system(irrep.group).rho
     shifted = tuple(g + 2 * r for g, r in zip(gamma, rho))
@@ -248,8 +258,7 @@ def _check_closed_forms() -> None:
 _check_closed_forms()
 
 
-@dataclass(frozen=True)
-class WeightTable:
+class WeightTable(NamedTuple):
     """Finite weight-to-multiplicity map of one irrep.
 
     Entries are keyed by canonical ambient weights; the multiplicity sum
@@ -446,7 +455,7 @@ def iter_labels(group: Group, cutoff: Fraction) -> Iterator[IrrepLabel]:
     nonnegative int or Fraction.
     """
     bound = math.floor(6 * exact_cutoff(cutoff))
-    rank = _RANK[group]
+    rank = _of_group(_RANK, group)
     edge = 0
     while _SIX_LAPLACE[group](edge, *(0,) * (rank - 1)) <= bound:
         edge += 1

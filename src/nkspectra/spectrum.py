@@ -11,10 +11,8 @@ checks) is bookkeeping over these entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .branching import Bundle, Space, U2Label, hom_dimension, space_data
 from .rootrep import (
@@ -30,17 +28,24 @@ from .rootrep import (
 )
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    """One isotypic component: the irrep and its Hom_K dimension; the
-    eigenvalue, the dimension and the contribution are read off them."""
+_ENTRY_FIELDS = [("irrep", IrrepLabel), ("hom_dim", int), ("eigenvalue", Fraction)]
 
-    irrep: IrrepLabel
-    hom_dim: int
 
-    @cached_property  # read by the sort, the cutoff filter and the printer
-    def eigenvalue(self) -> Fraction:
-        return laplace_eigenvalue(self.irrep)
+class SpectrumEntry(NamedTuple("SpectrumEntry", _ENTRY_FIELDS)):
+    """One isotypic component, built from the irrep and its Hom_K
+    dimension; the eigenvalue is stored once (the sort, the cutoff filter
+    and the printer read it), the dimension and contribution derived."""
+
+    __slots__ = ()
+
+    def __new__(cls, irrep: IrrepLabel, hom_dim: int):
+        return tuple.__new__(cls, (irrep, hom_dim, laplace_eigenvalue(irrep)))
+
+    # _make (so _replace), copy and pickle recompute the eigenvalue too
+    _make = classmethod(lambda cls, fields: cls(*tuple(fields)[:2]))
+
+    def __getnewargs__(self):
+        return self[:2]
 
     @property
     def irrep_dim(self) -> int:
@@ -94,8 +99,7 @@ def eigenspace_multiplicity(space: Space, bundle: Bundle, eigenvalue) -> int:
     )
 
 
-@dataclass(frozen=True)
-class ModuliReport:
+class ModuliReport(NamedTuple):
     """Inputs and output of the deformation-space dimension estimate
     dim <= dim Omega^(1,1)_0(12) - dim isometry - dim Omega^0(12).
 

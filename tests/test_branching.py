@@ -22,6 +22,7 @@ from nkspectra.rootrep import (
     canonical_weight,
     dimension,
     iter_labels,
+    root_system,
     so5_label,
     su2cubed_label,
     su3_label,
@@ -431,3 +432,17 @@ def test_isotropy_checks_fire_under_dash_O(run_python):
     assert proc.stdout.decode().splitlines() == [
         f"{space}: the (1,1) fiber is not 8-dimensional" for space in _BROKEN_TANGENTS
     ]
+
+
+def test_representation_data_refuses_a_name_for_an_enum():
+    # the lookups behind these calls raised a bare KeyError for a string
+    for call in (
+        lambda: isotropy_module(Space.FLAG, "lambda11"),
+        lambda: isotropy_module("flag", Bundle.LAMBDA11),
+        lambda: iter_labels("su3", Fraction(12)),
+        lambda: canonical_weight("su3", (1, 2, 3)),
+        lambda: root_system("su3"),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert "\n" not in str(err.value)

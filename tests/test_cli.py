@@ -571,6 +571,37 @@ def test_only_the_suite_commands_load_the_exterior_calculus(argv, loads, flags, 
     assert proc.stdout.split() == [b"0", str(loads).encode(), str(loads).encode()]
 
 
+# Each command in a fresh interpreter: its exit code, then the names of
+# dataclasses and inspect if importing cli and running the command loaded
+# them (together about 8 ms of a cold start)
+_STDLIB_LOADED = """
+import contextlib, io, sys
+before = set(sys.modules)
+from nkspectra import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted({"dataclasses", "inspect"} & set(sys.modules) - before))
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("spectrum", "--space", "flag", "--cutoff", "12"),
+        ("moduli-bound", "--space", "flag"),
+        ("einstein-check", "--space", "cp3"),
+        ("verify-flag",),
+        ("identities",),
+        ("all",),
+    ],
+)
+def test_no_command_loads_dataclasses_or_inspect(argv, flags, run_python):
+    proc = run_python(["-c", _STDLIB_LOADED, *argv], *flags)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"0"]
+
+
 # nkcheck imported before or after cli: one module object, and a patch made
 # on it before cli is imported is the function cli calls
 _ONE_NKCHECK = """

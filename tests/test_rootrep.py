@@ -391,3 +391,13 @@ def test_so5_label_validation():
         with pytest.raises(ValueError) as err:
             IrrepLabel(group, labels)
         assert "\n" not in str(err.value)
+
+
+def test_casimir_scale_is_an_exact_positive_number():
+    # a float went through Fraction() unrefused: the scale 0.5 gave -2
+    irrep = su3_label(1, 1)
+    for scale in (0.5, 0.1, True, "1/12", 0, Fraction(-1, 2)):
+        with pytest.raises(ValueError) as err:
+            casimir_eigenvalue(irrep, scale)
+        assert "\n" not in str(err.value)
+    assert casimir_eigenvalue(irrep, 2) == casimir_eigenvalue(irrep, Fraction(2)) == Fraction(-1, 2)

@@ -2,7 +2,6 @@
 top of them (deformation bounds, Einstein eigenvalue checks, the scalar
 curvature normalization)."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -217,7 +216,7 @@ def test_moduli_report_validates_arithmetic():
     assert (slack.nk_upper_bound, slack.reported_bound()) == (-4, 0)
     with pytest.raises(TypeError):
         ModuliReport(Space.FLAG, 32, 8, 16, 9, (0, 0))
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         report.nk_upper_bound = 9
 
 
@@ -225,7 +224,7 @@ def test_spectrum_entry_derives_eigenvalue_dimension_and_contribution():
     entry = spectrum.SpectrumEntry(su3_label(1, 1), 2)
     assert (entry.eigenvalue, entry.irrep_dim, entry.contribution) == (12, 8, 16)
     for name in ("eigenvalue", "irrep_dim", "contribution"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(entry, name, 0)
     with pytest.raises(TypeError):
         spectrum.SpectrumEntry(su3_label(1, 1), Fraction(12), 2, 8, 16)

@@ -1,0 +1,68 @@
+"""The value types of every module are immutable typed tuples: fields
+cannot be assigned, equal fields give equal objects with equal hashes,
+and the validating labels refuse a bad field however they are built."""
+
+import copy
+import pickle
+
+import pytest
+
+from nkspectra import dga, nkcheck
+from nkspectra.branching import Bundle, Space, U2Label, isotropy_module, space_data
+from nkspectra.rootrep import Group, root_system, su3_label, weight_multiplicities
+from nkspectra.spectrum import SpectrumEntry, moduli_upper_bound
+
+
+def _values():
+    check = nkcheck.CheckResult("d_omega", True, "0")
+    return (
+        su3_label(1, 1),
+        root_system(Group.SO5),
+        weight_multiplicities(su3_label(1, 0)),
+        space_data(Space.CP3),
+        U2Label(1, 1),
+        isotropy_module(Space.CP3, Bundle.LAMBDA11),
+        SpectrumEntry(su3_label(1, 1), 2),
+        moduli_upper_bound(Space.FLAG),
+        dga.e(1, 2) * 3,
+        dga.killing_data(),
+        check,
+        nkcheck.VerificationReport("pointwise", (check,)),
+    )
+
+
+@pytest.mark.parametrize("value", _values(), ids=lambda v: type(v).__name__)
+def test_value_types_are_immutable_tuples(value):
+    assert isinstance(value, tuple)
+    for name in (*value._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    for twin in (value._make(tuple(value)), copy.copy(value), pickle.loads(pickle.dumps(value))):
+        assert twin == value and hash(twin) == hash(value)
+        assert type(twin) is type(value)
+
+
+@pytest.mark.parametrize(
+    "value,field,bad",
+    [
+        (su3_label(1, 1), "labels", (1, -1)),
+        (su3_label(1, 1), "group", "su3"),
+        (U2Label(1, 1), "b", 0),
+    ],
+)
+def test_labels_validate_through_every_constructor(value, field, bad):
+    fields = {**value._asdict(), field: bad}
+    for build in (
+        lambda: type(value)(**fields),
+        lambda: type(value)._make(fields.values()),
+        lambda: value._replace(**{field: bad}),
+    ):
+        with pytest.raises(ValueError):
+            build()
+
+
+def test_a_replaced_spectrum_entry_recomputes_its_eigenvalue():
+    entry = SpectrumEntry(su3_label(1, 1), 2)._replace(irrep=su3_label(0, 0))
+    assert entry == (su3_label(0, 0), 2, 0)
+    with pytest.raises(TypeError):
+        SpectrumEntry(su3_label(1, 1), 2, 12)

@@ -69,7 +69,7 @@ _SPACES = {
 def space_data(space: Space) -> HomogeneousSpace:
     try:
         return _SPACES[space]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable value
         raise ValueError(f"a space is a Space, not {space!r}") from None
 
 
@@ -189,7 +189,7 @@ def isotropy_module(space: Space, bundle: Bundle) -> IsotropyModule:
     """Fiber K-module of the requested bundle, as checked at import."""
     try:
         return _ISOTROPY_MODULES[space, bundle]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable value
         raise ValueError(f"a fiber needs a Space and a Bundle: {space!r}, {bundle!r}") from None
 
 

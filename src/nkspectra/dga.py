@@ -3,8 +3,8 @@
 The engine works in the 9-dimensional coframe algebra of the unitary
 group, over a small exact coefficient ring, and implements d, wedge,
 Hodge star, codifferential, Laplacian and the SU3-structure type
-decomposition.  Everything is fractions.Fraction arithmetic; a zero
-residual is a theorem, not a tolerance.
+decomposition in exact integer arithmetic over one denominator per
+form; a zero residual is a theorem, not a tolerance.
 
 Conventions
 -----------
@@ -44,9 +44,10 @@ u . c_W = c_{[u, W]}, so
 (the sqrt(2) normalizations of the vertical frame and coframe cancel).
 The coefficient ring is the linear span of {1, x_1..x_6, v_1, v_2}, and
 a coefficient is a 0-form.  Every form maps (monomial, slot) to a nonzero
-Fraction: the monomial e^I is a 9-bit mask with bit k - 1 set for k in I,
-every permutation sign comes from one rule (_merge), and slot 0 is the
-constant, slots 1..6 are x_1..x_6 and slots 7, 8 are v_1, v_2.  Every
+int numerator over the form's one denominator: the monomial e^I is a
+9-bit mask with bit k - 1 set for k in I, every permutation sign comes
+from one rule (_merge), and slot 0 is the constant, slots 1..6 are
+x_1..x_6 and slots 7, 8 are v_1, v_2.  Every
 identity verified here is linear in these symbols, and a product of two
 non-constant slots raises NonlinearCoefficient instead of silently
 leaving the ring.
@@ -73,6 +74,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import gcd, lcm, prod
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 
@@ -175,11 +177,15 @@ _BRACKETS: Dict[Tuple[int, int], Dict[int, int]] = {
 
 # a coframe monomial e^I is a 9-bit mask with bit k - 1 set for each k in I;
 # _INDICES[mask] is I as an ascending tuple
-_INDICES: Tuple[Tuple[int, ...], ...] = tuple(
-    tuple(k for k in range(1, 10) if mask >> (k - 1) & 1) for mask in range(512)
-)
+_INDICES: List[Tuple[int, ...]] = [()]
+for _k in range(1, 10):  # the masks with top bit k - 1 extend those below
+    _INDICES += [indices + (_k,) for indices in _INDICES]
+# _POSITION[mask] is the rank of its index tuple among all 512
+_POSITION = {m: r for r, m in enumerate(sorted(range(512), key=_INDICES.__getitem__))}
 # coefficient slots: 0 is the constant, 1..6 are x_1..x_6, 7 and 8 are v_1, v_2
 _SYMBOLS = ("1", "x1", "x2", "x3", "x4", "x5", "x6", "v1", "v2")
+# a stored term of a form: ((mask, slot), int numerator)
+Term = Tuple[Tuple[int, int], int]
 
 
 def _merge(a: int, b: int) -> int:
@@ -188,10 +194,12 @@ def _merge(a: int, b: int) -> int:
     Every permutation sign of the calculus is one of these."""
     if a & b:
         return 0
-    pairs = 0
-    for j in _INDICES[b]:
-        pairs += (a >> j).bit_count()  # the factors of a above j
-    return -1 if pairs & 1 else 1
+    # bit j - 1 of above is the parity of the factors of a above j
+    above = a >> 1
+    above ^= above >> 1
+    above ^= above >> 2
+    above ^= above >> 4
+    return -1 if (b & above).bit_count() & 1 else 1
 
 
 def _monomial(indices: Iterable[int]) -> Tuple[int, int]:
@@ -216,31 +224,42 @@ def _times(s: int, t: int) -> int:
     return s or t
 
 
-def _collect(degree: int, terms: Iterable[Tuple[int, int, Fraction]]) -> InvariantForm:
-    """Sum signed (mask, slot, value) terms into one form in (index tuple,
-    slot) order, dropping zero sums.  Masks and slots are valid by
+def _collect(degree: int, terms: Iterable[Term], denominator: int = 1) -> InvariantForm:
+    """Sum signed ((mask, slot), numerator) terms over one positive
+    denominator into a form in (index tuple, slot) order, dropping zero
+    sums and dividing out the gcd.  Masks and slots are valid by
     construction (made by _merge or by make); the degree is checked."""
-    data: Dict[Tuple[int, int], Fraction] = {}
-    for mask, slot, q in terms:
-        data[mask, slot] = data[mask, slot] + q if (mask, slot) in data else q
+    data: Dict[Tuple[int, int], int] = {}
+    for key, q in terms:
+        data[key] = data.get(key, 0) + q
     if any(mask.bit_count() != degree for mask, _ in data):
         raise AssertionError(f"a term of another degree in a {degree}-form")
-    ordered = sorted(data.items(), key=lambda term: (_INDICES[term[0][0]], term[0][1]))
-    return InvariantForm(degree, tuple(term for term in ordered if term[1]))
+    kept = [term for term in data.items() if term[1]]
+    kept.sort(key=lambda term: _POSITION[term[0][0]] << 4 | term[0][1])
+    if denominator > 1 and (g := gcd(denominator, *(q for _, q in kept))) > 1:
+        denominator //= g
+        kept = [(key, q // g) for key, q in kept]
+    return InvariantForm(degree, tuple(kept), denominator)
+
+
+def _over(denominator: int, a: InvariantForm) -> Tuple[Term, ...]:
+    """The terms of a with numerators over a multiple of its denominator."""
+    k = denominator // a.denominator
+    return a.terms if k == 1 else tuple((key, k * q) for key, q in a.terms)
 
 
 class InvariantForm(NamedTuple):
-    """Homogeneous invariant form: ((mask, slot), value) pairs in the
-    order of (index tuple, slot), with nonzero Fraction values; bit k - 1
+    """Homogeneous invariant form: ((mask, slot), numerator) pairs in the
+    order of (index tuple, slot), with nonzero int numerators over one
+    positive denominator that shares no factor with all of them; bit k - 1
     of a mask is the coframe factor k (1..6 horizontal, 7..9 vertical)."""
 
     degree: int
-    terms: Tuple[Tuple[Tuple[int, int], Fraction], ...]
+    terms: Tuple[Term, ...]
+    denominator: int = 1
 
     @staticmethod
-    def make(
-        degree: int, data: Mapping[Tuple[Tuple[int, ...], int], Fraction]
-    ) -> "InvariantForm":
+    def make(degree: int, data: Mapping[Tuple[Tuple[int, ...], int], Fraction]) -> "InvariantForm":
         """The one validating constructor: data maps (ascending coframe
         indices, slot) to an int or a Fraction; zero values are dropped."""
         terms = []
@@ -257,8 +276,9 @@ class InvariantForm(NamedTuple):
             mask = _monomial(idx)[0]
             if _INDICES[mask] != idx:
                 raise ValueError("coframe indices must ascend")
-            terms.append((mask, slot, Fraction(q)))
-        return _collect(degree, terms)
+            terms.append(((mask, slot), q))
+        den = lcm(*(q.denominator for _, q in terms))
+        return _collect(degree, ((k, q.numerator * (den // q.denominator)) for k, q in terms), den)
 
     @staticmethod
     def zero(degree: int) -> "InvariantForm":
@@ -272,7 +292,7 @@ class InvariantForm(NamedTuple):
             raise ValueError(f"a {self.degree}-form is read at {self.degree} indices")
         mask, sign = _monomial(indices)
         stored = {slot: sign * q for (m, slot), q in self.terms if m == mask}
-        return tuple(stored.get(slot, Fraction(0)) for slot in range(9))
+        return tuple(Fraction(stored.get(slot, 0), self.denominator) for slot in range(9))
 
     def constant_part(self, *indices: int) -> Fraction:
         """The constant slot of slot_values (no indices: a 0-form's value)."""
@@ -287,13 +307,14 @@ class InvariantForm(NamedTuple):
     def __add__(self, o: "InvariantForm") -> "InvariantForm":
         if self.degree != o.degree:
             raise ValueError("degree mismatch in sum")
-        return _collect(self.degree, ((*key, q) for key, q in self.terms + o.terms))
+        den = lcm(self.denominator, o.denominator)
+        return _collect(self.degree, _over(den, self) + _over(den, o), den)
 
     def __sub__(self, o: "InvariantForm") -> "InvariantForm":
         return self + (-o)
 
     def __neg__(self) -> "InvariantForm":
-        return InvariantForm(self.degree, tuple((key, -q) for key, q in self.terms))
+        return InvariantForm(self.degree, tuple((k, -q) for k, q in self.terms), self.denominator)
 
     def __mul__(self, s) -> "InvariantForm":
         """Product with a rational or a 0-form: the wedge with a 0-form."""
@@ -312,7 +333,7 @@ class InvariantForm(NamedTuple):
 def e(*indices: int) -> InvariantForm:
     """Monomial e_{i_1 ... i_p}; indices need not be sorted."""
     mask, sign = _monomial(indices)
-    return _collect(len(indices), [(mask, 0, Fraction(sign))] if sign else [])
+    return _collect(len(indices), [((mask, 0), sign)] if sign else [])
 
 
 def scalar_form(q) -> InvariantForm:
@@ -333,12 +354,12 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
     if a.degree + b.degree > 9:
         raise ValueError("wedge degree exceeds coframe dimension")
     terms = (
-        (ma | mb, _times(sa, sb), sign * qa * qb)
+        ((ma | mb, _times(sa, sb)), sign * qa * qb)
         for (ma, sa), qa in a.terms
         for (mb, sb), qb in b.terms
         if (sign := _merge(ma, mb))  # before the slots multiply
     )
-    return _collect(a.degree + b.degree, terms)
+    return _collect(a.degree + b.degree, terms, a.denominator * b.denominator)
 
 
 def wedge_all(*forms: InvariantForm) -> InvariantForm:
@@ -348,46 +369,51 @@ def wedge_all(*forms: InvariantForm) -> InvariantForm:
 # --------------------------------------------------------------------------
 # Exterior differential
 
+# d e^k = -sum over a < b of c^k_ab e^ab, as (mask of e^ab, -c^k_ab) pairs,
+# and dc = sum over a of c_{[u_a, Z]} e^a for the symbol c = c_Z in a slot,
+# as (bit of e^a, slot, int) terms: Z is e_i for slot 1..6 and h_{slot-6}
+# for slot 7, 8 (its frame index is the slot), and the h_3 coordinate folds
+# into v_1, v_2 through v_3 = -v_1 - v_2.  Both are read once from the
+# brackets, keyed by the coframe index or the slot they reach
+_D_COFRAME: Dict[int, List[Tuple[int, int]]] = {k: [] for k in range(1, 10)}
+_D_SYMBOL: Dict[int, List[Tuple[int, int, int]]] = {s: [] for s in range(9)}
+for (_a, _b), _bracket in _BRACKETS.items():
+    for _k, _c in _bracket.items():
+        _D_COFRAME[_k].append(((1 << (_a - 1)) | (1 << (_b - 1)), -_c))
+        for _s, _t in ((7, -1), (8, -1)) if _k == 9 else ((_k, 1),):
+            _D_SYMBOL[_a].append((1 << (_b - 1), _s, -_t * _c))
+            if _b < 9:
+                _D_SYMBOL[_b].append((1 << (_a - 1), _s, _t * _c))
+
+
 @lru_cache(maxsize=None)
-def _d_image(mask: int, slot: int) -> Tuple[Tuple[int, int, int], ...]:
-    """Column (mask, slot) of d's integer matrix: the (mask, slot, int)
+def _d_image(mask: int, slot: int) -> Tuple[Term, ...]:
+    """Column (mask, slot) of d's integer matrix: the ((mask, slot), int)
     terms of d(c e^I) = dc ^ e^I + c d(e^I), for c the symbol in the slot
-    and e^I the monomial of the mask."""
-
-    def images():
-        # dc = sum over a of c_{[u_a, Z]} e^a, where Z is e_i for slot
-        # 1..6 and h_{slot-6} for slot 7, 8 (its frame index is the slot);
-        # the h_3 coordinate folds into v_1, v_2 through v_3 = -v_1 - v_2
-        for a in range(1, 10):
-            sign, pair = (1, (a, slot)) if a < slot else (-1, (slot, a))
-            sign *= _merge(1 << (a - 1), mask)  # e^a ^ e^I, 0 when a is in I
-            for c, q in _BRACKETS.get(pair, {}).items():
-                for s, t in ((7, -1), (8, -1)) if c == 9 else ((c, 1),):
-                    yield (1 << (a - 1)) | mask, s, sign * t * q
-        # d e^I = sum over k in I of d e^k ^ (u_k -| e^I), where
-        # d e^k = -sum over a < b of c^k_ab e^ab
-        for k in _INDICES[mask]:
-            rest = mask ^ (1 << (k - 1))
-            lead = _merge(1 << (k - 1), rest)  # u_k -| e^I = lead e^rest
-            for (a, b), bracket in _BRACKETS.items():
-                ab = (1 << (a - 1)) | (1 << (b - 1))
-                if k in bracket and (sign := _merge(ab, rest)):
-                    yield ab | rest, slot, -lead * sign * bracket[k]
-
+    and e^I the monomial of the mask, where d e^I is the sum over k in I
+    of d e^k ^ (u_k -| e^I)."""
     column: Dict[Tuple[int, int], int] = {}
-    for m, s, c in images():
-        column[m, s] = column.get((m, s), 0) + c
-    return tuple((m, s, c) for (m, s), c in column.items() if c)
+    terms = [
+        ((a | mask, s), sign * q) for a, s, q in _D_SYMBOL[slot] if (sign := _merge(a, mask))
+    ]
+    for k in _INDICES[mask]:
+        rest = mask ^ (1 << (k - 1))
+        lead = _merge(1 << (k - 1), rest)  # u_k -| e^I = lead e^rest
+        terms += [
+            ((ab | rest, slot), lead * sign * c)
+            for ab, c in _D_COFRAME[k] if (sign := _merge(ab, rest))
+        ]
+    for key, c in terms:
+        column[key] = column.get(key, 0) + c
+    return tuple(term for term in column.items() if term[1])
 
 
 def d(a: InvariantForm) -> InvariantForm:
     """Exterior differential (Maurer-Cartan on the coframe, the
     Ad-equivariance rule on coefficients), one cached integer column per
     (mask, slot) term."""
-    terms = (
-        (m, s, q * c) for (mask, slot), q in a.terms for m, s, c in _d_image(mask, slot)
-    )
-    return _collect(a.degree + 1, terms)
+    terms = ((key, q * c) for (mask, slot), q in a.terms for key, c in _d_image(mask, slot))
+    return _collect(a.degree + 1, terms, a.denominator)
 
 
 # d(d) = 0 on the coframe and on the symbols is the Jacobi identity of the
@@ -416,11 +442,8 @@ def hodge_star(a: InvariantForm) -> InvariantForm:
     if a.degree > 6:
         raise ValueError("horizontal degree exceeds 6")
     # e^I goes to -s e^C, C the complement of I and e^I ^ e^C = s e_123456
-    terms = (
-        (0b111111 ^ mask, slot, -_merge(mask, 0b111111 ^ mask) * q)
-        for (mask, slot), q in a.terms
-    )
-    return _collect(6 - a.degree, terms)
+    terms = (((0b111111 ^ m, s), -_merge(m, 0b111111 ^ m) * q) for (m, s), q in a.terms)
+    return _collect(6 - a.degree, terms, a.denominator)
 
 
 def codifferential(a: InvariantForm) -> InvariantForm:
@@ -447,12 +470,12 @@ def inner(a: InvariantForm, b: InvariantForm) -> InvariantForm:
     if a.degree != b.degree:
         raise ValueError("degree mismatch in inner product")
     terms = (
-        (0, _times(sa, sb), qa * qb)
+        ((0, _times(sa, sb)), qa * qb)
         for (ma, sa), qa in a.terms
         for (mb, sb), qb in b.terms
         if ma == mb
     )
-    return _collect(0, terms)
+    return _collect(0, terms, a.denominator * b.denominator)
 
 
 # --------------------------------------------------------------------------
@@ -473,11 +496,9 @@ def apply_j(a: InvariantForm) -> InvariantForm:
     def images():
         for (mask, slot), q in a.terms:
             image, sign = _monomial(_J_IMAGES[i][0] for i in _INDICES[mask])
-            for i in _INDICES[mask]:
-                sign *= _J_IMAGES[i][1]
-            yield image, slot, sign * q
+            yield (image, slot), sign * prod(_J_IMAGES[i][1] for i in _INDICES[mask]) * q
 
-    return _collect(a.degree, images())
+    return _collect(a.degree, images(), a.denominator)
 
 
 def contract_frame(a: InvariantForm, frame_index: int) -> InvariantForm:
@@ -488,12 +509,8 @@ def contract_frame(a: InvariantForm, frame_index: int) -> InvariantForm:
     if a.degree == 0:
         raise ValueError("a 0-form has no interior product")
     bit = 1 << (frame_index - 1)
-    terms = (
-        (mask ^ bit, slot, _merge(bit, mask ^ bit) * q)
-        for (mask, slot), q in a.terms
-        if mask & bit
-    )
-    return _collect(a.degree - 1, terms)
+    terms = (((m ^ bit, s), _merge(bit, m ^ bit) * q) for (m, s), q in a.terms if m & bit)
+    return _collect(a.degree - 1, terms, a.denominator)
 
 
 def contract_vector(v: InvariantForm, a: InvariantForm) -> InvariantForm:
@@ -505,11 +522,11 @@ def contract_vector(v: InvariantForm, a: InvariantForm) -> InvariantForm:
     if a.degree == 0:
         raise ValueError("a 0-form has no interior product")
     terms = (
-        (mask, _times(sv, s), qv * q)
+        ((mask, _times(sv, s)), qv * q)
         for (mv, sv), qv in v.terms
-        for (mask, s), q in contract_frame(a, *_INDICES[mv]).terms
+        for (mask, s), q in _over(a.denominator, contract_frame(a, *_INDICES[mv]))
     )
-    return _collect(a.degree - 1, terms)
+    return _collect(a.degree - 1, terms, v.denominator * a.denominator)
 
 
 def alpha(beta: InvariantForm) -> InvariantForm:
@@ -518,17 +535,17 @@ def alpha(beta: InvariantForm) -> InvariantForm:
     if beta.degree != 2:
         raise ValueError("alpha takes 2-forms")
     _require_horizontal(beta, "alpha")
+    # PSI_PLUS_CONTRACTED is integral, so each inner product's denominator
+    # divides beta's
     terms = (
-        (1 << (i - 1), slot, q)
+        ((1 << (i - 1), slot), q)
         for i in _HORIZONTAL
-        for (_, slot), q in inner(beta, PSI_PLUS_CONTRACTED[i - 1]).terms
+        for (_, slot), q in _over(beta.denominator, inner(beta, PSI_PLUS_CONTRACTED[i - 1]))
     )
-    return _collect(1, terms)
+    return _collect(1, terms, beta.denominator)
 
 
-def type_decompose(
-    a: InvariantForm,
-) -> Tuple[InvariantForm, InvariantForm, InvariantForm]:
+def type_decompose(a: InvariantForm) -> Tuple[InvariantForm, InvariantForm, InvariantForm]:
     """Orthogonal splitting of a horizontal 2-form into primitive (1,1),
     (2,0)+(0,2) and trace parts.  The (2,0)+(0,2) part is also computed
     as (alpha(a)/2) -| Psi^+, and a mismatch raises AssertionError."""
@@ -578,9 +595,7 @@ PSI_MINUS = e(2, 3, 6) - e(1, 4, 6) - e(1, 3, 5) - e(2, 4, 5)
 PSI_PLUS_CONTRACTED = tuple(contract_frame(PSI_PLUS, i) for i in _HORIZONTAL)
 VOLUME = -e(1, 2, 3, 4, 5, 6)
 
-H1 = e(7) * Fraction(1, 2)
-H2 = e(8) * Fraction(1, 2)
-H3 = e(9) * Fraction(1, 2)
+H1, H2, H3 = (e(k) * Fraction(1, 2) for k in (7, 8, 9))
 
 
 # --------------------------------------------------------------------------
@@ -617,14 +632,7 @@ def killing_data() -> KillingData:
     a = (e(5) * x[5] - e(6) * x[4], e(4) * x[2] - e(3) * x[3], e(1) * x[1] - e(2) * x[0])
     phi_v = e(5, 6) * v1 - e(3, 4) * v2 + e(1, 2) * v3
     phi_k = type_decompose(d(_X_FLAT))[0]
-    return KillingData(
-        xi_flat=_X_FLAT,
-        j_xi_flat=apply_j(_X_FLAT),
-        a=a,
-        ja=tuple(map(apply_j, a)),
-        phi_v=phi_v,
-        phi_k=phi_k,
-    )
+    return KillingData(_X_FLAT, apply_j(_X_FLAT), a, tuple(map(apply_j, a)), phi_v, phi_k)
 
 
 def killing_values(xi: Sparse, g: Sparse) -> Dict[str, Fraction]:

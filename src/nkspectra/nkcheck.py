@@ -38,6 +38,7 @@ group element sampled (see moduli_generator_rank).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .branching import Space
@@ -141,26 +142,28 @@ def a_norm_squared(x: Sequence[Fraction]) -> Fraction:
 _PRIMITIVE_PAIRS = ((1, 2), (5, 6), (1, 3), (1, 4), (1, 5), (1, 6), (3, 5), (3, 6))
 
 
-def _reduce(span: Dict[int, List[Fraction]], row: Sequence[Fraction]) -> bool:
-    """Reduce a row against an echelon span, {pivot: row whose first
-    nonzero entry is a 1 at the pivot}; a nonzero remainder joins the span
-    and True is returned."""
+def _reduce(span: Dict[int, List[int]], row: Sequence[Fraction]) -> bool:
+    """Reduce a rational row against an echelon span, {pivot: primitive
+    integer row whose first nonzero entry is positive, at the pivot}, by
+    cross-multiplication, fraction-free as in Bareiss's elimination; a
+    nonzero remainder joins the span and True is returned."""
+    den = lcm(*(x.denominator for x in row))
+    row = [x.numerator * (den // x.denominator) for x in row]
     for pivot in sorted(span):
-        if row[pivot]:
-            factor = row[pivot]
-            row = [x - factor * y for x, y in zip(row, span[pivot])]
+        if factor := row[pivot]:
+            lead = span[pivot][pivot]
+            row = [lead * x - factor * y for x, y in zip(row, span[pivot])]
     lead = next((col for col, x in enumerate(row) if x), None)
     if lead is None:
         return False
-    span[lead] = [x / row[lead] for x in row]
+    g = gcd(*row)
+    span[lead] = [x // (g if row[lead] > 0 else -g) for x in row]
     return True
 
 
 def _rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    span: Dict[int, List[Fraction]] = {}
-    for row in rows:
-        _reduce(span, row)
-    return len(span)
+    span: Dict[int, List[int]] = {}
+    return sum(_reduce(span, row) for row in rows)
 
 
 # --------------------------------------------------------------------------
@@ -376,7 +379,7 @@ def moduli_generator_rank() -> int:
     leaves it; the result is exact, where evaluating at sample points
     only bounds it from below.
     """
-    span: Dict[int, List[Fraction]] = {}
+    span: Dict[int, List[int]] = {}
     pending = [symbol_form("v1"), symbol_form("v2")]
     while pending:
         c = pending.pop()

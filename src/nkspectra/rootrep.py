@@ -54,7 +54,7 @@ def _of_group(table: Dict, group: Group):
     # table[group], refusing anything but a Group with a one-line error
     try:
         return table[group]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable value
         raise ValueError(f"a group is a Group, not {group!r}") from None
 
 
@@ -85,7 +85,7 @@ class IrrepLabel(NamedTuple("IrrepLabel", [("group", Group), ("labels", Tuple[in
     __slots__ = ()
 
     def __new__(cls, group: Group, labels: Tuple[int, ...]):
-        n = _RANK.get(group)
+        n = _RANK.get(group) if type(group) is Group else None
         if type(labels) is not tuple or len(labels) != n:
             if n is None:
                 raise ValueError(f"a label's group is a Group, not {group!r}")

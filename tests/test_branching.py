@@ -442,6 +442,14 @@ def test_representation_data_refuses_a_name_for_an_enum():
         lambda: iter_labels("su3", Fraction(12)),
         lambda: canonical_weight("su3", (1, 2, 3)),
         lambda: root_system("su3"),
+        # and an unhashable value raised a bare TypeError
+        lambda: IrrepLabel(["su3"], (1, 1)),
+        lambda: root_system(["su3"]),
+        lambda: iter_labels(["su3"], Fraction(12)),
+        lambda: space_data(["flag"]),
+        lambda: hom_dimension(["flag"], su3_label(1, 1), Bundle.LAMBDA11),
+        lambda: isotropy_module(Space.FLAG, ["x"]),
+        lambda: isotropy_module(["flag"], Bundle.LAMBDA11),
     ):
         with pytest.raises(ValueError) as err:
             call()

@@ -4,6 +4,7 @@ printer grammar."""
 
 import ast
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -75,8 +76,12 @@ def _with_coefficients(degree, data):
 
 
 def _tuple_terms(form):
-    """The stored terms of a form with each mask read as its index tuple."""
-    return [((dga._INDICES[mask], slot), q) for (mask, slot), q in form.terms]
+    """The stored terms of a form with each mask read as its index tuple
+    and each numerator over the form's denominator."""
+    return [
+        ((dga._INDICES[mask], slot), Fraction(q, form.denominator))
+        for (mask, slot), q in form.terms
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -224,34 +229,40 @@ def test_suites_make_few_forms(run_python):
     assert 0 < pointwise <= 330
 
 
-def test_suites_make_few_fraction_products(run_python):
-    # d reads one cached integer column per (mask, slot) term and makes one
-    # product per image term (6317 Fraction._mul calls over every suite;
-    # a product per sign and per value, as before, made 8050)
+def test_suites_make_no_fraction_arithmetic_in_dga(run_python):
+    # forms hold int numerators over one denominator per form, so no
+    # operator of dga multiplies, adds, subtracts or divides Fractions; the
+    # caller of each Fraction operation is its first frame outside
+    # fractions.py (the same hook counted 6317 _mul calls when every
+    # stored value was a Fraction)
     script = (
-        "import sys\n"
+        "import fractions, sys\n"
         "from fractions import Fraction\n"
-        "from nkspectra import nkcheck\n"
-        "code = Fraction._mul.__code__\n"
-        "calls = 0\n"
+        "from nkspectra import dga, nkcheck\n"
+        "codes = {getattr(Fraction, n).__code__ for n in ('_mul', '_add', '_sub', '_div')}\n"
+        "callers = []\n"
         "def hook(frame, event, arg):\n"
-        "    global calls\n"
-        "    if event == 'call' and frame.f_code is code:\n"
-        "        calls += 1\n"
+        "    if event == 'call' and frame.f_code in codes:\n"
+        "        while frame.f_code.co_filename == fractions.__file__:\n"
+        "            frame = frame.f_back\n"
+        "        callers.append(frame.f_code.co_filename)\n"
         "sys.setprofile(hook)\n"
         "nkcheck.run_all_suites()\n"
         "sys.setprofile(None)\n"
-        "print(calls)\n"
+        "print(len(callers), callers.count(dga.__file__))\n"
     )
     proc = run_python(["-c", script])
     assert proc.returncode == 0, proc.stderr
-    assert 0 < int(proc.stdout) <= 7000
+    every, in_dga = map(int, proc.stdout.split())
+    # the hook sees the Fraction arithmetic of the callers outside dga
+    assert every > 0
+    assert in_dga == 0
 
 
 def test_collect_refuses_a_term_of_another_degree():
     # masks and slots are valid by construction; the popcount is checked
     with pytest.raises(AssertionError, match="another degree"):
-        dga._collect(2, [(0b100, 0, Fraction(1))])
+        dga._collect(2, [((0b100, 0), 1)])
 
 
 def _inversions(indices):
@@ -313,9 +324,12 @@ def test_wedge_matches_the_term_by_term_sum(a, b):
     # terms are stored in (index tuple, slot) order, which is not mask order
     keys = [key for key, _ in _tuple_terms(got)]
     assert keys == sorted(keys)
-    # constants stay in slot 0, and every stored value is a nonzero Fraction
+    # constants stay in slot 0; every stored numerator is a nonzero int over
+    # a positive int denominator, and no factor divides all of them
     assert all(slot == 0 for (_, slot), _ in got.terms)
-    assert all(type(q) is Fraction and q for _, q in got.terms)
+    assert all(type(q) is int and q for _, q in got.terms)
+    assert type(got.denominator) is int and got.denominator > 0
+    assert math.gcd(got.denominator, *(q for _, q in got.terms)) == 1
     assert {idx: q for (idx, _), q in _tuple_terms(got)} == {
         idx: q for idx, q in naive.items() if q
     }
@@ -763,6 +777,29 @@ def test_degree_validation():
     ):
         with pytest.raises(ValueError):
             build()
+
+
+def test_integer_storage_refuses_bool_and_float_values():
+    # numerators are ints over one denominator, read from the int or the
+    # Fraction given; a bool or a float is refused, not stored as 1 or as
+    # the numerator of its binary expansion, also beside valid values
+    bad_values = (True, False, 0.5, 0.0, 2.0)
+    for q in bad_values:
+        for build in (
+            lambda: InvariantForm.make(2, {((1, 2), 0): Fraction(1, 3), ((3, 4), 1): q}),
+            lambda: scalar_form(q),
+            lambda: OMEGA * q,
+            lambda: q * OMEGA,
+        ):
+            with pytest.raises(ValueError):
+                build()
+    form = InvariantForm.make(2, {((1, 2), 0): Fraction(2, 4), ((3, 4), 1): 3, ((5, 6), 2): 0})
+    assert form == (2, (((0b11, 0), 1), ((0b1100, 1), 6)), 2)
+    assert form.slot_values(1, 2)[0] == Fraction(1, 2)
+    assert type(form.slot_values(3, 4)[1]) is Fraction
+    assert OMEGA * Fraction(-4, 6) == OMEGA * 2 * Fraction(-1, 3)
+    assert (OMEGA * Fraction(3, 7)).denominator == 7
+    assert OMEGA * Fraction(7, 7) == OMEGA
 
 
 def test_symbol_form_refuses_other_names():

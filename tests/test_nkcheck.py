@@ -3,10 +3,13 @@ reports must serialize stably, and a few headline identities are
 replayed directly against the calculus."""
 
 import json
+import math
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nkspectra import cli, dga, nkcheck
 from nkspectra.cli import _suites_table
@@ -317,6 +320,69 @@ def test_rank_helper():
         [Fraction(0), Fraction(1), Fraction(1)],
         [Fraction(1), Fraction(1), Fraction(0)],
     ]) == 3
+
+
+def _gauss_jordan_rank(rows):
+    """Rank of a rational matrix by plain Fraction Gauss-Jordan
+    elimination: normalize each pivot row, clear its column everywhere."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        m[rank] = [x / m[rank][col] for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][col]:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+_ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**12)),
+)
+
+
+@st.composite
+def _rational_rows(draw):
+    """Rows of one width: free rows, zero rows and rational combinations of
+    the rows before them."""
+    width = draw(st.integers(1, 7))
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(("free", "zero", "combination")))
+        if kind == "zero":
+            rows.append([0] * width)
+        elif kind == "combination" and rows:
+            coeffs = draw(st.lists(_ENTRIES, min_size=len(rows), max_size=len(rows)))
+            rows.append([
+                sum((c * Fraction(row[j]) for c, row in zip(coeffs, rows)), Fraction(0))
+                for j in range(width)
+            ])
+        else:
+            rows.append(draw(st.lists(_ENTRIES, min_size=width, max_size=width)))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_rows())
+def test_fraction_free_elimination_matches_gauss_jordan(rows):
+    # a row joins the span exactly when it raises the rank of the rows so
+    # far, and the span keeps primitive integer rows with a positive lead
+    span = {}
+    joined = [nkcheck._reduce(span, row) for row in rows]
+    prefix = [_gauss_jordan_rank(rows[:n]) for n in range(len(rows) + 1)]
+    assert joined == [after > before for before, after in zip(prefix, prefix[1:])]
+    assert nkcheck._rank(rows) == len(span) == prefix[-1]
+    for pivot, kept in span.items():
+        assert all(type(x) is int for x in kept)
+        assert not any(kept[:pivot]) and kept[pivot] > 0
+        assert math.gcd(*kept) == 1
 
 
 def test_injectivity_identities_replayed():

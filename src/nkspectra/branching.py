@@ -47,10 +47,15 @@ class Space(Enum):
     CP3 = "cp3"
     FLAG = "flag"
 
+    # identity hash, as for Group: == on members is identity
+    __hash__ = object.__hash__
+
 
 class Bundle(Enum):
     FUNCTIONS = "functions"
     LAMBDA11 = "lambda11"
+
+    __hash__ = object.__hash__
 
 
 class HomogeneousSpace(NamedTuple):
@@ -347,8 +352,11 @@ def hom_dimension(space: Space, irrep: IrrepLabel, bundle: Bundle) -> int:
         raise ValueError(f"a bundle is a Bundle, not {bundle!r}")
 
     if space is Space.S3XS3:
-        fiber = isotropy_module(space, bundle).content
-        return sum(_diagonal_su2_multiplicity(irrep.labels, k) for k in fiber)
+        labels = irrep.labels
+        total = 0
+        for k in _ISOTROPY_MODULES[space, bundle].content:
+            total += _diagonal_su2_multiplicity(labels, k)
+        return total
 
     # top = lambda + rho scaled: 2 (a + 3/2, b + 1/2) for so5, and for su3
     # 3 times the simple-root coordinates of k omega1 + l omega2 + rho

@@ -80,10 +80,10 @@ def _spectrum_payload(space: Space, bundle: Bundle, cutoff: Fraction) -> Dict:
             {
                 "irrep": str(en.irrep),
                 "labels": list(en.irrep.labels),
-                "eigenvalue": _rat(en.eigenvalue),
+                "eigenvalue": str(en.eigenvalue),  # a Fraction, so _rat's form already
                 "hom_dim": en.hom_dim,
-                "irrep_dim": en.irrep_dim,
-                "contribution": en.contribution,
+                "irrep_dim": (dim := en.irrep_dim),
+                "contribution": en.hom_dim * dim,
             }
             for en in entries
         ],

@@ -284,15 +284,20 @@ class InvariantForm(NamedTuple):
     def zero(degree: int) -> "InvariantForm":
         return InvariantForm(degree, ())
 
-    def slot_values(self, *indices: int) -> Tuple[Fraction, ...]:
-        """The nine slot values of the coefficient at e_{indices}, read
-        with the sign of their sorting permutation (0 when an index
-        repeats); a p-form is read at p ints in 1..9."""
+    def slot_numerators(self, *indices: int) -> Tuple[int, ...]:
+        """slot_values times the form's denominator: the nine int
+        numerators of the coefficient at e_{indices}."""
         if len(indices) != self.degree:
             raise ValueError(f"a {self.degree}-form is read at {self.degree} indices")
         mask, sign = _monomial(indices)
         stored = {slot: sign * q for (m, slot), q in self.terms if m == mask}
-        return tuple(Fraction(stored.get(slot, 0), self.denominator) for slot in range(9))
+        return tuple(stored.get(slot, 0) for slot in range(9))
+
+    def slot_values(self, *indices: int) -> Tuple[Fraction, ...]:
+        """The nine slot values of the coefficient at e_{indices}, read
+        with the sign of their sorting permutation (0 when an index
+        repeats); a p-form is read at p ints in 1..9."""
+        return tuple(Fraction(q, self.denominator) for q in self.slot_numerators(*indices))
 
     def constant_part(self, *indices: int) -> Fraction:
         """The constant slot of slot_values (no indices: a 0-form's value)."""
@@ -317,12 +322,17 @@ class InvariantForm(NamedTuple):
         return InvariantForm(self.degree, tuple((k, -q) for k, q in self.terms), self.denominator)
 
     def __mul__(self, s) -> "InvariantForm":
-        """Product with a rational or a 0-form: the wedge with a 0-form."""
-        if not isinstance(s, InvariantForm):
-            s = scalar_form(s)
-        elif s.degree:
-            raise TypeError("a form is scaled by a rational or a 0-form only")
-        return wedge(self, s)
+        """Product with a rational, which scales the numerators and the
+        denominator, or with a 0-form, which is the wedge with it."""
+        if isinstance(s, InvariantForm):
+            if s.degree:
+                raise TypeError("a form is scaled by a rational or a 0-form only")
+            return wedge(self, s)
+        if type(s) not in (int, Fraction):
+            raise ValueError(f"coefficient {s!r} is not an int or a Fraction")
+        p = s.numerator
+        terms = ((key, q * p) for key, q in self.terms)
+        return _collect(self.degree, terms, self.denominator * s.denominator)
 
     __rmul__ = __mul__
 

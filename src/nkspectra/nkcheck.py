@@ -143,10 +143,11 @@ _PRIMITIVE_PAIRS = ((1, 2), (5, 6), (1, 3), (1, 4), (1, 5), (1, 6), (3, 5), (3, 
 
 
 def _reduce(span: Dict[int, List[int]], row: Sequence[Fraction]) -> bool:
-    """Reduce a rational row against an echelon span, {pivot: primitive
-    integer row whose first nonzero entry is positive, at the pivot}, by
-    cross-multiplication, fraction-free as in Bareiss's elimination; a
-    nonzero remainder joins the span and True is returned."""
+    """Reduce a row of ints or Fractions, scaled to integers first,
+    against an echelon span, {pivot: primitive integer row whose first
+    nonzero entry is positive, at the pivot}, by cross-multiplication,
+    fraction-free as in Bareiss's elimination; a nonzero remainder joins
+    the span and True is returned."""
     den = lcm(*(x.denominator for x in row))
     row = [x.numerator * (den // x.denominator) for x in row]
     for pivot in sorted(span):
@@ -194,7 +195,8 @@ def verify_pointwise_identities() -> VerificationReport:
     phi = type_decompose(InvariantForm.make(2, {
         (p, n): 1 for n, p in enumerate(_PRIMITIVE_PAIRS, 1)
     }))[0]
-    rows = [phi.slot_values(i, j)[1:] for i in range(1, 7) for j in range(i + 1, 7)]
+    # the rows share phi's denominator, so its numerators have the same rank
+    rows = [phi.slot_numerators(i, j)[1:] for i in range(1, 7) for j in range(i + 1, 7)]
     if _rank(rows) != 8:
         raise AssertionError("the primitive (1,1) projections do not span")
 
@@ -383,7 +385,8 @@ def moduli_generator_rank() -> int:
     pending = [symbol_form("v1"), symbol_form("v2")]
     while pending:
         c = pending.pop()
-        if _reduce(span, c.slot_values()[1:]):
+        # a row times its positive denominator spans the same line
+        if _reduce(span, c.slot_numerators()[1:]):
             dc = d(c)
             pending += [contract_frame(dc, a) for a in range(1, 10)]
     return len(span)

@@ -45,6 +45,10 @@ class Group(Enum):
     SO5 = "so5"
     SU3 = "su3"
 
+    # members are singletons and == is identity, so the C-level identity
+    # hash agrees with == (Enum's own hashes the name in Python)
+    __hash__ = object.__hash__
+
 
 _AMBIENT = {Group.SU2: 1, Group.SU2_CUBED: 3, Group.SO5: 2, Group.SU3: 3}
 _RANK = {Group.SU2: 1, Group.SU2_CUBED: 3, Group.SO5: 2, Group.SU3: 2}
@@ -90,8 +94,9 @@ class IrrepLabel(NamedTuple("IrrepLabel", [("group", Group), ("labels", Tuple[in
             if n is None:
                 raise ValueError(f"a label's group is a Group, not {group!r}")
             raise ValueError(f"{group} label needs a tuple of {n} entries")
-        if any(type(x) is not int or x < 0 for x in labels):
-            raise ValueError("labels must be nonnegative integers")
+        for x in labels:  # a loop, not any(): this runs on every walked label
+            if type(x) is not int or x < 0:
+                raise ValueError("labels must be nonnegative integers")
         if group is Group.SO5 and labels[0] < labels[1]:
             raise ValueError("so5 labels require a >= b")
         return tuple.__new__(cls, (group, labels))
@@ -110,8 +115,7 @@ class IrrepLabel(NamedTuple("IrrepLabel", [("group", Group), ("labels", Tuple[in
         return canonical_weight(self.group, self.labels)
 
     def __str__(self):
-        inner = ",".join(str(x) for x in self.labels)
-        return f"V({inner})"
+        return f"V({','.join(map(str, self.labels))})"
 
 
 def su2_label(k: int) -> IrrepLabel:
@@ -242,13 +246,18 @@ def dimension(irrep: IrrepLabel) -> int:
 
 
 def _check_closed_forms() -> None:
-    # Both sides are quadratic in the label, and the labels with entries
-    # <= 2 determine a quadratic (for so5 the six dominant ones do: their
-    # monomial matrix has determinant 4), so agreeing here is agreeing
-    # everywhere.
+    # Both sides are polynomials of degree <= 2 in the label coordinates.
+    # A polynomial of degree <= k in n variables that vanishes on the
+    # labels with entry sum <= k is zero: on x_n = 0 it vanishes by
+    # induction on n, so it is x_n q, and q, of degree <= k - 1, vanishes
+    # on those labels shifted by one in x_n, so by induction on k.  So
+    # agreeing on the labels with sum <= 2 (3, 10 and 6 of them for su2,
+    # su2^3 and su3) is agreeing everywhere.  so5 labels keep a >= b, and
+    # its six dominant labels with entries <= 2 fix a quadratic instead:
+    # their monomial matrix has determinant 4.
     for group in Group:
         for labels in itertools.product(range(3), repeat=_RANK[group]):
-            if group is Group.SO5 and labels[0] < labels[1]:
+            if labels[0] < labels[1] if group is Group.SO5 else sum(labels) > 2:
                 continue
             irrep = IrrepLabel(group, labels)
             if laplace_eigenvalue(irrep) != -casimir_eigenvalue(irrep, Fraction(1, 12)):
@@ -456,27 +465,30 @@ def iter_labels(group: Group, cutoff: Fraction) -> Iterator[IrrepLabel]:
     """
     bound = math.floor(6 * exact_cutoff(cutoff))
     rank = _of_group(_RANK, group)
+    six = _SIX_LAPLACE[group]
     edge = 0
-    while _SIX_LAPLACE[group](edge, *(0,) * (rank - 1)) <= bound:
+    while six(edge, *(0,) * (rank - 1)) <= bound:
         edge += 1
         if (edge + 1) ** rank > MAX_LABEL_BOX:
             raise LabelBoxTooLarge(
                 f"the cutoff needs more {group.value} labels than the "
                 f"label box bound of {MAX_LABEL_BOX}"
             )
-    return _walk_labels(group, bound, ())
+    return _walk_labels(group, six, rank, bound, ())
 
 
-def _walk_labels(group: Group, bound: int, head: Tuple[int, ...]) -> Iterator[IrrepLabel]:
-    # with the later coordinates 0 the form is at its least, so the loop
-    # may stop at its first label above the bound; so5 keeps a >= b
-    pad = (0,) * (_RANK[group] - len(head) - 1)
+def _walk_labels(
+    group: Group, six, rank: int, bound: int, head: Tuple[int, ...]
+) -> Iterator[IrrepLabel]:
+    # with the later coordinates 0 the form six is at its least, so the
+    # loop may stop at its first label above the bound; so5 keeps a >= b
+    pad = (0,) * (rank - len(head) - 1)
     stop = head[0] + 1 if group is Group.SO5 and head else None
     for n in itertools.count():
         labels = head + (n,) + pad
-        if n == stop or _SIX_LAPLACE[group](*labels) > bound:
+        if n == stop or six(*labels) > bound:
             return
         if pad:
-            yield from _walk_labels(group, bound, head + (n,))
+            yield from _walk_labels(group, six, rank, bound, head + (n,))
         else:
             yield IrrepLabel(group, labels)

@@ -11,11 +11,14 @@ checks) is bookkeeping over these entries.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .branching import Bundle, Space, U2Label, hom_dimension, space_data
 from .rootrep import (
+    _SIX_LAPLACE,
     Group,
     IrrepLabel,
     casimir_eigenvalue,
@@ -62,8 +65,9 @@ def _entry(space: Space, bundle: Bundle, irrep: IrrepLabel) -> Optional[Spectrum
     return SpectrumEntry(irrep, hom) if hom else None
 
 
-# (space, bundle) -> (cutoff, entries): the widest table built so far
-_TABLES: Dict[Tuple[Space, Bundle], Tuple[Fraction, List[SpectrumEntry]]] = {}
+# (space, bundle) -> (cutoff, rows): the widest table built so far, as
+# (6 * eigenvalue, entry) rows in (eigenvalue, label) order
+_TABLES: Dict[Tuple[Space, Bundle], Tuple[Fraction, List[Tuple[int, SpectrumEntry]]]] = {}
 
 
 def enumerate_spectrum(
@@ -80,13 +84,21 @@ def enumerate_spectrum(
     Kostant sums, so no other bound is needed.
     """
     cutoff = exact_cutoff(cutoff)
-    key = (space, bundle)
-    if key not in _TABLES or _TABLES[key][0] < cutoff:
-        labels = iter_labels(space_data(space).group, cutoff)
-        entries = [e for e in (_entry(space, bundle, lab) for lab in labels) if e]
-        entries.sort(key=lambda e: (e.eigenvalue, e.irrep.labels))
-        _TABLES[key] = (cutoff, entries)
-    return [e for e in _TABLES[key][1] if e.eigenvalue <= cutoff]
+    table = _TABLES.get((space, bundle))
+    if table is None or table[0] < cutoff:
+        group = space_data(space).group
+        six_laplace = _SIX_LAPLACE[group]
+        rows = [
+            (six_laplace(*lab.labels), entry)
+            for lab in iter_labels(group, cutoff)
+            if (entry := _entry(space, bundle, lab))
+        ]
+        # the walk is lexicographic, so a stable sort on the integer
+        # 6 * eigenvalue keeps equal eigenvalues in label order
+        rows.sort(key=itemgetter(0))
+        _TABLES[space, bundle] = table = (cutoff, rows)
+    bound = math.floor(6 * cutoff)
+    return [entry for six, entry in table[1] if six <= bound]
 
 
 def eigenspace_multiplicity(space: Space, bundle: Bundle, eigenvalue) -> int:

@@ -354,6 +354,18 @@ def test_closed_form_checks_fire(monkeypatch):
         weight_multiplicities(su3_label(2, 1))
 
 
+def test_closed_form_check_sees_a_cross_term(monkeypatch):
+    # a b is quadratic, so the labels with entry sum <= 2 must catch it:
+    # V(1,1,0) is the one label where it is nonzero
+    monkeypatch.setitem(
+        rootrep._SIX_LAPLACE,
+        Group.SU2_CUBED,
+        lambda a, b, c: 9 * (a * (a + 2) + b * (b + 2) + c * (c + 2)) + a * b,
+    )
+    with pytest.raises(AssertionError, match=r"su2\^3 V\(1,1,0\): eigenvalue is not"):
+        rootrep._check_closed_forms()
+
+
 def test_closed_form_checks_fire_under_dash_O(run_python):
     # the import runs the eigenvalue check, and the checks are explicit
     # raises, so python -O keeps them

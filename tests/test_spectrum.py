@@ -331,3 +331,29 @@ def test_one_weyl_dimension_per_label(space, weyl_dimension):
             else:
                 assert entry.hom_dim == hom
                 assert entry.irrep_dim == weyl_dimension(lab)
+
+
+def test_integer_keyed_tables_match_a_brute_force_list(monkeypatch):
+    # the walk, every Hom, a sort on (Fraction eigenvalue, labels) and a
+    # Fraction filter; the cutoffs build, widen and then filter a table,
+    # and 143/12, just below 12 with 6 * cutoff not an integer, must drop
+    # eigenvalue 12
+    from nkspectra.rootrep import laplace_eigenvalue
+
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    widest = Fraction(601, 2)
+    for space in Space:
+        group = space_data(space).group
+        for bundle in Bundle:
+            brute = [
+                (lab, hom) for lab in iter_labels(group, widest)
+                if (hom := hom_dimension(space, lab, bundle))
+            ]
+            brute.sort(key=lambda row: (laplace_eigenvalue(row[0]), row[0].labels))
+            cutoffs = (Fraction(143, 12), 12, 300, widest, 300, 12, Fraction(143, 12))
+            for cutoff in cutoffs:
+                expected = [
+                    (lab, hom, laplace_eigenvalue(lab)) for lab, hom in brute
+                    if laplace_eigenvalue(lab) <= cutoff
+                ]
+                assert enumerate_spectrum(space, bundle, cutoff) == expected

@@ -3,10 +3,14 @@ cannot be assigned, equal fields give equal objects with equal hashes,
 and the validating labels refuse a bad field however they are built."""
 
 import copy
+import enum
+import importlib
 import pickle
+from pathlib import Path
 
 import pytest
 
+import nkspectra
 from nkspectra import dga, nkcheck
 from nkspectra.branching import Bundle, Space, U2Label, isotropy_module, space_data
 from nkspectra.rootrep import Group, root_system, su3_label, weight_multiplicities
@@ -66,3 +70,32 @@ def test_a_replaced_spectrum_entry_recomputes_its_eigenvalue():
     assert entry == (su3_label(0, 0), 2, 0)
     with pytest.raises(TypeError):
         SpectrumEntry(su3_label(1, 1), 2, 12)
+
+
+def _enums():
+    # every Enum subclass defined in a module of the package
+    found = []
+    for path in sorted(Path(nkspectra.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"nkspectra.{path.stem}")
+        found += [
+            value for value in vars(module).values()
+            if isinstance(value, type) and issubclass(value, enum.Enum)
+            and value.__module__ == module.__name__
+        ]
+    return found
+
+
+def test_the_package_defines_the_three_enums():
+    assert {cls.__name__ for cls in _enums()} == {"Group", "Space", "Bundle"}
+
+
+@pytest.mark.parametrize("cls", _enums(), ids=lambda cls: cls.__name__)
+def test_enum_members_hash_by_identity(cls):
+    # Enum.__hash__ hashes the member's name in Python; the identity hash
+    # is consistent with ==, which is identity on enum members
+    assert cls.__hash__ is object.__hash__
+    for member in cls:
+        assert hash(member) == object.__hash__(member)
+        assert copy.copy(member) is member and copy.deepcopy(member) is member
+        assert pickle.loads(pickle.dumps(member)) is member
+        assert {member: 1}[cls(member.value)] == 1

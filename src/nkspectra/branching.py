@@ -58,6 +58,11 @@ class Bundle(Enum):
     __hash__ = object.__hash__
 
 
+# the per-label Hom count reads these aliases, not Space.S3XS3 through the
+# Enum class (a Python-level EnumType.__getattr__ call in Python 3.11)
+_S3XS3, _CP3 = Space.S3XS3, Space.CP3
+
+
 class HomogeneousSpace(NamedTuple):
     space: Space
     group: Group
@@ -331,8 +336,27 @@ def _diagonal_su2_multiplicity(labels: Tuple[int, ...], k: int) -> int:
     return max(0, (min(a + b, c + k) - max(abs(a - b), abs(c - k))) // 2 + 1)
 
 
+def _check_bundle(bundle: Bundle) -> None:
+    """Refuse anything but a Bundle with a one-line ValueError."""
+    if type(bundle) is not Bundle:
+        raise ValueError(f"a bundle is a Bundle, not {bundle!r}")
+
+
 def hom_dimension(space: Space, irrep: IrrepLabel, bundle: Bundle) -> int:
-    """dim Hom_K(V_irrep restricted to K, fiber of the bundle).
+    """dim Hom_K(V_irrep restricted to K, fiber of the bundle), after
+    checking that the space is a Space, the irrep a label of its group and
+    the bundle a Bundle; _hom_count does the counting."""
+    data = space_data(space)
+    if irrep.group is not data.group:
+        raise ValueError(f"{space.value} needs labels of {data.group.value}")
+    _check_bundle(bundle)
+    return _hom_count(space, bundle, irrep.labels)
+
+
+def _hom_count(space: Space, bundle: Bundle, labels: Tuple[int, ...]) -> int:
+    """dim Hom_K for a raw label tuple of the space's group, with no
+    argument checks: the callers have validated the space and the bundle
+    and walked the labels.
 
     S3 x S3 counts intermediate Clebsch-Gordan labels per fiber label.  CP3
     sums Kostant's SO5 -> U2 branching over the fiber types, and the flag
@@ -345,14 +369,7 @@ def hom_dimension(space: Space, irrep: IrrepLabel, bundle: Bundle) -> int:
     `restrict_so5_to_u2` are not on this path; the tests use them as
     oracles.
     """
-    data = space_data(space)
-    if irrep.group is not data.group:
-        raise ValueError(f"{space.value} needs labels of {data.group.value}")
-    if type(bundle) is not Bundle:
-        raise ValueError(f"a bundle is a Bundle, not {bundle!r}")
-
-    if space is Space.S3XS3:
-        labels = irrep.labels
+    if space is _S3XS3:
         total = 0
         for k in _ISOTROPY_MODULES[space, bundle].content:
             total += _diagonal_su2_multiplicity(labels, k)
@@ -360,22 +377,23 @@ def hom_dimension(space: Space, irrep: IrrepLabel, bundle: Bundle) -> int:
 
     # top = lambda + rho scaled: 2 (a + 3/2, b + 1/2) for so5, and for su3
     # 3 times the simple-root coordinates of k omega1 + l omega2 + rho
-    x, y = irrep.labels
-    if space is Space.CP3:
-        top, name, weyl, scale = (2 * x + 3, 2 * y + 1), f"E({x - y},{x + y})", _SO5_WEYL, 2
+    x, y = labels
+    if space is _CP3:
+        top, weyl, scale = (2 * x + 3, 2 * y + 1), _SO5_WEYL, 2
     else:
-        top, name, weyl, scale = (2 * x + y + 3, x + 2 * y + 3), f"({x}, {y})", _SU3_WEYL, 3
+        top, weyl, scale = (2 * x + y + 3, x + 2 * y + 3), _SU3_WEYL, 3
     images = _weyl_images(weyl, top)
     m = _kostant(images, scale, top)
     if m != 1:
-        raise AssertionError(f"{irrep}: top {name} has multiplicity {m}")
+        name = f"E({x - y},{x + y})" if space is _CP3 else f"({x}, {y})"
+        raise AssertionError(f"V({x},{y}): top {name} has multiplicity {m}")
     shared: Dict[str, int] = {}
     total = 0
     for point, symmetry_class in _FIBER_POINTS[space, bundle]:
         m = _kostant(images, scale, point)
         if m < 0:
-            raise AssertionError(f"{irrep}: negative Kostant multiplicity on {symmetry_class}")
+            raise AssertionError(f"V({x},{y}): negative Kostant multiplicity on {symmetry_class}")
         if shared.setdefault(symmetry_class, m) != m:
-            raise AssertionError(f"{irrep}: Kostant multiplicities differ on {symmetry_class}")
+            raise AssertionError(f"V({x},{y}): Kostant multiplicities differ on {symmetry_class}")
         total += m
     return total

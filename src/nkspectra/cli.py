@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import io
-import json
 import re
 import sys
 from fractions import Fraction
@@ -146,6 +145,53 @@ def _all_payload(cutoff: Fraction) -> Dict:
 
 # --------------------------------------------------------------------------
 # renderers
+
+# `spectrum --format json` without the json module, whose encoder is pure
+# Python once `indent` is set: json.dumps(payload, indent=2) + "\n",
+# byte for byte.  Every string in a spectrum payload is made here from
+# enum values, ints and Fractions (names, "V(...)" and "p/q"), so none
+# needs escaping; any other payload goes through json.dumps.
+_SPECTRUM_JSON = """\
+{{
+  "command": "spectrum",
+  "space": "{}",
+  "bundle": "{}",
+  "cutoff": "{}",
+  "entries": [{}]
+}}
+"""
+_ENTRY_JSON = """\
+    {{
+      "irrep": "{}",
+      "labels": [
+        {}
+      ],
+      "eigenvalue": "{}",
+      "hom_dim": {},
+      "irrep_dim": {},
+      "contribution": {}
+    }}"""
+
+
+def _spectrum_json(payload: Dict) -> str:
+    entries = ",\n".join(
+        _ENTRY_JSON.format(
+            en["irrep"],
+            ",\n        ".join(map(str, en["labels"])),
+            en["eigenvalue"],
+            en["hom_dim"],
+            en["irrep_dim"],
+            en["contribution"],
+        )
+        for en in payload["entries"]
+    )
+    return _SPECTRUM_JSON.format(
+        payload["space"],
+        payload["bundle"],
+        payload["cutoff"],
+        f"\n{entries}\n  " if entries else "",
+    )
+
 
 def _pad_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> List[str]:
     widths = [
@@ -290,7 +336,11 @@ _COMMANDS = {
 
 def _emit(payload: Dict, fmt: str, output: Optional[str]) -> None:
     _, table, csv_rows = _COMMANDS[payload["command"]]
-    if fmt == "json":
+    if fmt == "json" and payload["command"] == "spectrum":
+        text = _spectrum_json(payload)
+    elif fmt == "json":
+        import json
+
         text = json.dumps(payload, indent=2) + "\n"
     elif fmt == "csv":
         import csv

@@ -50,6 +50,10 @@ class Group(Enum):
     __hash__ = object.__hash__
 
 
+# Python 3.11 reads an Enum member through its class by EnumType.__getattr__
+# (~150 ns), so the per-label paths read this module-level alias instead
+_SO5 = Group.SO5
+
 _AMBIENT = {Group.SU2: 1, Group.SU2_CUBED: 3, Group.SO5: 2, Group.SU3: 3}
 _RANK = {Group.SU2: 1, Group.SU2_CUBED: 3, Group.SO5: 2, Group.SU3: 2}
 
@@ -97,7 +101,7 @@ class IrrepLabel(NamedTuple("IrrepLabel", [("group", Group), ("labels", Tuple[in
         for x in labels:  # a loop, not any(): this runs on every walked label
             if type(x) is not int or x < 0:
                 raise ValueError("labels must be nonnegative integers")
-        if group is Group.SO5 and labels[0] < labels[1]:
+        if group is _SO5 and labels[0] < labels[1]:
             raise ValueError("so5 labels require a >= b")
         return tuple.__new__(cls, (group, labels))
 
@@ -454,14 +458,26 @@ def exact_cutoff(value) -> Fraction:
 
 def iter_labels(group: Group, cutoff: Fraction) -> Iterator[IrrepLabel]:
     """All labels of the family with Laplace eigenvalue <= cutoff, in
-    lexicographic order: nested loops over the coordinates, each stopping
-    at its first label with 6 * eigenvalue above floor(6 * cutoff).
+    lexicographic order, as IrrepLabels over the tuples of _walk_labels.
 
-    LabelBoxTooLarge is raised on the call, before any label is walked,
-    when (first axis label above the cutoff + 1) ** rank exceeds
-    MAX_LABEL_BOX.  One axis is enough: every form is symmetric in its
-    coordinates once so5 labels are sorted.  The cutoff must be a
-    nonnegative int or Fraction.
+    LabelBoxTooLarge is raised on the call, before any label is walked.
+    The cutoff must be a nonnegative int or Fraction.
+    """
+    return (IrrepLabel(group, labels) for labels in _walk_labels(group, cutoff))
+
+
+def _walk_labels(group: Group, cutoff: Fraction) -> List[Tuple[int, ...]]:
+    """The label tuples of iter_labels, built one axis at a time: each
+    tuple is extended by 0, 1, ... up to the first label with 6 *
+    eigenvalue above floor(6 * cutoff), the later coordinates held at 0.
+    That stop is exact because every form grows with every coordinate,
+    and extending the tuples in order keeps the list lexicographic; so5
+    labels keep a >= b.
+
+    LabelBoxTooLarge is raised before any label is walked when (first
+    axis label above the cutoff + 1) ** rank exceeds MAX_LABEL_BOX.  One
+    axis is enough: every form is symmetric in its coordinates once so5
+    labels are sorted.
     """
     bound = math.floor(6 * exact_cutoff(cutoff))
     rank = _of_group(_RANK, group)
@@ -474,21 +490,15 @@ def iter_labels(group: Group, cutoff: Fraction) -> Iterator[IrrepLabel]:
                 f"the cutoff needs more {group.value} labels than the "
                 f"label box bound of {MAX_LABEL_BOX}"
             )
-    return _walk_labels(group, six, rank, bound, ())
-
-
-def _walk_labels(
-    group: Group, six, rank: int, bound: int, head: Tuple[int, ...]
-) -> Iterator[IrrepLabel]:
-    # with the later coordinates 0 the form six is at its least, so the
-    # loop may stop at its first label above the bound; so5 keeps a >= b
-    pad = (0,) * (rank - len(head) - 1)
-    stop = head[0] + 1 if group is Group.SO5 and head else None
-    for n in itertools.count():
-        labels = head + (n,) + pad
-        if n == stop or six(*labels) > bound:
-            return
-        if pad:
-            yield from _walk_labels(group, six, rank, bound, head + (n,))
-        else:
-            yield IrrepLabel(group, labels)
+    heads = [()]
+    for axis in range(rank):
+        pad = (0,) * (rank - axis - 1)
+        longer = []
+        for head in heads:
+            stop = head[0] + 1 if group is _SO5 and head else edge
+            n = 0
+            while n < stop and six(*head, n, *pad) <= bound:
+                longer.append(head + (n,))
+                n += 1
+        heads = longer
+    return heads

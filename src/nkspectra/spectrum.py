@@ -14,17 +14,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import itemgetter
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
-from .branching import Bundle, Space, U2Label, hom_dimension, space_data
+from .branching import Bundle, Space, U2Label, _check_bundle, _hom_count, space_data
 from .rootrep import (
     _SIX_LAPLACE,
     Group,
     IrrepLabel,
+    _walk_labels,
     casimir_eigenvalue,
     dimension,
     exact_cutoff,
-    iter_labels,
     laplace_eigenvalue,
     root_system,
     weight_inner,
@@ -59,12 +59,6 @@ class SpectrumEntry(NamedTuple("SpectrumEntry", _ENTRY_FIELDS)):
         return self.hom_dim * self.irrep_dim
 
 
-def _entry(space: Space, bundle: Bundle, irrep: IrrepLabel) -> Optional[SpectrumEntry]:
-    """The isotypic component of irrep, or None when Hom_K is 0."""
-    hom = hom_dimension(space, irrep, bundle)
-    return SpectrumEntry(irrep, hom) if hom else None
-
-
 # (space, bundle) -> (cutoff, rows): the widest table built so far, as
 # (6 * eigenvalue, entry) rows in (eigenvalue, label) order
 _TABLES: Dict[Tuple[Space, Bundle], Tuple[Fraction, List[Tuple[int, SpectrumEntry]]]] = {}
@@ -76,22 +70,28 @@ def enumerate_spectrum(
     """All isotypic components with eigenvalue <= cutoff and nonzero
     multiplicity, sorted by (eigenvalue, label).
 
-    The cutoff must be a nonnegative int or Fraction.  Each (space,
-    bundle) keeps the widest table built in this process and answers any
-    smaller cutoff by filtering it; every call returns a new list.
-    LabelBoxTooLarge is raised before any Hom is counted when the cutoff
-    walks too many labels; below that bound every label's Hom is a few
-    Kostant sums, so no other bound is needed.
+    The space must be a Space, the bundle a Bundle and the cutoff a
+    nonnegative int or Fraction; anything else raises ValueError.  Each
+    (space, bundle) keeps the widest table built in this process and
+    answers any smaller cutoff by filtering it; every call returns a new
+    list.  LabelBoxTooLarge is raised before any Hom is counted when the
+    cutoff walks too many labels; below that bound every label's Hom is a
+    few Kostant sums, so no other bound is needed.
+
+    Hom is counted on the walk's plain label tuples, so an IrrepLabel and
+    a SpectrumEntry, each validated by its constructor, are built only for
+    the labels with a nonzero Hom.
     """
+    group = space_data(space).group
+    _check_bundle(bundle)
     cutoff = exact_cutoff(cutoff)
     table = _TABLES.get((space, bundle))
     if table is None or table[0] < cutoff:
-        group = space_data(space).group
         six_laplace = _SIX_LAPLACE[group]
         rows = [
-            (six_laplace(*lab.labels), entry)
-            for lab in iter_labels(group, cutoff)
-            if (entry := _entry(space, bundle, lab))
+            (six_laplace(*labels), SpectrumEntry(IrrepLabel(group, labels), hom))
+            for labels in _walk_labels(group, cutoff)
+            if (hom := _hom_count(space, bundle, labels))
         ]
         # the walk is lexicographic, so a stable sort on the integer
         # 6 * eigenvalue keeps equal eigenvalues in label order

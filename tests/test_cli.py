@@ -194,6 +194,27 @@ def test_spectrum_json_at_the_old_kostant_bound_is_pinned(
     _pinned_json(monkeypatch, capsys, space, bundle, cutoff)
 
 
+@pytest.mark.parametrize("bundle", ["functions", "lambda11"])
+@pytest.mark.parametrize("space", ["s3xs3", "cp3", "flag"])
+def test_spectrum_json_is_what_json_dumps_prints(monkeypatch, capsys, tmp_path, space, bundle):
+    # the format-string renderer against json.dumps of the same payload,
+    # on stdout and through --output; s3xs3 lambda11 at 0 has no entries
+    for cutoff in ("0", "16/3", "12", "300"):
+        monkeypatch.setattr(spectrum, "_TABLES", {})
+        payload = cli._spectrum_payload(
+            cli.Space(space), cli.Bundle(bundle), Fraction(cutoff)
+        )
+        expected = json.dumps(payload, indent=2) + "\n"
+        argv = ("spectrum", "--space", space, "--bundle", bundle, "--cutoff", cutoff,
+                "--format", "json")
+        assert _run(capsys, *argv) == (0, expected), cutoff
+        path = tmp_path / f"{cutoff.replace('/', '_')}.json"
+        assert _run(capsys, *argv, "--output", str(path)) == (0, "")
+        assert path.read_text(encoding="utf-8") == expected, cutoff
+        if (space, bundle, cutoff) == ("s3xs3", "lambda11", "0"):
+            assert payload["entries"] == []
+
+
 def test_json_round_trip(capsys):
     code, out = _run(
         capsys, "spectrum", "--space", "s3xs3", "--cutoff", "12", "--format", "json"
@@ -600,6 +621,26 @@ def test_no_command_loads_dataclasses_or_inspect(argv, flags, run_python):
     proc = run_python(["-c", _STDLIB_LOADED, *argv], *flags)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [b"0"]
+
+
+# `import nkspectra.cli` and a spectrum command in a fresh interpreter:
+# the exit code, then whether the json module got loaded
+_JSON_LOADED = """
+import contextlib, io, sys
+from nkspectra import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, "json" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+@pytest.mark.parametrize("fmt", ["json", "table", "csv"])
+def test_spectrum_never_loads_json(fmt, flags, run_python):
+    argv = ("spectrum", "--space", "s3xs3", "--cutoff", "12", "--format", fmt)
+    proc = run_python(["-c", _JSON_LOADED, *argv], *flags)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [b"0", b"False"]
 
 
 # nkcheck imported before or after cli: one module object, and a patch made

@@ -118,13 +118,13 @@ def test_reports_share_one_walk_per_bundle(monkeypatch):
     from nkspectra import spectrum
 
     walks = []
-    real = spectrum.iter_labels
+    real = spectrum._walk_labels
 
     def counting(group, cutoff):
         walks.append(cutoff)
         return real(group, cutoff)
 
-    monkeypatch.setattr(spectrum, "iter_labels", counting)
+    monkeypatch.setattr(spectrum, "_walk_labels", counting)
     for space in Space:
         monkeypatch.setattr(spectrum, "_TABLES", {})
         walks.clear()
@@ -322,15 +322,51 @@ def test_one_weyl_dimension_per_label(space, weyl_dimension):
     # an entry is built only for a nonzero Hom
     labels = list(iter_labels(space_data(space).group, Fraction(60)))
     for bundle in Bundle:
-        entries = [spectrum._entry(space, bundle, lab) for lab in labels]
-        assert any(entry is not None for entry in entries)
-        for lab, entry in zip(labels, entries):
+        entries = {e.irrep: e for e in enumerate_spectrum(space, bundle, 60)}
+        assert entries
+        for lab in labels:
             hom = hom_dimension(space, lab, bundle)
+            entry = entries.get(lab)
             if entry is None:
                 assert hom == 0
             else:
                 assert entry.hom_dim == hom
                 assert entry.irrep_dim == weyl_dimension(lab)
+
+
+@pytest.mark.parametrize("bundle", list(Bundle), ids=lambda b: b.value)
+@pytest.mark.parametrize("space", list(Space), ids=lambda s: s.value)
+def test_enumeration_matches_the_public_per_label_path(monkeypatch, space, bundle):
+    # Hom counted on raw tuples, entries built only where it is nonzero,
+    # against an entry for every label of iter_labels with a nonzero
+    # hom_dimension, sorted by (Fraction eigenvalue, labels)
+    monkeypatch.setattr(spectrum, "_TABLES", {})
+    group = space_data(space).group
+    expected = [
+        spectrum.SpectrumEntry(lab, hom)
+        for lab in iter_labels(group, 300)
+        if (hom := hom_dimension(space, lab, bundle))
+    ]
+    expected.sort(key=lambda e: (e.eigenvalue, e.irrep.labels))
+    assert enumerate_spectrum(space, bundle, 300) == expected
+
+
+@pytest.mark.parametrize(
+    "space,bundle,message",
+    [
+        (["flag"], Bundle.FUNCTIONS, "a space is a Space"),
+        ("flag", Bundle.FUNCTIONS, "a space is a Space"),
+        (Space.FLAG, ["x"], "a bundle is a Bundle"),
+        (Space.FLAG, "functions", "a bundle is a Bundle"),
+    ],
+    ids=["space-list", "space-name", "bundle-list", "bundle-name"],
+)
+def test_spectrum_refuses_a_space_or_bundle_that_is_not_an_enum(space, bundle, message):
+    # a list used to end in a bare TypeError from the table lookup
+    for call in (enumerate_spectrum, eigenspace_multiplicity):
+        with pytest.raises(ValueError, match=message) as err:
+            call(space, bundle, 12)
+        assert "\n" not in str(err.value)
 
 
 def test_integer_keyed_tables_match_a_brute_force_list(monkeypatch):

@@ -192,3 +192,28 @@ def test_traced_run_reports_every_command(argv, run_python):
         assert report["counts"]["nkcheck.checks_passed"] == report["counts"]["nkcheck.checks"]
     else:
         assert ran == set()
+
+
+def _benchmark_workloads(monkeypatch):
+    # imported from benchmarks/ without writing a __pycache__ there
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    return importlib.import_module("workloads")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_output_gate_passes_in_process(seed, monkeypatch, capsys):
+    # the benchmark's own check on every invocation of every workload:
+    # byte-identity with the seed reference, then the closed forms, so a
+    # changed byte fails here as well as in benchmarks/run.py
+    from nkspectra import cli, spectrum
+
+    workloads = _benchmark_workloads(monkeypatch)
+    reference = workloads.load_reference()
+    for name in workloads.WORKLOADS:
+        for inv in workloads.build(name, seed):
+            monkeypatch.setattr(spectrum, "_TABLES", {})
+            code = cli.main(list(inv.argv))
+            stdout = capsys.readouterr().out.encode("utf-8")
+            assert code == 0, inv.argv
+            assert workloads.check_output(reference, inv, stdout) == [], inv.argv

@@ -344,9 +344,11 @@ def _check_bundle(bundle: Bundle) -> None:
 
 def hom_dimension(space: Space, irrep: IrrepLabel, bundle: Bundle) -> int:
     """dim Hom_K(V_irrep restricted to K, fiber of the bundle), after
-    checking that the space is a Space, the irrep a label of its group and
-    the bundle a Bundle; _hom_count does the counting."""
+    checking that the space is a Space, the irrep an IrrepLabel of its
+    group and the bundle a Bundle; _hom_count does the counting."""
     data = space_data(space)
+    if not isinstance(irrep, IrrepLabel):
+        raise ValueError(f"an irrep is an IrrepLabel, not {irrep!r}")
     if irrep.group is not data.group:
         raise ValueError(f"{space.value} needs labels of {data.group.value}")
     _check_bundle(bundle)

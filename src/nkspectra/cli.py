@@ -5,7 +5,11 @@ Each subcommand is registered once, in ``_COMMANDS``: the builder of its
 JSON payload from the parsed arguments, its table renderer and its CSV
 renderer (none for ``all``, which refuses CSV).  Every payload names its
 subcommand under ``command``, which picks the renderer; ``all`` renders
-its embedded reports through their own tables.
+its embedded reports through their own tables.  Each subcommand's options
+are listed once, in ``_OPTIONS``: the command line is read from it as
+argparse read it, and -h prints it.  argparse itself is not used, since
+importing it, with the gettext and locale it loads, costs about 5 ms of
+every cold start.
 
 Output is byte-stable for identical arguments: every ordering is
 explicit and all rationals render as exact "p/q" strings (plain "p"
@@ -19,13 +23,12 @@ whose label box exceeds rootrep.MAX_LABEL_BOX included.
 
 from __future__ import annotations
 
-import argparse
 import importlib.util
 import io
 import re
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
 from .branching import Bundle, Space
 from .rootrep import LabelBoxTooLarge
@@ -308,30 +311,121 @@ def _all_table(payload: Dict) -> List[str]:
     return lines + _suites_table(payload["verification"])
 
 
-# subcommand -> (its payload from the parsed arguments, its table lines,
+# --------------------------------------------------------------------------
+# subcommands and their options
+
+# Fraction("1e<n>") builds 10**n, which takes unbounded time for a large
+# n before the label box can refuse the cutoff, so a decimal literal with
+# a larger exponent is refused before it is converted.
+MAX_CUTOFF_EXPONENT = 4300
+_DECIMAL_EXPONENT = re.compile(
+    r"\s*[-+]?(?=\.?\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?"
+    r"[eE][-+]?(\d+(?:_\d+)*)\s*"
+)
+
+
+class CutoffError(ValueError):
+    """A cutoff literal that _fraction_arg refuses; the message says why."""
+
+
+def _fraction_arg(text: str) -> Fraction:
+    # int() and str() refuse numbers with more digits than the interpreter's
+    # limit (-X int_max_str_digits, 4300 by default); 4300 also holds where
+    # the limit is lifted (0) or missing (Python before 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    literal = _DECIMAL_EXPONENT.fullmatch(text)
+    if literal:
+        digits = literal.group(1).replace("_", "").lstrip("0")
+        # the length first: int() refuses a number beyond the limit
+        if (
+            len(digits) > len(str(MAX_CUTOFF_EXPONENT))
+            or int(digits or 0) > MAX_CUTOFF_EXPONENT
+        ):
+            raise CutoffError(f"decimal exponent beyond {MAX_CUTOFF_EXPONENT} in magnitude")
+    # Fraction() would call a valid literal with a longer number "not a
+    # rational"
+    runs = re.findall(r"\d+", text.replace("_", ""))
+    if max(map(len, runs), default=0) > limit:
+        raise CutoffError(f"cutoff literal has a number beyond {limit} digits")
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        shown = text if len(text) <= 32 else text[:32] + "..."
+        raise CutoffError(f"not a rational: {shown!r}") from exc
+    if value < 0:
+        raise CutoffError("cutoff must be nonnegative")
+    # the reports print the cutoff, which str() refuses beyond the limit; a
+    # numerator that long is refused by the label box instead
+    if value.denominator >= 10**limit:
+        raise CutoffError(f"cutoff denominator beyond {limit} digits")
+    return value
+
+
+# subcommand -> (its payload from the parsed options, its table lines,
 # its CSV rows or None where CSV is refused)
 _COMMANDS = {
     "spectrum": (
-        lambda a: _spectrum_payload(Space(a.space), Bundle(a.bundle), a.cutoff),
+        lambda o: _spectrum_payload(Space(o["space"]), Bundle(o["bundle"]), o["cutoff"]),
         _spectrum_table,
         _spectrum_csv,
     ),
     "moduli-bound": (
-        lambda a: _moduli_payload(Space(a.space)), _moduli_table, _moduli_csv
+        lambda o: _moduli_payload(Space(o["space"])), _moduli_table, _moduli_csv
     ),
-    "verify-flag": (lambda a: _verify_payload(), _suites_table, _suites_csv),
+    "verify-flag": (lambda o: _verify_payload(), _suites_table, _suites_csv),
     "identities": (
-        lambda a: _suites_payload(
+        lambda o: _suites_payload(
             "identities", (nkcheck.verify_pointwise_identities(),)
         ),
         _suites_table,
         _suites_csv,
     ),
     "einstein-check": (
-        lambda a: _einstein_payload(Space(a.space)), _einstein_table, _einstein_csv
+        lambda o: _einstein_payload(Space(o["space"])), _einstein_table, _einstein_csv
     ),
-    "all": (lambda a: _all_payload(a.cutoff), _all_table, None),
+    "all": (lambda o: _all_payload(o["cutoff"]), _all_table, None),
 }
+
+# An option is (its flag, its choices or the function that reads its
+# value, its default or _REQUIRED, its help line).  The parsed options are
+# keyed by the flag without its dashes.
+_REQUIRED = object()
+_SPACE = ("--space", tuple(s.value for s in _SPACES), _REQUIRED, "the homogeneous space")
+_COMMON = (
+    ("--format", ("table", "json", "csv"), "table", "output format (default: table)"),
+    ("--output", None, None, "write the report to this path"),
+)
+
+# subcommand -> (its help line, its options in the order help lists them)
+_OPTIONS = {
+    "spectrum": (
+        "eigenvalue table up to a cutoff",
+        (
+            _SPACE,
+            (
+                "--bundle",
+                tuple(b.value for b in _BUNDLES),
+                Bundle.LAMBDA11.value,
+                "functions or the primitive (1,1) bundle (default)",
+            ),
+            ("--cutoff", _fraction_arg, _REQUIRED, "largest eigenvalue, a nonnegative rational"),
+            *_COMMON,
+        ),
+    ),
+    "moduli-bound": ("deformation space upper bound", (_SPACE, *_COMMON)),
+    "verify-flag": ("run all verification suites", _COMMON),
+    "identities": ("pointwise model identities", _COMMON),
+    "einstein-check": ("eigenvalue 2 and 6 multiplicities", (_SPACE, *_COMMON)),
+    "all": (
+        "every report in one run",
+        (("--cutoff", _fraction_arg, Fraction(12), "spectrum cutoff (default 12)"), *_COMMON),
+    ),
+}
+
+
+def _usage_error(message: str) -> NoReturn:
+    sys.stderr.write(f"nkspectra: {message}\n")
+    sys.exit(2)
 
 
 def _emit(payload: Dict, fmt: str, output: Optional[str]) -> None:
@@ -355,135 +449,148 @@ def _emit(payload: Dict, fmt: str, output: Optional[str]) -> None:
             with open(output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            sys.stderr.write(f"nkspectra: cannot write {output}: {exc.strerror}\n")
-            sys.exit(2)
+            _usage_error(f"cannot write {output}: {exc.strerror}")
     else:
         sys.stdout.write(text)
 
 
 # --------------------------------------------------------------------------
-# argument parsing
+# command-line parsing, read as argparse read it, from _OPTIONS
 
-# Fraction("1e<n>") builds 10**n, which takes unbounded time for a large
-# n before the label box can refuse the cutoff, so a decimal literal with
-# a larger exponent is refused before it is converted.
-MAX_CUTOFF_EXPONENT = 4300
-_DECIMAL_EXPONENT = re.compile(
-    r"\s*[-+]?(?=\.?\d)\d*(?:_\d+)*(?:\.(?:\d+(?:_\d+)*)?)?"
-    r"[eE][-+]?(\d+(?:_\d+)*)\s*"
+_HELP = ("-h", "--help")
+_DESCRIPTION = (
+    "Exact spectra, moduli bounds and identity verification for the "
+    "homogeneous nearly Kahler 6-manifolds."
 )
 
 
-def _fraction_arg(text: str) -> Fraction:
-    # int() and str() refuse numbers with more digits than the interpreter's
-    # limit (-X int_max_str_digits, 4300 by default); 4300 also holds where
-    # the limit is lifted (0) or missing (Python before 3.10.7)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
-    literal = _DECIMAL_EXPONENT.fullmatch(text)
-    if literal:
-        digits = literal.group(1).replace("_", "").lstrip("0")
-        # the length first: int() refuses a number beyond the limit
-        if (
-            len(digits) > len(str(MAX_CUTOFF_EXPONENT))
-            or int(digits or 0) > MAX_CUTOFF_EXPONENT
-        ):
-            raise argparse.ArgumentTypeError(
-                f"decimal exponent beyond {MAX_CUTOFF_EXPONENT} in magnitude"
-            )
-    # Fraction() would call a valid literal with a longer number "not a
-    # rational"
-    runs = re.findall(r"\d+", text.replace("_", ""))
-    if max(map(len, runs), default=0) > limit:
-        raise argparse.ArgumentTypeError(f"cutoff literal has a number beyond {limit} digits")
+def _option(token: str, flags: Sequence[str]) -> Optional[Tuple[Optional[str], Optional[str]]]:
+    """Read a token against the flags in force: None for a value, else
+    (the flag it names, None for an unknown option; the value joined to
+    it by "=", or after "-h", or None)."""
+    if token[:1] != "-" or token in ("-", "--"):
+        return None
+    if token in flags:
+        return token, None
+    name, eq, joined = token.partition("=")
+    if eq and name in flags:
+        return name, joined
+    if token[1] == "-":  # a unique prefix of a long flag stands for it
+        matches = [(flag, joined if eq else None) for flag in flags if flag.startswith(name)]
+    else:  # one dash: only -h, with a value joined to it
+        matches = [("-h", token[2:])] if token[:2] == "-h" else []
+    if len(matches) > 1:
+        found = ", ".join(flag for flag, _ in matches)
+        _usage_error(f"ambiguous option: {token} could match {found}")
+    if matches:
+        return matches[0]
+    # a negative number or a token with a space is a value, as for argparse
+    if " " in token or re.match(r"-\d+$|-\d*\.\d+$", token):
+        return None
+    return None, None
+
+
+def _help(command: Optional[str], flag: str, joined: Optional[str]) -> NoReturn:
+    """Print the usage of nkspectra, or of one subcommand, and exit 0."""
+    if flag == "-h" and joined:  # argparse reads "-hh" as -h twice
+        joined = joined.lstrip("h") or None
+    if joined is not None:
+        _usage_error(f"argument -h/--help: ignored explicit argument {joined!r}")
+    rows = [("-h, --help", "show this help message and exit")]
+    if command is None:
+        usage = "nkspectra [-h] {%s} ..." % ",".join(_OPTIONS)
+        about = _DESCRIPTION
+        rows += [(name, line) for name, (line, _) in _OPTIONS.items()]
+    else:
+        usage = f"nkspectra {command} [-h]"
+        about, options = _OPTIONS[command]
+        for name, accepts, default, line in options:
+            if type(accepts) is tuple:
+                shown = "%s {%s}" % (name, ",".join(accepts))
+            else:
+                shown = f"{name} {name[2:].upper()}"
+            usage += f" {shown}" if default is _REQUIRED else f" [{shown}]"
+            rows.append((shown, line))
+    width = 2 + max(len(shown) for shown, _ in rows)
+    print(f"usage: {usage}\n\n{about}\n")
+    print("\n".join(f"  {shown:<{width}}{line}" for shown, line in rows))
+    sys.exit(0)
+
+
+def _read_value(flag: str, accepts, text: str):
+    if type(accepts) is tuple:
+        if text not in accepts:
+            choices = ", ".join(map(repr, accepts))
+            _usage_error(f"argument {flag}: invalid choice: {text!r} (choose from {choices})")
+        return text
+    if accepts is None:
+        return text
     try:
-        value = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        shown = text if len(text) <= 32 else text[:32] + "..."
-        raise argparse.ArgumentTypeError(f"not a rational: {shown!r}") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError("cutoff must be nonnegative")
-    # the reports print the cutoff, which str() refuses beyond the limit; a
-    # numerator that long is refused by the label box instead
-    if value.denominator >= 10**limit:
-        raise argparse.ArgumentTypeError(f"cutoff denominator beyond {limit} digits")
-    return value
+        return accepts(text)
+    except CutoffError as exc:
+        _usage_error(f"argument {flag}: {exc}")
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors as one line, like every other refusal; subparsers
-    inherit the class."""
-
-    def error(self, message):
-        self.exit(2, f"nkspectra: {message}\n")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="nkspectra",
-        description="Exact spectra, moduli bounds and identity verification "
-        "for the homogeneous nearly Kahler 6-manifolds.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p):
-        p.add_argument(
-            "--format",
-            choices=("table", "json", "csv"),
-            default="table",
-            help="output format (default: table)",
-        )
-        p.add_argument("--output", help="write the report to this path")
-
-    def add_space(p):
-        p.add_argument("--space", required=True, choices=[s.value for s in _SPACES])
-
-    p_spec = sub.add_parser("spectrum", help="eigenvalue table up to a cutoff")
-    add_space(p_spec)
-    p_spec.add_argument(
-        "--bundle",
-        choices=[b.value for b in _BUNDLES],
-        default=Bundle.LAMBDA11.value,
-        help="functions or the primitive (1,1) bundle (default)",
-    )
-    p_spec.add_argument("--cutoff", type=_fraction_arg, required=True)
-    add_common(p_spec)
-
-    p_mod = sub.add_parser("moduli-bound", help="deformation space upper bound")
-    add_space(p_mod)
-    add_common(p_mod)
-
-    p_ver = sub.add_parser("verify-flag", help="run all verification suites")
-    add_common(p_ver)
-
-    p_id = sub.add_parser("identities", help="pointwise model identities")
-    add_common(p_id)
-
-    p_ein = sub.add_parser(
-        "einstein-check", help="eigenvalue 2 and 6 multiplicities"
-    )
-    add_space(p_ein)
-    add_common(p_ein)
-
-    p_all = sub.add_parser("all", help="every report in one run")
-    p_all.add_argument(
-        "--cutoff",
-        type=_fraction_arg,
-        default=Fraction(12),
-        help="spectrum cutoff (default 12)",
-    )
-    add_common(p_all)
-    return parser
+def _parse(tokens: Sequence[str]) -> Tuple[str, Dict]:
+    """The subcommand and its options, read as argparse read them: a flag's
+    value follows it or is joined to it by "=", a unique prefix of a flag
+    stands for it, and the last of a repeated option wins; a "--" and every
+    token after it are unrecognized, since no subcommand has a positional.
+    -h or --help prints usage and exits 0, at the top level or after the
+    subcommand; every usage error exits 2 with one line on stderr."""
+    extras = []
+    for at, command in enumerate(tokens):
+        read = _option(command, _HELP)
+        if read is None:
+            break
+        if read[0] is None:
+            extras.append(command)
+        else:
+            _help(None, *read)
+    else:
+        _usage_error("the following arguments are required: subcommand")
+    options = _OPTIONS[_read_value("subcommand", tuple(_OPTIONS), command)][1]
+    accepted = {flag: accepts for flag, accepts, _, _ in options}
+    flags = (*_HELP, *accepted)
+    # no token from the first "--" on is an option or an option's value;
+    # the others are classified before any is read, as argparse does
+    rest = tokens[at + 1 :]
+    end = rest.index("--") if "--" in rest else len(rest)
+    kinds = [_option(token, flags) for token in rest[:end]]
+    values = {flag[2:]: default for flag, _, default, _ in options}
+    i = 0
+    while i < end:
+        kind = kinds[i]
+        i += 1
+        if kind is None or kind[0] is None:
+            extras.append(rest[i - 1])
+            continue
+        flag, text = kind
+        if flag in _HELP:
+            _help(command, flag, text)
+        if text is None:
+            if i == end or kinds[i] is not None:
+                _usage_error(f"argument {flag}: expected one argument")
+            text = rest[i]
+            i += 1
+        values[flag[2:]] = _read_value(flag, accepted[flag], text)
+    extras += rest[end:]
+    missing = [flag for flag, _, _, _ in options if values[flag[2:]] is _REQUIRED]
+    if missing:
+        _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    return command, values
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    build, _, csv_rows = _COMMANDS[args.subcommand]
-    if args.format == "csv" and csv_rows is None:
-        parser.error(f"csv format is not available for `{args.subcommand}`")
+    command, options = _parse(sys.argv[1:] if argv is None else argv)
+    build, _, csv_rows = _COMMANDS[command]
+    if options["format"] == "csv" and csv_rows is None:
+        _usage_error(f"csv format is not available for `{command}`")
     try:
-        payload = build(args)
-        _emit(payload, args.format, args.output)
+        payload = build(options)
+        _emit(payload, options["format"], options["output"])
     except AssertionError as exc:
         print(f"nkspectra: internal assertion failed: {exc}", file=sys.stderr)
         return 1

@@ -249,6 +249,12 @@ def dimension(irrep: IrrepLabel) -> int:
     return _DIMENSION[irrep.group](*irrep.labels)
 
 
+# 72 times the -B pairing scale: six times the eigenvalue for -B/12 is
+# 72 <gamma, gamma + 2 rho>, and <l, m> is l.m / 8 on the su2 lines and
+# l.m / 6 on so5 and su3 (see weight_inner)
+_PAIRING_72 = {Group.SU2: 9, Group.SU2_CUBED: 9, Group.SO5: 12, Group.SU3: 12}
+
+
 def _check_closed_forms() -> None:
     # Both sides are polynomials of degree <= 2 in the label coordinates.
     # A polynomial of degree <= k in n variables that vanishes on the
@@ -259,13 +265,29 @@ def _check_closed_forms() -> None:
     # su2^3 and su3) is agreeing everywhere.  so5 labels keep a >= b, and
     # its six dominant labels with entries <= 2 fix a quadratic instead:
     # their monomial matrix has determinant 4.
+    #
+    # The Casimir side is 72 <gamma, gamma + 2 rho> in integers: 2 rho sums
+    # the positive roots, and the su3 highest weight (k, 0, -l) is scaled by
+    # n = 3 to the integer sum-zero (2k + l, l - k, -k - 2l), so both sides
+    # are scaled by n^2.
     for group in Group:
+        two_rho = [2 * r.numerator // r.denominator for r in _ROOT_SYSTEMS[group].rho]
         for labels in itertools.product(range(3), repeat=_RANK[group]):
             if labels[0] < labels[1] if group is Group.SO5 else sum(labels) > 2:
                 continue
-            irrep = IrrepLabel(group, labels)
-            if laplace_eigenvalue(irrep) != -casimir_eigenvalue(irrep, Fraction(1, 12)):
-                raise AssertionError(f"{group.value} {irrep}: eigenvalue is not the Casimir one")
+            if group is Group.SU3:
+                k, l = labels
+                n, gamma = 3, (2 * k + l, l - k, -k - 2 * l)
+            else:
+                n, gamma = 1, labels
+            casimir = _PAIRING_72[group] * sum(
+                g * (g + n * r) for g, r in zip(gamma, two_rho)
+            )
+            if n * n * _SIX_LAPLACE[group](*labels) != casimir:
+                raise AssertionError(
+                    f"{group.value} {IrrepLabel(group, labels)}: "
+                    "eigenvalue is not the Casimir one"
+                )
 
 
 _check_closed_forms()

@@ -19,6 +19,7 @@ from nkspectra.branching import (
 from nkspectra.rootrep import (
     Group,
     IrrepLabel,
+    WeightTable,
     canonical_weight,
     dimension,
     iter_labels,
@@ -168,6 +169,50 @@ def test_hom_rejects_wrong_group():
         with pytest.raises(ValueError) as err:
             call()
         assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "irrep", [(1, 1), [1, 1], "V(1,1)", None, (Group.SU3, (1, 1))], ids=repr
+)
+def test_hom_refuses_an_irrep_that_is_not_an_irrep_label(irrep):
+    # a label tuple ended in AttributeError: 'tuple' object has no
+    # attribute 'group'
+    with pytest.raises(ValueError) as err:
+        hom_dimension(Space.FLAG, irrep, Bundle.LAMBDA11)
+    assert str(err.value) == f"an irrep is an IrrepLabel, not {irrep!r}"
+
+
+def _planted_weights(monkeypatch, weights):
+    # restrict_so5_to_u2 reads these so5 weights, whatever its label
+    def planted(irrep):
+        entries = tuple(sorted((tuple(map(Fraction, w)), m) for w, m in weights.items()))
+        return WeightTable(irrep, entries)
+
+    monkeypatch.setattr(branching, "weight_multiplicities", planted)
+
+
+@pytest.mark.parametrize(
+    "weights,message",
+    [
+        # at charge 1 only m = -1: the top of the profile is negative
+        ({(0, 1): 1}, "V(1,0): asymmetric string profile"),
+        # at charge 0 the string E(2, 0) needs m = 0 and m = -2 as well
+        ({(1, -1): 1}, "V(1,0): string peeling went negative"),
+    ],
+    ids=["asymmetric", "negative-peel"],
+)
+def test_restriction_refuses_a_profile_that_is_not_strings(monkeypatch, weights, message):
+    _planted_weights(monkeypatch, weights)
+    with pytest.raises(AssertionError) as err:
+        restrict_so5_to_u2(so5_label(1, 0))
+    assert str(err.value) == message
+
+
+def test_restriction_refuses_types_that_miss_the_weyl_dimension(monkeypatch):
+    monkeypatch.setattr(branching, "dimension", lambda irrep: 4)
+    with pytest.raises(AssertionError) as err:
+        restrict_so5_to_u2(so5_label(1, 0))
+    assert str(err.value) == "V(1,0): the U2 types miss the Weyl dimension"
 
 
 def test_u2_label_validation():

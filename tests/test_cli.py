@@ -1,7 +1,6 @@
 """Command line surface: golden outputs, byte stability across runs,
 exit codes and the file-output path."""
 
-import argparse
 import hashlib
 import json
 import time
@@ -132,9 +131,7 @@ REPORT_SHA256 = {
 
 
 def _subcommands():
-    parser = cli._build_parser()
-    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return sorted(action.choices)
+    return sorted(cli._OPTIONS)
 
 
 @pytest.mark.parametrize("subcommand", _subcommands())
@@ -339,6 +336,10 @@ def test_usage_errors_exit_two(capsys):
         ["spectrum", "--space", "cp3", "--cutoff", "a/b"],
         ["spectrum", "--space", "cp3", "--cutoff", "12", "--format", "xml"],
         ["all", "--format", "csv"],
+        ["spectrum", "--space", "cp3", "--cutoff", "12", "--colour", "red"],
+        ["verify-flag", "--space", "cp3"],
+        ["spectrum", "--space", "cp3", "--cutoff"],
+        ["spectrum", "--space=nowhere", "--cutoff", "12"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -347,6 +348,69 @@ def test_usage_errors_exit_two(capsys):
         assert captured.out == "", argv
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("nkspectra: "), captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([], "the following arguments are required: subcommand"),
+        (["spectrum", "--space", "cp3"], "the following arguments are required: --cutoff"),
+        *(
+            (
+                ["spectrum", *space, "--cutoff", "12"],
+                "argument --space: invalid choice: 'nowhere' (choose from 's3xs3', 'cp3', 'flag')",
+            )
+            for space in (["--space", "nowhere"], ["--space=nowhere"])
+        ),
+        (["spectrum", "--space", "cp3", "--cutoff", "-3"], "argument --cutoff: cutoff must be nonnegative"),
+        (["spectrum", "--space", "cp3", "--cutoff"], "argument --cutoff: expected one argument"),
+        (["verify-flag", "--space", "cp3"], "unrecognized arguments: --space cp3"),
+        (["all", "--format", "csv"], "csv format is not available for `all`"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else "",
+)
+def test_usage_errors_keep_their_wording(argv, message, capsys):
+    # the wording of argparse, which the README quotes
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"nkspectra: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (("spectrum", "--space=cp3", "--cutoff", "12"), CP3_TABLE),
+        (("spectrum", "--space", "cp3", "--cut", "12"), CP3_TABLE),
+        (("spectrum", "--sp=cp3", "--cutoff=12", "--format", "csv", "--format", "table"), CP3_TABLE),
+        (("spectrum", "--format", "table", "--space", "cp3", "--cutoff", "12", "--form", "csv"), CP3_CSV),
+        (("spectrum", "--space", "flag", "--space", "cp3", "--cutoff", "0", "--cutoff", "12"), CP3_TABLE),
+    ],
+    ids=["equals", "prefix", "repeated-format-table", "repeated-format-csv", "repeated-space-cutoff"],
+)
+def test_every_option_form_prints_the_pinned_report(argv, expected, capsys):
+    # --opt=value, a unique prefix of a flag, and the last of a repeated
+    # option, all as argparse read them
+    assert _run(capsys, *argv) == (0, expected)
+
+
+@pytest.mark.parametrize(
+    "argv", [("-h",), ("--help",), ("spectrum", "-h"), ("all", "--he"), ("verify-flag", "-h", "--bogus")]
+)
+def test_help_prints_usage_and_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    # the usage line, then every subcommand or every flag of the subcommand
+    if argv[0] in cli._OPTIONS:
+        assert out.startswith(f"usage: nkspectra {argv[0]} [-h] ")
+        listed = [flag for flag, *_ in cli._OPTIONS[argv[0]][1]]
+    else:
+        assert out.startswith("usage: nkspectra [-h] ")
+        listed = list(cli._OPTIONS)
+    assert all(f"\n  {name} " in out for name in listed), out
 
 
 def test_rational_cutoff_accepted(capsys):
@@ -498,10 +562,10 @@ def test_long_cutoff_denominator_is_a_usage_error(flags, argv, message, run_pyth
 
 
 def test_refused_cutoff_is_echoed_as_a_short_prefix():
-    with pytest.raises(argparse.ArgumentTypeError) as exc:
+    with pytest.raises(cli.CutoffError) as exc:
         cli._fraction_arg("x" * 5000)
     assert str(exc.value) == "not a rational: '" + "x" * 32 + "...'"
-    with pytest.raises(argparse.ArgumentTypeError) as exc:
+    with pytest.raises(cli.CutoffError) as exc:
         cli._fraction_arg("a/b")
     assert str(exc.value) == "not a rational: 'a/b'"
 
@@ -513,7 +577,7 @@ def test_cutoff_denominator_bound_is_4300_digits(run_python):
     assert _fraction_arg("2.5E-4300") == Fraction(1, 4 * 10**4299)
     assert _fraction_arg("1.5e-4299") == Fraction(3, 2 * 10**4299)
     for text in ("1e-4300", "1.3e-4300", "0.1E-4_299"):
-        with pytest.raises(argparse.ArgumentTypeError, match="denominator"):
+        with pytest.raises(cli.CutoffError, match="denominator"):
             _fraction_arg(text)
     proc = run_python([*CLI, "spectrum", "--space", "cp3", "--cutoff", "2.5E-4300", "--format", "json"])
     assert proc.returncode == 0
@@ -527,7 +591,7 @@ def test_exponent_cutoff_bound_is_4300():
     assert _fraction_arg("2.5E-4_300") == Fraction(5, 2 * 10**4300)
     assert _fraction_arg("1e0_0001") == 10
     for text in ("1e4301", "-1e-4301", "1e00000000000000004301", "1e43_010"):
-        with pytest.raises(argparse.ArgumentTypeError, match="exponent"):
+        with pytest.raises(cli.CutoffError, match="exponent"):
             _fraction_arg(text)
 
 
@@ -593,15 +657,19 @@ def test_only_the_suite_commands_load_the_exterior_calculus(argv, loads, flags, 
 
 
 # Each command in a fresh interpreter: its exit code, then the names of
-# dataclasses and inspect if importing cli and running the command loaded
-# them (together about 8 ms of a cold start)
+# dataclasses, inspect, argparse, gettext and locale if importing cli and
+# running the command loaded them (together about 13 ms of a cold start)
 _STDLIB_LOADED = """
 import contextlib, io, sys
 before = set(sys.modules)
 from nkspectra import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(sys.argv[1:])
-print(code, *sorted({"dataclasses", "inspect"} & set(sys.modules) - before))
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:  # help
+        code = exc.code
+loaded = {"dataclasses", "inspect", "argparse", "gettext", "locale"}
+print(code, *sorted(loaded & set(sys.modules) - before))
 """
 
 
@@ -615,6 +683,8 @@ print(code, *sorted({"dataclasses", "inspect"} & set(sys.modules) - before))
         ("verify-flag",),
         ("identities",),
         ("all",),
+        ("-h",),
+        ("spectrum", "-h"),
     ],
 )
 def test_no_command_loads_dataclasses_or_inspect(argv, flags, run_python):

@@ -22,9 +22,9 @@ converted once at import to the coordinates the sum reads).  What is read is
 checked with explicit raises that survive `python -O`: the top occurs
 once, nothing is negative, and multiplicities agree within each Weyl
 orbit of fiber weights and on each pair of dual U2 types.  The
-Freudenthal and product-weight tables of `rootrep.weight_multiplicities`
-and `restrict_so5_to_u2` are kept as the independent oracles the test
-suite compares against.
+Gelfand-Tsetlin pattern tables of `rootrep.weight_multiplicities` and
+their peeling in `restrict_so5_to_u2` are kept as the independent oracles
+the test suite compares against; no command calls them.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, Iterator, List, NamedTuple, Tuple
@@ -71,8 +72,17 @@ def canonical_weight(group: Group, coords) -> Weight:
 
     For su3 this subtracts the coordinate mean, normalizing the sum to
     zero; weight equality is equality of canonical representatives.
+    Each coordinate must be an int or a Fraction (a bool, a float or a
+    string is refused, not converted).
     """
-    vec = tuple(Fraction(c) for c in coords)
+    try:
+        vec = tuple(coords)
+    except TypeError:  # not iterable
+        raise ValueError(f"a weight is a sequence of coordinates, not {coords!r}") from None
+    for c in vec:
+        if type(c) not in (int, Fraction):
+            raise ValueError(f"weight coordinate {c!r} is not an int or a Fraction")
+    vec = tuple(map(Fraction, vec))
     if len(vec) != _of_group(_AMBIENT, group):
         raise ValueError(f"expected {_AMBIENT[group]} coordinates for {group}")
     if group is Group.SU3:
@@ -315,132 +325,43 @@ class WeightTable(NamedTuple):
         return sum(m for _, m in self.entries)
 
 
-def _su2_string(k: int) -> Dict[Tuple[Fraction], int]:
-    return {(Fraction(k - 2 * i),): 1 for i in range(k + 1)}
+def _pattern_weights(irrep: IrrepLabel) -> Counter:
+    """Integer weights of the irrep, one per Gelfand-Tsetlin pattern
+    (Zhelobenko, Compact Lie Groups and Their Representations, sections 66
+    and 70).
 
-
-def _su3_product_weights(k: int, l: int) -> Dict[Weight, int]:
-    """Weights of Sym^k E (x) Sym^l conj(E), canonicalized to sum zero."""
-    out: Dict[Weight, int] = {}
-    for a in range(k + 1):
-        for b in range(k + 1 - a):
-            c = k - a - b
-            for ap in range(l + 1):
-                for bp in range(l + 1 - ap):
-                    cp = l - ap - bp
-                    w = canonical_weight(Group.SU3, (a - ap, b - bp, c - cp))
-                    out[w] = out.get(w, 0) + 1
-    return out
-
-
-def _so5_dominant(w: Weight) -> Weight:
-    return tuple(sorted((abs(c) for c in w), reverse=True))
-
-
-def _so5_orbit(w: Weight) -> List[Weight]:
-    out = set()
-    for perm in itertools.permutations(w):
-        for signs in itertools.product((1, -1), repeat=len(w)):
-            out.add(tuple(s * c for s, c in zip(signs, perm)))
-    return sorted(out)
-
-
-def _so5_freudenthal(a: int, b: int) -> Dict[Weight, int]:
-    """Weight multiplicities of the so5 irrep with highest weight (a, b)
-    via the Freudenthal recursion, evaluated top-down over the dominant
-    weights below (a, b).  All arithmetic exact; Weyl-group lookups use
-    the signed-permutation normal form."""
-    rs = root_system(Group.SO5)
-    gamma = canonical_weight(Group.SO5, (a, b))
-    rho = rs.rho
-
-    def dot(x, y):
-        return sum((p * q for p, q in zip(x, y)), Fraction(0))
-
-    # dominant weights gamma - i alpha1 - j alpha2, alpha1 = e1 - e2,
-    # alpha2 = e2, collected by height so the recursion sees higher
-    # weights first
-    dominants: List[Tuple[int, Weight]] = []
-    for i in range(a + 1):
-        for j in range(a + b + 1):
-            mu = (gamma[0] - i, gamma[1] + i - j)
-            if mu[0] >= mu[1] >= 0:
-                dominants.append((i + j, mu))
-    dominants.sort(key=lambda t: (t[0], t[1]))
-
-    mult: Dict[Weight, int] = {}
-
-    def lookup(w: Weight) -> int:
-        return mult.get(_so5_dominant(w), 0)
-
-    gg = dot(tuple(g + r for g, r in zip(gamma, rho)), tuple(g + r for g, r in zip(gamma, rho)))
-    for height, mu in dominants:
-        if height == 0:
-            mult[mu] = 1
-            continue
-        acc = Fraction(0)
-        for alpha in rs.positive_roots:
-            t = 1
-            while True:
-                shifted = tuple(m + t * c for m, c in zip(mu, alpha))
-                m_up = lookup(shifted)
-                # multiplicities vanish outside the weight polytope, and
-                # every chain leaves it after at most a+b+2 steps
-                if m_up == 0 and t > a + b + 2:
-                    break
-                acc += m_up * dot(shifted, alpha)
-                t += 1
-        mu_rho = tuple(m + r for m, r in zip(mu, rho))
-        denom = gg - dot(mu_rho, mu_rho)
-        if denom <= 0:
-            raise AssertionError(f"so5 ({a}, {b}): Freudenthal denominator {denom} at {mu}")
-        val = 2 * acc / denom
-        if val.denominator != 1 or val < 0:
-            raise AssertionError(f"so5 ({a}, {b}): multiplicity {val} at {mu}")
-        mult[mu] = int(val)
-
-    table: Dict[Weight, int] = {}
-    for mu, m in mult.items():
-        if m == 0:
-            continue
-        for w in _so5_orbit(mu):
-            table[w] = m
-    return table
+    su2, su2^3: the strings k, k - 2, ..., -k of each factor.  su3: V(k, l)
+    is the U3 irrep of highest weight (k + l, l, 0), whose patterns have a
+    U2 row (mu1, mu2), k + l >= mu1 >= l >= mu2 >= 0, and a U1 entry nu,
+    mu1 >= nu >= mu2, of weight (nu, mu1 + mu2 - nu, k + 2l - mu1 - mu2).
+    so5: V(a, b) restricts to the SO4 = SU2 x SU2 types (p, q) with
+    a >= p >= b >= |q|, each the product of a string of p + q + 1 weights
+    along e1 + e2 and one of p - q + 1 along e1 - e2.
+    """
+    if irrep.group is Group.SU3:
+        k, l = irrep.labels
+        return Counter(
+            (nu, mu1 + mu2 - nu, k + 2 * l - mu1 - mu2)
+            for mu1 in range(l, k + l + 1)
+            for mu2 in range(l + 1)
+            for nu in range(mu2, mu1 + 1)
+        )
+    if irrep.group is _SO5:
+        a, b = irrep.labels
+        return Counter(
+            (p - i - j, q - i + j)
+            for p in range(b, a + 1)
+            for q in range(-b, b + 1)
+            for i in range(p + q + 1)
+            for j in range(p - q + 1)
+        )
+    return Counter(itertools.product(*(range(k, -k - 1, -2) for k in irrep.labels)))
 
 
 def weight_multiplicities(irrep: IrrepLabel) -> WeightTable:
-    """Full weight table of the irrep.
-
-    su2 and the triple product are explicit strings; su3 uses the product
-    weights of Sym^k E (x) Sym^l conj(E) minus those of the (k-1, l-1)
-    product (the kernel of the contraction map); so5 uses the Freudenthal
-    recursion.
-    """
-    g = irrep.group
-    if g is Group.SU2:
-        table = _su2_string(irrep.labels[0])
-    elif g is Group.SU2_CUBED:
-        a, b, c = irrep.labels
-        table = {}
-        for wa in _su2_string(a):
-            for wb in _su2_string(b):
-                for wc in _su2_string(c):
-                    table[(wa[0], wb[0], wc[0])] = 1
-    elif g is Group.SU3:
-        k, l = irrep.labels
-        table = _su3_product_weights(k, l)
-        if k >= 1 and l >= 1:
-            for w, m in _su3_product_weights(k - 1, l - 1).items():
-                left = table[w] - m
-                if left < 0:
-                    raise AssertionError(f"{irrep}: negative multiplicity at {w}")
-                if left == 0:
-                    del table[w]
-                else:
-                    table[w] = left
-    else:
-        table = _so5_freudenthal(*irrep.labels)
-
+    """Full weight table of the irrep: the Gelfand-Tsetlin pattern count of
+    _pattern_weights, keyed by canonical weights."""
+    table = {canonical_weight(irrep.group, w): m for w, m in _pattern_weights(irrep).items()}
     entries = tuple(sorted(table.items()))
     wt = WeightTable(irrep=irrep, entries=entries)
     if wt.total() != dimension(irrep):

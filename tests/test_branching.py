@@ -317,14 +317,15 @@ def _weight_table_homs(space, lab):
     }
 
 
-def test_kostant_hom_matches_weight_tables_up_to_150():
+def test_kostant_hom_matches_weight_tables_up_to_300():
+    # eigenvalue 300 is the benchmark's spectrum band
     checked = 0
     for space in (Space.CP3, Space.FLAG):
-        for lab in iter_labels(space_data(space).group, Fraction(150)):
+        for lab in iter_labels(space_data(space).group, Fraction(300)):
             for bundle, expected in _weight_table_homs(space, lab).items():
                 assert hom_dimension(space, lab, bundle) == expected, (space, lab, bundle)
                 checked += 1
-    assert checked == 176
+    assert checked == 360
 
 
 def _sweep_mismatches(kostant_homs):

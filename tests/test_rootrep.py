@@ -17,6 +17,7 @@ from nkspectra.rootrep import (
     Group,
     IrrepLabel,
     LabelBoxTooLarge,
+    canonical_weight,
     casimir_eigenvalue,
     dimension,
     iter_labels,
@@ -141,39 +142,66 @@ def test_su3_adjoint_weight_table():
     assert len(table) == 7
 
 
-def _sym_weights(power, sign):
-    # weights of Sym^power applied to the standard rep (sign=+1) or its
-    # dual (sign=-1), in traceless coordinates
-    basic = [
-        tuple(sign * (Fraction(1 if i == j else 0) - Fraction(1, 3)) for j in range(3))
-        for i in range(3)
-    ]
+def _sym_weights(basic, power):
+    # weights of Sym^power of the module whose weights (one per basis
+    # vector) are `basic`, with multiplicity; none for a negative power
     out = Counter()
+    if power < 0:
+        return out
     for combo in itertools.combinations_with_replacement(basic, power):
-        total = tuple(sum(col) for col in zip(*combo)) if combo else (Fraction(0),) * 3
-        out[total] += 1
+        out[tuple(map(sum, zip(*combo))) if combo else (0,) * len(basic[0])] += 1
     return out
 
 
-def _zero_weight_count_product(k, l):
-    if k < 0 or l < 0:
-        return 0
-    left = _sym_weights(k, +1)
-    right = _sym_weights(l, -1)
-    return sum(m * right.get(tuple(-q for q in w), 0) for w, m in left.items())
+# the weights of E and its dual in traceless su3 coordinates, and of C^5
+# in so5 epsilon coordinates
+_E, _E_DUAL = (
+    [
+        tuple(sign * (Fraction(1 if i == j else 0) - Fraction(1, 3)) for j in range(3))
+        for i in range(3)
+    ]
+    for sign in (1, -1)
+)
+_C5 = [(1, 0), (-1, 0), (0, 1), (0, -1), (0, 0)]
+
+
+def _difference(big, small):
+    # big - small as a table of positive multiplicities; nothing may go
+    # negative
+    out = Counter(big)
+    out.subtract(small)
+    assert min(out.values(), default=0) >= 0
+    return {w: m for w, m in out.items() if m}
+
+
+def _product_weights(k, l):
+    # the weights of Sym^k E (x) Sym^l E*
+    out = Counter()
+    for w, m in _sym_weights(_E, k).items():
+        for v, n in _sym_weights(_E_DUAL, l).items():
+            out[tuple(p + q for p, q in zip(w, v))] += m * n
+    return out
 
 
 def test_su3_zero_weight_multiplicity_by_brute_force():
     # V(k,l) is the kernel of the contraction Sym^k E (x) Sym^l E* ->
-    # Sym^(k-1) E (x) Sym^(l-1) E*, so its zero-weight multiplicity is the
-    # difference of the product counts; also pins the values used elsewhere
+    # Sym^(k-1) E (x) Sym^(l-1) E*, so its weight table is the difference
+    # of the product tables; also pins the zero-weight values used elsewhere
+    zero = tuple(Fraction(0) for _ in range(3))
     for k, l in [(1, 1), (2, 2), (3, 0), (2, 1), (0, 0), (4, 1), (3, 3)]:
-        expected = _zero_weight_count_product(k, l) - _zero_weight_count_product(k - 1, l - 1)
+        expected = _difference(_product_weights(k, l), _product_weights(k - 1, l - 1))
         table = weight_multiplicities(su3_label(k, l)).as_dict()
-        zero = tuple(Fraction(0) for _ in range(3))
-        assert table.get(zero, 0) == expected
-    assert _zero_weight_count_product(1, 1) - _zero_weight_count_product(0, 0) == 2
-    assert _zero_weight_count_product(2, 2) - _zero_weight_count_product(1, 1) == 3
+        assert table == expected, (k, l)
+    assert _difference(_product_weights(1, 1), _product_weights(0, 0))[zero] == 2
+    assert _difference(_product_weights(2, 2), _product_weights(1, 1))[zero] == 3
+
+
+def test_so5_symmetric_power_tables_by_harmonic_polynomials():
+    # Sym^a C^5 = V(a,0) + r^2 Sym^(a-2) C^5, the harmonic polynomials of
+    # degree a and the multiples of the invariant quadric
+    for a in range(9):
+        expected = _difference(_sym_weights(_C5, a), _sym_weights(_C5, a - 2))
+        assert weight_multiplicities(so5_label(a, 0)).as_dict() == expected, a
 
 
 def test_so5_adjoint_weight_table():
@@ -276,6 +304,27 @@ def test_weight_inner_normalizations():
     assert weight_inner(Group.SO5, (1, 1), (1, 1)) == Fraction(1, 3)
     # su3 inner is computed on sum-zero representatives
     assert weight_inner(Group.SU3, (1, 1, 1), (5, -2, 9)) == 0
+
+
+def test_weights_refuse_inexact_coordinates():
+    # 0.1 became 3602879701896397/36028797018963968, True read as 1 and
+    # '1/2' as 1/2, and None, as a coordinate or as the weight, raised a
+    # bare TypeError
+    table = weight_multiplicities(so5_label(1, 1))
+    for bad in (0.1, True, "1/2", None, 1.0):
+        for read in (
+            lambda w: canonical_weight(Group.SO5, w),
+            lambda w: weight_inner(Group.SO5, w, (1, 0)),
+            lambda w: weight_inner(Group.SO5, (1, 0), w),
+            table.multiplicity,
+        ):
+            for weight in ((bad, 0), bad):
+                with pytest.raises(ValueError) as err:
+                    read(weight)
+                assert "\n" not in str(err.value)
+    assert table.multiplicity((1, Fraction(0))) == 1
+    third = Fraction(1, 3)
+    assert canonical_weight(Group.SU3, (1, Fraction(0), 0)) == (2 * third, -third, -third)
 
 
 def test_iter_labels_rejects_negative_cutoff():

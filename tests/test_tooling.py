@@ -92,6 +92,47 @@ def test_importing_dga_does_no_matrix_arithmetic(run_python):
     assert after > 0
 
 
+# every subcommand, on every space and bundle it takes, under a hook that
+# counts calls of the weight-table oracles; then each oracle once, so the
+# hook is seen to work
+_ORACLE_CALLS = """\
+import contextlib, io, sys
+from nkspectra import branching, cli, rootrep
+calls = []
+def hook(frame, event, arg):
+    if event == "call" and frame.f_code.co_name in ("weight_multiplicities", "restrict_so5_to_u2"):
+        calls.append(frame.f_code.co_name)
+runs = 0
+sys.setprofile(hook)
+for command, (_, options) in cli._OPTIONS.items():
+    flags = {flag for flag, *_ in options}
+    spaces = [s.value for s in branching.Space] if "--space" in flags else [None]
+    bundles = [b.value for b in branching.Bundle] if "--bundle" in flags else [None]
+    for space in spaces:
+        for bundle in bundles:
+            argv = [command, "--format", "json"]
+            argv += ["--space", space] * bool(space) + ["--bundle", bundle] * bool(bundle)
+            argv += ["--cutoff", "60"] if "--cutoff" in flags else []
+            with contextlib.redirect_stdout(io.StringIO()):
+                runs += cli.main(argv) == 0
+during_commands = len(calls)
+branching.restrict_so5_to_u2(rootrep.so5_label(1, 1))
+sys.setprofile(None)
+print(runs, during_commands, len(calls) - during_commands)
+"""
+
+
+def test_no_command_reaches_the_weight_table_oracles(run_python):
+    # the tables of weight_multiplicities and restrict_so5_to_u2 are test
+    # oracles, so no report may rest on them
+    proc = run_python(["-c", _ORACLE_CALLS])
+    assert proc.returncode == 0, proc.stderr
+    runs, during_commands, after = map(int, proc.stdout.split())
+    assert runs == 15
+    assert during_commands == 0
+    assert after == 2
+
+
 def _imported_roots(path: Path):
     """Top-level names of the absolute imports in one source file."""
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):

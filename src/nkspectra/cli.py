@@ -1,24 +1,24 @@
 """Command-line interface: reproducible reports over the spectrum
 tables, moduli bounds and verification suites.
 
-Each subcommand is registered once, in ``_COMMANDS``: the builder of its
-JSON payload from the parsed arguments, its table renderer and its CSV
-renderer (none for ``all``, which refuses CSV).  Every payload names its
-subcommand under ``command``, which picks the renderer; ``all`` renders
-its embedded reports through their own tables.  Each subcommand's options
-are listed once, in ``_OPTIONS``: the command line is read from it as
-argparse read it, and -h prints it.  argparse itself is not used, since
-importing it, with the gettext and locale it loads, costs about 5 ms of
-every cold start.
+Each subcommand is one row of ``_COMMANDS``: its help line, its options,
+the builder of its JSON payload from the parsed arguments, its table
+renderer and its CSV renderer (none for ``all``, which refuses CSV).  The
+command line is read from the options as argparse read it, and -h prints
+them.  argparse itself is not used, since importing it, with the gettext
+and locale it loads, costs about 5 ms of every cold start.  Every payload
+names its subcommand under ``command``, which picks the renderer; ``all``
+renders its embedded reports through their own tables.
 
 Output is byte-stable for identical arguments: every ordering is
 explicit and all rationals render as exact "p/q" strings (plain "p"
 when integral).  Exit status is 0 on success, 1 when an assertion or a
-verification suite fails, 2 on usage errors, an unwritable --output path,
-a cutoff literal whose decimal exponent exceeds MAX_CUTOFF_EXPONENT, any
-of whose numbers or whose reduced denominator has more digits than the
-interpreter's int_max_str_digits limit (4300 by default), and a cutoff
-whose label box exceeds rootrep.MAX_LABEL_BOX included.
+verification suite fails, 2 on usage errors, a failed write to stdout or
+to the --output path (an empty path included), a cutoff literal whose
+decimal exponent exceeds MAX_CUTOFF_EXPONENT, any of whose numbers or
+whose reduced denominator has more digits than the interpreter's
+int_max_str_digits limit (4300 by default), and a cutoff whose label box
+exceeds rootrep.MAX_LABEL_BOX included.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import importlib.util
 import io
 import re
 import sys
+from contextlib import suppress
 from fractions import Fraction
 from typing import Dict, List, NoReturn, Optional, Sequence, Tuple
 
@@ -60,14 +61,6 @@ def _lazy_module(name: str):
 # verify-flag, identities or all first reads it, not with every command
 nkcheck = _lazy_module(__package__ + ".nkcheck")
 
-_SPACES = (Space.S3XS3, Space.CP3, Space.FLAG)
-_BUNDLES = (Bundle.FUNCTIONS, Bundle.LAMBDA11)
-
-
-def _rat(q: Fraction) -> str:
-    return str(Fraction(q))
-
-
 # --------------------------------------------------------------------------
 # payload builders (shared by every output format and by `all`)
 
@@ -77,12 +70,12 @@ def _spectrum_payload(space: Space, bundle: Bundle, cutoff: Fraction) -> Dict:
         "command": "spectrum",
         "space": space.value,
         "bundle": bundle.value,
-        "cutoff": _rat(cutoff),
+        "cutoff": str(cutoff),
         "entries": [
             {
                 "irrep": str(en.irrep),
                 "labels": list(en.irrep.labels),
-                "eigenvalue": str(en.eigenvalue),  # a Fraction, so _rat's form already
+                "eigenvalue": str(en.eigenvalue),
                 "hom_dim": en.hom_dim,
                 "irrep_dim": (dim := en.irrep_dim),
                 "contribution": en.hom_dim * dim,
@@ -104,8 +97,8 @@ def _moduli_payload(space: Space) -> Dict:
         "nk_upper_bound": report.nk_upper_bound,
         "reported_bound": report.reported_bound(),
         "einstein_extra": list(report.einstein_extra),
-        "isotropy_casimir": _rat(cas),
-        "scal": _rat(scal),
+        "isotropy_casimir": str(cas),
+        "scal": str(scal),
     }
 
 
@@ -137,11 +130,11 @@ def _all_payload(cutoff: Fraction) -> Dict:
         "command": "all",
         "spectrum": [
             _spectrum_payload(space, bundle, cutoff)
-            for space in _SPACES
-            for bundle in _BUNDLES
+            for space in Space
+            for bundle in Bundle
         ],
-        "moduli": [_moduli_payload(space) for space in _SPACES],
-        "einstein": [_einstein_payload(space) for space in _SPACES],
+        "moduli": [_moduli_payload(space) for space in Space],
+        "einstein": [_einstein_payload(space) for space in Space],
         "verification": _verify_payload(),
     }
 
@@ -307,7 +300,7 @@ def _suites_csv(payload: Dict) -> List[List[str]]:
 def _all_table(payload: Dict) -> List[str]:
     lines = []
     for sub in payload["spectrum"] + payload["moduli"] + payload["einstein"]:
-        lines += _COMMANDS[sub["command"]][1](sub) + [""]
+        lines += _COMMANDS[sub["command"]][3](sub) + [""]
     return lines + _suites_table(payload["verification"])
 
 
@@ -361,64 +354,53 @@ def _fraction_arg(text: str) -> Fraction:
     return value
 
 
-# subcommand -> (its payload from the parsed options, its table lines,
-# its CSV rows or None where CSV is refused)
-_COMMANDS = {
-    "spectrum": (
-        lambda o: _spectrum_payload(Space(o["space"]), Bundle(o["bundle"]), o["cutoff"]),
-        _spectrum_table,
-        _spectrum_csv,
-    ),
-    "moduli-bound": (
-        lambda o: _moduli_payload(Space(o["space"])), _moduli_table, _moduli_csv
-    ),
-    "verify-flag": (lambda o: _verify_payload(), _suites_table, _suites_csv),
-    "identities": (
-        lambda o: _suites_payload(
-            "identities", (nkcheck.verify_pointwise_identities(),)
-        ),
-        _suites_table,
-        _suites_csv,
-    ),
-    "einstein-check": (
-        lambda o: _einstein_payload(Space(o["space"])), _einstein_table, _einstein_csv
-    ),
-    "all": (lambda o: _all_payload(o["cutoff"]), _all_table, None),
-}
-
 # An option is (its flag, its choices or the function that reads its
 # value, its default or _REQUIRED, its help line).  The parsed options are
 # keyed by the flag without its dashes.
 _REQUIRED = object()
-_SPACE = ("--space", tuple(s.value for s in _SPACES), _REQUIRED, "the homogeneous space")
+_SPACE = ("--space", tuple(s.value for s in Space), _REQUIRED, "the homogeneous space")
 _COMMON = (
     ("--format", ("table", "json", "csv"), "table", "output format (default: table)"),
-    ("--output", None, None, "write the report to this path"),
+    ("--output", str, None, "write the report to this path"),
 )
 
-# subcommand -> (its help line, its options in the order help lists them)
-_OPTIONS = {
+# subcommand -> (its help line, its options in the order help lists them,
+# its payload from the parsed options, its table lines, its CSV rows or
+# None where CSV is refused)
+_COMMANDS = {
     "spectrum": (
         "eigenvalue table up to a cutoff",
         (
             _SPACE,
-            (
-                "--bundle",
-                tuple(b.value for b in _BUNDLES),
-                Bundle.LAMBDA11.value,
-                "functions or the primitive (1,1) bundle (default)",
-            ),
+            ("--bundle", tuple(b.value for b in Bundle), Bundle.LAMBDA11.value,
+             "functions or the primitive (1,1) bundle (default)"),
             ("--cutoff", _fraction_arg, _REQUIRED, "largest eigenvalue, a nonnegative rational"),
             *_COMMON,
         ),
+        lambda o: _spectrum_payload(Space(o["space"]), Bundle(o["bundle"]), o["cutoff"]),
+        _spectrum_table, _spectrum_csv,
     ),
-    "moduli-bound": ("deformation space upper bound", (_SPACE, *_COMMON)),
-    "verify-flag": ("run all verification suites", _COMMON),
-    "identities": ("pointwise model identities", _COMMON),
-    "einstein-check": ("eigenvalue 2 and 6 multiplicities", (_SPACE, *_COMMON)),
+    "moduli-bound": (
+        "deformation space upper bound", (_SPACE, *_COMMON),
+        lambda o: _moduli_payload(Space(o["space"])), _moduli_table, _moduli_csv,
+    ),
+    "verify-flag": (
+        "run all verification suites", _COMMON,
+        lambda o: _verify_payload(), _suites_table, _suites_csv,
+    ),
+    "identities": (
+        "pointwise model identities", _COMMON,
+        lambda o: _suites_payload("identities", (nkcheck.verify_pointwise_identities(),)),
+        _suites_table, _suites_csv,
+    ),
+    "einstein-check": (
+        "eigenvalue 2 and 6 multiplicities", (_SPACE, *_COMMON),
+        lambda o: _einstein_payload(Space(o["space"])), _einstein_table, _einstein_csv,
+    ),
     "all": (
         "every report in one run",
         (("--cutoff", _fraction_arg, Fraction(12), "spectrum cutoff (default 12)"), *_COMMON),
+        lambda o: _all_payload(o["cutoff"]), _all_table, None,
     ),
 }
 
@@ -428,8 +410,26 @@ def _usage_error(message: str) -> NoReturn:
     sys.exit(2)
 
 
+def _write(text: str, output: Optional[str]) -> None:
+    """Write text to the --output path, or to stdout when there is none;
+    a write that fails, to an empty path too, is one line and exit 2."""
+    try:
+        if output is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()  # so a full disk or a closed pipe fails here, not at exit
+        else:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:
+        if output is None:
+            with suppress(OSError):  # closed, it is not flushed again at exit
+                sys.stdout.close()
+        shown = "stdout" if output is None else output or "''"
+        _usage_error(f"cannot write {shown}: {exc.strerror}")
+
+
 def _emit(payload: Dict, fmt: str, output: Optional[str]) -> None:
-    _, table, csv_rows = _COMMANDS[payload["command"]]
+    *_, table, csv_rows = _COMMANDS[payload["command"]]
     if fmt == "json" and payload["command"] == "spectrum":
         text = _spectrum_json(payload)
     elif fmt == "json":
@@ -444,18 +444,11 @@ def _emit(payload: Dict, fmt: str, output: Optional[str]) -> None:
         text = buf.getvalue()
     else:
         text = "\n".join(table(payload)) + "\n"
-    if output:
-        try:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            _usage_error(f"cannot write {output}: {exc.strerror}")
-    else:
-        sys.stdout.write(text)
+    _write(text, output)
 
 
 # --------------------------------------------------------------------------
-# command-line parsing, read as argparse read it, from _OPTIONS
+# command-line parsing, read as argparse read it, from _COMMANDS
 
 _HELP = ("-h", "--help")
 _DESCRIPTION = (
@@ -498,12 +491,12 @@ def _help(command: Optional[str], flag: str, joined: Optional[str]) -> NoReturn:
         _usage_error(f"argument -h/--help: ignored explicit argument {joined!r}")
     rows = [("-h, --help", "show this help message and exit")]
     if command is None:
-        usage = "nkspectra [-h] {%s} ..." % ",".join(_OPTIONS)
+        usage = "nkspectra [-h] {%s} ..." % ",".join(_COMMANDS)
         about = _DESCRIPTION
-        rows += [(name, line) for name, (line, _) in _OPTIONS.items()]
+        rows += [(name, row[0]) for name, row in _COMMANDS.items()]
     else:
         usage = f"nkspectra {command} [-h]"
-        about, options = _OPTIONS[command]
+        about, options = _COMMANDS[command][:2]
         for name, accepts, default, line in options:
             if type(accepts) is tuple:
                 shown = "%s {%s}" % (name, ",".join(accepts))
@@ -512,8 +505,8 @@ def _help(command: Optional[str], flag: str, joined: Optional[str]) -> NoReturn:
             usage += f" {shown}" if default is _REQUIRED else f" [{shown}]"
             rows.append((shown, line))
     width = 2 + max(len(shown) for shown, _ in rows)
-    print(f"usage: {usage}\n\n{about}\n")
-    print("\n".join(f"  {shown:<{width}}{line}" for shown, line in rows))
+    listed = "".join(f"  {shown:<{width}}{line}\n" for shown, line in rows)
+    _write(f"usage: {usage}\n\n{about}\n\n{listed}", None)
     sys.exit(0)
 
 
@@ -522,8 +515,6 @@ def _read_value(flag: str, accepts, text: str):
         if text not in accepts:
             choices = ", ".join(map(repr, accepts))
             _usage_error(f"argument {flag}: invalid choice: {text!r} (choose from {choices})")
-        return text
-    if accepts is None:
         return text
     try:
         return accepts(text)
@@ -549,7 +540,7 @@ def _parse(tokens: Sequence[str]) -> Tuple[str, Dict]:
             _help(None, *read)
     else:
         _usage_error("the following arguments are required: subcommand")
-    options = _OPTIONS[_read_value("subcommand", tuple(_OPTIONS), command)][1]
+    options = _COMMANDS[_read_value("subcommand", tuple(_COMMANDS), command)][1]
     accepted = {flag: accepts for flag, accepts, _, _ in options}
     flags = (*_HELP, *accepted)
     # no token from the first "--" on is an option or an option's value;
@@ -585,7 +576,7 @@ def _parse(tokens: Sequence[str]) -> Tuple[str, Dict]:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     command, options = _parse(sys.argv[1:] if argv is None else argv)
-    build, _, csv_rows = _COMMANDS[command]
+    _, _, build, _, csv_rows = _COMMANDS[command]
     if options["format"] == "csv" and csv_rows is None:
         _usage_error(f"csv format is not available for `{command}`")
     try:

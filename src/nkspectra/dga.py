@@ -18,10 +18,11 @@ Lie algebra basis (also the frame, indexed 1..9):
 where E_pq is the matrix unit.  The metric is <A, B> = -tr(AB)/2, which
 on the traceless part is minus one twelfth of the Killing form and makes
 {e_i, sqrt(2) h_j} orthonormal (|e_i| = 1, |h_j|^2 = 1/2).  The
-structure constants [u_a, u_b] are one literal integer table, _BRACKETS,
-checked at import by d(d) = 0 on the coframe and on the coefficient
-symbols, which is its Jacobi identity; the tests re-derive it from the
-matrices.  The matrices themselves serve killing_values only.  They are
+structure constants [u_a, u_b], _BRACKETS, are assembled at import from
+Psi^- and the action of h on m, and checked by d(d) = 0 on the coframe
+and on the coefficient symbols, which is their Jacobi identity; the
+tests re-derive them from the matrices.  The matrices themselves serve
+killing_values only.  They are
 sparse: {(p, q): (re, im)} holds the nonzero entries, rows and columns
 0..2, so E_pq is {(p - 1, q - 1): (1, 0)}.
 
@@ -157,19 +158,27 @@ BASIS_UNITS: Tuple[Sparse, ...] = (
 )
 
 
-# [u_a, u_b] = sum over c of _BRACKETS[a, b][c] u_c for a < b; pairs that
-# commute are left out
-_BRACKETS: Dict[Tuple[int, int], Dict[int, int]] = {
-    (1, 2): {7: 2, 8: -2}, (1, 3): {5: -1}, (1, 4): {6: -1}, (1, 5): {3: 1},
-    (1, 6): {4: 1}, (1, 7): {2: -1}, (1, 8): {2: 1},
-    (2, 3): {6: 1}, (2, 4): {5: -1}, (2, 5): {4: 1}, (2, 6): {3: -1},
-    (2, 7): {1: 1}, (2, 8): {1: -1},
-    (3, 4): {7: 2, 9: -2}, (3, 5): {1: -1}, (3, 6): {2: 1}, (3, 7): {4: -1},
-    (3, 9): {4: 1},
-    (4, 5): {2: -1}, (4, 6): {1: -1}, (4, 7): {3: 1}, (4, 9): {3: -1},
-    (5, 6): {8: 2, 9: -2}, (5, 8): {6: -1}, (5, 9): {6: 1},
-    (6, 8): {5: 1}, (6, 9): {5: -1},
+# Psi^- = sum of sign e^abc over these (ascending index triple, sign) terms
+_PSI_MINUS_TERMS = (((2, 3, 6), 1), ((1, 4, 6), -1), ((1, 3, 5), -1), ((2, 4, 5), -1))
+
+# h's action on m: [e_a, h_j] = sum over b of _H_ACTION[a, 6 + j][b] e_b;
+# the h_j commute, so [h, h] has no entry
+_H_ACTION: Dict[Tuple[int, int], Dict[int, int]] = {
+    (1, 7): {2: -1}, (1, 8): {2: 1}, (2, 7): {1: 1}, (2, 8): {1: -1},
+    (3, 7): {4: -1}, (3, 9): {4: 1}, (4, 7): {3: 1}, (4, 9): {3: -1},
+    (5, 8): {6: -1}, (5, 9): {6: 1}, (6, 8): {5: 1}, (6, 9): {5: -1},
 }
+
+# [u_a, u_b] = sum over c of _BRACKETS[a, b][c] u_c for a < b; pairs that
+# commute are left out.  [e_a, e_b]_m = Psi^-(e_a, e_b, .)^sharp, and the
+# h_j part of [e_a, e_b] is <e_a, [e_b, h_j]> / |h_j|^2 = 2 <e_a, [e_b, h_j]>
+_BRACKETS: Dict[Tuple[int, int], Dict[int, int]] = dict(_H_ACTION)
+for (_a, _b, _c), _s in _PSI_MINUS_TERMS:  # no pair of indices is in two terms
+    _BRACKETS[_a, _b], _BRACKETS[_a, _c], _BRACKETS[_b, _c] = {_c: _s}, {_b: -_s}, {_a: _s}
+for (_b, _k), _image in _H_ACTION.items():
+    for _a, _q in _image.items():
+        if _a < _b:
+            _BRACKETS.setdefault((_a, _b), {})[_k] = 2 * _q
 
 
 # --------------------------------------------------------------------------
@@ -600,7 +609,7 @@ def basic_check(a: InvariantForm) -> bool:
 
 OMEGA = e(1, 2) - e(3, 4) + e(5, 6)
 PSI_PLUS = e(1, 3, 6) + e(2, 4, 6) + e(2, 3, 5) - e(1, 4, 5)
-PSI_MINUS = e(2, 3, 6) - e(1, 4, 6) - e(1, 3, 5) - e(2, 4, 5)
+PSI_MINUS = InvariantForm.make(3, {(idx, 0): s for idx, s in _PSI_MINUS_TERMS})
 # the six 2-forms e_i -| Psi^+, i = 1..6
 PSI_PLUS_CONTRACTED = tuple(contract_frame(PSI_PLUS, i) for i in _HORIZONTAL)
 VOLUME = -e(1, 2, 3, 4, 5, 6)

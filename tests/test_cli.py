@@ -1,8 +1,13 @@
 """Command line surface: golden outputs, byte stability across runs,
 exit codes and the file-output path."""
 
+import errno
 import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -131,7 +136,7 @@ REPORT_SHA256 = {
 
 
 def _subcommands():
-    return sorted(cli._OPTIONS)
+    return sorted(cli._COMMANDS)
 
 
 @pytest.mark.parametrize("subcommand", _subcommands())
@@ -404,12 +409,12 @@ def test_help_prints_usage_and_exits_zero(argv, capsys):
     out, err = capsys.readouterr()
     assert err == ""
     # the usage line, then every subcommand or every flag of the subcommand
-    if argv[0] in cli._OPTIONS:
+    if argv[0] in cli._COMMANDS:
         assert out.startswith(f"usage: nkspectra {argv[0]} [-h] ")
-        listed = [flag for flag, *_ in cli._OPTIONS[argv[0]][1]]
+        listed = [flag for flag, *_ in cli._COMMANDS[argv[0]][1]]
     else:
         assert out.startswith("usage: nkspectra [-h] ")
-        listed = list(cli._OPTIONS)
+        listed = list(cli._COMMANDS)
     assert all(f"\n  {name} " in out for name in listed), out
 
 
@@ -460,6 +465,60 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
 
 
 CLI = ("-m", "nkspectra.cli")
+
+
+def test_empty_output_path_is_a_usage_error(capsys):
+    # an empty path is unwritable, not a request for stdout
+    with pytest.raises(SystemExit) as exc:
+        main(["moduli-bound", "--space", "flag", "--output", ""])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "nkspectra: cannot write '': No such file or directory\n"
+
+
+class _ClosedPipe(io.StringIO):
+    def __init__(self, method):
+        super().__init__()
+        self.failing = method
+
+    def _fail(self, method):
+        if method == self.failing:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def write(self, text):
+        self._fail("write")
+        return super().write(text)
+
+    def flush(self):
+        self._fail("flush")
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+def test_a_closed_stdout_pipe_is_a_usage_error(method, monkeypatch, capsys):
+    # a block-buffered stdout may take the report and fail only at the flush
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe(method))
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--space", "s3xs3", "--cutoff", "300", "--format", "json"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "nkspectra: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [("spectrum", "--space", "cp3", "--cutoff", "300"), ("-h",)])
+def test_a_full_stdout_is_a_usage_error(argv):
+    # every write to /dev/full fails with ENOSPC; the error is one line,
+    # with nothing left in stdout's buffer (unbuffered mode off) for the
+    # interpreter to flush and report at exit
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, *CLI, *argv], stdout=full, stderr=subprocess.PIPE,
+            env=dict(env, PYTHONPATH=src), timeout=60,
+        )
+    assert proc.returncode == 2
+    assert proc.stderr == b"nkspectra: cannot write stdout: No space left on device\n"
 
 
 @pytest.mark.parametrize(

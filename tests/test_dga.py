@@ -158,25 +158,28 @@ def _replace_unit(k, units):
 
 @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "dash-O"])
 def test_a_broken_bracket_table_fails_at_import(flags, tmp_path):
-    # [e_1, e_3] = -e_5 with its sign flipped: the import-time d(d) = 0
-    # check is an explicit raise, so python -O keeps it
-    package = tmp_path / "nkspectra"
-    package.mkdir()
-    for path in Path(dga.__file__).parent.glob("*.py"):
-        (package / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
-    source = (package / "dga.py").read_text(encoding="utf-8")
-    broken = source.replace("(1, 3): {5: -1}", "(1, 3): {5: 1}", 1)
-    assert broken != source
-    (package / "dga.py").write_text(broken, encoding="utf-8")
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", "import nkspectra.dga"],
-        capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=str(tmp_path)),
-    )
-    assert proc.returncode == 1
-    assert proc.stderr.splitlines()[-1].startswith(
-        "AssertionError: the bracket table fails the Jacobi identity"
-    )
+    # one sign flipped in each literal the table is assembled from: h's
+    # action, [e_1, h_1] = -e_2, and the Psi^- term -e^135; the import-time
+    # d(d) = 0 check is an explicit raise, so python -O keeps it
+    source = Path(dga.__file__).read_text(encoding="utf-8")
+    plants = [("(1, 7): {2: -1}", "(1, 7): {2: 1}"), ("((1, 3, 5), -1)", "((1, 3, 5), 1)")]
+    for n, (plant, fault) in enumerate(plants):
+        package = tmp_path / str(n) / "nkspectra"
+        package.mkdir(parents=True)
+        for path in Path(dga.__file__).parent.glob("*.py"):
+            (package / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+        broken = source.replace(plant, fault, 1)
+        assert broken != source
+        (package / "dga.py").write_text(broken, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", "import nkspectra.dga"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(package.parent)),
+        )
+        assert proc.returncode == 1, plant
+        assert proc.stderr.splitlines()[-1].startswith(
+            "AssertionError: the bracket table fails the Jacobi identity"
+        ), plant
 
 
 _PARTS = st.one_of(

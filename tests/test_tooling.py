@@ -104,7 +104,7 @@ def hook(frame, event, arg):
         calls.append(frame.f_code.co_name)
 runs = 0
 sys.setprofile(hook)
-for command, (_, options) in cli._OPTIONS.items():
+for command, (_, options, *_) in cli._COMMANDS.items():
     flags = {flag for flag, *_ in options}
     spaces = [s.value for s in branching.Space] if "--space" in flags else [None]
     bundles = [b.value for b in branching.Bundle] if "--bundle" in flags else [None]

@@ -8,10 +8,13 @@ knows the fibers we care about (trivial line for functions, the
 8-dimensional primitive (1,1) two-form module) and how to restrict
 representations of the big group to the isotropy group in each case.
 
-The primitive (1,1) fibers are derived once, at import, as the
-(1,0) x (0,1) tangent product minus one trivial summand; a fiber that is
-not 8-dimensional raises AssertionError (also under `python -O`) rather
-than returning silently wrong multiplicities.
+The isotropy representation is stated once, as the (1,0) tangent modules
+_P10_*; the (0,1) modules are their conjugates.  The primitive (1,1)
+fibers are derived from them once, at import, as the (1,0) x (0,1)
+product minus one copy of the trivial type; a fiber that is not
+8-dimensional raises AssertionError (also under `python -O`) rather than
+returning silently wrong multiplicities.  The isotropy Casimirs that
+`spectrum`'s normalization check reads come from the same modules.
 
 Hom counts on S3 x S3 are one Clebsch-Gordan interval count per fiber
 label.  On CP3 and on the flag they come from Kostant's closed forms in
@@ -30,6 +33,7 @@ the test suite compares against; no command calls them.
 from __future__ import annotations
 
 from enum import Enum
+from fractions import Fraction
 from typing import Dict, List, NamedTuple, Tuple
 
 from .rootrep import (
@@ -38,6 +42,7 @@ from .rootrep import (
     canonical_weight,
     dimension,
     tensor_decompose_su2,
+    weight_inner,
     weight_multiplicities,
 )
 
@@ -139,33 +144,15 @@ _P10_CP3 = (U2Label(1, 1), U2Label(0, -2))
 _FLAG_P10_ROOTS = ((1, -1, 0), (0, 1, -1), (-1, 0, 1))
 
 
-def _u2_tensor(x: U2Label, y: U2Label) -> List[U2Label]:
-    return [U2Label(k, x.b + y.b) for k, _ in tensor_decompose_su2(x.a, y.a)]
-
-
-def _derive_lambda11(space: Space) -> Tuple:
-    """Tangent (1,0) x (0,1) product in the K-representation ring, minus
-    one trivial summand."""
+def _tangent(space: Space) -> Tuple[Tuple, Tuple]:
+    """The summands of m^(1,0) and, in the same order, their conjugates,
+    the summands of m^(0,1): V_k is its own, E(a, b) has E(a, -b), and a
+    root alpha has -alpha."""
     if space is Space.S3XS3:
-        prod = [k for k, _ in tensor_decompose_su2(_P10_S3XS3[0], _P10_S3XS3[0])]
-        prod.remove(0)
-        return tuple(sorted(prod, reverse=True))
+        return _P10_S3XS3, _P10_S3XS3
     if space is Space.CP3:
-        prod: List[U2Label] = []
-        for x in _P10_CP3:
-            for y in _P10_CP3:
-                conj_y = U2Label(y.a, -y.b)
-                prod.extend(_u2_tensor(x, conj_y))
-        prod.remove(U2Label(0, 0))
-        return tuple(sorted(prod, key=lambda l: (l.a, l.b)))
-    weights = []
-    for alpha in _FLAG_P10_ROOTS:
-        for beta in _FLAG_P10_ROOTS:
-            w = canonical_weight(Group.SU3, tuple(p - q for p, q in zip(alpha, beta)))
-            weights.append(w)
-    zero = canonical_weight(Group.SU3, (0, 0, 0))
-    weights.remove(zero)
-    return tuple(sorted(weights))
+        return _P10_CP3, tuple(U2Label(t.a, -t.b) for t in _P10_CP3)
+    return _FLAG_P10_ROOTS, tuple(tuple(-c for c in alpha) for alpha in _FLAG_P10_ROOTS)
 
 
 _FUNCTIONS_CONTENT = {
@@ -173,6 +160,42 @@ _FUNCTIONS_CONTENT = {
     Space.CP3: (U2Label(0, 0),),
     Space.FLAG: (canonical_weight(Group.SU3, (0, 0, 0)),),
 }
+
+
+def _derive_lambda11(space: Space) -> Tuple:
+    """Tangent (1,0) x (0,1) product in the K-representation ring, minus
+    one copy of the function fiber's trivial type."""
+    p10, p01 = _tangent(space)
+    pairs = [(x, y) for x in p10 for y in p01]
+    if space is Space.S3XS3:
+        prod = [k for x, y in pairs for k, _ in tensor_decompose_su2(x, y)]
+    elif space is Space.CP3:
+        prod = [U2Label(k, x.b + y.b) for x, y in pairs for k, _ in tensor_decompose_su2(x.a, y.a)]
+    else:
+        prod = [canonical_weight(Group.SU3, tuple(map(sum, zip(x, y)))) for x, y in pairs]
+    prod.remove(_FUNCTIONS_CONTENT[space][0])
+    return tuple(sorted(prod, reverse=space is Space.S3XS3))
+
+
+def _isotropy_casimirs(space: Space) -> List[Fraction]:
+    """Casimir of each summand of m = m^(1,0) + m^(0,1), each followed by
+    its conjugate, for minus the big group's Killing form restricted to the
+    isotropy algebra: -<mu, mu + 2 rho_K> at its highest weight mu."""
+    summands = [x for pair in zip(*_tangent(space)) for x in pair]
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    if space is Space.S3XS3:
+        # V_k of the diagonal su2 has highest weight (k, k, k) / 3, so the
+        # product Killing form restricts to 3 times the factor's
+        tops, rho = [(third * k,) * 3 for k in summands], (third,) * 3
+    elif space is Space.CP3:
+        # E(a, b) has highest weight ((b + a) / 2, (b - a) / 2) in the so5
+        # torus, and rho of u2 is half its positive root e1 - e2
+        tops, rho = [(half * (b + a), half * (b - a)) for a, b in summands], (half, -half)
+    else:
+        # torus characters: no rho shift on an abelian isotropy group
+        tops, rho = summands, (0, 0, 0)
+    group = space_data(space).group
+    return [-weight_inner(group, mu, [m + 2 * r for m, r in zip(mu, rho)]) for mu in tops]
 
 
 def _build_isotropy_modules() -> Dict[Tuple[Space, Bundle], IsotropyModule]:
@@ -211,6 +234,8 @@ def restrict_so5_to_u2(irrep: IrrepLabel) -> List[Tuple[U2Label, int]]:
     charge the m-profile is decomposed into strings by highest-weight
     peeling.  Output sorted by (a, b), total dimension checked.
     """
+    if type(irrep) is not IrrepLabel:
+        raise ValueError(f"an irrep is an IrrepLabel, not {irrep!r}")
     if irrep.group is not Group.SO5:
         raise ValueError("restriction defined for so5 labels only")
     by_charge: Dict[int, Dict[int, int]] = {}

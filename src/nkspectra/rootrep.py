@@ -195,37 +195,34 @@ def root_system(group: Group) -> RootSystem:
     return _of_group(_ROOT_SYSTEMS, group)
 
 
-def weight_inner(group: Group, lam, mu) -> Fraction:
-    """Inner product of two weights with respect to minus the Killing form.
+# 72 times the -B pairing scale of each family, read by weight_inner; six
+# times the eigenvalue for -B/12 is 72 <gamma, gamma + 2 rho>, so the
+# closed-form check below works in integers
+_PAIRING_72 = {Group.SU2: 9, Group.SU2_CUBED: 9, Group.SO5: 12, Group.SU3: 12}
 
-    Scales: su2 family 1/8 per coordinate line (from B_su2 = 4 tr, so the
-    coroot has squared length 8 in integer label coordinates), so5 and su3
-    1/6 times the Euclidean product (from B_so5 = 3 tr where the torus is
-    parametrized by two commuting rotation angles, and B_su3 = 6 tr on the
-    sum-zero hyperplane).  su3 inputs are canonicalized to sum zero first.
-    """
+
+def weight_inner(group: Group, lam, mu) -> Fraction:
+    """Inner product of two weights with respect to minus the Killing form:
+    the Euclidean product of canonical representatives (su3 inputs summed
+    to zero first) times _PAIRING_72 / 72, that is 1/8 on the su2 lines
+    (B_su2 = 4 tr, so the coroot has squared length 8 in integer label
+    coordinates) and 1/6 on so5 (B = 3 tr, the torus parametrized by two
+    commuting rotation angles) and on su3 (B = 6 tr on the sum-zero
+    hyperplane)."""
     lam = canonical_weight(group, lam)
     mu = canonical_weight(group, mu)
     dot = sum((a * b for a, b in zip(lam, mu)), Fraction(0))
-    if group in (Group.SU2, Group.SU2_CUBED):
-        return dot / 8
-    return dot / 6
+    return dot * _PAIRING_72[group] / 72
 
 
-def casimir_eigenvalue(irrep: IrrepLabel, metric_scale: Fraction = Fraction(1)) -> Fraction:
-    """Casimir scalar of the irrep with respect to -metric_scale * B.
-
-    Always <= 0, and 0 exactly for the trivial label.  Computed as
-    -<gamma, gamma + 2 rho> / metric_scale in the -B pairing; the scale
-    is a positive int or Fraction (a bool or a float is refused).
-    """
-    if type(metric_scale) not in (int, Fraction) or metric_scale <= 0:
-        raise ValueError(f"metric_scale {metric_scale!r} is not a positive int or Fraction")
-    scale = Fraction(metric_scale)
+def casimir_eigenvalue(irrep: IrrepLabel) -> Fraction:
+    """Casimir scalar of the irrep with respect to -B, the pairing of
+    weight_inner: -<gamma, gamma + 2 rho>.  Always <= 0, and 0 exactly for
+    the trivial label."""
     gamma = irrep.highest_weight()
     rho = root_system(irrep.group).rho
     shifted = tuple(g + 2 * r for g, r in zip(gamma, rho))
-    return -weight_inner(irrep.group, gamma, shifted) / scale
+    return -weight_inner(irrep.group, gamma, shifted)
 
 
 # Six times the Laplace eigenvalue and the Weyl dimension, as integer
@@ -250,19 +247,17 @@ _DIMENSION = {
 def laplace_eigenvalue(irrep: IrrepLabel) -> Fraction:
     """Eigenvalue of the Hermitian Laplace operator on the isotypic
     component of the irrep, for the normal metric induced by -B/12: the
-    closed form of -casimir_eigenvalue(irrep, 1/12)."""
+    closed form of -12 * casimir_eigenvalue(irrep)."""
+    if type(irrep) is not IrrepLabel:
+        raise ValueError(f"an irrep is an IrrepLabel, not {irrep!r}")
     return Fraction(_SIX_LAPLACE[irrep.group](*irrep.labels), 6)
 
 
 def dimension(irrep: IrrepLabel) -> int:
     """Weyl's dimension formula, expanded in the label coordinates."""
+    if type(irrep) is not IrrepLabel:
+        raise ValueError(f"an irrep is an IrrepLabel, not {irrep!r}")
     return _DIMENSION[irrep.group](*irrep.labels)
-
-
-# 72 times the -B pairing scale: six times the eigenvalue for -B/12 is
-# 72 <gamma, gamma + 2 rho>, and <l, m> is l.m / 8 on the su2 lines and
-# l.m / 6 on so5 and su3 (see weight_inner)
-_PAIRING_72 = {Group.SU2: 9, Group.SU2_CUBED: 9, Group.SO5: 12, Group.SU3: 12}
 
 
 def _check_closed_forms() -> None:
@@ -373,10 +368,11 @@ def tensor_decompose_su2(a: int, b: int) -> List[Tuple[int, int]]:
     """Clebsch-Gordan decomposition of Sym^a E (x) Sym^b E.
 
     Returns (label, multiplicity) pairs, labels descending; every
-    multiplicity is 1 for su2.
+    multiplicity is 1 for su2.  Each label must be a nonnegative int (a
+    bool or a float is refused, not converted).
     """
-    if a < 0 or b < 0:
-        raise ValueError("labels must be nonnegative")
+    if type(a) is not int or type(b) is not int or a < 0 or b < 0:
+        raise ValueError(f"su2 labels are nonnegative ints, not {a!r} and {b!r}")
     return [(k, 1) for k in range(a + b, abs(a - b) - 1, -2)]
 
 

@@ -16,18 +16,14 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Dict, List, NamedTuple, Tuple
 
-from .branching import Bundle, Space, U2Label, _check_bundle, _hom_count, space_data
+from .branching import Bundle, Space, _check_bundle, _hom_count, _isotropy_casimirs, space_data
 from .rootrep import (
     _SIX_LAPLACE,
-    Group,
     IrrepLabel,
     _walk_labels,
-    casimir_eigenvalue,
     dimension,
     exact_cutoff,
     laplace_eigenvalue,
-    root_system,
-    weight_inner,
 )
 
 
@@ -158,45 +154,20 @@ def moduli_upper_bound(space: Space) -> ModuliReport:
     )
 
 
-def _isotropy_casimirs(space: Space) -> List[Fraction]:
-    """Casimir scalar of each irreducible summand of the (complexified)
-    isotropy representation, with respect to minus the Killing form of
-    the big group restricted to the isotropy algebra."""
-    if space is Space.S3XS3:
-        # two adjoint copies of the diagonal su2; the product Killing
-        # form restricts to 3x the factor's on the diagonal
-        ad = casimir_eigenvalue(IrrepLabel(Group.SU2, (2,)))
-        return [ad / 3, ad / 3]
-    if space is Space.CP3:
-        # tangent content E_{1,1} + E_{1,-1} + E_{0,2} + E_{0,-2}; u2
-        # weights sit inside the so5 torus, rho of u2 is half its single
-        # positive root e1 - e2
-        rho_k = (Fraction(1, 2), Fraction(-1, 2))
-        out = []
-        for lab in (U2Label(1, 1), U2Label(1, -1), U2Label(0, 2), U2Label(0, -2)):
-            mu = (Fraction(lab.a + lab.b, 2), Fraction(lab.b - lab.a, 2))
-            shifted = tuple(m + 2 * r for m, r in zip(mu, rho_k))
-            out.append(-weight_inner(Group.SO5, mu, shifted))
-        return out
-    # flag: six root spaces; a torus character lambda has Casimir
-    # -|lambda|^2 (no rho shift on an abelian isotropy group)
-    out = []
-    for alpha in root_system(Group.SU3).positive_roots:
-        val = -weight_inner(Group.SU3, alpha, alpha)
-        out.extend([val, val])
-    return out
-
-
 def scal_normalization_check(space: Space) -> Tuple[Fraction, Fraction]:
     """Consistency check tying the metric normalization to the curvature
     constants: the isotropy representation must have Casimir -1/3 on
     every summand, which pins the homogeneous scalar curvature at
     3/2 - 3 Cas = 5/2 and the curvature endomorphism on the tangent
-    bundle at -12 Cas = 4.  Returns (Cas, scal)."""
+    bundle at -12 Cas = 4.  The Casimirs are read from branching's
+    tangent modules, the ones the Hom counts read.  Returns (Cas, scal);
+    ValueError unless the space is a Space."""
+    space_data(space)
     values = _isotropy_casimirs(space)
     cas = values[0]
     if any(v != cas for v in values):
-        raise AssertionError(f"{space.value}: isotropy Casimirs differ: {values}")
+        shown = ", ".join(map(str, values))
+        raise AssertionError(f"{space.value}: isotropy Casimirs differ: [{shown}]")
     scal = Fraction(3, 2) - 3 * cas
     if scal != Fraction(5, 2) or -12 * cas != 4:
         raise AssertionError(f"{space.value}: isotropy Casimir {cas}, not -1/3")

@@ -1,12 +1,16 @@
 """Isotropy fibers and Hom_K multiplicities for the three spaces."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nkspectra import branching
+from nkspectra import branching, dga
 from nkspectra.branching import (
     Bundle,
     Space,
@@ -179,6 +183,15 @@ def test_hom_refuses_an_irrep_that_is_not_an_irrep_label(irrep):
     # attribute 'group'
     with pytest.raises(ValueError) as err:
         hom_dimension(Space.FLAG, irrep, Bundle.LAMBDA11)
+    assert str(err.value) == f"an irrep is an IrrepLabel, not {irrep!r}"
+
+
+@pytest.mark.parametrize("irrep", [(1, 1), [1, 1], None, (Group.SO5, (1, 1))], ids=repr)
+def test_restriction_refuses_an_irrep_that_is_not_an_irrep_label(irrep):
+    # a label tuple ended in AttributeError: 'tuple' object has no
+    # attribute 'group'
+    with pytest.raises(ValueError) as err:
+        restrict_so5_to_u2(irrep)
     assert str(err.value) == f"an irrep is an IrrepLabel, not {irrep!r}"
 
 
@@ -478,6 +491,65 @@ def test_isotropy_checks_fire_under_dash_O(run_python):
     assert proc.stdout.decode().splitlines() == [
         f"{space}: the (1,1) fiber is not 8-dimensional" for space in _BROKEN_TANGENTS
     ]
+
+
+# wrong (1,0) tangent modules whose (1,1) fibers stay 8-dimensional, so
+# only the isotropy Casimirs see them: E(0,-4) in place of E(0,-2) on CP3,
+# and on the flag three weights of squared length 6 in place of the roots
+_WRONG_TANGENTS = {
+    "cp3": (
+        "_P10_CP3 = (U2Label(1, 1), U2Label(0, -2))",
+        "_P10_CP3 = (U2Label(1, 1), U2Label(0, -4))",
+        "cp3: isotropy Casimirs differ: [-1/3, -1/3, -4/3, -4/3]",
+    ),
+    "flag": (
+        "_FLAG_P10_ROOTS = ((1, -1, 0), (0, 1, -1), (-1, 0, 1))",
+        "_FLAG_P10_ROOTS = ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))",
+        "flag: isotropy Casimir -1, not -1/3",
+    ),
+}
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "dash-O"])
+@pytest.mark.parametrize("space", list(_WRONG_TANGENTS))
+def test_a_wrong_tangent_module_fails_the_casimir_check(space, flags, tmp_path):
+    # the Casimir check reads the tangent modules the Hom counts read, in
+    # a copy of the package with one of them planted; it is an explicit
+    # raise, so python -O keeps it
+    plant, fault, message = _WRONG_TANGENTS[space]
+    source = Path(branching.__file__).read_text(encoding="utf-8")
+    package = tmp_path / "nkspectra"
+    package.mkdir()
+    for path in Path(branching.__file__).parent.glob("*.py"):
+        (package / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    broken = source.replace(plant, fault, 1)
+    assert broken != source
+    (package / "branching.py").write_text(broken, encoding="utf-8")
+    script = (
+        "from nkspectra import branching, spectrum\n"
+        "branching._build_isotropy_modules()\n"
+        "print('fibers built')\n"
+        f"spectrum.scal_normalization_check(spectrum.Space({space!r}))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+    )
+    assert (proc.returncode, proc.stdout) == (1, "fibers built\n"), proc.stderr
+    assert proc.stderr.splitlines()[-1] == f"AssertionError: {message}"
+
+
+def test_flag_tangent_roots_are_the_frame_weights():
+    # the exterior-calculus half states the flag's isotropy action as the
+    # brackets [e_a, h_j] and J as e^a -> s e^b; the pair (e_a, e_b) spans
+    # one root space of m, on whose (1,0) part h_j acts with weight
+    # -s [e_a, h_j]_b, the same from either end of the pair
+    weights = {
+        tuple(-s * dga._H_ACTION.get((a, 6 + j), {}).get(b, 0) for j in (1, 2, 3))
+        for a, (b, s) in dga._J_IMAGES.items()
+    }
+    assert weights == set(branching._FLAG_P10_ROOTS) == {(1, -1, 0), (0, 1, -1), (-1, 0, 1)}
 
 
 def test_representation_data_refuses_a_name_for_an_enum():

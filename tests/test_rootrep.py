@@ -384,7 +384,7 @@ def test_closed_forms_match_the_root_data_up_to_300(group, weyl_dimension):
     labels = list(iter_labels(group, Fraction(300)))
     assert labels
     for label in labels:
-        assert laplace_eigenvalue(label) == -casimir_eigenvalue(label, Fraction(1, 12))
+        assert laplace_eigenvalue(label) == -12 * casimir_eigenvalue(label)
         assert dimension(label) == weyl_dimension(label)
 
 
@@ -454,11 +454,18 @@ def test_so5_label_validation():
         assert "\n" not in str(err.value)
 
 
-def test_casimir_scale_is_an_exact_positive_number():
-    # a float went through Fraction() unrefused: the scale 0.5 gave -2
-    irrep = su3_label(1, 1)
-    for scale in (0.5, 0.1, True, "1/12", 0, Fraction(-1, 2)):
-        with pytest.raises(ValueError) as err:
-            casimir_eigenvalue(irrep, scale)
-        assert "\n" not in str(err.value)
-    assert casimir_eigenvalue(irrep, 2) == casimir_eigenvalue(irrep, Fraction(2)) == Fraction(-1, 2)
+@pytest.mark.parametrize("call", [dimension, laplace_eigenvalue], ids=lambda f: f.__name__)
+def test_label_arithmetic_refuses_a_label_tuple(call):
+    # a plain tuple ended in AttributeError: 'tuple' object has no
+    # attribute 'group'
+    with pytest.raises(ValueError) as err:
+        call((1, 1))
+    assert str(err.value) == "an irrep is an IrrepLabel, not (1, 1)"
+
+
+@pytest.mark.parametrize("a,b", [(1.5, 1), (True, 1), (1, "1"), (1, None), (-1, 1)], ids=repr)
+def test_su2_tensor_refuses_a_label_that_is_not_a_nonnegative_int(a, b):
+    # 1.5 ended in TypeError, and True was read as 1
+    with pytest.raises(ValueError) as err:
+        tensor_decompose_su2(a, b)
+    assert str(err.value) == f"su2 labels are nonnegative ints, not {a!r} and {b!r}"

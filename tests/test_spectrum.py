@@ -275,6 +275,14 @@ def test_scal_normalization():
         assert scal == Fraction(5, 2)
 
 
+@pytest.mark.parametrize("space", ["flag", None, ["x"]], ids=repr)
+def test_scal_normalization_refuses_a_space_that_is_not_a_space(space):
+    # each of these returned the flag's (-1/3, 5/2)
+    with pytest.raises(ValueError) as err:
+        scal_normalization_check(space)
+    assert str(err.value) == f"a space is a Space, not {space!r}"
+
+
 def test_moduli_bound_matches_hom_arithmetic():
     # every level-12 contribution on the flag comes from V(1,1) alone, so
     # the bound is (hom_lambda - hom_fn) * dim - isometry directly

@@ -9,12 +9,12 @@ knows the fibers we care about (trivial line for functions, the
 representations of the big group to the isotropy group in each case.
 
 The isotropy representation is stated once, as the (1,0) tangent modules
-_P10_*; the (0,1) modules are their conjugates.  The primitive (1,1)
-fibers are derived from them once, at import, as the (1,0) x (0,1)
-product minus one copy of the trivial type; a fiber that is not
-8-dimensional raises AssertionError (also under `python -O`) rather than
-returning silently wrong multiplicities.  The isotropy Casimirs that
-`spectrum`'s normalization check reads come from the same modules.
+(the flag's derived from the frame data _H_ACTION and _J_IMAGES, which `dga`
+reads too); the (0,1) modules are their conjugates.  The (1,1) fibers are
+derived from them at import as the (1,0) x (0,1) product minus one copy
+of the trivial type; a fiber that is not 8-dimensional raises
+AssertionError (also under `python -O`) rather than returning wrong
+multiplicities.  The Casimirs `spectrum`'s check reads come from them too.
 
 Hom counts on S3 x S3 are one Clebsch-Gordan interval count per fiber
 label.  On CP3 and on the flag they come from Kostant's closed forms in
@@ -39,6 +39,7 @@ from typing import Dict, List, NamedTuple, Tuple
 from .rootrep import (
     Group,
     IrrepLabel,
+    _check_irrep,
     canonical_weight,
     dimension,
     tensor_decompose_su2,
@@ -137,11 +138,37 @@ class IsotropyModule(NamedTuple):
 # (1,0) tangent modules.  S3 x S3: one adjoint copy.  CP3: the two
 # summands with charges +-1 mod the center, in the convention where the
 # vertical circle sits in E_{0,-2} (the nearly Kahler J reverses the
-# twistor fiber).  FLAG: one root from each pair, chosen so the three sum
-# to zero.
+# twistor fiber).  FLAG: derived below from the frame's isotropy action.
 _P10_S3XS3 = (2,)
 _P10_CP3 = (U2Label(1, 1), U2Label(0, -2))
-_FLAG_P10_ROOTS = ((1, -1, 0), (0, 1, -1), (-1, 0, 1))
+
+# The flag's isotropy data, stated once: `dga` assembles its brackets, d and
+# J from these two.  In dga's frame e_1..e_6, h_1, h_2, h_3 of u3 = m + h,
+# h's action on m is [e_a, h_j] = sum over b of _H_ACTION[a, 6 + j][b] e_b;
+# the h_j commute, so [h, h] has no entry
+_H_ACTION: Dict[Tuple[int, int], Dict[int, int]] = {
+    (1, 7): {2: -1}, (1, 8): {2: 1}, (2, 7): {1: 1}, (2, 8): {1: -1},
+    (3, 7): {4: -1}, (3, 9): {4: 1}, (4, 7): {3: 1}, (4, 9): {3: -1},
+    (5, 8): {6: -1}, (5, 9): {6: 1}, (6, 8): {5: 1}, (6, 9): {5: -1},
+}
+
+# J e^1 = e^2, J e^2 = -e^1, J e^3 = -e^4, J e^4 = e^3,
+# J e^5 = e^6, J e^6 = -e^5
+_J_IMAGES = {1: (2, 1), 2: (1, -1), 3: (4, -1), 4: (3, 1), 5: (6, 1), 6: (5, -1)}
+if not set(_J_IMAGES) == {im for im, _ in _J_IMAGES.values()} == set(range(1, 7)):
+    raise AssertionError("J must permute the horizontal coframe e^1..e^6")
+
+# The flag's m^(1,0) weights: for J e^a = s e^b, h_j acts on e_a - iJe_a with
+# weight -s [e_a, h_j]_b.  Each end of each J-pair gives a (pair, weight)
+# entry, one per pair when both ends agree, and the weights must be three
+# roots of su3 that sum to zero, the nearly Kahler choice of one root from
+# each opposite pair.  Both hold iff each weight and each of their
+# coordinates is a permutation of (-1, 0, 1)
+_ENDS = {(min(a, b), tuple(-s * _H_ACTION.get((a, 6 + j), {}).get(b, 0) for j in (1, 2, 3)))
+         for a, (b, s) in _J_IMAGES.items()}
+_FLAG_P10_ROOTS = tuple(sorted((w for _, w in _ENDS), reverse=True))
+if {tuple(sorted(v)) for v in _FLAG_P10_ROOTS + tuple(zip(*_FLAG_P10_ROOTS))} != {(-1, 0, 1)}:
+    raise AssertionError(f"flag: the J-pair weights {sorted(_ENDS)} are not sum-zero roots")
 
 
 def _tangent(space: Space) -> Tuple[Tuple, Tuple]:
@@ -234,8 +261,7 @@ def restrict_so5_to_u2(irrep: IrrepLabel) -> List[Tuple[U2Label, int]]:
     charge the m-profile is decomposed into strings by highest-weight
     peeling.  Output sorted by (a, b), total dimension checked.
     """
-    if type(irrep) is not IrrepLabel:
-        raise ValueError(f"an irrep is an IrrepLabel, not {irrep!r}")
+    _check_irrep(irrep)
     if irrep.group is not Group.SO5:
         raise ValueError("restriction defined for so5 labels only")
     by_charge: Dict[int, Dict[int, int]] = {}
@@ -372,8 +398,7 @@ def hom_dimension(space: Space, irrep: IrrepLabel, bundle: Bundle) -> int:
     checking that the space is a Space, the irrep an IrrepLabel of its
     group and the bundle a Bundle; _hom_count does the counting."""
     data = space_data(space)
-    if not isinstance(irrep, IrrepLabel):
-        raise ValueError(f"an irrep is an IrrepLabel, not {irrep!r}")
+    _check_irrep(irrep)
     if irrep.group is not data.group:
         raise ValueError(f"{space.value} needs labels of {data.group.value}")
     _check_bundle(bundle)

@@ -19,10 +19,10 @@ where E_pq is the matrix unit.  The metric is <A, B> = -tr(AB)/2, which
 on the traceless part is minus one twelfth of the Killing form and makes
 {e_i, sqrt(2) h_j} orthonormal (|e_i| = 1, |h_j|^2 = 1/2).  The
 structure constants [u_a, u_b], _BRACKETS, are assembled at import from
-Psi^- and the action of h on m, and checked by d(d) = 0 on the coframe
-and on the coefficient symbols, which is their Jacobi identity; the
-tests re-derive them from the matrices.  The matrices themselves serve
-killing_values only.  They are
+Psi^- and the action of h on m (`branching`'s _H_ACTION, stated there
+with J, _J_IMAGES), and checked by d(d) = 0 on the coframe and on the
+coefficient symbols, their Jacobi identity; the tests re-derive them
+from the matrices, which otherwise serve killing_values only.  They are
 sparse: {(p, q): (re, im)} holds the nonzero entries, rows and columns
 0..2, so E_pq is {(p - 1, q - 1): (1, 0)}.
 
@@ -77,6 +77,8 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm, prod
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
+
+from .branching import _H_ACTION, _J_IMAGES
 
 
 class NonlinearCoefficient(ValueError):
@@ -161,17 +163,10 @@ BASIS_UNITS: Tuple[Sparse, ...] = (
 # Psi^- = sum of sign e^abc over these (ascending index triple, sign) terms
 _PSI_MINUS_TERMS = (((2, 3, 6), 1), ((1, 4, 6), -1), ((1, 3, 5), -1), ((2, 4, 5), -1))
 
-# h's action on m: [e_a, h_j] = sum over b of _H_ACTION[a, 6 + j][b] e_b;
-# the h_j commute, so [h, h] has no entry
-_H_ACTION: Dict[Tuple[int, int], Dict[int, int]] = {
-    (1, 7): {2: -1}, (1, 8): {2: 1}, (2, 7): {1: 1}, (2, 8): {1: -1},
-    (3, 7): {4: -1}, (3, 9): {4: 1}, (4, 7): {3: 1}, (4, 9): {3: -1},
-    (5, 8): {6: -1}, (5, 9): {6: 1}, (6, 8): {5: 1}, (6, 9): {5: -1},
-}
-
 # [u_a, u_b] = sum over c of _BRACKETS[a, b][c] u_c for a < b; pairs that
-# commute are left out.  [e_a, e_b]_m = Psi^-(e_a, e_b, .)^sharp, and the
-# h_j part of [e_a, e_b] is <e_a, [e_b, h_j]> / |h_j|^2 = 2 <e_a, [e_b, h_j]>
+# commute are left out.  [e_a, h_j] is branching's _H_ACTION[a, 6 + j],
+# [e_a, e_b]_m = Psi^-(e_a, e_b, .)^sharp, and the h_j part of [e_a, e_b]
+# is <e_a, [e_b, h_j]> / |h_j|^2 = 2 <e_a, [e_b, h_j]>
 _BRACKETS: Dict[Tuple[int, int], Dict[int, int]] = dict(_H_ACTION)
 for (_a, _b, _c), _s in _PSI_MINUS_TERMS:  # no pair of indices is in two terms
     _BRACKETS[_a, _b], _BRACKETS[_a, _c], _BRACKETS[_b, _c] = {_c: _s}, {_b: -_s}, {_a: _s}
@@ -319,6 +314,8 @@ class InvariantForm(NamedTuple):
         return all(mask < 1 << 6 for (mask, _), _ in self.terms)
 
     def __add__(self, o: "InvariantForm") -> "InvariantForm":
+        if not isinstance(o, InvariantForm):
+            return NotImplemented  # so Python raises its own TypeError
         if self.degree != o.degree:
             raise ValueError("degree mismatch in sum")
         den = lcm(self.denominator, o.denominator)
@@ -382,6 +379,8 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
 
 
 def wedge_all(*forms: InvariantForm) -> InvariantForm:
+    if not forms:
+        raise ValueError("wedge_all needs at least one form")
     return reduce(wedge, forms)
 
 
@@ -499,13 +498,6 @@ def inner(a: InvariantForm, b: InvariantForm) -> InvariantForm:
 
 # --------------------------------------------------------------------------
 # Almost complex structure and SU3-type decomposition
-
-# J e^1 = e^2, J e^2 = -e^1, J e^3 = -e^4, J e^4 = e^3,
-# J e^5 = e^6, J e^6 = -e^5
-_J_IMAGES = {1: (2, 1), 2: (1, -1), 3: (4, -1), 4: (3, 1), 5: (6, 1), 6: (5, -1)}
-if not set(_J_IMAGES) == {im for im, _ in _J_IMAGES.values()} == set(_HORIZONTAL):
-    raise AssertionError("J must permute the horizontal coframe e^1..e^6")
-
 
 def apply_j(a: InvariantForm) -> InvariantForm:
     """Apply J to every coframe factor (on 1-forms this is the metric
@@ -685,12 +677,7 @@ def _v_display(coords: Sequence[Fraction]) -> Tuple[Fraction, Fraction, Fraction
     fewest nonzeros, then smallest absolute-value sum, then the tuple."""
     g1, g2 = coords[7], coords[8]
     candidates = {(g1 + t, g2 + t, t) for t in (Fraction(0), -g1, -g2)}
-
-    def score(tup):
-        nz = sum(1 for q in tup if q != 0)
-        return (nz, sum(abs(q) for q in tup), tup)
-
-    return min(candidates, key=score)
+    return min(candidates, key=lambda tup: (len([q for q in tup if q]), sum(map(abs, tup)), tup))
 
 
 def _join_signed(parts: Sequence[Tuple[bool, str]]) -> str:

@@ -309,45 +309,51 @@ def verify_killing_suite() -> VerificationReport:
 # --------------------------------------------------------------------------
 # Suite 3: eigenfunction machinery at lambda = 12 (f = v_1)
 
-def verify_eigenfunction_suite() -> VerificationReport:
+# the eigenvalue of f = v_1: Delta f = lambda f
+_LAMBDA = 12
+
+
+def _eigenfunction_forms() -> Tuple[InvariantForm, ...]:
+    """The forms suites 3 and 5 read: f = v_1, df, J df, the raw piece
+    d(J df) + 2 df -| Psi^+ and eta, the raw piece plus (lambda/3) f omega."""
     f = symbol_form("v1")
     df = d(f)
     jdf = apply_j(df)
-    lam = 12
+    raw = d(jdf) + contract_vector(df, PSI_PLUS) * 2
+    return f, df, jdf, raw, raw + OMEGA * f * Fraction(_LAMBDA, 3)
+
+
+def verify_eigenfunction_suite() -> VerificationReport:
+    f, df, jdf, _, eta_formula = _eigenfunction_forms()
     # two constructions of eta: the closed formula and the primitive
     # projector applied to dJdf; they must agree
-    eta_formula = (
-        d(jdf)
-        + contract_vector(df, PSI_PLUS) * 2
-        + OMEGA * f * Fraction(lam, 3)
-    )
     eta_projected = type_decompose(d(jdf))[0]
     kd = killing_data()
     checks = [
-        _form_check("eigenfunction", laplacian(f) - f * lam),
+        _form_check("eigenfunction", laplacian(f) - f * _LAMBDA),
         _form_check("eta_constructions_agree", eta_formula - eta_projected),
         _form_check("eta_type_11", apply_j(eta_formula) - eta_formula),
         _form_check("eta_primitive", inner(eta_formula, OMEGA)),
         _form_check(
             "delta_eta",
-            codifferential(eta_formula) - jdf * Fraction(2 * lam, 3) + jdf * 4,
+            codifferential(eta_formula) - jdf * Fraction(2 * _LAMBDA, 3) + jdf * 4,
         ),
         _form_check(
             "laplace_eta",
             laplacian(eta_formula)
-            - eta_formula * lam
+            - eta_formula * _LAMBDA
             + contract_vector(df, PSI_PLUS) * 4,
         ),
         _form_check(
             "hermitian_laplace_eta",
-            _hermitian_laplacian(eta_formula) - eta_formula * lam,
+            _hermitian_laplacian(eta_formula) - eta_formula * _LAMBDA,
         ),
-        _form_check("laplace_j_df", laplacian(jdf) - jdf * (lam + 4)),
+        _form_check("laplace_j_df", laplacian(jdf) - jdf * (_LAMBDA + 4)),
         _form_check("delta_j_df", codifferential(jdf)),
         _form_check(
             "laplace_f_omega",
             laplacian(OMEGA * f)
-            - OMEGA * f * (lam + 12)
+            - OMEGA * f * (_LAMBDA + 12)
             + contract_vector(df, PSI_PLUS) * 2,
         ),
         _form_check(
@@ -419,17 +425,13 @@ def verify_injectivity_argument() -> VerificationReport:
     The codifferential of the image decomposes as 8 xi + 4 Jdf: the
     first summand is delta phi_K, the second is delta eta, where the
     raw piece d(Jdf) + 2 df -| Psi+ alone contributes 8 Jdf and the
-    trace completion -(lambda/3) f omega removes 4 Jdf of it.  Applying
+    trace completion (lambda/3) f omega removes 4 Jdf of it.  Applying
     delta J then kills the xi summand and returns -48 v_1 = -4 (Delta f)
     from the Jdf summand, forcing f = 0 and in turn xi = 0.
     """
     kd = killing_data()
     xi, jxi, phi_k = kd.xi_flat, kd.j_xi_flat, kd.phi_k
-    f = symbol_form("v1")
-    df = d(f)
-    jdf = apply_j(df)
-    raw = d(jdf) + contract_vector(df, PSI_PLUS) * 2
-    eta = raw + OMEGA * f * 4
+    f, _, jdf, raw, eta = _eigenfunction_forms()
     checks = [
         _form_check("delta_phi_k", codifferential(phi_k) - xi * 8),
         _form_check("delta_eta", codifferential(eta) - jdf * 4),
@@ -439,12 +441,12 @@ def verify_injectivity_argument() -> VerificationReport:
         _form_check("delta_raw_eta_piece", codifferential(raw) - jdf * 8),
         _form_check(
             "delta_trace_piece",
-            codifferential(OMEGA * f * 4) + jdf * 4,
+            codifferential(eta - raw) + jdf * 4,
         ),
         _form_check("delta_j_xi", codifferential(jxi)),
         _form_check(
             "forcing_step",
-            codifferential(apply_j(xi * 8 + jdf * 4)) + f * 48,
+            codifferential(apply_j(xi * 8 + jdf * 4)) + f * (4 * _LAMBDA),
         ),
     ]
     return VerificationReport("injectivity_argument", tuple(checks))

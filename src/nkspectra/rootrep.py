@@ -215,10 +215,17 @@ def weight_inner(group: Group, lam, mu) -> Fraction:
     return dot * _PAIRING_72[group] / 72
 
 
+def _check_irrep(irrep: IrrepLabel) -> None:
+    """Refuse anything but an IrrepLabel with a one-line ValueError."""
+    if type(irrep) is not IrrepLabel:
+        raise ValueError(f"an irrep is an IrrepLabel, not {irrep!r}")
+
+
 def casimir_eigenvalue(irrep: IrrepLabel) -> Fraction:
     """Casimir scalar of the irrep with respect to -B, the pairing of
     weight_inner: -<gamma, gamma + 2 rho>.  Always <= 0, and 0 exactly for
     the trivial label."""
+    _check_irrep(irrep)
     gamma = irrep.highest_weight()
     rho = root_system(irrep.group).rho
     shifted = tuple(g + 2 * r for g, r in zip(gamma, rho))
@@ -248,15 +255,13 @@ def laplace_eigenvalue(irrep: IrrepLabel) -> Fraction:
     """Eigenvalue of the Hermitian Laplace operator on the isotypic
     component of the irrep, for the normal metric induced by -B/12: the
     closed form of -12 * casimir_eigenvalue(irrep)."""
-    if type(irrep) is not IrrepLabel:
-        raise ValueError(f"an irrep is an IrrepLabel, not {irrep!r}")
+    _check_irrep(irrep)
     return Fraction(_SIX_LAPLACE[irrep.group](*irrep.labels), 6)
 
 
 def dimension(irrep: IrrepLabel) -> int:
     """Weyl's dimension formula, expanded in the label coordinates."""
-    if type(irrep) is not IrrepLabel:
-        raise ValueError(f"an irrep is an IrrepLabel, not {irrep!r}")
+    _check_irrep(irrep)
     return _DIMENSION[irrep.group](*irrep.labels)
 
 
@@ -356,6 +361,7 @@ def _pattern_weights(irrep: IrrepLabel) -> Counter:
 def weight_multiplicities(irrep: IrrepLabel) -> WeightTable:
     """Full weight table of the irrep: the Gelfand-Tsetlin pattern count of
     _pattern_weights, keyed by canonical weights."""
+    _check_irrep(irrep)
     table = {canonical_weight(irrep.group, w): m for w, m in _pattern_weights(irrep).items()}
     entries = tuple(sorted(table.items()))
     wt = WeightTable(irrep=irrep, entries=entries)

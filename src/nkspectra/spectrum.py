@@ -38,6 +38,8 @@ class SpectrumEntry(NamedTuple("SpectrumEntry", _ENTRY_FIELDS)):
     __slots__ = ()
 
     def __new__(cls, irrep: IrrepLabel, hom_dim: int):
+        if type(hom_dim) is not int or hom_dim < 1:
+            raise ValueError(f"a Hom dimension is a positive int, not {hom_dim!r}")
         return tuple.__new__(cls, (irrep, hom_dim, laplace_eigenvalue(irrep)))
 
     # _make (so _replace), copy and pickle recompute the eigenvalue too

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nkspectra import branching, dga
+from nkspectra import branching
 from nkspectra.branching import (
     Bundle,
     Space,
@@ -493,19 +494,41 @@ def test_isotropy_checks_fire_under_dash_O(run_python):
     ]
 
 
-# wrong (1,0) tangent modules whose (1,1) fibers stay 8-dimensional, so
-# only the isotropy Casimirs see them: E(0,-4) in place of E(0,-2) on CP3,
-# and on the flag three weights of squared length 6 in place of the roots
+def _run_planted(tmp_path, plant, fault, script, flags):
+    """Run the script under python *flags against a copy of the package
+    whose branching.py has the plant text replaced by the fault."""
+    source = Path(branching.__file__).read_text(encoding="utf-8")
+    package = tmp_path / "nkspectra"
+    package.mkdir(parents=True)
+    for path in Path(branching.__file__).parent.glob("*.py"):
+        (package / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    assert source.count(plant) == 1, plant
+    (package / "branching.py").write_text(source.replace(plant, fault), encoding="utf-8")
+    return subprocess.run(
+        [sys.executable, *flags, "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(tmp_path)),
+    )
+
+
+# wrong (1,0) tangent modules whose (1,1) fibers stay 8-dimensional: E(0,-4)
+# in place of E(0,-2) on CP3, which only the isotropy Casimirs see, and on
+# the flag the pair (e_5, e_6) turned round in h's action, whose roots
+# (1,-1,0), (-1,0,1), (0,-1,1) keep every Casimir at -1/3 but do not sum to
+# zero, so the root check stops it at import, before any fiber is built
 _WRONG_TANGENTS = {
     "cp3": (
         "_P10_CP3 = (U2Label(1, 1), U2Label(0, -2))",
         "_P10_CP3 = (U2Label(1, 1), U2Label(0, -4))",
+        "fibers built\n",
         "cp3: isotropy Casimirs differ: [-1/3, -1/3, -4/3, -4/3]",
     ),
     "flag": (
-        "_FLAG_P10_ROOTS = ((1, -1, 0), (0, 1, -1), (-1, 0, 1))",
-        "_FLAG_P10_ROOTS = ((2, -1, -1), (-1, 2, -1), (-1, -1, 2))",
-        "flag: isotropy Casimir -1, not -1/3",
+        "(5, 8): {6: -1}, (5, 9): {6: 1}, (6, 8): {5: 1}, (6, 9): {5: -1},",
+        "(5, 8): {6: 1}, (5, 9): {6: -1}, (6, 8): {5: -1}, (6, 9): {5: 1},",
+        "",
+        "flag: the J-pair weights [(1, (1, -1, 0)), (3, (-1, 0, 1)), (5, (0, -1, 1))]"
+        " are not sum-zero roots",
     ),
 }
 
@@ -514,42 +537,99 @@ _WRONG_TANGENTS = {
 @pytest.mark.parametrize("space", list(_WRONG_TANGENTS))
 def test_a_wrong_tangent_module_fails_the_casimir_check(space, flags, tmp_path):
     # the Casimir check reads the tangent modules the Hom counts read, in
-    # a copy of the package with one of them planted; it is an explicit
-    # raise, so python -O keeps it
-    plant, fault, message = _WRONG_TANGENTS[space]
-    source = Path(branching.__file__).read_text(encoding="utf-8")
-    package = tmp_path / "nkspectra"
-    package.mkdir()
-    for path in Path(branching.__file__).parent.glob("*.py"):
-        (package / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
-    broken = source.replace(plant, fault, 1)
-    assert broken != source
-    (package / "branching.py").write_text(broken, encoding="utf-8")
+    # a copy of the package with one of them planted; it and the flag's
+    # root check are explicit raises, so python -O keeps them
+    plant, fault, stdout, message = _WRONG_TANGENTS[space]
     script = (
         "from nkspectra import branching, spectrum\n"
         "branching._build_isotropy_modules()\n"
         "print('fibers built')\n"
         f"spectrum.scal_normalization_check(spectrum.Space({space!r}))\n"
     )
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", script],
-        capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=str(tmp_path)),
-    )
-    assert (proc.returncode, proc.stdout) == (1, "fibers built\n"), proc.stderr
+    proc = _run_planted(tmp_path, plant, fault, script, flags)
+    assert (proc.returncode, proc.stdout) == (1, stdout), proc.stderr
     assert proc.stderr.splitlines()[-1] == f"AssertionError: {message}"
 
 
-def test_flag_tangent_roots_are_the_frame_weights():
-    # the exterior-calculus half states the flag's isotropy action as the
-    # brackets [e_a, h_j] and J as e^a -> s e^b; the pair (e_a, e_b) spans
-    # one root space of m, on whose (1,0) part h_j acts with weight
-    # -s [e_a, h_j]_b, the same from either end of the pair
-    weights = {
-        tuple(-s * dga._H_ACTION.get((a, 6 + j), {}).get(b, 0) for j in (1, 2, 3))
-        for a, (b, s) in dga._J_IMAGES.items()
-    }
-    assert weights == set(branching._FLAG_P10_ROOTS) == {(1, -1, 0), (0, 1, -1), (-1, 0, 1)}
+def test_each_flipped_h_action_sign_fails_at_import(tmp_path):
+    # the flag's m^(1,0) weights are derived at import from h's action on m
+    # and J, and come out as the roots e_1 - e_2, e_2 - e_3, e_3 - e_1.  A
+    # sign flipped in any one of the twelve [e_a, h_j] changes the weight
+    # read at one end of its J-pair only, so the root check refuses it, with
+    # one explicit raise that python -O keeps
+    assert branching._FLAG_P10_ROOTS == ((1, -1, 0), (0, 1, -1), (-1, 0, 1))
+    flips = [
+        (f"({a}, {k}): {{{b}: {q}}}", f"({a}, {k}): {{{b}: {-q}}}")
+        for (a, k), image in branching._H_ACTION.items()
+        for b, q in image.items()
+    ]
+    assert len(flips) == 12
+    for n, (plant, fault) in enumerate(flips):
+        for flags in ((), ("-O",)):
+            where = tmp_path / f"{n}-{len(flags)}"
+            proc = _run_planted(where, plant, fault, "import nkspectra", flags)
+            assert proc.returncode == 1, (plant, flags)
+            assert proc.stderr.count("Traceback") == 1, proc.stderr
+            assert proc.stderr.splitlines()[-1].startswith(
+                "AssertionError: flag: the J-pair weights ["
+            ), (plant, flags, proc.stderr)
+
+
+def _so5_rotation(i, j):
+    """L_ij = E_ij - E_ji in so5, as a 5 x 5 list of int rows."""
+    m = [[0] * 5 for _ in range(5)]
+    m[i - 1][j - 1], m[j - 1][i - 1] = 1, -1
+    return m
+
+
+def _combination(*terms):
+    """sum of c M over (c, M) pairs of 5 x 5 matrices."""
+    return [[sum(c * m[r][k] for c, m in terms) for k in range(5)] for r in range(5)]
+
+
+def _product(a, b):
+    return [[sum(a[r][t] * b[t][k] for t in range(5)) for k in range(5)] for r in range(5)]
+
+
+def _so5_inner(a, b):
+    """The metric -tr(XY)/4, for which the u_a below are orthonormal."""
+    return Fraction(-sum(_product(a, b)[r][r] for r in range(5)), 4)
+
+
+def test_cp3_tangent_module_is_the_frame_weights():
+    # CP3 = SO5 / U2 with m spanned by u_1..u_6 below: the torus L_12, L_34
+    # of u2 acts on each J-pair of the flag's J by itself, and its weights
+    # -s [u_a, h]_b (for J e^a = s e^b) are the torus weights of _P10_CP3
+    L = _so5_rotation
+    u = [
+        _combination((1, L(1, 3)), (-1, L(2, 4))),
+        _combination((1, L(1, 4)), (1, L(2, 3))),
+        _combination((1, L(1, 5)), (1, L(2, 5))),
+        _combination((1, L(2, 5)), (-1, L(1, 5))),
+        _combination((1, L(3, 5)), (-1, L(4, 5))),
+        _combination((-1, L(3, 5)), (-1, L(4, 5))),
+    ]
+    assert [[_so5_inner(x, y) for y in u] for x in u] == [
+        [int(a == b) for b in range(6)] for a in range(6)
+    ]
+    weights = {}
+    for a, (b, s) in branching._J_IMAGES.items():
+        weight = []
+        for h in (L(1, 2), L(3, 4)):
+            bracket = _combination((1, _product(u[a - 1], h)), (-1, _product(h, u[a - 1])))
+            coords = [_so5_inner(bracket, v) for v in u]
+            # the bracket lies in m, inside the J-pair of u_a
+            assert _combination(*zip(coords, u)) == bracket
+            assert all(q == 0 for c, q in enumerate(coords, 1) if c not in (a, b))
+            weight.append(-s * coords[b - 1])
+        weights[a] = tuple(weight)
+    assert weights == {1: (-1, -1), 2: (-1, -1), 3: (1, 0), 4: (1, 0), 5: (0, 1), 6: (0, 1)}
+    # a torus weight (l1, l2) is the U2 weight (l1 - l2, l1 + l2), and
+    # E(a, b) has the weights (a - 2k, b), k = 0..a
+    frame = Counter((l1 - l2, l1 + l2) for a, (l1, l2) in weights.items() if a % 2)
+    module = Counter((t.a - 2 * k, t.b) for t in branching._P10_CP3 for k in range(t.a + 1))
+    assert frame == module
+    assert set(branching._P10_CP3) == {U2Label(1, 1), U2Label(0, -2)}
 
 
 def test_representation_data_refuses_a_name_for_an_enum():

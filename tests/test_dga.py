@@ -158,11 +158,13 @@ def _replace_unit(k, units):
 
 @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "dash-O"])
 def test_a_broken_bracket_table_fails_at_import(flags, tmp_path):
-    # one sign flipped in each literal the table is assembled from: h's
-    # action, [e_1, h_1] = -e_2, and the Psi^- term -e^135; the import-time
-    # d(d) = 0 check is an explicit raise, so python -O keeps it
+    # one sign flipped in the Psi^- term -e^135 the table is assembled
+    # from; the import-time d(d) = 0 check is an explicit raise, so python
+    # -O keeps it.  The table's other datum, h's action on m, is stated in
+    # branching, whose root check refuses a flipped sign there first
+    # (test_each_flipped_h_action_sign_fails_at_import)
     source = Path(dga.__file__).read_text(encoding="utf-8")
-    plants = [("(1, 7): {2: -1}", "(1, 7): {2: 1}"), ("((1, 3, 5), -1)", "((1, 3, 5), 1)")]
+    plants = [("((1, 3, 5), -1)", "((1, 3, 5), 1)")]
     for n, (plant, fault) in enumerate(plants):
         package = tmp_path / str(n) / "nkspectra"
         package.mkdir(parents=True)
@@ -813,6 +815,23 @@ def test_symbol_form_refuses_other_names():
             symbol_form(name)
     names = [f"x{i}" for i in range(1, 7)] + ["v1", "v2", "v3"]
     assert all(symbol_form(name).degree == 0 for name in names)
+
+
+def test_a_sum_with_anything_but_a_form_is_a_type_error():
+    # e(1, 2) + "x" ended in AttributeError: 'str' object has no attribute
+    # 'degree'; __add__ returns NotImplemented, so Python raises its own
+    for other in ("x", 1, Fraction(1, 2), None, (2, ())):
+        with pytest.raises(TypeError, match="^unsupported operand type") as err:
+            e(1, 2) + other
+        assert "\n" not in str(err.value)
+
+
+def test_wedge_all_refuses_an_empty_product():
+    # wedge_all() raised TypeError: reduce() of empty iterable with no
+    # initial value
+    with pytest.raises(ValueError, match="^wedge_all needs at least one form$"):
+        wedge_all()
+    assert wedge_all(OMEGA) == OMEGA
 
 
 # ---------------------------------------------------------------------------

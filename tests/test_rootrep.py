@@ -454,10 +454,16 @@ def test_so5_label_validation():
         assert "\n" not in str(err.value)
 
 
-@pytest.mark.parametrize("call", [dimension, laplace_eigenvalue], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "call",
+    [dimension, laplace_eigenvalue, casimir_eigenvalue, weight_multiplicities],
+    ids=lambda f: f.__name__,
+)
 def test_label_arithmetic_refuses_a_label_tuple(call):
-    # a plain tuple ended in AttributeError: 'tuple' object has no
-    # attribute 'group'
+    # one check, _check_irrep, which restrict_so5_to_u2 and hom_dimension
+    # share (tested in test_branching); a plain tuple ended in
+    # AttributeError: 'tuple' object has no attribute 'group' (or
+    # 'highest_weight' in casimir_eigenvalue)
     with pytest.raises(ValueError) as err:
         call((1, 1))
     assert str(err.value) == "an irrep is an IrrepLabel, not (1, 1)"

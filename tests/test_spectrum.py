@@ -230,6 +230,15 @@ def test_spectrum_entry_derives_eigenvalue_dimension_and_contribution():
         spectrum.SpectrumEntry(su3_label(1, 1), Fraction(12), 2, 8, 16)
 
 
+@pytest.mark.parametrize("hom_dim", ["x", 1.5, Fraction(2), -1, 0, True, None], ids=repr)
+def test_spectrum_entry_refuses_a_hom_dimension_that_is_not_a_positive_int(hom_dim):
+    # "x" gave contribution 'xxxxxxxx', 1.5 gave 12.0, -1 gave -8 and True
+    # gave 8
+    with pytest.raises(ValueError) as err:
+        spectrum.SpectrumEntry(su3_label(1, 1), hom_dim)
+    assert str(err.value) == f"a Hom dimension is a positive int, not {hom_dim!r}"
+
+
 def test_one_eigenvalue_per_entry(monkeypatch):
     # the sort, the cutoff filter and every later read share one value
     calls = []

@@ -6,9 +6,11 @@ the builder of its JSON payload from the parsed arguments, its table
 renderer and its CSV renderer (none for ``all``, which refuses CSV).  The
 command line is read from the options as argparse read it, and -h prints
 them.  argparse itself is not used, since importing it, with the gettext
-and locale it loads, costs about 5 ms of every cold start.  Every payload
-names its subcommand under ``command``, which picks the renderer; ``all``
-renders its embedded reports through their own tables.
+and locale it loads, costs about 5 ms of every cold start.  The payload
+builders state every report's layout, and ``_json`` writes any payload
+as json.dumps(payload, indent=2) does, without the json module.  Every
+payload names its subcommand under ``command``, which picks the
+renderer; ``all`` renders its embedded reports through their own tables.
 
 Output is byte-stable for identical arguments: every ordering is
 explicit and all rationals render as exact "p/q" strings (plain "p"
@@ -114,11 +116,14 @@ def _einstein_payload(space: Space) -> Dict:
 
 
 def _suites_payload(command: str, reports) -> Dict:
-    return {
-        "passed": all(r.passed for r in reports),
-        "suites": [r.to_json_dict() for r in reports],
-        "command": command,
-    }
+    suites = [
+        {"suite": r.suite, "passed": r.passed, "checks": [
+            {"name": c.name, "status": "pass" if c.passed else "fail", "residual": c.residual}
+            for c in r.checks
+        ]}
+        for r in reports
+    ]
+    return {"passed": all(s["passed"] for s in suites), "suites": suites, "command": command}
 
 
 def _verify_payload() -> Dict:
@@ -142,51 +147,30 @@ def _all_payload(cutoff: Fraction) -> Dict:
 # --------------------------------------------------------------------------
 # renderers
 
-# `spectrum --format json` without the json module, whose encoder is pure
-# Python once `indent` is set: json.dumps(payload, indent=2) + "\n",
-# byte for byte.  Every string in a spectrum payload is made here from
-# enum values, ints and Fractions (names, "V(...)" and "p/q"), so none
-# needs escaping; any other payload goes through json.dumps.
-_SPECTRUM_JSON = """\
-{{
-  "command": "spectrum",
-  "space": "{}",
-  "bundle": "{}",
-  "cutoff": "{}",
-  "entries": [{}]
-}}
-"""
-_ENTRY_JSON = """\
-    {{
-      "irrep": "{}",
-      "labels": [
-        {}
-      ],
-      "eigenvalue": "{}",
-      "hom_dim": {},
-      "irrep_dim": {},
-      "contribution": {}
-    }}"""
-
-
-def _spectrum_json(payload: Dict) -> str:
-    entries = ",\n".join(
-        _ENTRY_JSON.format(
-            en["irrep"],
-            ",\n        ".join(map(str, en["labels"])),
-            en["eigenvalue"],
-            en["hom_dim"],
-            en["irrep_dim"],
-            en["contribution"],
-        )
-        for en in payload["entries"]
-    )
-    return _SPECTRUM_JSON.format(
-        payload["space"],
-        payload["bundle"],
-        payload["cutoff"],
-        f"\n{entries}\n  " if entries else "",
-    )
+def _json(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2), byte for byte, on the dicts, lists,
+    strs, ints and bools of a payload; a str that json would escape, a key
+    that is not a str and any other type raise AssertionError."""
+    kind = type(value)
+    # json escapes a quote, a backslash, a control and a non-ASCII character
+    if kind is str and value.isascii() and value.isprintable():
+        if '"' not in value and "\\" not in value:
+            return f'"{value}"'
+    if kind is int:
+        return str(value)
+    if kind is bool:
+        return "true" if value else "false"
+    inner = indent + "  "
+    if kind is list:
+        items, ends = [_json(item, inner) for item in value], "[]"
+    elif kind is dict and all(type(key) is str for key in value):
+        items = [f"{_json(key)}: {_json(item, inner)}" for key, item in value.items()]
+        ends = "{}"
+    else:
+        raise AssertionError(f"no JSON form without escapes: {value!a:.60}")
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + indent + ends[1]
 
 
 def _pad_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> List[str]:
@@ -430,12 +414,8 @@ def _write(text: str, output: Optional[str]) -> None:
 
 def _emit(payload: Dict, fmt: str, output: Optional[str]) -> None:
     *_, table, csv_rows = _COMMANDS[payload["command"]]
-    if fmt == "json" and payload["command"] == "spectrum":
-        text = _spectrum_json(payload)
-    elif fmt == "json":
-        import json
-
-        text = json.dumps(payload, indent=2) + "\n"
+    if fmt == "json":
+        text = _json(payload) + "\n"
     elif fmt == "csv":
         import csv
 

@@ -76,7 +76,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm, prod
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, NoReturn, Sequence, Tuple
 
 from .branching import _H_ACTION, _J_IMAGES
 
@@ -321,8 +321,15 @@ class InvariantForm(NamedTuple):
         den = lcm(self.denominator, o.denominator)
         return _collect(self.degree, _over(den, self) + _over(den, o), den)
 
+    def __radd__(self, o) -> NoReturn:
+        # reached only when o is not a form; returning NotImplemented
+        # would let tuple concatenation take over, as for (1, 2) + form
+        name = type(o).__name__
+        raise TypeError(f"unsupported operand type(s) for +: '{name}' and 'InvariantForm'")
+
     def __sub__(self, o: "InvariantForm") -> "InvariantForm":
-        return self + (-o)
+        # o is checked before it is negated, so Python's TypeError names -
+        return self + (-o) if isinstance(o, InvariantForm) else NotImplemented
 
     def __neg__(self) -> "InvariantForm":
         return InvariantForm(self.degree, tuple((k, -q) for k, q in self.terms), self.denominator)

@@ -79,13 +79,6 @@ class CheckResult(NamedTuple):
     passed: bool
     residual: str
 
-    def to_json_dict(self) -> Dict[str, str]:
-        return {
-            "name": self.name,
-            "status": "pass" if self.passed else "fail",
-            "residual": self.residual,
-        }
-
 
 class VerificationReport(NamedTuple):
     suite: str
@@ -94,13 +87,6 @@ class VerificationReport(NamedTuple):
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_json_dict(self) -> Dict[str, object]:
-        return {
-            "suite": self.suite,
-            "passed": self.passed,
-            "checks": [c.to_json_dict() for c in self.checks],
-        }
 
 
 def _form_check(name: str, residual: InvariantForm) -> CheckResult:

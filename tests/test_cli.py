@@ -199,8 +199,8 @@ def test_spectrum_json_at_the_old_kostant_bound_is_pinned(
 @pytest.mark.parametrize("bundle", ["functions", "lambda11"])
 @pytest.mark.parametrize("space", ["s3xs3", "cp3", "flag"])
 def test_spectrum_json_is_what_json_dumps_prints(monkeypatch, capsys, tmp_path, space, bundle):
-    # the format-string renderer against json.dumps of the same payload,
-    # on stdout and through --output; s3xs3 lambda11 at 0 has no entries
+    # cli._json against json.dumps of the same payload, on stdout and
+    # through --output; s3xs3 lambda11 at 0 has no entries
     for cutoff in ("0", "16/3", "12", "300"):
         monkeypatch.setattr(spectrum, "_TABLES", {})
         payload = cli._spectrum_payload(
@@ -215,6 +215,62 @@ def test_spectrum_json_is_what_json_dumps_prints(monkeypatch, capsys, tmp_path, 
         assert path.read_text(encoding="utf-8") == expected, cutoff
         if (space, bundle, cutoff) == ("s3xs3", "lambda11", "0"):
             assert payload["entries"] == []
+
+
+_PLANTED = nkcheck.VerificationReport(
+    "pointwise_identities", (nkcheck.CheckResult("planted_check", False, "2 e_12"),)
+)
+
+
+# every payload kind but spectrum's, which the test above covers; the
+# planted cases carry a failing suite
+@pytest.mark.parametrize(
+    "argv,planted",
+    [
+        *(((command, "--space", space), False)
+          for command in ("moduli-bound", "einstein-check")
+          for space in ("s3xs3", "cp3", "flag")),
+        (("verify-flag",), False),
+        (("identities",), False),
+        (("all", "--cutoff", "12"), False),
+        (("all", "--cutoff", "60"), False),
+        (("verify-flag",), True),
+        (("all",), True),
+    ],
+    ids=lambda value: " ".join(value) if type(value) is tuple else f"planted={value}",
+)
+def test_every_report_json_is_what_json_dumps_prints(argv, planted, monkeypatch, capsys):
+    if planted:
+        monkeypatch.setattr(nkcheck, "verify_pointwise_identities", lambda: _PLANTED)
+    command, options = cli._parse(argv)
+    payload = cli._COMMANDS[command][2](options)
+    assert _run(capsys, *argv, "--format", "json") == (
+        int(planted), json.dumps(payload, indent=2) + "\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "value",
+    ['say "x"', "back\\slash", "bell\x01", "caf\u00e9", Fraction(1, 2)],
+    ids=["quote", "backslash", "control", "non-ascii", "fraction"],
+)
+def test_json_refuses_what_json_dumps_would_escape_or_refuse(value):
+    # as a value, nested, and as a key where it could be one
+    cases = [value, [value], {"key": value}] + ([{value: 1}] if type(value) is str else [])
+    for case in cases:
+        with pytest.raises(AssertionError, match="no JSON form without escapes"):
+            cli._json(case)
+
+
+def test_a_refused_payload_exits_one_and_prints_nothing(monkeypatch, capsys):
+    refused = {"command": "einstein-check", "space": "caf\u00e9"}
+    monkeypatch.setattr(cli, "_einstein_payload", lambda space: refused)
+    assert main(["einstein-check", "--space", "flag", "--format", "json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "nkspectra: internal assertion failed: no JSON form without escapes: 'caf\\xe9'\n"
+    )
 
 
 def test_json_round_trip(capsys):
@@ -293,11 +349,6 @@ def test_all_subcommand_structure(capsys):
         "cp3": 0,
         "flag": 8,
     }
-
-
-_PLANTED = nkcheck.VerificationReport(
-    "pointwise_identities", (nkcheck.CheckResult("planted_check", False, "2 e_12"),)
-)
 
 
 @pytest.mark.parametrize(
@@ -770,6 +821,37 @@ def test_spectrum_never_loads_json(fmt, flags, run_python):
     proc = run_python(["-c", _JSON_LOADED, *argv], *flags)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [b"0", b"False"]
+
+
+# the same in every format the command accepts (`all` refuses csv): the
+# format, the exit code and whether json is loaded after that run
+_JSON_LOADED_IN_EVERY_FORMAT = """
+import contextlib, io, sys
+from nkspectra import cli
+for fmt in ("json", "table", "csv")[: 2 if sys.argv[1] == "all" else 3]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([*sys.argv[1:], "--format", fmt])
+    print(fmt, code, "json" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("moduli-bound", "--space", "flag"),
+        ("einstein-check", "--space", "cp3"),
+        ("verify-flag",),
+        ("identities",),
+        ("all",),
+    ],
+    ids=" ".join,
+)
+def test_no_report_command_loads_json(argv, flags, run_python):
+    proc = run_python(["-c", _JSON_LOADED_IN_EVERY_FORMAT, *argv], *flags)
+    assert proc.returncode == 0, proc.stderr
+    formats = ("json", "table") if argv[0] == "all" else ("json", "table", "csv")
+    assert proc.stdout.decode().splitlines() == [f"{fmt} 0 False" for fmt in formats]
 
 
 # nkcheck imported before or after cli: one module object, and a patch made

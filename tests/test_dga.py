@@ -819,11 +819,29 @@ def test_symbol_form_refuses_other_names():
 
 def test_a_sum_with_anything_but_a_form_is_a_type_error():
     # e(1, 2) + "x" ended in AttributeError: 'str' object has no attribute
-    # 'degree'; __add__ returns NotImplemented, so Python raises its own
-    for other in ("x", 1, Fraction(1, 2), None, (2, ())):
-        with pytest.raises(TypeError, match="^unsupported operand type") as err:
-            e(1, 2) + other
-        assert "\n" not in str(err.value)
+    # 'degree'; __add__ returns NotImplemented, so Python raises its own.
+    # (1, 2) + e(1, 2) returned the plain tuple (1, 2, 2, (((3, 0), 1),), 1),
+    # since InvariantForm is a tuple and tuple concatenation took over
+    for other in ("x", 1, Fraction(1, 2), None, (2, ()), (1, 2), ()):
+        for left, right in ((e(1, 2), other), (other, e(1, 2))):
+            with pytest.raises(TypeError, match="^unsupported operand type") as err:
+                left + right
+            assert "\n" not in str(err.value)
+
+
+def test_a_difference_with_anything_but_a_form_is_a_type_error():
+    # e(1, 2) - 3 raised "... for +" and e(1, 2) - "x" "bad operand type
+    # for unary -": __sub__ negated its argument before checking it
+    for other in ("x", 3, Fraction(1, 2), None, (1, 2)):
+        name = type(other).__name__
+        for left, right, operands in (
+            (e(1, 2), other, f"'InvariantForm' and '{name}'"),
+            (other, e(1, 2), f"'{name}' and 'InvariantForm'"),
+        ):
+            with pytest.raises(TypeError) as err:
+                left - right
+            assert str(err.value) == f"unsupported operand type(s) for -: {operands}"
+    assert e(1, 2) - e(1, 2) == InvariantForm.zero(2)
 
 
 def test_wedge_all_refuses_an_empty_product():

@@ -73,28 +73,35 @@ def test_suite_names_and_check_name_uniqueness():
 
 
 def test_reports_serialize_deterministically():
-    first = [r.to_json_dict() for r in run_all_suites()]
-    second = [r.to_json_dict() for r in run_all_suites()]
+    first = cli._suites_payload("verify-flag", run_all_suites())
+    second = cli._suites_payload("verify-flag", run_all_suites())
     assert first == second
-    # and the structure is plain JSON
-    blob = json.dumps(first)
-    assert json.loads(blob) == first
+    # and the structure is plain JSON, written as json.dumps writes it
+    text = cli._json(first)
+    assert text == json.dumps(first, indent=2)
+    assert json.loads(text) == first
 
 
 def test_json_layout():
-    report = verify_moduli_generators()
-    doc = report.to_json_dict()
-    assert set(doc) == {"suite", "passed", "checks"}
+    # the key order is part of the byte-stable output
+    doc = cli._suites_payload("identities", (verify_moduli_generators(),))
+    assert list(doc) == ["passed", "suites", "command"]
     assert doc["passed"] is True
-    for check in doc["checks"]:
-        assert set(check) == {"name", "status", "residual"}
+    assert doc["command"] == "identities"
+    (suite,) = doc["suites"]
+    assert list(suite) == ["suite", "passed", "checks"]
+    assert suite["suite"] == "moduli_generators"
+    assert suite["passed"] is True
+    for check in suite["checks"]:
+        assert list(check) == ["name", "status", "residual"]
         assert check["status"] == "pass"
+        assert check["residual"] == "0"
 
 
 def test_report_string_rendering():
-    # reports render through the command line's suite table
+    # reports render through the command line's suite payload and table
     def render(report):
-        return _suites_table({"suites": [report.to_json_dict()], "passed": report.passed})
+        return _suites_table(cli._suites_payload("identities", (report,)))
 
     good = verify_injectivity_argument()
     lines = render(good)
@@ -112,7 +119,12 @@ def test_report_string_rendering():
         "  [FAIL] broken  residual = e_12",
         "SUITE FAILURES PRESENT",
     ]
-    assert bad.to_json_dict()["checks"][0]["status"] == "fail"
+    doc = cli._suites_payload("verify-flag", (good, bad))
+    assert doc["passed"] is False
+    assert [suite["passed"] for suite in doc["suites"]] == [True, False]
+    assert doc["suites"][1]["checks"] == [
+        {"name": "broken", "status": "fail", "residual": "e_12"}
+    ]
 
 
 def test_model_structure_norms():

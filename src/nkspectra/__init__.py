@@ -20,13 +20,11 @@ from .rootrep import (
     Group,
     IrrepLabel,
     RootSystem,
-    WeightTable,
     casimir_eigenvalue,
     dimension,
     laplace_eigenvalue,
     root_system,
     tensor_decompose_su2,
-    weight_multiplicities,
 )
 from .branching import (
     Bundle,
@@ -34,7 +32,6 @@ from .branching import (
     U2Label,
     hom_dimension,
     isotropy_module,
-    restrict_so5_to_u2,
     space_data,
 )
 from .spectrum import (
@@ -53,19 +50,16 @@ __all__ = [
     "Group",
     "IrrepLabel",
     "RootSystem",
-    "WeightTable",
     "casimir_eigenvalue",
     "dimension",
     "laplace_eigenvalue",
     "root_system",
     "tensor_decompose_su2",
-    "weight_multiplicities",
     "Bundle",
     "Space",
     "U2Label",
     "hom_dimension",
     "isotropy_module",
-    "restrict_so5_to_u2",
     "space_data",
     "ModuliReport",
     "SpectrumEntry",

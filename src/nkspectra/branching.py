@@ -40,10 +40,9 @@ from .rootrep import (
     Group,
     IrrepLabel,
     _check_irrep,
-    canonical_weight,
+    _scaled_casimir,
     dimension,
     tensor_decompose_su2,
-    weight_inner,
     weight_multiplicities,
 )
 
@@ -120,7 +119,7 @@ class IsotropyModule(NamedTuple):
     """Fiber module of one of the two bundles, as a K-representation.
 
     content holds su2 string labels for S3 x S3, U2Labels for CP3 and
-    canonical sum-zero torus weights (with repetition) for the flag.
+    integer sum-zero torus weights (with repetition) for the flag.
     """
 
     space: Space
@@ -185,7 +184,7 @@ def _tangent(space: Space) -> Tuple[Tuple, Tuple]:
 _FUNCTIONS_CONTENT = {
     Space.S3XS3: (0,),
     Space.CP3: (U2Label(0, 0),),
-    Space.FLAG: (canonical_weight(Group.SU3, (0, 0, 0)),),
+    Space.FLAG: ((0, 0, 0),),
 }
 
 
@@ -199,7 +198,7 @@ def _derive_lambda11(space: Space) -> Tuple:
     elif space is Space.CP3:
         prod = [U2Label(k, x.b + y.b) for x, y in pairs for k, _ in tensor_decompose_su2(x.a, y.a)]
     else:
-        prod = [canonical_weight(Group.SU3, tuple(map(sum, zip(x, y)))) for x, y in pairs]
+        prod = [tuple(map(sum, zip(x, y))) for x, y in pairs]
     prod.remove(_FUNCTIONS_CONTENT[space][0])
     return tuple(sorted(prod, reverse=space is Space.S3XS3))
 
@@ -209,20 +208,20 @@ def _isotropy_casimirs(space: Space) -> List[Fraction]:
     its conjugate, for minus the big group's Killing form restricted to the
     isotropy algebra: -<mu, mu + 2 rho_K> at its highest weight mu."""
     summands = [x for pair in zip(*_tangent(space)) for x in pair]
-    third, half = Fraction(1, 3), Fraction(1, 2)
     if space is Space.S3XS3:
         # V_k of the diagonal su2 has highest weight (k, k, k) / 3, so the
-        # product Killing form restricts to 3 times the factor's
-        tops, rho = [(third * k,) * 3 for k in summands], (third,) * 3
+        # product Killing form restricts to 3 times the factor's, and 2 rho_K
+        # is (2, 2, 2) / 3; mu and 2 rho_K are scaled by n to integers
+        n, tops, two_rho = 3, [(k, k, k) for k in summands], (2, 2, 2)
     elif space is Space.CP3:
         # E(a, b) has highest weight ((b + a) / 2, (b - a) / 2) in the so5
-        # torus, and rho of u2 is half its positive root e1 - e2
-        tops, rho = [(half * (b + a), half * (b - a)) for a, b in summands], (half, -half)
+        # torus, and 2 rho of u2 is its positive root e1 - e2
+        n, tops, two_rho = 2, [(b + a, b - a) for a, b in summands], (2, -2)
     else:
         # torus characters: no rho shift on an abelian isotropy group
-        tops, rho = summands, (0, 0, 0)
+        n, tops, two_rho = 1, summands, (0, 0, 0)
     group = space_data(space).group
-    return [-weight_inner(group, mu, [m + 2 * r for m, r in zip(mu, rho)]) for mu in tops]
+    return [Fraction(-_scaled_casimir(group, mu, two_rho), 72 * n * n) for mu in tops]
 
 
 def _build_isotropy_modules() -> Dict[Tuple[Space, Bundle], IsotropyModule]:
@@ -348,17 +347,17 @@ def _kostant(images, scale: int, point: Tuple[int, int]) -> int:
 
 
 def _su3_dominant(weight) -> Tuple[int, int]:
-    """Dynkin coordinates of the dominant weight in the Weyl orbit of a
-    canonical su3 weight."""
+    """Dynkin coordinates of the dominant weight in the Weyl orbit of an
+    integer sum-zero su3 weight."""
     s = sorted(weight, reverse=True)
-    return (int(s[0] - s[1]), int(s[1] - s[2]))
+    return (s[0] - s[1], s[1] - s[2])
 
 
 def _fiber_points(space: Space, bundle: Bundle) -> Tuple[Tuple[Tuple[int, int], str], ...]:
     """mu + rho in scaled coordinates for each point Hom reads, with the
     class of points that must share its multiplicity: on CP3 a U2 type
     E(m, q), of highest weight ((q + m)/2, (q - m)/2), and its dual (so5
-    irreps are self-dual); on the flag a canonical torus weight
+    irreps are self-dual); on the flag an integer sum-zero torus weight
     w1 alpha1 - w3 alpha2 and its Weyl orbit."""
     if space is Space.CP3:
         return tuple(
@@ -366,7 +365,7 @@ def _fiber_points(space: Space, bundle: Bundle) -> Tuple[Tuple[Tuple[int, int], 
             for t in isotropy_module(space, bundle).content
         )
     return tuple(
-        ((int(3 * w[0]) + 3, 3 - int(3 * w[2])), f"the Weyl orbit of {_su3_dominant(w)}")
+        ((3 * w[0] + 3, 3 - 3 * w[2]), f"the Weyl orbit of {_su3_dominant(w)}")
         for w in isotropy_module(space, bundle).content
     )
 

@@ -374,6 +374,9 @@ def symbol_form(name: str) -> InvariantForm:
 
 
 def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
+    if not (isinstance(a, InvariantForm) and isinstance(b, InvariantForm)):
+        other = b if isinstance(a, InvariantForm) else a
+        raise TypeError(f"a wedge factor is an InvariantForm, not {type(other).__name__}")
     if a.degree + b.degree > 9:
         raise ValueError("wedge degree exceeds coframe dimension")
     terms = (
@@ -388,7 +391,8 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
 def wedge_all(*forms: InvariantForm) -> InvariantForm:
     if not forms:
         raise ValueError("wedge_all needs at least one form")
-    return reduce(wedge, forms)
+    # from the constant 1, so that wedge sees a lone form too
+    return reduce(wedge, forms, e())
 
 
 # --------------------------------------------------------------------------

@@ -23,8 +23,8 @@ explicit matrix models in the test suite.  Note that for su3 the
 Euclidean pairing must be evaluated on sum-zero representatives: raw
 coordinate dot products overshoot by (sum l)(sum m)/3.
 
-The spectrum path reads eigenvalues, dimensions and the label walk off
-integer polynomials in the label coordinates instead; the weights above
+The spectrum path reads eigenvalues, dimensions, Casimirs and the label
+walk off integers in the label coordinates instead; the weights above
 are the oracle they are checked against.
 """
 
@@ -150,54 +150,36 @@ def su3_label(k: int, l: int) -> IrrepLabel:
 
 class RootSystem(NamedTuple):
     group: Group
-    positive_roots: Tuple[Weight, ...]
+    positive_roots: Tuple[Tuple[int, ...], ...]
     rho: Weight
 
 
-_HALF = Fraction(1, 2)
-
 _POSITIVE_ROOTS = {
-    Group.SU2: ((Fraction(2),),),
-    Group.SU2_CUBED: (
-        (Fraction(2), Fraction(0), Fraction(0)),
-        (Fraction(0), Fraction(2), Fraction(0)),
-        (Fraction(0), Fraction(0), Fraction(2)),
-    ),
-    Group.SO5: (
-        (Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(1)),
-        (Fraction(1), Fraction(1)),
-        (Fraction(1), Fraction(-1)),
-    ),
-    Group.SU3: (
-        (Fraction(1), Fraction(-1), Fraction(0)),
-        (Fraction(1), Fraction(0), Fraction(-1)),
-        (Fraction(0), Fraction(1), Fraction(-1)),
-    ),
+    Group.SU2: ((2,),),
+    Group.SU2_CUBED: ((2, 0, 0), (0, 2, 0), (0, 0, 2)),
+    Group.SO5: ((1, 0), (0, 1), (1, 1), (1, -1)),
+    Group.SU3: ((1, -1, 0), (1, 0, -1), (0, 1, -1)),
+}
+
+# 2 rho, the integer sum of the positive roots
+_TWO_RHO = {group: tuple(map(sum, zip(*roots))) for group, roots in _POSITIVE_ROOTS.items()}
+
+_ROOT_SYSTEMS = {
+    group: RootSystem(group, roots, tuple(Fraction(c, 2) for c in _TWO_RHO[group]))
+    for group, roots in _POSITIVE_ROOTS.items()
 }
 
 
-def _build_root_system(group: Group) -> RootSystem:
-    roots = _POSITIVE_ROOTS[group]
-    n = _AMBIENT[group]
-    rho = tuple(
-        sum((r[i] for r in roots), Fraction(0)) * _HALF for i in range(n)
-    )
-    return RootSystem(group=group, positive_roots=roots, rho=rho)
-
-
-_ROOT_SYSTEMS = {group: _build_root_system(group) for group in Group}
-
-
 def root_system(group: Group) -> RootSystem:
-    """Hard-coded canonical root datum for one of the four families,
-    built once at import."""
+    """Hard-coded root datum of one of the four families, built once at
+    import: integer positive roots, and rho, half their sum."""
     return _of_group(_ROOT_SYSTEMS, group)
 
 
-# 72 times the -B pairing scale of each family, read by weight_inner; six
-# times the eigenvalue for -B/12 is 72 <gamma, gamma + 2 rho>, so the
-# closed-form check below works in integers
+# 72 times the -B pairing scale of each family, read by _scaled_casimir and
+# by its oracle weight_inner; six times the eigenvalue for -B/12 is
+# 72 <gamma, gamma + 2 rho>, so every Casimir and the closed-form check
+# below work in integers
 _PAIRING_72 = {Group.SU2: 9, Group.SU2_CUBED: 9, Group.SO5: 12, Group.SU3: 12}
 
 
@@ -208,11 +190,29 @@ def weight_inner(group: Group, lam, mu) -> Fraction:
     (B_su2 = 4 tr, so the coroot has squared length 8 in integer label
     coordinates) and 1/6 on so5 (B = 3 tr, the torus parametrized by two
     commuting rotation angles) and on su3 (B = 6 tr on the sum-zero
-    hyperplane)."""
+    hyperplane); the Fraction oracle of _scaled_casimir."""
     lam = canonical_weight(group, lam)
     mu = canonical_weight(group, mu)
     dot = sum((a * b for a, b in zip(lam, mu)), Fraction(0))
     return dot * _PAIRING_72[group] / 72
+
+
+def _scaled_casimir(group: Group, gamma, two_rho) -> int:
+    """72 n^2 <gamma, gamma + 2 rho>, -72 n^2 times the Casimir of the
+    highest weight gamma, from n gamma and n 2 rho: integer coordinates
+    scaled by a common n, summed to zero for su3."""
+    return _PAIRING_72[group] * sum(g * (g + r) for g, r in zip(gamma, two_rho))
+
+
+def _label_casimir(group: Group, labels: Tuple[int, ...]) -> Tuple[int, int]:
+    """n and _scaled_casimir at the label's highest weight, for su3
+    (k, 0, -l) summed to zero at n = 3, else the label at n = 1."""
+    if group is Group.SU3:
+        k, l = labels
+        n, gamma = 3, (2 * k + l, l - k, -k - 2 * l)
+    else:
+        n, gamma = 1, labels
+    return n, _scaled_casimir(group, gamma, [n * r for r in _TWO_RHO[group]])
 
 
 def _check_irrep(irrep: IrrepLabel) -> None:
@@ -222,14 +222,12 @@ def _check_irrep(irrep: IrrepLabel) -> None:
 
 
 def casimir_eigenvalue(irrep: IrrepLabel) -> Fraction:
-    """Casimir scalar of the irrep with respect to -B, the pairing of
-    weight_inner: -<gamma, gamma + 2 rho>.  Always <= 0, and 0 exactly for
-    the trivial label."""
+    """Casimir scalar of the irrep for -B, -<gamma, gamma + 2 rho>, read
+    off _scaled_casimir in integers (weight_inner is its oracle).  Always
+    <= 0, and 0 exactly for the trivial label."""
     _check_irrep(irrep)
-    gamma = irrep.highest_weight()
-    rho = root_system(irrep.group).rho
-    shifted = tuple(g + 2 * r for g, r in zip(gamma, rho))
-    return -weight_inner(irrep.group, gamma, shifted)
+    n, scaled = _label_casimir(irrep.group, irrep.labels)
+    return Fraction(-scaled, 72 * n * n)
 
 
 # Six times the Laplace eigenvalue and the Weyl dimension, as integer
@@ -276,23 +274,13 @@ def _check_closed_forms() -> None:
     # its six dominant labels with entries <= 2 fix a quadratic instead:
     # their monomial matrix has determinant 4.
     #
-    # The Casimir side is 72 <gamma, gamma + 2 rho> in integers: 2 rho sums
-    # the positive roots, and the su3 highest weight (k, 0, -l) is scaled by
-    # n = 3 to the integer sum-zero (2k + l, l - k, -k - 2l), so both sides
-    # are scaled by n^2.
+    # The Casimir side is _scaled_casimir at the label's scaled highest
+    # weight, so both sides are scaled by n^2 and stay integers.
     for group in Group:
-        two_rho = [2 * r.numerator // r.denominator for r in _ROOT_SYSTEMS[group].rho]
         for labels in itertools.product(range(3), repeat=_RANK[group]):
             if labels[0] < labels[1] if group is Group.SO5 else sum(labels) > 2:
                 continue
-            if group is Group.SU3:
-                k, l = labels
-                n, gamma = 3, (2 * k + l, l - k, -k - 2 * l)
-            else:
-                n, gamma = 1, labels
-            casimir = _PAIRING_72[group] * sum(
-                g * (g + n * r) for g, r in zip(gamma, two_rho)
-            )
+            n, casimir = _label_casimir(group, labels)
             if n * n * _SIX_LAPLACE[group](*labels) != casimir:
                 raise AssertionError(
                     f"{group.value} {IrrepLabel(group, labels)}: "

@@ -32,6 +32,7 @@ from nkspectra.rootrep import (
     so5_label,
     su2cubed_label,
     su3_label,
+    weight_inner,
     weight_multiplicities,
 )
 from nkspectra.spectrum import enumerate_spectrum
@@ -549,6 +550,31 @@ def test_a_wrong_tangent_module_fails_the_casimir_check(space, flags, tmp_path):
     proc = _run_planted(tmp_path, plant, fault, script, flags)
     assert (proc.returncode, proc.stdout) == (1, stdout), proc.stderr
     assert proc.stderr.splitlines()[-1] == f"AssertionError: {message}"
+
+
+def _weight_inner_isotropy_casimirs(space):
+    """-<mu, mu + 2 rho_K> at each summand's highest weight mu, over the
+    Fraction weights and pairing of weight_inner: (k, k, k) / 3 with rho_K
+    (1, 1, 1) / 3 on S3 x S3, ((b + a) / 2, (b - a) / 2) with rho_K
+    (1, -1) / 2 on CP3, and the roots with no shift on the flag."""
+    summands = [x for pair in zip(*branching._tangent(space)) for x in pair]
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    if space is Space.S3XS3:
+        tops, rho = [(third * k,) * 3 for k in summands], (third,) * 3
+    elif space is Space.CP3:
+        tops, rho = [(half * (b + a), half * (b - a)) for a, b in summands], (half, -half)
+    else:
+        tops, rho = summands, (0, 0, 0)
+    group = space_data(space).group
+    return [-weight_inner(group, mu, [m + 2 * r for m, r in zip(mu, rho)]) for mu in tops]
+
+
+@pytest.mark.parametrize("space", list(Space), ids=lambda s: s.value)
+def test_isotropy_casimirs_match_the_weight_inner_formula(space):
+    # _isotropy_casimirs works in integers scaled by n = 3, 2 and 1
+    casimirs = branching._isotropy_casimirs(space)
+    assert casimirs == _weight_inner_isotropy_casimirs(space)
+    assert casimirs == [Fraction(-1, 3)] * len(casimirs)
 
 
 def test_each_flipped_h_action_sign_fails_at_import(tmp_path):

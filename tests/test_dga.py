@@ -852,6 +852,25 @@ def test_wedge_all_refuses_an_empty_product():
     assert wedge_all(OMEGA) == OMEGA
 
 
+def test_wedge_refuses_anything_but_a_form():
+    # wedge_all(3) returned 3 and wedge_all("x") returned "x", and
+    # wedge(e(1), 3) ended in AttributeError: 'int' object has no attribute
+    # 'degree'
+    for other in (3, "x", None, Fraction(1, 2), (1, 2), (2, ())):
+        for call in (
+            lambda: wedge(e(1), other),
+            lambda: wedge(other, e(1)),
+            lambda: wedge_all(other),
+            lambda: wedge_all(e(1), other),
+        ):
+            with pytest.raises(TypeError) as err:
+                call()
+            assert str(err.value) == f"a wedge factor is an InvariantForm, not {type(other).__name__}"
+    # a form times a 0-form is still their wedge
+    assert e(1, 2) * X[0] == wedge(e(1, 2), X[0]) == wedge_all(e(1, 2), X[0])
+    assert wedge_all(e(1)) == e(1)
+
+
 # ---------------------------------------------------------------------------
 # Killing-field layer
 

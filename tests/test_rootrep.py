@@ -381,9 +381,15 @@ def test_iter_labels_matches_brute_force_box(group):
 
 @pytest.mark.parametrize("group", list(Group), ids=lambda g: g.value)
 def test_closed_forms_match_the_root_data_up_to_300(group, weyl_dimension):
+    # casimir_eigenvalue works in integers; the Fraction weights and pairing
+    # of canonical_weight and weight_inner are its oracle
     labels = list(iter_labels(group, Fraction(300)))
     assert labels
+    rho = rootrep.root_system(group).rho
     for label in labels:
+        hw = label.highest_weight()
+        shifted = tuple(g + 2 * r for g, r in zip(hw, rho))
+        assert casimir_eigenvalue(label) == -weight_inner(group, hw, shifted)
         assert laplace_eigenvalue(label) == -12 * casimir_eigenvalue(label)
         assert dimension(label) == weyl_dimension(label)
 

@@ -93,19 +93,25 @@ def test_importing_dga_does_no_matrix_arithmetic(run_python):
 
 
 # every subcommand, on every space and bundle it takes, under a hook that
-# counts calls of the weight-table oracles; then each oracle once, so the
-# hook is seen to work
-_ORACLE_CALLS = """\
+# counts calls of the weight-table oracles and of the Fraction weights they
+# read, installed before the package is imported; then each name once, so
+# the hook is seen to work
+_ORACLE_NAMES = (
+    "weight_multiplicities", "restrict_so5_to_u2", "canonical_weight", "weight_inner",
+    "highest_weight",
+)
+_ORACLE_CALLS = f"""\
 import contextlib, io, sys
-from nkspectra import branching, cli, rootrep
-calls = []
+from collections import Counter
+calls = Counter()
 def hook(frame, event, arg):
-    if event == "call" and frame.f_code.co_name in ("weight_multiplicities", "restrict_so5_to_u2"):
-        calls.append(frame.f_code.co_name)
-runs = 0
+    if event == "call" and frame.f_code.co_name in {_ORACLE_NAMES!r}:
+        calls[frame.f_code.co_name] += 1
 sys.setprofile(hook)
+from nkspectra import branching, cli, rootrep
+runs = 0
 for command, (_, options, *_) in cli._COMMANDS.items():
-    flags = {flag for flag, *_ in options}
+    flags = {{flag for flag, *_ in options}}
     spaces = [s.value for s in branching.Space] if "--space" in flags else [None]
     bundles = [b.value for b in branching.Bundle] if "--bundle" in flags else [None]
     for space in spaces:
@@ -115,22 +121,27 @@ for command, (_, options, *_) in cli._COMMANDS.items():
             argv += ["--cutoff", "60"] if "--cutoff" in flags else []
             with contextlib.redirect_stdout(io.StringIO()):
                 runs += cli.main(argv) == 0
-during_commands = len(calls)
+print(runs)
+print(sorted(calls.items()))
+calls.clear()
 branching.restrict_so5_to_u2(rootrep.so5_label(1, 1))
+rootrep.weight_inner(rootrep.Group.SU3, (1, 0, -1), rootrep.su3_label(1, 1).highest_weight())
 sys.setprofile(None)
-print(runs, during_commands, len(calls) - during_commands)
+print(sorted(calls))
 """
 
 
 def test_no_command_reaches_the_weight_table_oracles(run_python):
     # the tables of weight_multiplicities and restrict_so5_to_u2 are test
-    # oracles, so no report may rest on them
+    # oracles, and so are the Fraction weights of canonical_weight,
+    # weight_inner and highest_weight, so no report, and no import, may
+    # rest on them
     proc = run_python(["-c", _ORACLE_CALLS])
     assert proc.returncode == 0, proc.stderr
-    runs, during_commands, after = map(int, proc.stdout.split())
-    assert runs == 15
-    assert during_commands == 0
-    assert after == 2
+    runs, during_commands, after = proc.stdout.decode().splitlines()
+    assert runs == "15"
+    assert during_commands == "[]"
+    assert after == repr(sorted(_ORACLE_NAMES))
 
 
 def _imported_roots(path: Path):

@@ -15,23 +15,24 @@ Lie algebra basis (also the frame, indexed 1..9):
                                 e_5 = E_23 - E_32,  e_6 = i(E_23 + E_32),
     u_7, u_8, u_9 = h_1, h_2, h_3  with  h_j = i E_jj,
 
-where E_pq is the matrix unit.  The metric is <A, B> = -tr(AB)/2, which
-on the traceless part is minus one twelfth of the Killing form and makes
-{e_i, sqrt(2) h_j} orthonormal (|e_i| = 1, |h_j|^2 = 1/2).  The
-structure constants [u_a, u_b], _BRACKETS, are assembled at import from
-Psi^- and the action of h on m (`branching`'s _H_ACTION, stated there
-with J, _J_IMAGES), and checked by d(d) = 0 on the coframe and on the
-coefficient symbols, their Jacobi identity; the tests re-derive them
-from the matrices, which otherwise serve killing_values only.  They are
-sparse: {(p, q): (re, im)} holds the nonzero entries, rows and columns
-0..2, so E_pq is {(p - 1, q - 1): (1, 0)}.
+where E_pq is the matrix unit.  The metric is <A, B> = -tr(AB)/2, which on
+the traceless part is minus one twelfth of the Killing form and makes
+{e_i, sqrt(2) h_j} orthonormal (|e_i| = 1, |h_j|^2 = 1/2, named _H_NORM).
+A frame is J and h's action on m (`branching`'s _J_IMAGES and _H_ACTION)
+and Psi^- (_PSI_MINUS_TERMS): the structure constants [u_a, u_b],
+_BRACKETS, are assembled from them at import and omega and psi^+ = J Psi^-
+derived, and explicit raises check d(d) = 0 on the coframe and the symbols
+(the Jacobi identity) and the nearly Kahler normal form d omega = 3 psi^+,
+d psi^- = -2 omega^omega, psi^+ ^ psi^- = 4 vol.  The tests re-derive the
+brackets from the matrices, which otherwise serve killing_values only.
+They are sparse: {(p, q): (re, im)} holds the nonzero entries, rows and
+columns 0..2, so E_pq is {(p - 1, q - 1): (1, 0)}.
 
-Coframe indices 1..6 are the unit horizontal 1-forms e^1..e^6; indices
-7, 8, 9 are the algebraic duals k^1, k^2, k^3 of h_1, h_2, h_3 (so
-k^j(h_i) is the Kronecker delta).  Because |h_j|^2 = 1/2 the metric dual
-of the vector h_j is the 1-form (1/2) k^j; these are exposed as H1, H2,
-H3 and are the "h_j" appearing in the structure equations.  Orientation:
-the volume form is -e_123456.
+Coframe indices 1..6 are the unit horizontal 1-forms e^1..e^6; indices 7,
+8, 9 are the algebraic duals k^1, k^2, k^3 of h_1, h_2, h_3 (so k^j(h_i)
+is the Kronecker delta).  The metric dual of the vector h_j is the 1-form
+|h_j|^2 k^j; these are exposed as H1, H2, H3 and are the "h_j" appearing
+in the structure equations.  Orientation: the volume form is -e_123456.
 
 Coefficient functions: fix xi in su_3 and let X be the right-invariant
 field it generates.  For W in u_3 the function c_W(g) = <Ad(g^{-1}) xi, W>
@@ -43,15 +44,14 @@ u . c_W = c_{[u, W]}, so
     d c_W = sum_i c_{[e_i, W]} e^i + sum_j c_{[h_j, W]} k^j
 
 (the sqrt(2) normalizations of the vertical frame and coframe cancel).
-The coefficient ring is the linear span of {1, x_1..x_6, v_1, v_2}, and
-a coefficient is a 0-form.  Every form maps (monomial, slot) to a nonzero
-int numerator over the form's one denominator: the monomial e^I is a
-9-bit mask with bit k - 1 set for k in I, every permutation sign comes
-from one rule (_merge), and slot 0 is the constant, slots 1..6 are
-x_1..x_6 and slots 7, 8 are v_1, v_2.  Every
-identity verified here is linear in these symbols, and a product of two
-non-constant slots raises NonlinearCoefficient instead of silently
-leaving the ring.
+The coefficient ring is the linear span of {1, x_1..x_6, v_1, v_2}, and a
+coefficient is a 0-form.  Every form maps (monomial, slot) to a nonzero
+int numerator over the form's one denominator: the monomial e^I is a 9-bit
+mask with bit k - 1 set for k in I, every permutation sign comes from one
+rule (_merge), and slot 0 is the constant, slots 1..6 are x_1..x_6 and
+slots 7, 8 are v_1, v_2.  Every identity verified here is linear in these
+symbols, and a product of two non-constant slots raises
+NonlinearCoefficient instead of silently leaving the ring.
 
 Printer grammar (stable, for golden tests)
 ------------------------------------------
@@ -63,9 +63,9 @@ Printer grammar (stable, for golden tests)
     coeff := "" | "-" | scalar | "(" linear combination ")"
 
 Terms are ordered by index tuple.  A vertical factor prints as h_j, the
-metric-dual 1-form; the stored k^j coefficient is multiplied by 2 per
-vertical factor to account for k^j = 2 h_j.  Scalars print as integers
-or "p/q"; composite coefficients print parenthesized with x_i before
+metric-dual 1-form; the stored k^j coefficient is divided by |h_j|^2 per
+vertical factor, since k^j = h_j / |h_j|^2.  Scalars print as integers or
+"p/q"; composite coefficients print parenthesized with x_i before
 v_j, and the v-part is displayed using whichever representative with
 v_3 reintroduced (v_1 + t, v_2 + t, t) minimizes, in order, the number
 of nonzero entries, the sum of absolute values, and the tuple itself.
@@ -159,6 +159,8 @@ BASIS_UNITS: Tuple[Sparse, ...] = (
     {(2, 2): (0, 1)},                   # h_3 = i E_33
 )
 
+_H_NORM = Fraction(1, 2)  # |h_j|^2 = <h_j, h_j>, the vertical metric scale
+
 
 # Psi^- = sum of sign e^abc over these (ascending index triple, sign) terms
 _PSI_MINUS_TERMS = (((2, 3, 6), 1), ((1, 4, 6), -1), ((1, 3, 5), -1), ((2, 4, 5), -1))
@@ -166,14 +168,14 @@ _PSI_MINUS_TERMS = (((2, 3, 6), 1), ((1, 4, 6), -1), ((1, 3, 5), -1), ((2, 4, 5)
 # [u_a, u_b] = sum over c of _BRACKETS[a, b][c] u_c for a < b; pairs that
 # commute are left out.  [e_a, h_j] is branching's _H_ACTION[a, 6 + j],
 # [e_a, e_b]_m = Psi^-(e_a, e_b, .)^sharp, and the h_j part of [e_a, e_b]
-# is <e_a, [e_b, h_j]> / |h_j|^2 = 2 <e_a, [e_b, h_j]>
+# is <e_a, [e_b, h_j]> / |h_j|^2, an integer
 _BRACKETS: Dict[Tuple[int, int], Dict[int, int]] = dict(_H_ACTION)
 for (_a, _b, _c), _s in _PSI_MINUS_TERMS:  # no pair of indices is in two terms
     _BRACKETS[_a, _b], _BRACKETS[_a, _c], _BRACKETS[_b, _c] = {_c: _s}, {_b: -_s}, {_a: _s}
 for (_b, _k), _image in _H_ACTION.items():
     for _a, _q in _image.items():
         if _a < _b:
-            _BRACKETS.setdefault((_a, _b), {})[_k] = 2 * _q
+            _BRACKETS.setdefault((_a, _b), {})[_k] = int(_q / _H_NORM)
 
 
 # --------------------------------------------------------------------------
@@ -266,6 +268,8 @@ class InvariantForm(NamedTuple):
     def make(degree: int, data: Mapping[Tuple[Tuple[int, ...], int], Fraction]) -> "InvariantForm":
         """The one validating constructor: data maps (ascending coframe
         indices, slot) to an int or a Fraction; zero values are dropped."""
+        if type(degree) is not int or not 0 <= degree <= 9:
+            raise ValueError(f"a form's degree is an int in 0..9, not {degree!r}")
         terms = []
         for key, q in data.items():
             if type(key) is not tuple or len(key) != 2 or type(key[0]) is not tuple:
@@ -286,7 +290,7 @@ class InvariantForm(NamedTuple):
 
     @staticmethod
     def zero(degree: int) -> "InvariantForm":
-        return InvariantForm(degree, ())
+        return InvariantForm.make(degree, {})
 
     def slot_numerators(self, *indices: int) -> Tuple[int, ...]:
         """slot_values times the form's denominator: the nine int
@@ -445,15 +449,6 @@ def d(a: InvariantForm) -> InvariantForm:
     return _collect(a.degree + 1, terms, a.denominator)
 
 
-# d(d) = 0 on the coframe and on the symbols is the Jacobi identity of the
-# bracket table and of its action on the coefficients
-for _name, _form in [(f"e^{k}", e(k)) for k in range(1, 10)] + [
-    (name, symbol_form(name)) for name in _SYMBOLS[1:]
-]:
-    if not d(d(_form)).is_zero():
-        raise AssertionError(f"the bracket table fails the Jacobi identity: d(d({_name})) != 0")
-
-
 # --------------------------------------------------------------------------
 # Metric operations (horizontal algebra only)
 
@@ -610,14 +605,32 @@ def basic_check(a: InvariantForm) -> bool:
 # --------------------------------------------------------------------------
 # Model constants
 
-OMEGA = e(1, 2) - e(3, 4) + e(5, 6)
-PSI_PLUS = e(1, 3, 6) + e(2, 4, 6) + e(2, 3, 5) - e(1, 4, 5)
+# omega is the sum of s e^ab over the J-pairs J e^a = s e^b with a < b,
+# and psi^+ = J Psi^-
+OMEGA = InvariantForm.make(2, {((a, b), 0): s for a, (b, s) in _J_IMAGES.items() if a < b})
 PSI_MINUS = InvariantForm.make(3, {(idx, 0): s for idx, s in _PSI_MINUS_TERMS})
+PSI_PLUS = apply_j(PSI_MINUS)
 # the six 2-forms e_i -| Psi^+, i = 1..6
 PSI_PLUS_CONTRACTED = tuple(contract_frame(PSI_PLUS, i) for i in _HORIZONTAL)
 VOLUME = -e(1, 2, 3, 4, 5, 6)
 
-H1, H2, H3 = (e(k) * Fraction(1, 2) for k in (7, 8, 9))
+# the metric duals |h_j|^2 k^j of the vertical frame vectors
+H1, H2, H3 = (e(k) * _H_NORM for k in (7, 8, 9))
+
+# The frame's claims at import, as (message, residual) pairs, each residual
+# checked by an explicit raise that python -O keeps: d(d) = 0 on the coframe
+# and on the symbols is the Jacobi identity of the bracket table and of its
+# action on the coefficients, and the nearly Kahler normal form ties omega
+# and psi^+, derived from J and Psi^-, to the brackets
+for _claim, _residual in [
+    *((f"the bracket table fails the Jacobi identity: d(d({n})) != 0", d(d(f))) for n, f in
+      [(f"e^{k}", e(k)) for k in range(1, 10)] + [(s, symbol_form(s)) for s in _SYMBOLS[1:]]),
+    ("the normal form fails: d(omega) != 3 psi^+", d(OMEGA) - PSI_PLUS * 3),
+    ("the normal form fails: d(psi^-) != -2 omega^omega", d(PSI_MINUS) + wedge(OMEGA, OMEGA) * 2),
+    ("the normal form fails: psi^+ ^ psi^- != 4 vol", wedge(PSI_PLUS, PSI_MINUS) - VOLUME * 4),
+]:
+    if not _residual.is_zero():
+        raise AssertionError(_claim)
 
 
 # --------------------------------------------------------------------------
@@ -630,14 +643,11 @@ _X_FLAT = InvariantForm.make(1, {((i,), i): 1 for i in _HORIZONTAL})
 
 
 class KillingData(NamedTuple):
-    """Symbolic forms attached to a Killing field of the flag manifold:
-    the dual 1-form, its rotation, the auxiliary a_i / Ja_i fields, the
-    v-template 2-form phi_v and the primitive (1,1) part phi_k of d(xi)."""
+    """Symbolic Killing-field forms of the flag manifold: the dual 1-form,
+    its rotation, the 2-form phi_v and the primitive (1,1) part phi_k of d(xi)."""
 
     xi_flat: InvariantForm
     j_xi_flat: InvariantForm
-    a: Tuple[InvariantForm, InvariantForm, InvariantForm]
-    ja: Tuple[InvariantForm, InvariantForm, InvariantForm]
     phi_v: InvariantForm
     phi_k: InvariantForm
 
@@ -648,13 +658,8 @@ def killing_data() -> KillingData:
     symbols hold for every xi in su_3 simultaneously, and killing_values
     evaluates the symbols at a concrete xi.  The forms are built once per
     process and the same immutable object is returned on every call."""
-    x = [symbol_form(f"x{i}") for i in range(1, 7)]
-    v1, v2, v3 = map(symbol_form, ("v1", "v2", "v3"))
-
-    a = (e(5) * x[5] - e(6) * x[4], e(4) * x[2] - e(3) * x[3], e(1) * x[1] - e(2) * x[0])
-    phi_v = e(5, 6) * v1 - e(3, 4) * v2 + e(1, 2) * v3
-    phi_k = type_decompose(d(_X_FLAT))[0]
-    return KillingData(_X_FLAT, apply_j(_X_FLAT), a, tuple(map(apply_j, a)), phi_v, phi_k)
+    phi_v = e(5, 6) * symbol_form("v1") - e(3, 4) * symbol_form("v2") + e(1, 2) * symbol_form("v3")
+    return KillingData(_X_FLAT, apply_j(_X_FLAT), phi_v, type_decompose(d(_X_FLAT))[0])
 
 
 def killing_values(xi: Sparse, g: Sparse) -> Dict[str, Fraction]:
@@ -735,7 +740,7 @@ def format_form(a: InvariantForm) -> str:
     """Render a form in the documented grammar (see module docstring)."""
     rendered = []
     for mask in dict.fromkeys(mask for (mask, _), _ in a.terms):
-        scale = 2 ** (mask >> 6).bit_count()
+        scale = _H_NORM ** -(mask >> 6).bit_count()  # k^j = h_j / |h_j|^2
         coords = [q * scale if q else q for q in a.slot_values(*_INDICES[mask])]
         parts = _coefficient_parts(coords)
         atoms = _format_atoms(mask)

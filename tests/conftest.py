@@ -1,10 +1,12 @@
 """Oracles and the subprocess harness shared by more than one test
 module."""
 
+import itertools
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -163,11 +165,12 @@ def naive_mul():
     return _naive_mul
 
 
-def _run_python(args, *flags):
-    """Run `python *flags *args` in a fresh interpreter that imports this
-    checkout, with stdout and stderr captured as bytes."""
-    src = os.path.dirname(os.path.dirname(nkspectra.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
+def _run_python(args, *flags, src=None):
+    """Run `python *flags *args` in a fresh interpreter that imports the
+    package under src (this checkout's by default), with stdout and stderr
+    captured as bytes."""
+    src = src or os.path.dirname(os.path.dirname(nkspectra.__file__))
+    env = dict(os.environ, PYTHONPATH=str(src))
     return subprocess.run(
         [sys.executable, *flags, *args], capture_output=True, env=env, timeout=60
     )
@@ -176,3 +179,37 @@ def _run_python(args, *flags):
 @pytest.fixture(scope="session")
 def run_python():
     return _run_python
+
+
+@pytest.fixture
+def run_planted(tmp_path):
+    """run_planted(module, plant, fault, script, flags) runs `python *flags
+    -c script` against a fresh copy of the package in which the module's
+    source has its one occurrence of the plant text replaced by the fault."""
+    copies = itertools.count()
+
+    def run(module, plant, fault, script, flags):
+        target = Path(module.__file__)
+        package = tmp_path / str(next(copies)) / "nkspectra"
+        package.mkdir(parents=True)
+        for path in target.parent.glob("*.py"):
+            text = path.read_text(encoding="utf-8")
+            if path == target:
+                assert text.count(plant) == 1, plant
+                text = text.replace(plant, fault)
+            (package / path.name).write_text(text, encoding="utf-8")
+        return _run_python(["-c", script], *flags, src=package.parent)
+
+    return run
+
+
+@pytest.fixture(scope="session")
+def auxiliary_fields():
+    """The Killing field's auxiliary 1-forms (a_1, a_2, a_3), written out
+    by hand, with d v_1 = a_2 - a_3 and cyclically, and their rotations
+    (J a_1, J a_2, J a_3)."""
+    from nkspectra.dga import apply_j, e, symbol_form
+
+    x = [symbol_form(f"x{i}") for i in range(1, 7)]
+    a = (e(5) * x[5] - e(6) * x[4], e(4) * x[2] - e(3) * x[3], e(1) * x[1] - e(2) * x[0])
+    return a, tuple(map(apply_j, a))

@@ -98,7 +98,7 @@ def test_criterion_06_adjoint_restriction_six_summands():
     ]
 
 
-def test_criterion_07_structure_equation_regression():
+def test_criterion_07_structure_equation_regression(auxiliary_fields):
     # coframe differentials
     assert (d(e(1)) - (wedge(e(2), H1) * -2 + wedge(e(2), H2) * 2 + e(3, 5) + e(4, 6))).is_zero()
     assert (d(e(2)) - (wedge(e(1), H1) * 2 - wedge(e(1), H2) * 2 - e(3, 6) + e(4, 5))).is_zero()
@@ -114,12 +114,10 @@ def test_criterion_07_structure_equation_regression():
     assert (d(e(3, 4)) + PSI_PLUS).is_zero()
     assert (d(e(5, 6)) - PSI_PLUS).is_zero()
     # coefficient symbols
-    kd = killing_data()
-    a1, a2, a3 = kd.a
+    (a1, a2, a3), (ja1, ja2, ja3) = auxiliary_fields
     assert (d(symbol_form("v1")) - (a2 - a3)).is_zero()
     assert (d(symbol_form("v2")) - (a3 - a1)).is_zero()
     assert (d(symbol_form("v3")) - (a1 - a2)).is_zero()
-    ja1, ja2, ja3 = kd.ja
     v1, v2, v3 = (symbol_form(s) for s in ("v1", "v2", "v3"))
     assert (d(ja1) - contract_vector(-a1 + a2 + a3, PSI_PLUS) - e(5, 6) * ((v2 - v3) * Fraction(4))).is_zero()
     assert (d(ja2) - contract_vector(a1 - a2 + a3, PSI_PLUS) - e(3, 4) * ((v1 - v3) * Fraction(4))).is_zero()

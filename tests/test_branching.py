@@ -1,11 +1,7 @@
 """Isotropy fibers and Hom_K multiplicities for the three spaces."""
 
-import os
-import subprocess
-import sys
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -495,23 +491,6 @@ def test_isotropy_checks_fire_under_dash_O(run_python):
     ]
 
 
-def _run_planted(tmp_path, plant, fault, script, flags):
-    """Run the script under python *flags against a copy of the package
-    whose branching.py has the plant text replaced by the fault."""
-    source = Path(branching.__file__).read_text(encoding="utf-8")
-    package = tmp_path / "nkspectra"
-    package.mkdir(parents=True)
-    for path in Path(branching.__file__).parent.glob("*.py"):
-        (package / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
-    assert source.count(plant) == 1, plant
-    (package / "branching.py").write_text(source.replace(plant, fault), encoding="utf-8")
-    return subprocess.run(
-        [sys.executable, *flags, "-c", script],
-        capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=str(tmp_path)),
-    )
-
-
 # wrong (1,0) tangent modules whose (1,1) fibers stay 8-dimensional: E(0,-4)
 # in place of E(0,-2) on CP3, which only the isotropy Casimirs see, and on
 # the flag the pair (e_5, e_6) turned round in h's action, whose roots
@@ -536,7 +515,7 @@ _WRONG_TANGENTS = {
 
 @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "dash-O"])
 @pytest.mark.parametrize("space", list(_WRONG_TANGENTS))
-def test_a_wrong_tangent_module_fails_the_casimir_check(space, flags, tmp_path):
+def test_a_wrong_tangent_module_fails_the_casimir_check(space, flags, run_planted):
     # the Casimir check reads the tangent modules the Hom counts read, in
     # a copy of the package with one of them planted; it and the flag's
     # root check are explicit raises, so python -O keeps them
@@ -547,9 +526,9 @@ def test_a_wrong_tangent_module_fails_the_casimir_check(space, flags, tmp_path):
         "print('fibers built')\n"
         f"spectrum.scal_normalization_check(spectrum.Space({space!r}))\n"
     )
-    proc = _run_planted(tmp_path, plant, fault, script, flags)
-    assert (proc.returncode, proc.stdout) == (1, stdout), proc.stderr
-    assert proc.stderr.splitlines()[-1] == f"AssertionError: {message}"
+    proc = run_planted(branching, plant, fault, script, flags)
+    assert (proc.returncode, proc.stdout.decode()) == (1, stdout), proc.stderr
+    assert proc.stderr.decode().splitlines()[-1] == f"AssertionError: {message}"
 
 
 def _weight_inner_isotropy_casimirs(space):
@@ -577,7 +556,7 @@ def test_isotropy_casimirs_match_the_weight_inner_formula(space):
     assert casimirs == [Fraction(-1, 3)] * len(casimirs)
 
 
-def test_each_flipped_h_action_sign_fails_at_import(tmp_path):
+def test_each_flipped_h_action_sign_fails_at_import(run_planted):
     # the flag's m^(1,0) weights are derived at import from h's action on m
     # and J, and come out as the roots e_1 - e_2, e_2 - e_3, e_3 - e_1.  A
     # sign flipped in any one of the twelve [e_a, h_j] changes the weight
@@ -590,15 +569,15 @@ def test_each_flipped_h_action_sign_fails_at_import(tmp_path):
         for b, q in image.items()
     ]
     assert len(flips) == 12
-    for n, (plant, fault) in enumerate(flips):
+    for plant, fault in flips:
         for flags in ((), ("-O",)):
-            where = tmp_path / f"{n}-{len(flags)}"
-            proc = _run_planted(where, plant, fault, "import nkspectra", flags)
+            proc = run_planted(branching, plant, fault, "import nkspectra", flags)
+            stderr = proc.stderr.decode()
             assert proc.returncode == 1, (plant, flags)
-            assert proc.stderr.count("Traceback") == 1, proc.stderr
-            assert proc.stderr.splitlines()[-1].startswith(
+            assert stderr.count("Traceback") == 1, stderr
+            assert stderr.splitlines()[-1].startswith(
                 "AssertionError: flag: the J-pair weights ["
-            ), (plant, flags, proc.stderr)
+            ), (plant, flags, stderr)
 
 
 def _so5_rotation(i, j):

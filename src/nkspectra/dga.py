@@ -32,7 +32,8 @@ Coframe indices 1..6 are the unit horizontal 1-forms e^1..e^6; indices 7,
 8, 9 are the algebraic duals k^1, k^2, k^3 of h_1, h_2, h_3 (so k^j(h_i)
 is the Kronecker delta).  The metric dual of the vector h_j is the 1-form
 |h_j|^2 k^j; these are exposed as H1, H2, H3 and are the "h_j" appearing
-in the structure equations.  Orientation: the volume form is -e_123456.
+in the structure equations.  hodge_star reads the orientation from
+VOLUME = -e_123456, and inner, contract_vector and alpha are star formulas.
 
 Coefficient functions: fix xi in su_3 and let X be the right-invariant
 field it generates.  For W in u_3 the function c_W(g) = <Ad(g^{-1}) xi, W>
@@ -248,12 +249,6 @@ def _collect(degree: int, terms: Iterable[Term], denominator: int = 1) -> Invari
     return InvariantForm(degree, tuple(kept), denominator)
 
 
-def _over(denominator: int, a: InvariantForm) -> Tuple[Term, ...]:
-    """The terms of a with numerators over a multiple of its denominator."""
-    k = denominator // a.denominator
-    return a.terms if k == 1 else tuple((key, k * q) for key, q in a.terms)
-
-
 class InvariantForm(NamedTuple):
     """Homogeneous invariant form: ((mask, slot), numerator) pairs in the
     order of (index tuple, slot), with nonzero int numerators over one
@@ -323,7 +318,10 @@ class InvariantForm(NamedTuple):
         if self.degree != o.degree:
             raise ValueError("degree mismatch in sum")
         den = lcm(self.denominator, o.denominator)
-        return _collect(self.degree, _over(den, self) + _over(den, o), den)
+        if self.denominator == o.denominator:  # the common case, nothing to rescale
+            return _collect(self.degree, self.terms + o.terms, den)
+        terms = ((key, den // f.denominator * q) for f in (self, o) for key, q in f.terms)
+        return _collect(self.degree, terms, den)
 
     def __radd__(self, o) -> NoReturn:
         # reached only when o is not a form; returning NotImplemented
@@ -384,10 +382,10 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
     if a.degree + b.degree > 9:
         raise ValueError("wedge degree exceeds coframe dimension")
     terms = (
-        ((ma | mb, _times(sa, sb)), sign * qa * qb)
+        ((ma | mb, _times(sa, sb)), _merge(ma, mb) * qa * qb)
         for (ma, sa), qa in a.terms
         for (mb, sb), qb in b.terms
-        if (sign := _merge(ma, mb))  # before the slots multiply
+        if not ma & mb  # before the slots multiply
     )
     return _collect(a.degree + b.degree, terms, a.denominator * b.denominator)
 
@@ -453,20 +451,25 @@ def d(a: InvariantForm) -> InvariantForm:
 # Metric operations (horizontal algebra only)
 
 _HORIZONTAL = (1, 2, 3, 4, 5, 6)
+# the volume form of the unit e-coframe, the one statement of the orientation
+VOLUME = -e(1, 2, 3, 4, 5, 6)
 
 
 def _require_horizontal(a: InvariantForm, op: str) -> None:
+    if not isinstance(a, InvariantForm):
+        raise TypeError(f"{op} takes an InvariantForm, not {type(a).__name__}")
     if not a.is_horizontal():
         raise VerticalComponent(f"{op} is defined on horizontal forms only")
 
 
 def hodge_star(a: InvariantForm) -> InvariantForm:
-    """Hodge star for the orthonormal e-coframe, volume form -e_123456."""
+    """Hodge star of the unit e-coframe: *e^I = s e^C, C the complement of
+    I, with e^I ^ *e^I = VOLUME for every monomial e^I."""
     _require_horizontal(a, "hodge_star")
     if a.degree > 6:
         raise ValueError("horizontal degree exceeds 6")
-    # e^I goes to -s e^C, C the complement of I and e^I ^ e^C = s e_123456
-    terms = (((0b111111 ^ m, s), -_merge(m, 0b111111 ^ m) * q) for (m, s), q in a.terms)
+    ((full, _), orientation), = VOLUME.terms  # VOLUME = orientation e^123456
+    terms = (((full ^ m, s), orientation * _merge(m, full ^ m) * q) for (m, s), q in a.terms)
     return _collect(6 - a.degree, terms, a.denominator)
 
 
@@ -487,19 +490,12 @@ def laplacian(a: InvariantForm) -> InvariantForm:
 
 
 def inner(a: InvariantForm, b: InvariantForm) -> InvariantForm:
-    """Pointwise inner product of two horizontal forms of equal degree,
-    as a 0-form."""
+    """Pointwise inner product *(a ^ *b) of horizontal p-forms, a 0-form."""
     _require_horizontal(a, "inner")
     _require_horizontal(b, "inner")
     if a.degree != b.degree:
         raise ValueError("degree mismatch in inner product")
-    terms = (
-        ((0, _times(sa, sb)), qa * qb)
-        for (ma, sa), qa in a.terms
-        for (mb, sb), qb in b.terms
-        if ma == mb
-    )
-    return _collect(0, terms, a.denominator * b.denominator)
+    return hodge_star(wedge(a, hodge_star(b)))
 
 
 # --------------------------------------------------------------------------
@@ -531,44 +527,35 @@ def contract_frame(a: InvariantForm, frame_index: int) -> InvariantForm:
 
 
 def contract_vector(v: InvariantForm, a: InvariantForm) -> InvariantForm:
-    """Interior product a(V, ...) where V is the metric dual of the
-    horizontal 1-form v (on the unit e-coframe sharp is index-wise)."""
+    """Interior product a(V, ...) = *(v ^ *a), V the metric dual of v."""
+    _require_horizontal(v, "contract_vector")
+    _require_horizontal(a, "contract_vector")
     if v.degree != 1:
         raise ValueError("contraction direction must be a 1-form")
-    _require_horizontal(v, "contract_vector")
     if a.degree == 0:
         raise ValueError("a 0-form has no interior product")
-    terms = (
-        ((mask, _times(sv, s)), qv * q)
-        for (mv, sv), qv in v.terms
-        for (mask, s), q in _over(a.denominator, contract_frame(a, *_INDICES[mv]))
-    )
-    return _collect(a.degree - 1, terms, v.denominator * a.denominator)
+    return hodge_star(wedge(v, hodge_star(a)))
 
 
 def alpha(beta: InvariantForm) -> InvariantForm:
     """Metric adjoint of X -> X -| Psi^+: a 2-form to 1-form map with
     alpha(X -| Psi^+) = 2 X."""
+    _require_horizontal(beta, "alpha")
     if beta.degree != 2:
         raise ValueError("alpha takes 2-forms")
-    _require_horizontal(beta, "alpha")
-    # PSI_PLUS_CONTRACTED is integral, so each inner product's denominator
-    # divides beta's
-    terms = (
-        ((1 << (i - 1), slot), q)
-        for i in _HORIZONTAL
-        for (_, slot), q in _over(beta.denominator, inner(beta, PSI_PLUS_CONTRACTED[i - 1]))
-    )
-    return _collect(1, terms, beta.denominator)
+    # alpha(beta) = sum of <beta, e_i -| Psi^+> e^i, where e_i -| Psi^+ =
+    # *(e^i ^ *Psi^+) and *Psi^+ = Psi^- because psi^+ ^ psi^- = 4 vol =
+    # |psi^+|^2 vol (an explicit raise at import); the sum is -*(beta ^ Psi^-)
+    return -hodge_star(wedge(beta, PSI_MINUS))
 
 
 def type_decompose(a: InvariantForm) -> Tuple[InvariantForm, InvariantForm, InvariantForm]:
     """Orthogonal splitting of a horizontal 2-form into primitive (1,1),
     (2,0)+(0,2) and trace parts.  The (2,0)+(0,2) part is also computed
     as (alpha(a)/2) -| Psi^+, and a mismatch raises AssertionError."""
+    _require_horizontal(a, "type_decompose")
     if a.degree != 2:
         raise ValueError("type decomposition takes 2-forms")
-    _require_horizontal(a, "type_decompose")
     ja = apply_j(a)
     invariant = (a + ja) * Fraction(1, 2)
     anti = (a - ja) * Fraction(1, 2)
@@ -612,7 +599,6 @@ PSI_MINUS = InvariantForm.make(3, {(idx, 0): s for idx, s in _PSI_MINUS_TERMS})
 PSI_PLUS = apply_j(PSI_MINUS)
 # the six 2-forms e_i -| Psi^+, i = 1..6
 PSI_PLUS_CONTRACTED = tuple(contract_frame(PSI_PLUS, i) for i in _HORIZONTAL)
-VOLUME = -e(1, 2, 3, 4, 5, 6)
 
 # the metric duals |h_j|^2 k^j of the vertical frame vectors
 H1, H2, H3 = (e(k) * _H_NORM for k in (7, 8, 9))

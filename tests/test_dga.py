@@ -532,6 +532,91 @@ def test_inner_product_values():
     assert inner(e(1, 2), e(3, 4)).is_zero()
 
 
+def test_hodge_star_reads_the_orientation_from_volume(monkeypatch):
+    # the star carried its own leading minus apart from VOLUME; now VOLUME
+    # is the one statement of the orientation, and turning it round turns
+    # the star round
+    monkeypatch.setattr(dga, "VOLUME", e(1, 2, 3, 4, 5, 6))
+    assert hodge_star(scalar_form(1)) == e(1, 2, 3, 4, 5, 6)
+    assert hodge_star(e(1)) == e(2, 3, 4, 5, 6)
+
+
+# The term loops that computed inner, contract_vector and alpha before they
+# became the star formulas *(a ^ *b), *(v ^ *a) and -*(beta ^ Psi^-), kept
+# as oracles
+
+
+def _over(denominator, a):
+    """The terms of a with numerators over a multiple of its denominator."""
+    return tuple((key, denominator // a.denominator * q) for key, q in a.terms)
+
+
+def _inner_loop(a, b):
+    terms = (
+        ((0, dga._times(sa, sb)), qa * qb)
+        for (ma, sa), qa in a.terms
+        for (mb, sb), qb in b.terms
+        if ma == mb
+    )
+    return dga._collect(0, terms, a.denominator * b.denominator)
+
+
+def _contract_vector_loop(v, a):
+    terms = (
+        ((mask, dga._times(sv, s)), qv * q)
+        for (mv, sv), qv in v.terms
+        for (mask, s), q in _over(a.denominator, contract_frame(a, *dga._INDICES[mv]))
+    )
+    return dga._collect(a.degree - 1, terms, v.denominator * a.denominator)
+
+
+def _alpha_loop(beta):
+    terms = (
+        ((1 << (i - 1), slot), q)
+        for i in range(1, 7)
+        for (_, slot), q in _over(
+            beta.denominator, _inner_loop(beta, dga.PSI_PLUS_CONTRACTED[i - 1])
+        )
+    )
+    return dga._collect(1, terms, beta.denominator)
+
+
+def _random_horizontal(rng, degree, symbolic):
+    """A horizontal form of 1..4 terms with rational coefficients, in any
+    slot when symbolic and in the constant slot otherwise."""
+    data = {}
+    for _ in range(rng.randint(1, 4)):
+        idx = tuple(sorted(rng.sample(range(1, 7), degree)))
+        slot = rng.randrange(9) if symbolic else 0
+        data[idx, slot] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return InvariantForm.make(degree, data)
+
+
+def test_the_star_formulas_match_the_term_loops():
+    # equal stored terms and denominators, with the symbols on either side
+    rng = random.Random(20261020)
+    checked = 0
+    for degree in range(7):
+        for _ in range(30):
+            symbolic = rng.random() < 0.5
+            a = _random_horizontal(rng, degree, symbolic)
+            b = _random_horizontal(rng, degree, not symbolic)
+            assert inner(a, b) == _inner_loop(a, b), (a, b)
+            checked += 1
+    for degree in range(1, 7):
+        for _ in range(30):
+            symbolic = rng.random() < 0.5
+            v = _random_horizontal(rng, 1, symbolic)
+            a = _random_horizontal(rng, degree, not symbolic)
+            assert contract_vector(v, a) == _contract_vector_loop(v, a), (v, a)
+            checked += 1
+    for _ in range(60):
+        beta = _random_horizontal(rng, 2, rng.random() < 0.5)
+        assert alpha(beta) == _alpha_loop(beta), beta
+        checked += 1
+    assert checked == 450
+
+
 def test_slot_values_read_with_the_sorting_sign():
     form = e(1, 2) * X[0] - e(1, 2) * 3
     zeros = (Fraction(0),) * 9
@@ -598,8 +683,9 @@ def test_alpha_inverts_the_contraction_up_to_two():
 
 
 def test_alpha_reads_the_contractions_built_at_import(run_python):
-    # the six e_i -| Psi+ are constants; every suite together called
-    # alpha 14 times, and rebuilding them cost 84 contract_frame calls
+    # the six e_i -| Psi+ are constants, and alpha, now -*(beta ^ Psi^-),
+    # needs none of them; rebuilding them per call cost 84 contract_frame
+    # calls over every suite
     script = (
         "import sys\n"
         "from nkspectra import nkcheck\n"
@@ -747,6 +833,48 @@ def test_vertical_component_guards():
     # laplacian exists downstairs
     with pytest.raises(VerticalComponent):
         laplacian(symbol_form("x1"))
+
+
+@pytest.mark.parametrize(
+    "op, call",
+    [
+        ("contract_vector", lambda: contract_vector(e(1), e(1, 7))),
+        ("contract_vector", lambda: contract_vector(e(7), OMEGA)),
+        ("alpha", lambda: alpha(e(1, 7))),
+        ("type_decompose", lambda: type_decompose(e(1, 7))),
+        ("inner", lambda: inner(OMEGA, e(1, 7))),
+    ],
+    ids=["contract_vector-form", "contract_vector-direction", "alpha", "type_decompose", "inner"],
+)
+def test_vertical_input_names_the_operation_called(op, call):
+    # contract_vector(e(1), e(1, 7)) printed 2 h_1, and alpha and inner
+    # reach hodge_star, whose refusal would otherwise name it
+    with pytest.raises(VerticalComponent) as err:
+        call()
+    assert str(err.value) == f"{op} is defined on horizontal forms only"
+
+
+_FORM_OPERATIONS = {
+    "hodge_star": lambda x: hodge_star(x),
+    "inner-left": lambda x: inner(x, OMEGA),
+    "inner-right": lambda x: inner(OMEGA, x),
+    "apply_j": lambda x: apply_j(x),
+    "contract_vector-direction": lambda x: contract_vector(x, OMEGA),
+    "contract_vector-form": lambda x: contract_vector(e(1), x),
+    "alpha": lambda x: alpha(x),
+    "type_decompose": lambda x: type_decompose(x),
+}
+
+
+@pytest.mark.parametrize("other", [3, "x", None, Fraction(1, 2), (2, ())], ids=repr)
+@pytest.mark.parametrize("name", list(_FORM_OPERATIONS))
+def test_the_metric_operations_refuse_anything_but_a_form(name, other):
+    # each ended in AttributeError: 'int' object has no attribute 'degree'
+    # or 'is_horizontal'
+    with pytest.raises(TypeError) as err:
+        _FORM_OPERATIONS[name](other)
+    op = name.split("-")[0]
+    assert str(err.value) == f"{op} takes an InvariantForm, not {type(other).__name__}"
 
 
 def test_degree_validation():

@@ -186,6 +186,32 @@ def test_every_imported_name_is_used():
             assert _unused_imports(path) == [], path.name
 
 
+def test_every_private_name_is_read():
+    # a module-level _name (a helper, a table, a loop variable) that no
+    # source file reads is dead code; __dunder__ names and _ are exempt
+    defined, read = {}, set()
+    for path in sorted((ROOT / "src" / "nkspectra").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            else:
+                names = [
+                    node.id for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+                ]
+            for name in names:
+                if name.startswith("_") and not name.startswith("__") and name != "_":
+                    defined.setdefault(name, path.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert len(defined) > 50
+    assert {name: defined[name] for name in sorted(set(defined) - read)} == {}
+
+
 def test_only_dga_reads_the_stored_terms():
     # the (mask, slot) key format is dga's own; every other module reads a
     # form through slot_values, constant_part or format_form

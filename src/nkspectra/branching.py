@@ -39,6 +39,7 @@ from typing import Dict, List, NamedTuple, Tuple
 from .rootrep import (
     Group,
     IrrepLabel,
+    _LIE_DIMENSION,
     _check_irrep,
     _scaled_casimir,
     dimension,
@@ -74,10 +75,10 @@ class HomogeneousSpace(NamedTuple):
     isometry_dim: int
 
 
+# the isometry group of each space, in Space order
 _SPACES = {
-    Space.S3XS3: HomogeneousSpace(Space.S3XS3, Group.SU2_CUBED, 9),
-    Space.CP3: HomogeneousSpace(Space.CP3, Group.SO5, 10),
-    Space.FLAG: HomogeneousSpace(Space.FLAG, Group.SU3, 8),
+    space: HomogeneousSpace(space, group, _LIE_DIMENSION[group])
+    for space, group in zip(Space, (Group.SU2_CUBED, Group.SO5, Group.SU3))
 }
 
 
@@ -291,36 +292,36 @@ def restrict_so5_to_u2(irrep: IrrepLabel) -> List[Tuple[U2Label, int]]:
 
 
 # Kostant's formulas (Humphreys, GTM 9, section 24; Knapp, Lie Groups
-# Beyond an Introduction, Ch. IX).  A multiplicity at mu is the signed sum
-# over the Weyl group of P(w(lambda + rho) - (mu + rho)), where P counts
+# Beyond an Introduction, Ch. IX).  A multiplicity at mu is the sum over
+# the Weyl group of det(w) P(w(lambda + rho) - (mu + rho)), where P counts
 # the ways to write a vector as a sum of a fixed set of positive roots.
 # Both sets used here are {beta1, beta2, beta1 + beta2}: the positive
 # roots of su3 for the weight multiplicities, and the so5 roots e1, e2,
-# e1 + e2 outside u2 for the branching.  Weyl tables hold (sign, matrix)
-# pairs acting on integer beta1, beta2 coordinates, scaled by 3 for su3
-# and by 2 for so5 so that lambda + rho and mu + rho are integral.
+# e1 + e2 outside u2 for the branching.  Each Weyl group is generated at
+# import, as (det w, w) pairs of integer matrices on beta1, beta2
+# coordinates; the points are scaled by 3 for su3 and by 2 for so5 so that
+# lambda + rho and mu + rho are integral.
 
-# su3 on simple-root coordinates; s1(x, y) = (y - x, y), s2(x, y) = (x, x - y)
-_SU3_WEYL = (
-    (1, ((1, 0), (0, 1))),
-    (-1, ((-1, 1), (0, 1))),
-    (-1, ((1, 0), (1, -1))),
-    (1, ((0, -1), (1, -1))),
-    (1, ((-1, 1), (-1, 0))),
-    (-1, ((0, -1), (-1, 0))),
-)
+def _weyl_group(order: int, *generators) -> Tuple:
+    """(det w, w) for the elements w that the 2x2 integer generators span."""
+    elements = [((1, 0), (0, 1))]
+    # discovery order: each element found, times each generator on the right
+    for (a, b), (c, d) in elements:
+        for (p, q), (r, s) in generators:
+            m = ((a * p + b * r, a * q + b * s), (c * p + d * r, c * q + d * s))
+            if m not in elements:
+                elements.append(m)
+        if len(elements) > order:  # a wrong generator may span an infinite group
+            break
+    if len(elements) != order:
+        raise AssertionError(f"the Weyl generators {generators} do not span {order} elements")
+    return tuple((a * d - b * c, ((a, b), (c, d))) for (a, b), (c, d) in elements)
 
-# so5 on epsilon coordinates: the eight signed permutations
-_SO5_WEYL = (
-    (1, ((1, 0), (0, 1))),
-    (-1, ((0, 1), (1, 0))),
-    (-1, ((-1, 0), (0, 1))),
-    (-1, ((1, 0), (0, -1))),
-    (1, ((-1, 0), (0, -1))),
-    (1, ((0, -1), (1, 0))),
-    (1, ((0, 1), (-1, 0))),
-    (-1, ((0, -1), (-1, 0))),
-)
+
+# su3 on simple-root coordinates, s1(x, y) = (y - x, y) and s2(x, y) = (x, x - y);
+# so5 on epsilon coordinates, the coordinate swap and the two sign changes
+_SU3_WEYL = _weyl_group(6, ((-1, 1), (0, 1)), ((1, 0), (1, -1)))
+_SO5_WEYL = _weyl_group(8, ((0, 1), (1, 0)), ((-1, 0), (0, 1)), ((1, 0), (0, -1)))
 
 
 def _partition(x: int, y: int) -> int:

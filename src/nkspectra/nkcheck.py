@@ -163,7 +163,7 @@ def verify_pointwise_identities() -> VerificationReport:
     x_wedge_psi = wedge(x, PSI_PLUS)
     om2 = wedge(OMEGA, OMEGA)
     # beta_i = (J e_i) -| Psi+, so A_{e_i} theta = -(theta -| beta_i)
-    beta = [a_two_form([Fraction(int(k == i)) for k in range(6)]) for i in range(6)]
+    beta = [_a_form(e(i)) for i in range(1, 7)]
 
     # |A_X|^2 = 2|X|^2 on a few dense rational vectors; slot k of the
     # residual is the one at sample k

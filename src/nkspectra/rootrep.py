@@ -16,12 +16,12 @@ Euclidean pairing of canonical representatives:
     su3        :  <l, m> = (1/6) l.m      on sum-zero representatives
 
 The su2 scale 1/8 comes from B = 4 tr on su2, so that the Casimir of
-Sym^k E with respect to -B is -k(k+2)/8.  For so5 (B = 3 tr) and su3
-(B = 6 tr) the scale works out to 1/6 in both cases; the derivations are
-spelled out in the docstring of weight_inner and cross-checked against
-explicit matrix models in the test suite.  Note that for su3 the
-Euclidean pairing must be evaluated on sum-zero representatives: raw
-coordinate dot products overshoot by (sum l)(sum m)/3.
+Sym^k E with respect to -B is -k(k+2)/8, and so5 (B = 3 tr) and su3
+(B = 6 tr) both get 1/6.  The module derives every scale from the roots
+by the strange formula <rho, rho> = dim g / 24, and the test suite checks
+them against explicit matrix models.  For su3 the Euclidean pairing must
+be evaluated on sum-zero representatives: raw coordinate dot products
+overshoot by (sum l)(sum m)/3.
 
 The spectrum path reads eigenvalues, dimensions, Casimirs and the label
 walk off integers in the label coordinates instead; the weights above
@@ -55,7 +55,6 @@ class Group(Enum):
 # (~150 ns), so the per-label paths read this module-level alias instead
 _SO5 = Group.SO5
 
-_AMBIENT = {Group.SU2: 1, Group.SU2_CUBED: 3, Group.SO5: 2, Group.SU3: 3}
 _RANK = {Group.SU2: 1, Group.SU2_CUBED: 3, Group.SO5: 2, Group.SU3: 2}
 
 
@@ -161,8 +160,12 @@ _POSITIVE_ROOTS = {
     Group.SU3: ((1, -1, 0), (1, 0, -1), (0, 1, -1)),
 }
 
-# 2 rho, the integer sum of the positive roots
+# The rest of each family's data follows from its roots and rank: the
+# ambient coordinates, 2 rho (the integer sum of the positive roots) and
+# dim g = rank + 2 |positive roots|
+_AMBIENT = {group: len(roots[0]) for group, roots in _POSITIVE_ROOTS.items()}
 _TWO_RHO = {group: tuple(map(sum, zip(*roots))) for group, roots in _POSITIVE_ROOTS.items()}
+_LIE_DIMENSION = {group: _RANK[group] + 2 * len(roots) for group, roots in _POSITIVE_ROOTS.items()}
 
 _ROOT_SYSTEMS = {
     group: RootSystem(group, roots, tuple(Fraction(c, 2) for c in _TWO_RHO[group]))
@@ -179,8 +182,10 @@ def root_system(group: Group) -> RootSystem:
 # 72 times the -B pairing scale of each family, read by _scaled_casimir and
 # by its oracle weight_inner; six times the eigenvalue for -B/12 is
 # 72 <gamma, gamma + 2 rho>, so every Casimir and the closed-form check
-# below work in integers
-_PAIRING_72 = {Group.SU2: 9, Group.SU2_CUBED: 9, Group.SO5: 12, Group.SU3: 12}
+# below work in integers.  Freudenthal and de Vries' strange formula,
+# <rho, rho> = dim g / 24 for -B, makes it 12 dim g / (2 rho . 2 rho);
+# _check_closed_forms refuses a division that is not exact
+_PAIRING_72 = {g: 12 * _LIE_DIMENSION[g] // sum(c * c for c in r) for g, r in _TWO_RHO.items()}
 
 
 def weight_inner(group: Group, lam, mu) -> Fraction:
@@ -275,8 +280,11 @@ def _check_closed_forms() -> None:
     # their monomial matrix has determinant 4.
     #
     # The Casimir side is _scaled_casimir at the label's scaled highest
-    # weight, so both sides are scaled by n^2 and stay integers.
+    # weight, so both sides are scaled by n^2 and stay integers, and its
+    # scale _PAIRING_72 comes from the roots alone.
     for group in Group:
+        if _PAIRING_72[group] * sum(c * c for c in _TWO_RHO[group]) != 12 * _LIE_DIMENSION[group]:
+            raise AssertionError(f"{group.value}: 12 dim g is not a multiple of 2 rho . 2 rho")
         for labels in itertools.product(range(3), repeat=_RANK[group]):
             if labels[0] < labels[1] if group is Group.SO5 else sum(labels) > 2:
                 continue

@@ -422,6 +422,11 @@ def test_usage_errors_exit_two(capsys):
         (["spectrum", "--space", "cp3", "--cutoff"], "argument --cutoff: expected one argument"),
         (["verify-flag", "--space", "cp3"], "unrecognized arguments: --space cp3"),
         (["all", "--format", "csv"], "csv format is not available for `all`"),
+        (
+            ["spectrum", "--=x"],
+            "ambiguous option: --=x could match --help, --space, --bundle, --cutoff, --format, --output",
+        ),
+        (["-hx"], "argument -h/--help: ignored explicit argument 'x'"),
     ],
     ids=lambda value: " ".join(value) if isinstance(value, list) else "",
 )

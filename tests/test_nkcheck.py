@@ -425,21 +425,21 @@ def test_suite_sizes():
 
 
 def test_model_checks_fire_under_dash_O(run_python):
-    # a doubled A makes its norm and composition checks report FAIL and
-    # `identities` exit 1; index pairs whose primitive (1,1) projections do
-    # not span raise (e^13 and e^24 project to opposite forms).  Both kinds
-    # work under python -O
+    # a doubled A, planted in _a_form where every A_X is built, makes its
+    # norm and composition checks report FAIL and `identities` exit 1;
+    # index pairs whose primitive (1,1) projections do not span raise (e^13
+    # and e^24 project to opposite forms).  Both kinds work under python -O
     script = (
         "import contextlib, io\n"
         "from nkspectra import cli, nkcheck as n\n"
-        "a_two_form = n.a_two_form\n"
-        "n.a_two_form = lambda x: a_two_form(x) * 2\n"
+        "a_form = n._a_form\n"
+        "n._a_form = lambda x: a_form(x) * 2\n"
         "report = n.verify_pointwise_identities()\n"
         "print(' '.join(c.name for c in report.checks if not c.passed))\n"
         "with contextlib.redirect_stdout(io.StringIO()) as table:\n"
         "    code = cli.main(['identities'])\n"
         "print(code, '[FAIL] a1_composition_sum' in table.getvalue())\n"
-        "n.a_two_form = a_two_form\n"
+        "n._a_form = a_form\n"
         "n._PRIMITIVE_PAIRS = tuple((2, 4) if p == (1, 4) else p for p in n._PRIMITIVE_PAIRS)\n"
         "try:\n"
         "    n.verify_pointwise_identities()\n"
@@ -517,7 +517,7 @@ def test_every_pointwise_check_fires_under_dash_O(run_python):
     script = (
         "from nkspectra import nkcheck as n\n"
         "faults = {\n"
-        "    'a_two_form': lambda x, f=n.a_two_form: f(x) * 2,\n"
+        "    '_a_form': lambda x, f=n._a_form: f(x) * 2,\n"
         "    'PSI_PLUS_CONTRACTED': tuple(p * 2 for p in n.PSI_PLUS_CONTRACTED),\n"
         "    'PSI_MINUS': n.PSI_MINUS + n.e(1, 2, 3),\n"
         # a (2,0) part keeps the primitive basis orthogonal to omega

@@ -246,32 +246,49 @@ def _collect(degree: int, terms: Iterable[Term], denominator: int = 1) -> Invari
     if denominator > 1 and (g := gcd(denominator, *(q for _, q in kept))) > 1:
         denominator //= g
         kept = [(key, q // g) for key, q in kept]
-    return InvariantForm(degree, tuple(kept), denominator)
+    return tuple.__new__(InvariantForm, (degree, tuple(kept), denominator))
 
 
-class InvariantForm(NamedTuple):
+_FORM_FIELDS = [("degree", int), ("terms", Tuple[Term, ...]), ("denominator", int)]
+
+
+class InvariantForm(NamedTuple("InvariantForm", _FORM_FIELDS)):
     """Homogeneous invariant form: ((mask, slot), numerator) pairs in the
     order of (index tuple, slot), with nonzero int numerators over one
     positive denominator that shares no factor with all of them; bit k - 1
-    of a mask is the coframe factor k (1..6 horizontal, 7..9 vertical)."""
+    of a mask is the coframe factor k (1..6 horizontal, 7..9 vertical).
+    The constructor, _make and _replace check the fields and normalize the
+    terms; the operators build through _collect, which skips the check."""
 
-    degree: int
-    terms: Tuple[Term, ...]
-    denominator: int = 1
+    __slots__ = ()
+
+    def __new__(cls, degree: int, terms: Tuple[Term, ...], denominator: int = 1):
+        if type(degree) is not int or not 0 <= degree <= 9:
+            raise ValueError(f"a form's degree is an int in 0..9, not {degree!r}")
+        if type(denominator) is not int or denominator < 1:
+            raise ValueError(f"a form's denominator is a positive int, not {denominator!r}")
+        terms = tuple(terms)
+        for (mask, slot), q in terms:
+            if type(mask) is not int or not 0 <= mask < 512 or mask.bit_count() != degree:
+                raise ValueError(f"mask {mask!r} is not a {degree}-form monomial")
+            if type(slot) is not int or not 0 <= slot < len(_SYMBOLS):
+                raise ValueError("a coefficient slot is an int in 0..8")
+            if type(q) is not int:
+                raise ValueError(f"numerator {q!r} is not an int")
+        return _collect(degree, terms, denominator)
+
+    # namedtuple's _make, which _replace calls, would skip __new__
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @staticmethod
     def make(degree: int, data: Mapping[Tuple[Tuple[int, ...], int], Fraction]) -> "InvariantForm":
-        """The one validating constructor: data maps (ascending coframe
-        indices, slot) to an int or a Fraction; zero values are dropped."""
-        if type(degree) is not int or not 0 <= degree <= 9:
-            raise ValueError(f"a form's degree is an int in 0..9, not {degree!r}")
+        """The form whose data maps (ascending coframe indices, slot) to an
+        int or a Fraction; zero values are dropped."""
         terms = []
         for key, q in data.items():
             if type(key) is not tuple or len(key) != 2 or type(key[0]) is not tuple:
                 raise ValueError("a key is an (ascending index tuple, slot) pair")
             idx, slot = key
-            if type(slot) is not int or not 0 <= slot < len(_SYMBOLS):
-                raise ValueError("a coefficient slot is an int in 0..8")
             if type(q) not in (int, Fraction):
                 raise ValueError(f"coefficient {q!r} is not an int or a Fraction")
             if len(idx) != degree:
@@ -281,7 +298,8 @@ class InvariantForm(NamedTuple):
                 raise ValueError("coframe indices must ascend")
             terms.append(((mask, slot), q))
         den = lcm(*(q.denominator for _, q in terms))
-        return _collect(degree, ((k, q.numerator * (den // q.denominator)) for k, q in terms), den)
+        terms = [(k, q.numerator * (den // q.denominator)) for k, q in terms]
+        return InvariantForm(degree, terms, den)
 
     @staticmethod
     def zero(degree: int) -> "InvariantForm":
@@ -334,7 +352,8 @@ class InvariantForm(NamedTuple):
         return self + (-o) if isinstance(o, InvariantForm) else NotImplemented
 
     def __neg__(self) -> "InvariantForm":
-        return InvariantForm(self.degree, tuple((k, -q) for k, q in self.terms), self.denominator)
+        terms = tuple((k, -q) for k, q in self.terms)
+        return tuple.__new__(InvariantForm, (self.degree, terms, self.denominator))
 
     def __mul__(self, s) -> "InvariantForm":
         """Product with a rational, which scales the numerators and the

@@ -107,7 +107,7 @@ class IrrepLabel(NamedTuple("IrrepLabel", [("group", Group), ("labels", Tuple[in
             if n is None:
                 raise ValueError(f"a label's group is a Group, not {group!r}")
             raise ValueError(f"{group} label needs a tuple of {n} entries")
-        for x in labels:  # a loop, not any(): this runs on every walked label
+        for x in labels:  # a loop, not any(): this runs per spectrum entry and iter_labels label
             if type(x) is not int or x < 0:
                 raise ValueError("labels must be nonnegative integers")
         if group is _SO5 and labels[0] < labels[1]:
@@ -269,15 +269,8 @@ def dimension(irrep: IrrepLabel) -> int:
 
 
 def _check_closed_forms() -> None:
-    # Both sides are polynomials of degree <= 2 in the label coordinates.
-    # A polynomial of degree <= k in n variables that vanishes on the
-    # labels with entry sum <= k is zero: on x_n = 0 it vanishes by
-    # induction on n, so it is x_n q, and q, of degree <= k - 1, vanishes
-    # on those labels shifted by one in x_n, so by induction on k.  So
-    # agreeing on the labels with sum <= 2 (3, 10 and 6 of them for su2,
-    # su2^3 and su3) is agreeing everywhere.  so5 labels keep a >= b, and
-    # its six dominant labels with entries <= 2 fix a quadratic instead:
-    # their monomial matrix has determinant 4.
+    # Both sides have degree <= 2 in each label coordinate, and such a
+    # polynomial that vanishes on {0, 1, 2}^rank is zero.
     #
     # The Casimir side is _scaled_casimir at the label's scaled highest
     # weight, so both sides are scaled by n^2 and stay integers, and its
@@ -286,12 +279,10 @@ def _check_closed_forms() -> None:
         if _PAIRING_72[group] * sum(c * c for c in _TWO_RHO[group]) != 12 * _LIE_DIMENSION[group]:
             raise AssertionError(f"{group.value}: 12 dim g is not a multiple of 2 rho . 2 rho")
         for labels in itertools.product(range(3), repeat=_RANK[group]):
-            if labels[0] < labels[1] if group is Group.SO5 else sum(labels) > 2:
-                continue
             n, casimir = _label_casimir(group, labels)
             if n * n * _SIX_LAPLACE[group](*labels) != casimir:
                 raise AssertionError(
-                    f"{group.value} {IrrepLabel(group, labels)}: "
+                    f"{group.value} V({','.join(map(str, labels))}): "
                     "eigenvalue is not the Casimir one"
                 )
 
@@ -378,8 +369,10 @@ def tensor_decompose_su2(a: int, b: int) -> List[Tuple[int, int]]:
     return [(k, 1) for k in range(a + b, abs(a - b) - 1, -2)]
 
 
-# Largest label box a walk may search: three times the 26^3 = 17576
-# su2^3 labels that cutoff 1000 needs, the widest box of the three spaces.
+# The walk refuses a cutoff whose (edge + 1)^rank exceeds this, edge being
+# the first axis label above the cutoff; it then reads edge^rank labels.
+# Three times su2^3's 26^3 = 17576 at cutoff 1000 (the walk reads 25^3),
+# the widest box of the three spaces.
 MAX_LABEL_BOX = 50_000
 
 
@@ -408,18 +401,14 @@ def iter_labels(group: Group, cutoff: Fraction) -> Iterator[IrrepLabel]:
 
 
 def _walk_labels(group: Group, cutoff: Fraction) -> List[Tuple[int, ...]]:
-    """The label tuples of iter_labels, built one axis at a time: each
-    tuple is extended by 0, 1, ... up to the first label with 6 *
-    eigenvalue above floor(6 * cutoff), the later coordinates held at 0.
-    That stop is exact because every form grows with every coordinate,
-    and extending the tuples in order keeps the list lexicographic; so5
-    labels keep a >= b.
+    """The label tuples of iter_labels: the box range(edge)^rank, edge the
+    first axis label above the cutoff, filtered to 6 * eigenvalue <=
+    floor(6 * cutoff) and, for so5, a >= b.  Every form grows with each
+    coordinate and is symmetric once so5 labels are sorted, so no label
+    outside the box is below the cutoff.
 
-    LabelBoxTooLarge is raised before any label is walked when (first
-    axis label above the cutoff + 1) ** rank exceeds MAX_LABEL_BOX.  One
-    axis is enough: every form is symmetric in its coordinates once so5
-    labels are sorted.
-    """
+    LabelBoxTooLarge is raised before any label is walked when
+    (edge + 1) ** rank exceeds MAX_LABEL_BOX."""
     bound = math.floor(6 * exact_cutoff(cutoff))
     rank = _of_group(_RANK, group)
     six = _SIX_LAPLACE[group]
@@ -431,15 +420,7 @@ def _walk_labels(group: Group, cutoff: Fraction) -> List[Tuple[int, ...]]:
                 f"the cutoff needs more {group.value} labels than the "
                 f"label box bound of {MAX_LABEL_BOX}"
             )
-    heads = [()]
-    for axis in range(rank):
-        pad = (0,) * (rank - axis - 1)
-        longer = []
-        for head in heads:
-            stop = head[0] + 1 if group is _SO5 and head else edge
-            n = 0
-            while n < stop and six(*head, n, *pad) <= bound:
-                longer.append(head + (n,))
-                n += 1
-        heads = longer
-    return heads
+    return [
+        labels for labels in itertools.product(range(edge), repeat=rank)
+        if six(*labels) <= bound and (group is not _SO5 or labels[0] >= labels[1])
+    ]

@@ -922,6 +922,20 @@ def test_degree_validation():
             build()
 
 
+def test_a_raw_form_is_normalized_like_its_make_twin():
+    # e_56 before e_12, x_1 e_34 twice, a zero term and a denominator that
+    # shares 2 with every numerator; the constructor sums and reduces them
+    terms = ((0b110000, 0), -2), ((0b1100, 1), 2), ((0b11, 0), 0), ((0b11, 0), 2), ((0b1100, 1), 2)
+    raw = InvariantForm(2, terms, 6)
+    twin = InvariantForm.make(
+        2, {((1, 2), 0): Fraction(1, 3), ((3, 4), 1): Fraction(2, 3), ((5, 6), 0): Fraction(-1, 3)}
+    )
+    assert raw == twin == (2, (((0b11, 0), 1), ((0b1100, 1), 2), ((0b110000, 0), -1)), 3)
+    assert str(raw) == str(twin) == "1/3 e_12 + (2/3)x_1 e_34 - 1/3 e_56"
+    assert InvariantForm(2, (((0b11, 0), 2), ((0b11, 0), 4)), 2) == e(1, 2) * 3
+    assert InvariantForm(0, ()) == InvariantForm.zero(0)
+
+
 def test_integer_storage_refuses_bool_and_float_values():
     # numerators are ints over one denominator, read from the int or the
     # Fraction given; a bool or a float is refused, not stored as 1 or as

@@ -2,6 +2,7 @@
 multiplicities, cross-checked against independent matrix models."""
 
 import itertools
+import math
 import re
 from collections import Counter
 from fractions import Fraction
@@ -344,8 +345,9 @@ _FIRST_REFUSED = {
 
 
 def test_label_box_bound():
-    # sizing the box happens on the call, before any label is walked;
-    # cutoff 1000 needs 26^3 su2^3, 27^2 su3 and 22^2 so5 box labels
+    # sizing the box happens on the call, before any label is walked; at
+    # cutoff 1000 the refusal measure (edge + 1)^rank is 26^3 for su2^3,
+    # 27^2 for su3 and 22^2 for so5, and the walk reads edge^rank labels
     for group in (Group.SU2_CUBED, Group.SO5, Group.SU3):
         iter_labels(group, Fraction(1000))
     with pytest.raises(LabelBoxTooLarge, match=str(MAX_LABEL_BOX)):
@@ -358,6 +360,37 @@ def test_label_box_bound():
         with pytest.raises(LabelBoxTooLarge, match=re.escape(group.value)):
             iter_labels(group, cutoff)
         iter_labels(group, cutoff - Fraction(1, 6))
+
+
+def _walk_labels_by_axis(group, cutoff):
+    """The label walk built one axis at a time, the oracle of the box
+    walk: each tuple is extended by 0, 1, ... up to the first label above
+    the cutoff, the later coordinates held at 0; so5 labels keep a >= b."""
+    bound = math.floor(6 * cutoff)
+    rank = rootrep._RANK[group]
+    six = rootrep._SIX_LAPLACE[group]
+    heads = [()]
+    for axis in range(rank):
+        pad = (0,) * (rank - axis - 1)
+        longer = []
+        for head in heads:
+            stop = head[0] + 1 if group is Group.SO5 and head else math.inf
+            n = 0
+            while n < stop and six(*head, n, *pad) <= bound:
+                longer.append(head + (n,))
+                n += 1
+        heads = longer
+    return heads
+
+
+@pytest.mark.parametrize("group", list(Group), ids=lambda g: g.value)
+def test_the_box_walk_matches_the_axis_walk(group):
+    # the same labels in the same order, up to the largest accepted cutoff
+    largest = _FIRST_REFUSED[group] - Fraction(1, 6)
+    for cutoff in (Fraction(0), Fraction(12), Fraction(300), Fraction(1000), largest):
+        walked = rootrep._walk_labels(group, cutoff)
+        assert walked == _walk_labels_by_axis(group, cutoff), cutoff
+    assert walked
 
 
 @pytest.mark.parametrize("group", list(Group), ids=lambda g: g.value)

@@ -52,6 +52,20 @@ def test_value_types_are_immutable_tuples(value):
         (su3_label(1, 1), "labels", (1, -1)),
         (su3_label(1, 1), "group", "su3"),
         (U2Label(1, 1), "b", 0),
+        # a form: a degree outside 0..9, a denominator that is not a
+        # positive int, a mask of another degree or above 511, a slot
+        # outside 0..8 and a numerator that is not an int
+        (dga.e(1, 2), "degree", 10),
+        (dga.e(1, 2), "degree", True),
+        (dga.e(1, 2), "denominator", 0),
+        (dga.e(1, 2), "denominator", -2),
+        (dga.e(1, 2), "denominator", 2.0),
+        (dga.e(1, 2), "terms", (((0b111, 0), 1),)),
+        (dga.e(1, 2), "terms", (((0b11 << 8, 0), 1),)),
+        (dga.e(1, 2), "terms", (((0b11, 9), 1),)),
+        (dga.e(1, 2), "terms", (((0b11, True), 1),)),
+        (dga.e(1, 2), "terms", (((0b11, 0), 1.0),)),
+        (dga.e(1, 2), "terms", (((0b11, 0), True),)),
     ],
 )
 def test_labels_validate_through_every_constructor(value, field, bad):

@@ -32,7 +32,7 @@ from .branching import (
     U2Label,
     hom_dimension,
     isotropy_module,
-    space_data,
+    space_group,
 )
 from .spectrum import (
     ModuliReport,
@@ -60,7 +60,7 @@ __all__ = [
     "U2Label",
     "hom_dimension",
     "isotropy_module",
-    "space_data",
+    "space_group",
     "ModuliReport",
     "SpectrumEntry",
     "eigenspace_multiplicity",

@@ -14,7 +14,9 @@ reads too); the (0,1) modules are their conjugates.  The (1,1) fibers are
 derived from them at import as the (1,0) x (0,1) product minus one copy
 of the trivial type; a fiber that is not 8-dimensional raises
 AssertionError (also under `python -O`) rather than returning wrong
-multiplicities.  The Casimirs `spectrum`'s check reads come from them too.
+multiplicities.  A fiber is held as its content tuple, and a space is
+known by its isometry group, whose dimension rootrep derives.  The
+Casimirs `spectrum`'s check reads come from the tangent modules too.
 
 Hom counts on S3 x S3 are one Clebsch-Gordan interval count per fiber
 label.  On CP3 and on the flag they come from Kostant's closed forms in
@@ -39,7 +41,6 @@ from typing import Dict, List, NamedTuple, Tuple
 from .rootrep import (
     Group,
     IrrepLabel,
-    _LIE_DIMENSION,
     _check_irrep,
     _scaled_casimir,
     dimension,
@@ -69,22 +70,14 @@ class Bundle(Enum):
 _S3XS3, _CP3 = Space.S3XS3, Space.CP3
 
 
-class HomogeneousSpace(NamedTuple):
-    space: Space
-    group: Group
-    isometry_dim: int
-
-
 # the isometry group of each space, in Space order
-_SPACES = {
-    space: HomogeneousSpace(space, group, _LIE_DIMENSION[group])
-    for space, group in zip(Space, (Group.SU2_CUBED, Group.SO5, Group.SU3))
-}
+_GROUPS = dict(zip(Space, (Group.SU2_CUBED, Group.SO5, Group.SU3)))
 
 
-def space_data(space: Space) -> HomogeneousSpace:
+def space_group(space: Space) -> Group:
+    """The isometry group of the space; ValueError unless it is a Space."""
     try:
-        return _SPACES[space]
+        return _GROUPS[space]
     except (KeyError, TypeError):  # TypeError: an unhashable value
         raise ValueError(f"a space is a Space, not {space!r}") from None
 
@@ -114,25 +107,6 @@ class U2Label(NamedTuple("U2Label", [("a", int), ("b", int)])):
 
     def __str__(self):
         return f"E({self.a},{self.b})"
-
-
-class IsotropyModule(NamedTuple):
-    """Fiber module of one of the two bundles, as a K-representation.
-
-    content holds su2 string labels for S3 x S3, U2Labels for CP3 and
-    integer sum-zero torus weights (with repetition) for the flag.
-    """
-
-    space: Space
-    bundle: Bundle
-    content: Tuple
-
-    def total_dimension(self) -> int:
-        if self.space is Space.S3XS3:
-            return sum(k + 1 for k in self.content)
-        if self.space is Space.CP3:
-            return sum(lab.dim for lab in self.content)
-        return len(self.content)
 
 
 # (1,0) tangent modules.  S3 x S3: one adjoint copy.  CP3: the two
@@ -221,32 +195,41 @@ def _isotropy_casimirs(space: Space) -> List[Fraction]:
     else:
         # torus characters: no rho shift on an abelian isotropy group
         n, tops, two_rho = 1, summands, (0, 0, 0)
-    group = space_data(space).group
+    group = space_group(space)
     return [Fraction(-_scaled_casimir(group, mu, two_rho), 72 * n * n) for mu in tops]
 
 
-def _build_isotropy_modules() -> Dict[Tuple[Space, Bundle], IsotropyModule]:
-    """The six fiber modules, checked once: every function fiber is a
+def _fiber_dimension(space: Space, content: Tuple) -> int:
+    """Dimension of a fiber from its content: V_k, a U2Label or a torus line."""
+    if space is Space.S3XS3:
+        return sum(k + 1 for k in content)
+    if space is Space.CP3:
+        return sum(lab.dim for lab in content)
+    return len(content)
+
+
+def _build_isotropy_modules() -> Dict[Tuple[Space, Bundle], Tuple]:
+    """The six fiber contents, checked once: every function fiber is a
     line, and every primitive (1,1) fiber, derived from the tangent
     decomposition, has dimension 8."""
     modules = {}
     for space in Space:
-        functions = IsotropyModule(space, Bundle.FUNCTIONS, _FUNCTIONS_CONTENT[space])
-        lambda11 = IsotropyModule(space, Bundle.LAMBDA11, _derive_lambda11(space))
-        if functions.total_dimension() != 1:
+        modules[space, Bundle.FUNCTIONS] = functions = _FUNCTIONS_CONTENT[space]
+        modules[space, Bundle.LAMBDA11] = lambda11 = _derive_lambda11(space)
+        if _fiber_dimension(space, functions) != 1:
             raise AssertionError(f"{space.value}: the function fiber is not a line")
-        if lambda11.total_dimension() != 8:
+        if _fiber_dimension(space, lambda11) != 8:
             raise AssertionError(f"{space.value}: the (1,1) fiber is not 8-dimensional")
-        modules[space, Bundle.FUNCTIONS] = functions
-        modules[space, Bundle.LAMBDA11] = lambda11
     return modules
 
 
 _ISOTROPY_MODULES = _build_isotropy_modules()
 
 
-def isotropy_module(space: Space, bundle: Bundle) -> IsotropyModule:
-    """Fiber K-module of the requested bundle, as checked at import."""
+def isotropy_module(space: Space, bundle: Bundle) -> Tuple:
+    """Fiber K-module of the requested bundle, checked at import, as its
+    content tuple: su2 string labels k for S3 x S3, U2Labels for CP3 and
+    integer sum-zero torus weights (with repetition) for the flag."""
     try:
         return _ISOTROPY_MODULES[space, bundle]
     except (KeyError, TypeError):  # TypeError: an unhashable value
@@ -363,11 +346,11 @@ def _fiber_points(space: Space, bundle: Bundle) -> Tuple[Tuple[Tuple[int, int], 
     if space is Space.CP3:
         return tuple(
             ((t.b + t.a + 3, t.b - t.a + 1), f"E({t.a},{abs(t.b)}) and its dual")
-            for t in isotropy_module(space, bundle).content
+            for t in _ISOTROPY_MODULES[space, bundle]
         )
     return tuple(
         ((3 * w[0] + 3, 3 - 3 * w[2]), f"the Weyl orbit of {_su3_dominant(w)}")
-        for w in isotropy_module(space, bundle).content
+        for w in _ISOTROPY_MODULES[space, bundle]
     )
 
 
@@ -397,10 +380,10 @@ def hom_dimension(space: Space, irrep: IrrepLabel, bundle: Bundle) -> int:
     """dim Hom_K(V_irrep restricted to K, fiber of the bundle), after
     checking that the space is a Space, the irrep an IrrepLabel of its
     group and the bundle a Bundle; _hom_count does the counting."""
-    data = space_data(space)
+    group = space_group(space)
     _check_irrep(irrep)
-    if irrep.group is not data.group:
-        raise ValueError(f"{space.value} needs labels of {data.group.value}")
+    if irrep.group is not group:
+        raise ValueError(f"{space.value} needs labels of {group.value}")
     _check_bundle(bundle)
     return _hom_count(space, bundle, irrep.labels)
 
@@ -423,7 +406,7 @@ def _hom_count(space: Space, bundle: Bundle, labels: Tuple[int, ...]) -> int:
     """
     if space is _S3XS3:
         total = 0
-        for k in _ISOTROPY_MODULES[space, bundle].content:
+        for k in _ISOTROPY_MODULES[space, bundle]:
             total += _diagonal_su2_multiplicity(labels, k)
         return total
 

@@ -291,8 +291,6 @@ class InvariantForm(NamedTuple("InvariantForm", _FORM_FIELDS)):
             idx, slot = key
             if type(q) not in (int, Fraction):
                 raise ValueError(f"coefficient {q!r} is not an int or a Fraction")
-            if len(idx) != degree:
-                raise ValueError("inhomogeneous term")
             mask = _monomial(idx)[0]
             if _INDICES[mask] != idx:
                 raise ValueError("coframe indices must ascend")

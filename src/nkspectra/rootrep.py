@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from enum import Enum
 from fractions import Fraction
@@ -209,15 +210,15 @@ def _scaled_casimir(group: Group, gamma, two_rho) -> int:
     return _PAIRING_72[group] * sum(g * (g + r) for g, r in zip(gamma, two_rho))
 
 
-def _label_casimir(group: Group, labels: Tuple[int, ...]) -> Tuple[int, int]:
-    """n and _scaled_casimir at the label's highest weight, for su3
+def _scaled_label(group: Group, labels: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...], List[int]]:
+    """n, n gamma and n 2 rho at the label's highest weight gamma, for su3
     (k, 0, -l) summed to zero at n = 3, else the label at n = 1."""
     if group is Group.SU3:
         k, l = labels
         n, gamma = 3, (2 * k + l, l - k, -k - 2 * l)
     else:
         n, gamma = 1, labels
-    return n, _scaled_casimir(group, gamma, [n * r for r in _TWO_RHO[group]])
+    return n, gamma, [n * r for r in _TWO_RHO[group]]
 
 
 def _check_irrep(irrep: IrrepLabel) -> None:
@@ -231,14 +232,15 @@ def casimir_eigenvalue(irrep: IrrepLabel) -> Fraction:
     off _scaled_casimir in integers (weight_inner is its oracle).  Always
     <= 0, and 0 exactly for the trivial label."""
     _check_irrep(irrep)
-    n, scaled = _label_casimir(irrep.group, irrep.labels)
-    return Fraction(-scaled, 72 * n * n)
+    n, gamma, two_rho = _scaled_label(irrep.group, irrep.labels)
+    return Fraction(-_scaled_casimir(irrep.group, gamma, two_rho), 72 * n * n)
 
 
 # Six times the Laplace eigenvalue and the Weyl dimension, as integer
 # polynomials in the label coordinates (Humphreys, GTM 9, sections 22-24).
 # Every coefficient of the eigenvalue forms is nonnegative, so each form
-# grows with every coordinate; iter_labels relies on that.
+# grows with every coordinate; iter_labels relies on that.  The import
+# proves both against the roots (_check_closed_forms).
 _SIX_LAPLACE = {
     Group.SU2: lambda k: 9 * k * (k + 2),
     Group.SU2_CUBED: lambda a, b, c: 9 * (a * (a + 2) + b * (b + 2) + c * (c + 2)),
@@ -269,22 +271,35 @@ def dimension(irrep: IrrepLabel) -> int:
 
 
 def _check_closed_forms() -> None:
-    # Both sides have degree <= 2 in each label coordinate, and such a
-    # polynomial that vanishes on {0, 1, 2}^rank is zero.
+    # Each side of each check has degree <= 3 in each label coordinate (2
+    # for the eigenvalues, 3 for so5's dimension), and such a polynomial
+    # that vanishes on {0, 1, 2, 3}^rank is zero.
     #
-    # The Casimir side is _scaled_casimir at the label's scaled highest
-    # weight, so both sides are scaled by n^2 and stay integers, and its
-    # scale _PAIRING_72 comes from the roots alone.
+    # Both checks read the label's highest weight and 2 rho scaled by n to
+    # integers.  The Casimir side is _scaled_casimir, so both sides of the
+    # eigenvalue check carry n^2, and its scale _PAIRING_72 comes from the
+    # roots alone.  The dimension check is Weyl's product over the positive
+    # roots, dim V = prod <gamma + rho, alpha> / <rho, alpha>, with both
+    # pairings times 2n and the denominator cleared; each factor is a ratio,
+    # so the Weyl-invariant Euclidean pairing of the coordinates serves.
     for group in Group:
         if _PAIRING_72[group] * sum(c * c for c in _TWO_RHO[group]) != 12 * _LIE_DIMENSION[group]:
             raise AssertionError(f"{group.value}: 12 dim g is not a multiple of 2 rho . 2 rho")
-        for labels in itertools.product(range(3), repeat=_RANK[group]):
-            n, casimir = _label_casimir(group, labels)
-            if n * n * _SIX_LAPLACE[group](*labels) != casimir:
-                raise AssertionError(
-                    f"{group.value} V({','.join(map(str, labels))}): "
-                    "eigenvalue is not the Casimir one"
-                )
+        roots = _POSITIVE_ROOTS[group]
+
+        def weyl_product(v):
+            return math.prod(sum(map(operator.mul, v, alpha)) for alpha in roots)
+
+        for labels in itertools.product(range(4), repeat=_RANK[group]):
+            n, gamma, two_rho = _scaled_label(group, labels)
+            shifted = [2 * g + r for g, r in zip(gamma, two_rho)]
+            if n * n * _SIX_LAPLACE[group](*labels) != _scaled_casimir(group, gamma, two_rho):
+                problem = "eigenvalue is not the Casimir one"
+            elif _DIMENSION[group](*labels) * weyl_product(two_rho) != weyl_product(shifted):
+                problem = "dimension is not Weyl's product"
+            else:
+                continue
+            raise AssertionError(f"{group.value} V({','.join(map(str, labels))}): {problem}")
 
 
 _check_closed_forms()

@@ -16,8 +16,9 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Dict, List, NamedTuple, Tuple
 
-from .branching import Bundle, Space, _check_bundle, _hom_count, _isotropy_casimirs, space_data
+from .branching import Bundle, Space, _check_bundle, _hom_count, _isotropy_casimirs, space_group
 from .rootrep import (
+    _LIE_DIMENSION,
     _SIX_LAPLACE,
     IrrepLabel,
     _walk_labels,
@@ -80,7 +81,7 @@ def enumerate_spectrum(
     a SpectrumEntry, each validated by its constructor, are built only for
     the labels with a nonzero Hom.
     """
-    group = space_data(space).group
+    group = space_group(space)
     _check_bundle(bundle)
     cutoff = exact_cutoff(cutoff)
     table = _TABLES.get((space, bundle))
@@ -144,14 +145,11 @@ def einstein_deformation_check(space: Space) -> Tuple[int, int]:
 
 def moduli_upper_bound(space: Space) -> ModuliReport:
     twelve = Fraction(12)
-    dim_11 = eigenspace_multiplicity(space, Bundle.LAMBDA11, twelve)
-    dim_0 = eigenspace_multiplicity(space, Bundle.FUNCTIONS, twelve)
-    iso = space_data(space).isometry_dim
     return ModuliReport(
         space=space,
-        dim_omega11_12=dim_11,
-        dim_isometry=iso,
-        dim_omega0_12=dim_0,
+        dim_omega11_12=eigenspace_multiplicity(space, Bundle.LAMBDA11, twelve),
+        dim_isometry=_LIE_DIMENSION[space_group(space)],
+        dim_omega0_12=eigenspace_multiplicity(space, Bundle.FUNCTIONS, twelve),
         einstein_extra=einstein_deformation_check(space),
     )
 
@@ -164,7 +162,7 @@ def scal_normalization_check(space: Space) -> Tuple[Fraction, Fraction]:
     bundle at -12 Cas = 4.  The Casimirs are read from branching's
     tangent modules, the ones the Hom counts read.  Returns (Cas, scal);
     ValueError unless the space is a Space."""
-    space_data(space)
+    space_group(space)
     values = _isotropy_casimirs(space)
     cas = values[0]
     if any(v != cas for v in values):

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import nkspectra
-from nkspectra.branching import Bundle, Space, U2Label, isotropy_module, space_data
+from nkspectra.branching import Bundle, Space, U2Label, isotropy_module, space_group
 from nkspectra.rootrep import iter_labels, root_system, weight_inner
 
 
@@ -129,10 +129,10 @@ def kostant_homs():
     eigenvalue 1000, read off the whole Kostant tables."""
     out = {}
     for space, table_of in ((Space.CP3, _so5_kostant_table), (Space.FLAG, _su3_kostant_table)):
-        for lab in iter_labels(space_data(space).group, Fraction(1000)):
+        for lab in iter_labels(space_group(space), Fraction(1000)):
             table = table_of(lab)
             for bundle in Bundle:
-                points = isotropy_module(space, bundle).content
+                points = isotropy_module(space, bundle)
                 if space is Space.FLAG:
                     points = map(_dominant, points)
                 out[space, lab, bundle] = sum(table.get(p, 0) for p in points)

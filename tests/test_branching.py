@@ -15,9 +15,10 @@ from nkspectra.branching import (
     hom_dimension,
     isotropy_module,
     restrict_so5_to_u2,
-    space_data,
+    space_group,
 )
 from nkspectra.rootrep import (
+    _LIE_DIMENSION,
     Group,
     IrrepLabel,
     WeightTable,
@@ -35,35 +36,34 @@ from nkspectra.spectrum import enumerate_spectrum
 
 
 def test_space_table():
-    assert space_data(Space.S3XS3).isometry_dim == 9
-    assert space_data(Space.CP3).isometry_dim == 10
-    assert space_data(Space.FLAG).isometry_dim == 8
-    assert space_data(Space.S3XS3).group is Group.SU2_CUBED
-    assert space_data(Space.CP3).group is Group.SO5
-    assert space_data(Space.FLAG).group is Group.SU3
+    assert space_group(Space.S3XS3) is Group.SU2_CUBED
+    assert space_group(Space.CP3) is Group.SO5
+    assert space_group(Space.FLAG) is Group.SU3
+    # the isometry dimensions the moduli bound subtracts
+    assert [_LIE_DIMENSION[space_group(space)] for space in Space] == [9, 10, 8]
 
 
 def test_function_fibers_are_lines():
     for space in Space:
-        mod = isotropy_module(space, Bundle.FUNCTIONS)
-        assert mod.total_dimension() == 1
+        fiber = isotropy_module(space, Bundle.FUNCTIONS)
+        assert branching._fiber_dimension(space, fiber) == 1
 
 
 def test_primitive_fibers_have_dimension_eight():
     # also exercises the internal re-derivation from the tangent product
     for space in Space:
-        mod = isotropy_module(space, Bundle.LAMBDA11)
-        assert mod.total_dimension() == 8
+        fiber = isotropy_module(space, Bundle.LAMBDA11)
+        assert branching._fiber_dimension(space, fiber) == 8
 
 
 def test_s3xs3_primitive_fiber_content():
-    mod = isotropy_module(Space.S3XS3, Bundle.LAMBDA11)
-    assert tuple(sorted(mod.content)) == (2, 4)
+    fiber = isotropy_module(Space.S3XS3, Bundle.LAMBDA11)
+    assert tuple(sorted(fiber)) == (2, 4)
 
 
 def test_cp3_primitive_fiber_content():
-    mod = isotropy_module(Space.CP3, Bundle.LAMBDA11)
-    assert set(mod.content) == {
+    fiber = isotropy_module(Space.CP3, Bundle.LAMBDA11)
+    assert set(fiber) == {
         U2Label(0, 0),
         U2Label(1, -3),
         U2Label(1, 3),
@@ -72,20 +72,20 @@ def test_cp3_primitive_fiber_content():
 
 
 def test_flag_primitive_fiber_content():
-    mod = isotropy_module(Space.FLAG, Bundle.LAMBDA11)
+    fiber = isotropy_module(Space.FLAG, Bundle.LAMBDA11)
     zero = canonical_weight(Group.SU3, (0, 0, 0))
-    assert mod.content.count(zero) == 2
-    nonzero = [w for w in mod.content if w != zero]
+    assert fiber.count(zero) == 2
+    nonzero = [w for w in fiber if w != zero]
     assert len(nonzero) == 6
     # the six nonzero weights come in opposite pairs and form one Weyl orbit
     assert sorted(nonzero) == sorted(tuple(-q for q in w) for w in nonzero)
 
 
 def test_flag_fiber_weights_weyl_invariant():
-    mod = isotropy_module(Space.FLAG, Bundle.LAMBDA11)
-    bag = sorted(mod.content)
+    fiber = isotropy_module(Space.FLAG, Bundle.LAMBDA11)
+    bag = sorted(fiber)
     for perm in [(1, 0, 2), (0, 2, 1), (2, 0, 1), (1, 2, 0), (2, 1, 0)]:
-        permuted = [tuple(w[i] for i in perm) for w in mod.content]
+        permuted = [tuple(w[i] for i in perm) for w in fiber]
         assert sorted(permuted) == bag
 
 
@@ -266,7 +266,7 @@ def _diagonal_weights(labels):
 
 def _peeled_hom(labels, bundle):
     content = _peel_strings(_diagonal_weights(labels))
-    return sum(content.get(k, 0) for k in isotropy_module(Space.S3XS3, bundle).content)
+    return sum(content.get(k, 0) for k in isotropy_module(Space.S3XS3, bundle))
 
 
 @given(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)))
@@ -277,7 +277,7 @@ def test_diagonal_su2_content_against_weight_peeling(labels):
         assert branching._diagonal_su2_multiplicity(labels, k) == content.get(k, 0)
     for bundle in Bundle:
         got = hom_dimension(Space.S3XS3, su2cubed_label(*labels), bundle)
-        assert got == sum(content.get(k, 0) for k in isotropy_module(Space.S3XS3, bundle).content)
+        assert got == sum(content.get(k, 0) for k in isotropy_module(Space.S3XS3, bundle))
 
 
 def test_s3xs3_hom_against_weight_peeling_to_eigenvalue_150():
@@ -323,7 +323,7 @@ def _weight_table_homs(space, lab):
     else:
         mult = weight_multiplicities(lab).multiplicity
     return {
-        bundle: sum(mult(t) for t in isotropy_module(space, bundle).content)
+        bundle: sum(mult(t) for t in isotropy_module(space, bundle))
         for bundle in Bundle
     }
 
@@ -332,7 +332,7 @@ def test_kostant_hom_matches_weight_tables_up_to_300():
     # eigenvalue 300 is the benchmark's spectrum band
     checked = 0
     for space in (Space.CP3, Space.FLAG):
-        for lab in iter_labels(space_data(space).group, Fraction(300)):
+        for lab in iter_labels(space_group(space), Fraction(300)):
             for bundle, expected in _weight_table_homs(space, lab).items():
                 assert hom_dimension(space, lab, bundle) == expected, (space, lab, bundle)
                 checked += 1
@@ -368,7 +368,7 @@ def _two_root_partition(x, y):
 def _first_check_message(space, cutoff):
     """The message of the first per-label check that raises on a label
     up to the cutoff, in either bundle, or None."""
-    for lab in iter_labels(space_data(space).group, cutoff):
+    for lab in iter_labels(space_group(space), cutoff):
         for bundle in Bundle:
             try:
                 hom_dimension(space, lab, bundle)
@@ -412,7 +412,7 @@ def test_symmetry_checks_fire(monkeypatch, space, attr, index, message):
     # multiplicity read nonnegative, but read 4 at E(1,-3) against 0 at
     # E(1,3), and 2 against 0 within the Weyl orbit of 3 omega1
     monkeypatch.setattr(branching, attr, _flip_sign(index)(getattr(branching, attr)))
-    trivial = IrrepLabel(space_data(space).group, (0, 0))
+    trivial = IrrepLabel(space_group(space), (0, 0))
     assert hom_dimension(space, trivial, Bundle.FUNCTIONS) == 1
     with pytest.raises(AssertionError) as info:
         hom_dimension(space, trivial, Bundle.LAMBDA11)
@@ -431,7 +431,7 @@ def test_kostant_checks_fire_under_dash_O(run_python):
         "    table = getattr(b, attr)\n"
         "    (s, m), rest = table[index], table[index + 1:]\n"
         "    setattr(b, attr, table[:index] + ((-s, m),) + rest)\n"
-        "    label = IrrepLabel(b.space_data(space).group, (0, 0))\n"
+        "    label = IrrepLabel(b.space_group(space), (0, 0))\n"
         "    try:\n"
         "        b.hom_dimension(space, label, b.Bundle.LAMBDA11)\n"
         "    except AssertionError as exc:\n"
@@ -449,9 +449,12 @@ def test_kostant_checks_fire_under_dash_O(run_python):
 
 
 def test_isotropy_modules_are_built_once():
+    # a fiber is its content tuple, the same object on every call
     for space in Space:
         for bundle in Bundle:
-            assert isotropy_module(space, bundle) is isotropy_module(space, bundle)
+            fiber = isotropy_module(space, bundle)
+            assert type(fiber) is tuple and fiber
+            assert fiber is isotropy_module(space, bundle)
 
 
 # a broken (1,0) tangent module per space: V_1 on S3 x S3, E(1,1) alone on
@@ -544,7 +547,7 @@ def _weight_inner_isotropy_casimirs(space):
         tops, rho = [(half * (b + a), half * (b - a)) for a, b in summands], (half, -half)
     else:
         tops, rho = summands, (0, 0, 0)
-    group = space_data(space).group
+    group = space_group(space)
     return [-weight_inner(group, mu, [m + 2 * r for m, r in zip(mu, rho)]) for mu in tops]
 
 
@@ -649,7 +652,7 @@ def test_representation_data_refuses_a_name_for_an_enum():
         lambda: IrrepLabel(["su3"], (1, 1)),
         lambda: root_system(["su3"]),
         lambda: iter_labels(["su3"], Fraction(12)),
-        lambda: space_data(["flag"]),
+        lambda: space_group(["flag"]),
         lambda: hom_dimension(["flag"], su3_label(1, 1), Bundle.LAMBDA11),
         lambda: isotropy_module(Space.FLAG, ["x"]),
         lambda: isotropy_module(["flag"], Bundle.LAMBDA11),

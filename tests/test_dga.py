@@ -922,6 +922,25 @@ def test_degree_validation():
             build()
 
 
+def test_make_refuses_an_inhomogeneous_key_through_the_constructor():
+    # make hands its terms to the constructor, which refuses a 3-form
+    # monomial in a 2-form, a zero value included
+    for q in (1, 0):
+        with pytest.raises(ValueError) as err:
+            InvariantForm.make(2, {((1, 2), 0): 1, ((1, 2, 3), 0): q})
+        assert str(err.value) == "mask 7 is not a 2-form monomial"
+
+
+def test_a_sum_of_forms_of_two_degrees_is_refused():
+    with pytest.raises(ValueError, match="^degree mismatch in sum$"):
+        e(1) + e(1, 2)
+
+
+def test_the_inner_product_of_forms_of_two_degrees_is_refused():
+    with pytest.raises(ValueError, match="^degree mismatch in inner product$"):
+        inner(e(1), e(1, 2))
+
+
 def test_a_raw_form_is_normalized_like_its_make_twin():
     # e_56 before e_12, x_1 e_34 twice, a zero term and a denominator that
     # shares 2 with every numerator; the constructor sums and reduces them

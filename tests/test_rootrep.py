@@ -328,6 +328,11 @@ def test_weights_refuse_inexact_coordinates():
     assert canonical_weight(Group.SU3, (1, Fraction(0), 0)) == (2 * third, -third, -third)
 
 
+def test_a_weight_with_the_wrong_number_of_coordinates_is_refused():
+    with pytest.raises(ValueError, match="^expected 2 coordinates for "):
+        canonical_weight(Group.SO5, (1, 2, 3))
+
+
 def test_iter_labels_rejects_negative_cutoff():
     with pytest.raises(ValueError):
         iter_labels(Group.SU3, Fraction(-1))
@@ -429,17 +434,44 @@ def test_closed_forms_match_the_root_data_up_to_300(group, weyl_dimension):
 
 def test_closed_form_checks_fire(monkeypatch):
     # b(b + 1) -> b^2 in the so5 eigenvalue; (k + l + 2) -> (k + l + 1)
-    # in the su3 dimension, which the weight table total catches
-    monkeypatch.setitem(
-        rootrep._SIX_LAPLACE, Group.SO5, lambda a, b: 12 * (a * (a + 3) + b * b)
-    )
-    with pytest.raises(AssertionError, match="not the Casimir"):
-        rootrep._check_closed_forms()
+    # in the su3 dimension, which the weight table total catches too
+    with monkeypatch.context() as planted:
+        planted.setitem(
+            rootrep._SIX_LAPLACE, Group.SO5, lambda a, b: 12 * (a * (a + 3) + b * b)
+        )
+        with pytest.raises(AssertionError, match="not the Casimir"):
+            rootrep._check_closed_forms()
     monkeypatch.setitem(
         rootrep._DIMENSION, Group.SU3, lambda k, l: (k + 1) * (l + 1) * (k + l + 1) // 2
     )
+    with pytest.raises(AssertionError, match=r"^su3 V\(0,0\): dimension is not Weyl's product$"):
+        rootrep._check_closed_forms()
     with pytest.raises(AssertionError, match="miss the Weyl dimension"):
         weight_multiplicities(su3_label(2, 1))
+
+
+@pytest.mark.parametrize(
+    "plant,fault,message",
+    [
+        # su3's (k + l + 2) typed as (k + l + 1), which once printed an nk
+        # moduli upper bound of 4 on the flag; so5's (a - b + 1) as (a - b),
+        # which vanishes only on the diagonal a = b
+        ("(k + l + 2) // 2", "(k + l + 1) // 2", "su3 V(0,0): dimension is not Weyl's product"),
+        ("(a + b + 2) * (a - b + 1) // 6", "(a + b + 2) * (a - b) // 6",
+         "so5 V(0,0): dimension is not Weyl's product"),
+        # a cubic term that vanishes on {0, 1, 2}^2 but not at a = 3
+        ("(a - b + 1) // 6,", "(a - b + 1) // 6 + a * (a - 1) * (a - 2),",
+         "so5 V(3,0): dimension is not Weyl's product"),
+    ],
+    ids=["su3", "so5", "so5-cubic"],
+)
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "dash-O"])
+def test_a_dimension_typo_fails_at_import(plant, fault, message, flags, run_planted):
+    # the import proves _DIMENSION against Weyl's product over the roots
+    # with an explicit raise, so python -O keeps it
+    proc = run_planted(rootrep, plant, fault, "import nkspectra", flags)
+    assert (proc.returncode, proc.stdout) == (1, b""), proc.stderr
+    assert proc.stderr.decode().splitlines()[-1] == f"AssertionError: {message}"
 
 
 def test_closed_form_check_sees_a_cross_term(monkeypatch):
@@ -455,8 +487,10 @@ def test_closed_form_check_sees_a_cross_term(monkeypatch):
 
 
 def test_closed_form_checks_fire_under_dash_O(run_python):
-    # the import runs the eigenvalue check, and the checks are explicit
-    # raises, so python -O keeps them
+    # the import runs the closed-form checks, and the checks are explicit
+    # raises, so python -O keeps them: a wrong su3 eigenvalue and, once it
+    # is restored, a wrong so5 dimension each fail the closed-form check,
+    # and the dimension also the weight table total
     script = (
         "import sys\n"
         "seen = set()\n"
@@ -464,9 +498,13 @@ def test_closed_form_checks_fire_under_dash_O(run_python):
         "from nkspectra import rootrep as r\n"
         "sys.setprofile(None)\n"
         "fired = int('_check_closed_forms' in seen)\n"
+        "six = r._SIX_LAPLACE[r.Group.SU3]\n"
         "r._SIX_LAPLACE[r.Group.SU3] = lambda k, l: 8 * (k * k + l * l + 3 * k + 3 * l)\n"
+        "checks = [r._check_closed_forms]\n"
+        "checks.append(lambda: r._SIX_LAPLACE.update({r.Group.SU3: six}))\n"
         "r._DIMENSION[r.Group.SO5] = lambda a, b: (a + 1) * (b + 1)\n"
-        "for check in (r._check_closed_forms, lambda: r.weight_multiplicities(r.so5_label(2, 1))):\n"
+        "checks += [r._check_closed_forms, lambda: r.weight_multiplicities(r.so5_label(2, 1))]\n"
+        "for check in checks:\n"
         "    try:\n"
         "        check()\n"
         "    except AssertionError:\n"
@@ -474,7 +512,7 @@ def test_closed_form_checks_fire_under_dash_O(run_python):
         "raise SystemExit(fired + 1)\n"
     )
     proc = run_python(["-c", script], "-O")
-    assert proc.returncode == 4, proc.stderr
+    assert proc.returncode == 5, proc.stderr
 
 
 def test_so5_label_validation():

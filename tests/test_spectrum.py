@@ -11,7 +11,7 @@ from nkspectra.branching import (
     Bundle,
     Space,
     hom_dimension,
-    space_data,
+    space_group,
 )
 from nkspectra.rootrep import (
     Group,
@@ -337,7 +337,7 @@ def test_dga_and_rootrep_agree_on_eigenvalue_twelve():
 @pytest.mark.parametrize("space", [Space.CP3, Space.FLAG])
 def test_one_weyl_dimension_per_label(space, weyl_dimension):
     # an entry is built only for a nonzero Hom
-    labels = list(iter_labels(space_data(space).group, Fraction(60)))
+    labels = list(iter_labels(space_group(space), Fraction(60)))
     for bundle in Bundle:
         entries = {e.irrep: e for e in enumerate_spectrum(space, bundle, 60)}
         assert entries
@@ -358,7 +358,7 @@ def test_enumeration_matches_the_public_per_label_path(monkeypatch, space, bundl
     # against an entry for every label of iter_labels with a nonzero
     # hom_dimension, sorted by (Fraction eigenvalue, labels)
     monkeypatch.setattr(spectrum, "_TABLES", {})
-    group = space_data(space).group
+    group = space_group(space)
     expected = [
         spectrum.SpectrumEntry(lab, hom)
         for lab in iter_labels(group, 300)
@@ -396,7 +396,7 @@ def test_integer_keyed_tables_match_a_brute_force_list(monkeypatch):
     monkeypatch.setattr(spectrum, "_TABLES", {})
     widest = Fraction(601, 2)
     for space in Space:
-        group = space_data(space).group
+        group = space_group(space)
         for bundle in Bundle:
             brute = [
                 (lab, hom) for lab in iter_labels(group, widest)

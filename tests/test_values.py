@@ -12,7 +12,7 @@ import pytest
 
 import nkspectra
 from nkspectra import dga, nkcheck
-from nkspectra.branching import Bundle, Space, U2Label, isotropy_module, space_data
+from nkspectra.branching import Space, U2Label
 from nkspectra.rootrep import Group, root_system, su3_label, weight_multiplicities
 from nkspectra.spectrum import SpectrumEntry, moduli_upper_bound
 
@@ -23,9 +23,7 @@ def _values():
         su3_label(1, 1),
         root_system(Group.SO5),
         weight_multiplicities(su3_label(1, 0)),
-        space_data(Space.CP3),
         U2Label(1, 1),
-        isotropy_module(Space.CP3, Bundle.LAMBDA11),
         SpectrumEntry(su3_label(1, 1), 2),
         moduli_upper_bound(Space.FLAG),
         dga.e(1, 2) * 3,

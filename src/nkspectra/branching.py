@@ -117,9 +117,10 @@ _P10_S3XS3 = (2,)
 _P10_CP3 = (U2Label(1, 1), U2Label(0, -2))
 
 # The flag's isotropy data, stated once: `dga` assembles its brackets, d and
-# J from these two.  In dga's frame e_1..e_6, h_1, h_2, h_3 of u3 = m + h,
-# h's action on m is [e_a, h_j] = sum over b of _H_ACTION[a, 6 + j][b] e_b;
-# the h_j commute, so [h, h] has no entry
+# J from these two, and reads the frame's shape off them.  In dga's frame
+# e_1..e_6, h_1, h_2, h_3 of u3 = m + h, with frame indices 1..9, h's action
+# on m is [e_a, h_j] = sum over b of _H_ACTION[a, k][b] e_b, k the index of
+# h_j; the h_j commute, so [h, h] has no entry
 _H_ACTION: Dict[Tuple[int, int], Dict[int, int]] = {
     (1, 7): {2: -1}, (1, 8): {2: 1}, (2, 7): {1: 1}, (2, 8): {1: -1},
     (3, 7): {4: -1}, (3, 9): {4: 1}, (4, 7): {3: 1}, (4, 9): {3: -1},
@@ -129,7 +130,12 @@ _H_ACTION: Dict[Tuple[int, int], Dict[int, int]] = {
 # J e^1 = e^2, J e^2 = -e^1, J e^3 = -e^4, J e^4 = e^3,
 # J e^5 = e^6, J e^6 = -e^5
 _J_IMAGES = {1: (2, 1), 2: (1, -1), 3: (4, -1), 4: (3, 1), 5: (6, 1), 6: (5, -1)}
-if not set(_J_IMAGES) == {im for im, _ in _J_IMAGES.values()} == set(range(1, 7)):
+# The frame's shape, stated once: the horizontal indices are J's, the
+# vertical ones are the h-indices of _H_ACTION, and the frame's indices,
+# horizontal then vertical, run 1..n with no gap
+_HORIZONTAL, _VERTICAL = tuple(sorted(_J_IMAGES)), tuple(sorted({k for _, k in _H_ACTION}))
+_FRAME = tuple(range(1, len(_HORIZONTAL + _VERTICAL) + 1))
+if {im for im, _ in _J_IMAGES.values()} != set(_HORIZONTAL) or _HORIZONTAL + _VERTICAL != _FRAME:
     raise AssertionError("J must permute the horizontal coframe e^1..e^6")
 
 # The flag's m^(1,0) weights: for J e^a = s e^b, h_j acts on e_a - iJe_a with
@@ -138,7 +144,7 @@ if not set(_J_IMAGES) == {im for im, _ in _J_IMAGES.values()} == set(range(1, 7)
 # roots of su3 that sum to zero, the nearly Kahler choice of one root from
 # each opposite pair.  Both hold iff each weight and each of their
 # coordinates is a permutation of (-1, 0, 1)
-_ENDS = {(min(a, b), tuple(-s * _H_ACTION.get((a, 6 + j), {}).get(b, 0) for j in (1, 2, 3)))
+_ENDS = {(min(a, b), tuple(-s * _H_ACTION.get((a, k), {}).get(b, 0) for k in _VERTICAL))
          for a, (b, s) in _J_IMAGES.items()}
 _FLAG_P10_ROOTS = tuple(sorted((w for _, w in _ENDS), reverse=True))
 if {tuple(sorted(v)) for v in _FLAG_P10_ROOTS + tuple(zip(*_FLAG_P10_ROOTS))} != {(-1, 0, 1)}:

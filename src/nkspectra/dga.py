@@ -8,7 +8,7 @@ form; a zero residual is a theorem, not a tolerance.
 
 Conventions
 -----------
-Lie algebra basis (also the frame, indexed 1..9):
+Lie algebra basis (the frame, indexed 1..9 as branching's _FRAME states):
 
     u_1..u_6 = e_1..e_6   with  e_1 = E_12 - E_21,  e_2 = i(E_12 + E_21),
                                 e_3 = E_13 - E_31,  e_4 = i(E_13 + E_31),
@@ -47,12 +47,12 @@ u . c_W = c_{[u, W]}, so
 (the sqrt(2) normalizations of the vertical frame and coframe cancel).
 The coefficient ring is the linear span of {1, x_1..x_6, v_1, v_2}, and a
 coefficient is a 0-form.  Every form maps (monomial, slot) to a nonzero
-int numerator over the form's one denominator: the monomial e^I is a 9-bit
-mask with bit k - 1 set for k in I, every permutation sign comes from one
-rule (_merge), and slot 0 is the constant, slots 1..6 are x_1..x_6 and
-slots 7, 8 are v_1, v_2.  Every identity verified here is linear in these
-symbols, and a product of two non-constant slots raises
-NonlinearCoefficient instead of silently leaving the ring.
+int numerator over one denominator: e^I is the mask with bit k - 1 set for
+k in I, one bit per index of _FRAME, every permutation sign comes from one
+rule (_merge's prefix-parity table, exact at any width), and slot 0 is the
+constant, 1..6 are x_1..x_6 and 7, 8 are v_1, v_2.  Every identity verified
+here is linear in these symbols, and a product of two non-constant slots
+raises NonlinearCoefficient instead of silently leaving the ring.
 
 Printer grammar (stable, for golden tests)
 ------------------------------------------
@@ -79,7 +79,7 @@ from functools import lru_cache, reduce
 from math import gcd, lcm, prod
 from typing import Dict, Iterable, List, Mapping, NamedTuple, NoReturn, Sequence, Tuple
 
-from .branching import _H_ACTION, _J_IMAGES
+from .branching import _FRAME, _H_ACTION, _HORIZONTAL, _J_IMAGES, _VERTICAL
 
 
 class NonlinearCoefficient(ValueError):
@@ -182,40 +182,48 @@ for (_b, _k), _image in _H_ACTION.items():
 # --------------------------------------------------------------------------
 # Invariant forms
 
-# a coframe monomial e^I is a 9-bit mask with bit k - 1 set for each k in I;
-# _INDICES[mask] is I as an ascending tuple
-_INDICES: List[Tuple[int, ...]] = [()]
-for _k in range(1, 10):  # the masks with top bit k - 1 extend those below
-    _INDICES += [indices + (_k,) for indices in _INDICES]
-# _POSITION[mask] is the rank of its index tuple among all 512
-_POSITION = {m: r for r, m in enumerate(sorted(range(512), key=_INDICES.__getitem__))}
+# the number of frame indices (branching's _FRAME, horizontal then vertical)
+# and the mask of the horizontal factors
+_N, _HORIZONTAL_MASK = len(_FRAME), (1 << len(_HORIZONTAL)) - 1
+
+
+# a coframe monomial e^I of an n-index frame is the n-bit mask with bit k - 1
+# set for each k in I; indices[mask] is I as an ascending tuple, and bit
+# j - 1 of above[mask] is the parity of the factors of I above j
+def _mask_tables(n: int) -> Tuple[List[Tuple[int, ...]], List[int]]:
+    indices, above = [()], [0]
+    for k in range(1, n + 1):  # the masks with top bit k - 1 extend those below,
+        indices += [idx + (k,) for idx in indices]
+        above += [parity ^ ((1 << (k - 1)) - 1) for parity in above]  # and k flips the bits below
+    return indices, above
+
+
+_INDICES, _ABOVE = _mask_tables(_N)
 # coefficient slots: 0 is the constant, 1..6 are x_1..x_6, 7 and 8 are v_1, v_2
 _SYMBOLS = ("1", "x1", "x2", "x3", "x4", "x5", "x6", "v1", "v2")
+# _collect sorts a term by _POSITION[mask] | slot: the rank of the mask's
+# index tuple, shifted past the slot bits
+_POSITION = {m: r << len(_SYMBOLS).bit_length()
+             for r, m in enumerate(sorted(range(len(_INDICES)), key=_INDICES.__getitem__))}
 # a stored term of a form: ((mask, slot), int numerator)
 Term = Tuple[Tuple[int, int], int]
 
 
 def _merge(a: int, b: int) -> int:
-    """The sign in e^a ^ e^b = sign e^(a | b): 0 when the masks share a
-    factor, else -1 to the number of pairs i in a, j in b with i > j.
-    Every permutation sign of the calculus is one of these."""
+    """The sign in e^a ^ e^b = sign e^(a | b), read off a's prefix parity: 0 when
+    the masks share a factor, else -1 to the pairs i in a, j in b with i > j."""
     if a & b:
         return 0
-    # bit j - 1 of above is the parity of the factors of a above j
-    above = a >> 1
-    above ^= above >> 1
-    above ^= above >> 2
-    above ^= above >> 4
-    return -1 if (b & above).bit_count() & 1 else 1
+    return -1 if (b & _ABOVE[a]).bit_count() & 1 else 1
 
 
 def _monomial(indices: Iterable[int]) -> Tuple[int, int]:
     """Mask of e_{i_1} ^ ... ^ e_{i_p} and the sign that sorts it, 0 when
-    an index repeats; each index must be an int in 1..9."""
+    an index repeats; each index must be an int in 1..n."""
     mask, sign = 0, 1
     for i in indices:
-        if type(i) is not int or not 1 <= i <= 9:
-            raise ValueError("coframe indices must be ints in 1..9")
+        if type(i) is not int or not 1 <= i <= _N:
+            raise ValueError(f"coframe indices must be ints in 1..{_N}")
         sign *= _merge(mask, 1 << (i - 1))
         mask |= 1 << (i - 1)
     return mask, sign
@@ -242,7 +250,7 @@ def _collect(degree: int, terms: Iterable[Term], denominator: int = 1) -> Invari
     if any(mask.bit_count() != degree for mask, _ in data):
         raise AssertionError(f"a term of another degree in a {degree}-form")
     kept = [term for term in data.items() if term[1]]
-    kept.sort(key=lambda term: _POSITION[term[0][0]] << 4 | term[0][1])
+    kept.sort(key=lambda term: _POSITION[term[0][0]] | term[0][1])
     if denominator > 1 and (g := gcd(denominator, *(q for _, q in kept))) > 1:
         denominator //= g
         kept = [(key, q // g) for key, q in kept]
@@ -256,23 +264,23 @@ class InvariantForm(NamedTuple("InvariantForm", _FORM_FIELDS)):
     """Homogeneous invariant form: ((mask, slot), numerator) pairs in the
     order of (index tuple, slot), with nonzero int numerators over one
     positive denominator that shares no factor with all of them; bit k - 1
-    of a mask is the coframe factor k (1..6 horizontal, 7..9 vertical).
+    of a mask is the coframe factor k (_HORIZONTAL, then _VERTICAL).
     The constructor, _make and _replace check the fields and normalize the
     terms; the operators build through _collect, which skips the check."""
 
     __slots__ = ()
 
     def __new__(cls, degree: int, terms: Tuple[Term, ...], denominator: int = 1):
-        if type(degree) is not int or not 0 <= degree <= 9:
-            raise ValueError(f"a form's degree is an int in 0..9, not {degree!r}")
+        if type(degree) is not int or not 0 <= degree <= _N:
+            raise ValueError(f"a form's degree is an int in 0..{_N}, not {degree!r}")
         if type(denominator) is not int or denominator < 1:
             raise ValueError(f"a form's denominator is a positive int, not {denominator!r}")
         terms = tuple(terms)
         for (mask, slot), q in terms:
-            if type(mask) is not int or not 0 <= mask < 512 or mask.bit_count() != degree:
+            if type(mask) is not int or not 0 <= mask < len(_INDICES) or mask.bit_count() != degree:
                 raise ValueError(f"mask {mask!r} is not a {degree}-form monomial")
             if type(slot) is not int or not 0 <= slot < len(_SYMBOLS):
-                raise ValueError("a coefficient slot is an int in 0..8")
+                raise ValueError(f"a coefficient slot is an int in 0..{len(_SYMBOLS) - 1}")
             if type(q) is not int:
                 raise ValueError(f"numerator {q!r} is not an int")
         return _collect(degree, terms, denominator)
@@ -304,18 +312,18 @@ class InvariantForm(NamedTuple("InvariantForm", _FORM_FIELDS)):
         return InvariantForm.make(degree, {})
 
     def slot_numerators(self, *indices: int) -> Tuple[int, ...]:
-        """slot_values times the form's denominator: the nine int
-        numerators of the coefficient at e_{indices}."""
+        """slot_values times the form's denominator: the int numerators
+        of the coefficient at e_{indices}, one per slot."""
         if len(indices) != self.degree:
             raise ValueError(f"a {self.degree}-form is read at {self.degree} indices")
         mask, sign = _monomial(indices)
         stored = {slot: sign * q for (m, slot), q in self.terms if m == mask}
-        return tuple(stored.get(slot, 0) for slot in range(9))
+        return tuple(stored.get(slot, 0) for slot in range(len(_SYMBOLS)))
 
     def slot_values(self, *indices: int) -> Tuple[Fraction, ...]:
-        """The nine slot values of the coefficient at e_{indices}, read
-        with the sign of their sorting permutation (0 when an index
-        repeats); a p-form is read at p ints in 1..9."""
+        """The slot values of the coefficient at e_{indices}, read with
+        the sign of their sorting permutation (0 when an index repeats); a
+        p-form is read at p ints in 1..n."""
         return tuple(Fraction(q, self.denominator) for q in self.slot_numerators(*indices))
 
     def constant_part(self, *indices: int) -> Fraction:
@@ -326,7 +334,7 @@ class InvariantForm(NamedTuple("InvariantForm", _FORM_FIELDS)):
         return not self.terms
 
     def is_horizontal(self) -> bool:
-        return all(mask < 1 << 6 for (mask, _), _ in self.terms)
+        return all(mask <= _HORIZONTAL_MASK for (mask, _), _ in self.terms)
 
     def __add__(self, o: "InvariantForm") -> "InvariantForm":
         if not isinstance(o, InvariantForm):
@@ -396,7 +404,7 @@ def wedge(a: InvariantForm, b: InvariantForm) -> InvariantForm:
     if not (isinstance(a, InvariantForm) and isinstance(b, InvariantForm)):
         other = b if isinstance(a, InvariantForm) else a
         raise TypeError(f"a wedge factor is an InvariantForm, not {type(other).__name__}")
-    if a.degree + b.degree > 9:
+    if a.degree + b.degree > _N:
         raise ValueError("wedge degree exceeds coframe dimension")
     terms = (
         ((ma | mb, _times(sa, sb)), _merge(ma, mb) * qa * qb)
@@ -419,18 +427,18 @@ def wedge_all(*forms: InvariantForm) -> InvariantForm:
 
 # d e^k = -sum over a < b of c^k_ab e^ab, as (mask of e^ab, -c^k_ab) pairs,
 # and dc = sum over a of c_{[u_a, Z]} e^a for the symbol c = c_Z in a slot,
-# as (bit of e^a, slot, int) terms: Z is e_i for slot 1..6 and h_{slot-6}
-# for slot 7, 8 (its frame index is the slot), and the h_3 coordinate folds
-# into v_1, v_2 through v_3 = -v_1 - v_2.  Both are read once from the
-# brackets, keyed by the coframe index or the slot they reach
-_D_COFRAME: Dict[int, List[Tuple[int, int]]] = {k: [] for k in range(1, 10)}
-_D_SYMBOL: Dict[int, List[Tuple[int, int, int]]] = {s: [] for s in range(9)}
+# as (bit of e^a, slot, int) terms: Z is the frame vector whose index is the
+# slot, and the last vertical coordinate folds into the other v slots
+# through v_3 = -v_1 - v_2.  Both are read once from the brackets, keyed by
+# the coframe index or the slot they reach
+_D_COFRAME: Dict[int, List[Tuple[int, int]]] = {k: [] for k in _FRAME}
+_D_SYMBOL: Dict[int, List[Tuple[int, int, int]]] = {s: [] for s in range(len(_SYMBOLS))}
 for (_a, _b), _bracket in _BRACKETS.items():
     for _k, _c in _bracket.items():
         _D_COFRAME[_k].append(((1 << (_a - 1)) | (1 << (_b - 1)), -_c))
-        for _s, _t in ((7, -1), (8, -1)) if _k == 9 else ((_k, 1),):
+        for _s, _t in [(s, -1) for s in _VERTICAL[:-1]] if _k == _VERTICAL[-1] else [(_k, 1)]:
             _D_SYMBOL[_a].append((1 << (_b - 1), _s, -_t * _c))
-            if _b < 9:
+            if _b in _D_SYMBOL:
                 _D_SYMBOL[_b].append((1 << (_a - 1), _s, _t * _c))
 
 
@@ -460,6 +468,7 @@ def d(a: InvariantForm) -> InvariantForm:
     """Exterior differential (Maurer-Cartan on the coframe, the
     Ad-equivariance rule on coefficients), one cached integer column per
     (mask, slot) term."""
+    _require_form(a, "d")
     terms = ((key, q * c) for (mask, slot), q in a.terms for key, c in _d_image(mask, slot))
     return _collect(a.degree + 1, terms, a.denominator)
 
@@ -467,14 +476,17 @@ def d(a: InvariantForm) -> InvariantForm:
 # --------------------------------------------------------------------------
 # Metric operations (horizontal algebra only)
 
-_HORIZONTAL = (1, 2, 3, 4, 5, 6)
 # the volume form of the unit e-coframe, the one statement of the orientation
-VOLUME = -e(1, 2, 3, 4, 5, 6)
+VOLUME = -e(*_HORIZONTAL)
+
+
+def _require_form(a: InvariantForm, op: str) -> None:
+    if not isinstance(a, InvariantForm):
+        raise TypeError(f"{op} takes an InvariantForm, not {type(a).__name__}")
 
 
 def _require_horizontal(a: InvariantForm, op: str) -> None:
-    if not isinstance(a, InvariantForm):
-        raise TypeError(f"{op} takes an InvariantForm, not {type(a).__name__}")
+    _require_form(a, op)
     if not a.is_horizontal():
         raise VerticalComponent(f"{op} is defined on horizontal forms only")
 
@@ -483,17 +495,18 @@ def hodge_star(a: InvariantForm) -> InvariantForm:
     """Hodge star of the unit e-coframe: *e^I = s e^C, C the complement of
     I, with e^I ^ *e^I = VOLUME for every monomial e^I."""
     _require_horizontal(a, "hodge_star")
-    if a.degree > 6:
-        raise ValueError("horizontal degree exceeds 6")
+    if a.degree > len(_HORIZONTAL):
+        raise ValueError(f"horizontal degree exceeds {len(_HORIZONTAL)}")
     ((full, _), orientation), = VOLUME.terms  # VOLUME = orientation e^123456
     terms = (((full ^ m, s), orientation * _merge(m, full ^ m) * q) for (m, s), q in a.terms)
-    return _collect(6 - a.degree, terms, a.denominator)
+    return _collect(len(_HORIZONTAL) - a.degree, terms, a.denominator)
 
 
 def codifferential(a: InvariantForm) -> InvariantForm:
     """delta = -*d* on every degree (dimension 6 is even); zero on
     functions.  Defined for basic forms: the star of a basic form is
     basic, so the inner d never produces vertical terms."""
+    _require_form(a, "codifferential")
     if a.degree == 0:
         return InvariantForm.zero(0)
     return -hodge_star(d(hodge_star(a)))
@@ -501,6 +514,7 @@ def codifferential(a: InvariantForm) -> InvariantForm:
 
 def laplacian(a: InvariantForm) -> InvariantForm:
     """Hodge-de Rham Laplacian d delta + delta d."""
+    _require_form(a, "laplacian")
     if a.degree == 0:
         return codifferential(d(a))
     return d(codifferential(a)) + codifferential(d(a))
@@ -534,8 +548,9 @@ def apply_j(a: InvariantForm) -> InvariantForm:
 def contract_frame(a: InvariantForm, frame_index: int) -> InvariantForm:
     """Interior product with the frame vector u_k (algebraic pairing
     u_k -| theta^k = 1)."""
-    if type(frame_index) is not int or not 1 <= frame_index <= 9:
-        raise ValueError("frame index must be an int in 1..9")
+    _require_form(a, "contract_frame")
+    if type(frame_index) is not int or not 1 <= frame_index <= _N:
+        raise ValueError(f"frame index must be an int in 1..{_N}")
     if a.degree == 0:
         raise ValueError("a 0-form has no interior product")
     bit = 1 << (frame_index - 1)
@@ -592,18 +607,20 @@ def vertical_lie_derivative(a: InvariantForm, j: int) -> InvariantForm:
     (j = 1, 2, 3), by Cartan's formula L = (h_j -| d) + d (h_j -|); the
     second term is absent on a 0-form.  On coefficients this is
     c_Z -> c_{[h_j, Z]}, on the coframe L theta^k = -theta^k([h_j, .])."""
-    if type(j) is not int or j not in (1, 2, 3):
-        raise ValueError("vertical index must be 1, 2 or 3")
-    out = contract_frame(d(a), 6 + j)
-    return out if a.degree == 0 else out + d(contract_frame(a, 6 + j))
+    _require_form(a, "vertical_lie_derivative")
+    if type(j) is not int or not 1 <= j <= len(_VERTICAL):
+        *head, last = map(str, range(1, len(_VERTICAL) + 1))
+        raise ValueError(f"vertical index must be {', '.join(head)} or {last}")
+    out = contract_frame(d(a), _VERTICAL[j - 1])
+    return out if a.degree == 0 else out + d(contract_frame(a, _VERTICAL[j - 1]))
 
 
 def basic_check(a: InvariantForm) -> bool:
-    """True iff the form descends to the quotient: purely horizontal and
-    annihilated by all three vertical Lie derivatives."""
-    if not a.is_horizontal():
-        return False
-    return all(vertical_lie_derivative(a, j).is_zero() for j in (1, 2, 3))
+    """True iff the form descends to the quotient: it and its d are horizontal."""
+    # a horizontal a descends iff each L_{h_j} a = h_j -| da vanishes, and
+    # every vertical term of da has exactly one vertical factor
+    _require_form(a, "basic_check")
+    return a.is_horizontal() and d(a).is_horizontal()
 
 
 # --------------------------------------------------------------------------
@@ -614,11 +631,11 @@ def basic_check(a: InvariantForm) -> bool:
 OMEGA = InvariantForm.make(2, {((a, b), 0): s for a, (b, s) in _J_IMAGES.items() if a < b})
 PSI_MINUS = InvariantForm.make(3, {(idx, 0): s for idx, s in _PSI_MINUS_TERMS})
 PSI_PLUS = apply_j(PSI_MINUS)
-# the six 2-forms e_i -| Psi^+, i = 1..6
+# the 2-forms e_i -| Psi^+, one per horizontal index i
 PSI_PLUS_CONTRACTED = tuple(contract_frame(PSI_PLUS, i) for i in _HORIZONTAL)
 
 # the metric duals |h_j|^2 k^j of the vertical frame vectors
-H1, H2, H3 = (e(k) * _H_NORM for k in (7, 8, 9))
+H1, H2, H3 = (e(k) * _H_NORM for k in _VERTICAL)
 
 # The frame's claims at import, as (message, residual) pairs, each residual
 # checked by an explicit raise that python -O keeps: d(d) = 0 on the coframe
@@ -627,7 +644,7 @@ H1, H2, H3 = (e(k) * _H_NORM for k in (7, 8, 9))
 # and psi^+, derived from J and Psi^-, to the brackets
 for _claim, _residual in [
     *((f"the bracket table fails the Jacobi identity: d(d({n})) != 0", d(d(f))) for n, f in
-      [(f"e^{k}", e(k)) for k in range(1, 10)] + [(s, symbol_form(s)) for s in _SYMBOLS[1:]]),
+      [(f"e^{k}", e(k)) for k in _FRAME] + [(s, symbol_form(s)) for s in _SYMBOLS[1:]]),
     ("the normal form fails: d(omega) != 3 psi^+", d(OMEGA) - PSI_PLUS * 3),
     ("the normal form fails: d(psi^-) != -2 omega^omega", d(PSI_MINUS) + wedge(OMEGA, OMEGA) * 2),
     ("the normal form fails: psi^+ ^ psi^- != 4 vol", wedge(PSI_PLUS, PSI_MINUS) - VOLUME * 4),
@@ -734,16 +751,17 @@ def _coefficient_parts(coords: Sequence[Fraction]) -> List[Tuple[bool, str]]:
 
 
 def _format_atoms(mask: int) -> str:
-    horizontal = "".join(str(i) for i in _INDICES[mask & 0b111111])
+    horizontal = "".join(str(i) for i in _INDICES[mask & _HORIZONTAL_MASK])
     atoms = ["e_" + horizontal] if horizontal else []
-    return "^".join(atoms + [f"h_{j}" for j in _INDICES[mask >> 6]])
+    return "^".join(atoms + [f"h_{j}" for j in _INDICES[mask >> len(_HORIZONTAL)]])
 
 
 def format_form(a: InvariantForm) -> str:
     """Render a form in the documented grammar (see module docstring)."""
+    _require_form(a, "format_form")
     rendered = []
     for mask in dict.fromkeys(mask for (mask, _), _ in a.terms):
-        scale = _H_NORM ** -(mask >> 6).bit_count()  # k^j = h_j / |h_j|^2
+        scale = _H_NORM ** -(mask >> len(_HORIZONTAL)).bit_count()  # k^j = h_j / |h_j|^2
         coords = [q * scale if q else q for q in a.slot_values(*_INDICES[mask])]
         parts = _coefficient_parts(coords)
         atoms = _format_atoms(mask)

@@ -41,7 +41,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, NamedTuple, Sequence, Tuple
 
-from .branching import Space
+from .branching import _FRAME, _HORIZONTAL, Space
 from .dga import (
     InvariantForm,
     OMEGA,
@@ -109,9 +109,9 @@ def _a_form(x_flat: InvariantForm) -> InvariantForm:
 
 def a_two_form(x: Sequence[Fraction]) -> InvariantForm:
     """The 2-form (JX) -| Psi+ whose negative endomorphism is A_X, for
-    the six components of X."""
-    if len(x) != 6:
-        raise ValueError(f"a vector X has 6 components, not {len(x)}")
+    the components of X, one per horizontal index."""
+    if len(x) != len(_HORIZONTAL):
+        raise ValueError(f"a vector X has {len(_HORIZONTAL)} components, not {len(x)}")
     return _a_form(InvariantForm.make(1, {((i,), 0): q for i, q in enumerate(x, 1)}))
 
 
@@ -163,7 +163,7 @@ def verify_pointwise_identities() -> VerificationReport:
     x_wedge_psi = wedge(x, PSI_PLUS)
     om2 = wedge(OMEGA, OMEGA)
     # beta_i = (J e_i) -| Psi+, so A_{e_i} theta = -(theta -| beta_i)
-    beta = [_a_form(e(i)) for i in range(1, 7)]
+    beta = [_a_form(e(i)) for i in _HORIZONTAL]
 
     # |A_X|^2 = 2|X|^2 on a few dense rational vectors; slot k of the
     # residual is the one at sample k
@@ -182,7 +182,7 @@ def verify_pointwise_identities() -> VerificationReport:
         (p, n): 1 for n, p in enumerate(_PRIMITIVE_PAIRS, 1)
     }))[0]
     # the rows share phi's denominator, so its numerators have the same rank
-    rows = [phi.slot_numerators(i, j)[1:] for i in range(1, 7) for j in range(i + 1, 7)]
+    rows = [phi.slot_numerators(i, j)[1:] for i in _HORIZONTAL for j in _HORIZONTAL if i < j]
     if _rank(rows) != 8:
         raise AssertionError("the primitive (1,1) projections do not span")
 
@@ -205,8 +205,8 @@ def verify_pointwise_identities() -> VerificationReport:
             "a10_contraction_sum",
             sum(
                 (
-                    wedge(-contract_frame(ax, i), PSI_PLUS_CONTRACTED[i - 1])
-                    for i in range(1, 7)
+                    wedge(-contract_frame(ax, i), contracted)
+                    for i, contracted in zip(_HORIZONTAL, PSI_PLUS_CONTRACTED)
                 ),
                 wedge(x, OMEGA) * 2,
             ),
@@ -380,7 +380,7 @@ def moduli_generator_rank() -> int:
         # a row times its positive denominator spans the same line
         if _reduce(span, c.slot_numerators()[1:]):
             dc = d(c)
-            pending += [contract_frame(dc, a) for a in range(1, 10)]
+            pending += [contract_frame(dc, a) for a in _FRAME]
     return len(span)
 
 

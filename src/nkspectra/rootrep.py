@@ -84,7 +84,7 @@ def canonical_weight(group: Group, coords) -> Weight:
             raise ValueError(f"weight coordinate {c!r} is not an int or a Fraction")
     vec = tuple(map(Fraction, vec))
     if len(vec) != _of_group(_AMBIENT, group):
-        raise ValueError(f"expected {_AMBIENT[group]} coordinates for {group}")
+        raise ValueError(f"expected {_AMBIENT[group]} coordinates for {group.value}")
     if group is Group.SU3:
         mean = sum(vec, Fraction(0)) / 3
         vec = tuple(c - mean for c in vec)
@@ -107,7 +107,7 @@ class IrrepLabel(NamedTuple("IrrepLabel", [("group", Group), ("labels", Tuple[in
         if type(labels) is not tuple or len(labels) != n:
             if n is None:
                 raise ValueError(f"a label's group is a Group, not {group!r}")
-            raise ValueError(f"{group} label needs a tuple of {n} entries")
+            raise ValueError(f"{group.value} label needs a tuple of {n} entries")
         for x in labels:  # a loop, not any(): this runs per spectrum entry and iter_labels label
             if type(x) is not int or x < 0:
                 raise ValueError("labels must be nonnegative integers")

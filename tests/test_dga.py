@@ -195,7 +195,7 @@ _NORMAL_FORM_FAULTS = {
         "PSI_PLUS = apply_j(PSI_MINUS)", "PSI_PLUS = -apply_j(PSI_MINUS)", "d(omega) != 3 psi^+"
     ),
     "volume": (
-        "VOLUME = -e(1, 2, 3, 4, 5, 6)", "VOLUME = e(1, 2, 3, 4, 5, 6)", "psi^+ ^ psi^- != 4 vol"
+        "VOLUME = -e(*_HORIZONTAL)", "VOLUME = e(*_HORIZONTAL)", "psi^+ ^ psi^- != 4 vol"
     ),
 }
 
@@ -326,6 +326,22 @@ def test_merge_sign_matches_the_inversion_count(indices):
         assert got == (-1) ** _inversions(head + tail)
     if indices:
         assert dga._merge(mask, dga._monomial(indices[:1])[0]) == 0
+
+
+def test_the_sign_rule_is_exact_on_a_ten_index_frame(monkeypatch):
+    # CP3's frame has ten indices, one more than the flag's: the tables
+    # built for n = 10 extend the flag's, and _merge reading them counts
+    # the inversions of every seeded pair of 10-bit masks
+    indices, above = dga._mask_tables(10)
+    assert len(indices) == len(above) == 1 << 10
+    assert indices[:1 << 9] == dga._INDICES and above[:1 << 9] == dga._ABOVE
+    assert all(m == sum(1 << (k - 1) for k in idx) for m, idx in enumerate(indices))
+    monkeypatch.setattr(dga, "_ABOVE", above)
+    rng = random.Random(10)
+    for _ in range(3000):
+        a, b = rng.randrange(1 << 10), rng.randrange(1 << 10)
+        want = 0 if a & b else (-1) ** _inversions(indices[a] + indices[b])
+        assert dga._merge(a, b) == want, (indices[a], indices[b])
 
 
 _CONSTANT_FORMS = st.integers(0, 4).flatmap(
@@ -736,6 +752,38 @@ def test_basic_check_examples():
     assert not basic_check(e(7))
 
 
+def _basic_by_lie_derivatives(a):
+    """The rule basic_check replaced: horizontal, and killed by the three
+    vertical Lie derivatives."""
+    return a.is_horizontal() and all(vertical_lie_derivative(a, j).is_zero() for j in (1, 2, 3))
+
+
+def test_basic_check_agrees_with_the_vertical_lie_derivatives(monkeypatch):
+    kd = killing_data()
+    basis = [
+        InvariantForm(mask.bit_count(), (((mask, slot), 1),))
+        for mask in range(1 << 6) for slot in range(9)
+    ]
+    by_degree = [[f for f in basis if f.degree == p] for p in range(7)]
+    rng = random.Random(36)
+    combinations = [
+        sum((f * rng.randint(-3, 3) for f in rng.sample(fs, min(4, len(fs)))), InvariantForm.zero(p))
+        for p, fs in enumerate(by_degree)
+        for _ in range(40)
+    ]
+    model = [kd.phi_k, kd.phi_v, OMEGA, PSI_PLUS, PSI_MINUS]
+    forms = basis + combinations + model + [e(1, 7)]
+    assert sum(map(_basic_by_lie_derivatives, forms)) > len(model)
+    want = [_basic_by_lie_derivatives(f) for f in forms]
+    # one d per call, and no vertical Lie derivative
+    calls = []
+    monkeypatch.setattr(dga, "d", lambda a: calls.append(a) or d(a))
+    monkeypatch.setattr(dga, "vertical_lie_derivative", None)
+    assert [basic_check(f) for f in forms] == want
+    assert len(calls) == len(forms) - 1  # e(1, 7) is not horizontal: no d is taken
+    assert all(want[-len(model) - 1:-1]) and not want[-1]
+
+
 def test_vertical_lie_derivative_validation():
     with pytest.raises(ValueError):
         vertical_lie_derivative(OMEGA, 4)
@@ -845,14 +893,21 @@ _FORM_OPERATIONS = {
     "contract_vector-form": lambda x: contract_vector(e(1), x),
     "alpha": lambda x: alpha(x),
     "type_decompose": lambda x: type_decompose(x),
+    "d": lambda x: d(x),
+    "codifferential": lambda x: codifferential(x),
+    "laplacian": lambda x: laplacian(x),
+    "contract_frame": lambda x: contract_frame(x, 1),
+    "vertical_lie_derivative": lambda x: vertical_lie_derivative(x, 1),
+    "basic_check": lambda x: basic_check(x),
+    "format_form": lambda x: format_form(x),
 }
 
 
 @pytest.mark.parametrize("other", [3, "x", None, Fraction(1, 2), (2, ())], ids=repr)
 @pytest.mark.parametrize("name", list(_FORM_OPERATIONS))
 def test_the_metric_operations_refuse_anything_but_a_form(name, other):
-    # each ended in AttributeError: 'int' object has no attribute 'degree'
-    # or 'is_horizontal'
+    # each ended in AttributeError: 'int' object has no attribute 'degree',
+    # 'terms' or 'is_horizontal'; d and the operators built on it too
     with pytest.raises(TypeError) as err:
         _FORM_OPERATIONS[name](other)
     op = name.split("-")[0]

@@ -329,8 +329,11 @@ def test_weights_refuse_inexact_coordinates():
 
 
 def test_a_weight_with_the_wrong_number_of_coordinates_is_refused():
-    with pytest.raises(ValueError, match="^expected 2 coordinates for "):
+    # the group is named by its value, as in every other refusal, not by
+    # its Enum repr Group.SO5
+    with pytest.raises(ValueError) as err:
         canonical_weight(Group.SO5, (1, 2, 3))
+    assert str(err.value) == "expected 2 coordinates for so5"
 
 
 def test_iter_labels_rejects_negative_cutoff():
@@ -529,6 +532,10 @@ def test_so5_label_validation():
         with pytest.raises(ValueError) as err:
             IrrepLabel(group, labels)
         assert "\n" not in str(err.value)
+    # the group by its value: this read "Group.SU3 label needs ..."
+    with pytest.raises(ValueError) as err:
+        IrrepLabel(Group.SU3, [1, 1])
+    assert str(err.value) == "su3 label needs a tuple of 2 entries"
 
 
 @pytest.mark.parametrize(

@@ -226,6 +226,38 @@ def test_only_dga_reads_the_stored_terms():
         assert reads == [], path.name
 
 
+def _int_literal(node) -> int:
+    """The value of an int literal (a bool is not one), else -1."""
+    is_int = isinstance(node, ast.Constant) and type(node.value) is int
+    return node.value if is_int else -1
+
+
+def _frame_shape_literals(path: Path):
+    """Line numbers where a file restates the flag frame's shape: a range()
+    with a literal bound above 3, the literal 63, 511 or 512, or a shift by
+    the literal 6."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "range":
+            found = any(_int_literal(arg) > 3 for arg in node.args)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, (ast.LShift, ast.RShift)):
+            found = _int_literal(node.right) == 6
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, (ast.LShift, ast.RShift)):
+            found = _int_literal(node.value) == 6
+        else:
+            found = _int_literal(node) in (63, 511, 512)
+        if found:
+            yield node.lineno
+
+
+@pytest.mark.parametrize("module", ["dga", "nkcheck"])
+def test_the_frame_shape_is_read_off_the_frame_data(module):
+    # the frame's indices are stated once, as branching's _HORIZONTAL,
+    # _VERTICAL and _FRAME; a bound such as range(1, 10), 512 masks or
+    # mask >> 6 would state the flag's 6 + 3 indices a second time
+    path = ROOT / "src" / "nkspectra" / f"{module}.py"
+    assert list(_frame_shape_literals(path)) == []
+
+
 def test_readme_names_of_the_package_resolve():
     # every backticked `module.NAME` in README.md that starts with a
     # nkspectra module (with or without the package prefix) names an

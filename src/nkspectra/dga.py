@@ -311,20 +311,15 @@ class InvariantForm(NamedTuple("InvariantForm", _FORM_FIELDS)):
     def zero(degree: int) -> "InvariantForm":
         return InvariantForm.make(degree, {})
 
-    def slot_numerators(self, *indices: int) -> Tuple[int, ...]:
-        """slot_values times the form's denominator: the int numerators
-        of the coefficient at e_{indices}, one per slot."""
-        if len(indices) != self.degree:
-            raise ValueError(f"a {self.degree}-form is read at {self.degree} indices")
-        mask, sign = _monomial(indices)
-        stored = {slot: sign * q for (m, slot), q in self.terms if m == mask}
-        return tuple(stored.get(slot, 0) for slot in range(len(_SYMBOLS)))
-
     def slot_values(self, *indices: int) -> Tuple[Fraction, ...]:
         """The slot values of the coefficient at e_{indices}, read with
         the sign of their sorting permutation (0 when an index repeats); a
         p-form is read at p ints in 1..n."""
-        return tuple(Fraction(q, self.denominator) for q in self.slot_numerators(*indices))
+        if len(indices) != self.degree:
+            raise ValueError(f"a {self.degree}-form is read at {self.degree} indices")
+        mask, sign = _monomial(indices)
+        stored = {slot: Fraction(sign * q, self.denominator) for (m, slot), q in self.terms if m == mask}
+        return tuple(stored.get(slot, Fraction(0)) for slot in range(len(_SYMBOLS)))
 
     def constant_part(self, *indices: int) -> Fraction:
         """The constant slot of slot_values (no indices: a 0-form's value)."""
@@ -335,6 +330,10 @@ class InvariantForm(NamedTuple("InvariantForm", _FORM_FIELDS)):
 
     def is_horizontal(self) -> bool:
         return all(mask <= _HORIZONTAL_MASK for (mask, _), _ in self.terms)
+
+    def vertical_part(self) -> "InvariantForm":
+        """The terms with a vertical factor: zero iff the form is horizontal."""
+        return _collect(self.degree, (t for t in self.terms if t[0][0] > _HORIZONTAL_MASK), self.denominator)
 
     def __add__(self, o: "InvariantForm") -> "InvariantForm":
         if not isinstance(o, InvariantForm):
@@ -485,10 +484,10 @@ def _require_form(a: InvariantForm, op: str) -> None:
         raise TypeError(f"{op} takes an InvariantForm, not {type(a).__name__}")
 
 
-def _require_horizontal(a: InvariantForm, op: str) -> None:
+def _require_horizontal(a: InvariantForm, op: str, kind: str = "horizontal") -> None:
     _require_form(a, op)
     if not a.is_horizontal():
-        raise VerticalComponent(f"{op} is defined on horizontal forms only")
+        raise VerticalComponent(f"{op} is defined on {kind} forms only")
 
 
 def hodge_star(a: InvariantForm) -> InvariantForm:
@@ -503,21 +502,22 @@ def hodge_star(a: InvariantForm) -> InvariantForm:
 
 
 def codifferential(a: InvariantForm) -> InvariantForm:
-    """delta = -*d* on every degree (dimension 6 is even); zero on
-    functions.  Defined for basic forms: the star of a basic form is
-    basic, so the inner d never produces vertical terms."""
-    _require_form(a, "codifferential")
+    """delta = -*d* (dimension 6 is even), zero on functions; for basic forms,
+    whose star is basic, so a vertical term of the inner d refuses a form."""
+    _require_horizontal(a, "codifferential", "basic")
     if a.degree == 0:
         return InvariantForm.zero(0)
-    return -hodge_star(d(hodge_star(a)))
+    inner_d = d(hodge_star(a))
+    _require_horizontal(inner_d, "codifferential", "basic")
+    return -hodge_star(inner_d)
 
 
 def laplacian(a: InvariantForm) -> InvariantForm:
-    """Hodge-de Rham Laplacian d delta + delta d."""
-    _require_form(a, "laplacian")
-    if a.degree == 0:
-        return codifferential(d(a))
-    return d(codifferential(a)) + codifferential(d(a))
+    """Hodge-de Rham Laplacian d delta + delta d, defined for basic forms."""
+    _require_horizontal(a, "laplacian", "basic")
+    da = d(a)
+    _require_horizontal(da, "laplacian", "basic")
+    return d(codifferential(a)) + codifferential(da) if a.degree else codifferential(da)
 
 
 def inner(a: InvariantForm, b: InvariantForm) -> InvariantForm:
@@ -624,6 +624,35 @@ def basic_check(a: InvariantForm) -> bool:
 
 
 # --------------------------------------------------------------------------
+# Linear algebra on forms
+
+def kernel(sources: Sequence[InvariantForm], images: Sequence[InvariantForm]) -> Tuple[InvariantForm, ...]:
+    """A basis of the combinations sum u_j sources_j of independent sources
+    whose sum u_j images_j is zero, scaled to coprime integer numerators,
+    the last positive.  Row j is image j's numerators beside the tag u_j =
+    its denominator, at keys past every monomial, so a row is sum u_j
+    images_j beside u; it is reduced at its least key by cross-multiplying
+    with the row kept there (Bareiss's fraction-free elimination) until no
+    row is, and kept.  A row then led by a tag has image zero."""
+    if len(sources) != len(images):
+        raise ValueError("kernel takes one image per source")
+    kept, basis = {}, []  # least key -> row, in echelon form
+    for j, image in enumerate(images):
+        row = {**dict(image.terms), (len(_INDICES), j): image.denominator}
+        while (lead := min(row)) in kept:
+            p, q, pivot = kept[lead][lead], row[lead], kept[lead]
+            row = {key: p * row.get(key, 0) - q * pivot.get(key, 0) for key in row.keys() | pivot.keys()}
+            g = gcd(*row.values())
+            row = {key: x // g for key, x in row.items() if x}
+        kept[lead] = row
+        if lead[0] == len(_INDICES):
+            form = sum((sources[k] * u for (_, k), u in row.items()), InvariantForm.zero(sources[j].degree))
+            g = gcd(*(q for _, q in form.terms)) * (1 if form.terms and form.terms[-1][1] > 0 else -1)
+            basis.append(_collect(form.degree, ((key, q // g) for key, q in form.terms)))
+    return tuple(basis)
+
+
+# --------------------------------------------------------------------------
 # Model constants
 
 # omega is the sum of s e^ab over the J-pairs J e^a = s e^b with a < b,
@@ -664,11 +693,10 @@ _X_FLAT = InvariantForm.make(1, {((i,), i): 1 for i in _HORIZONTAL})
 
 class KillingData(NamedTuple):
     """Symbolic Killing-field forms of the flag manifold: the dual 1-form,
-    its rotation, the 2-form phi_v and the primitive (1,1) part phi_k of d(xi)."""
+    its rotation and the primitive (1,1) part phi_k of d(xi)."""
 
     xi_flat: InvariantForm
     j_xi_flat: InvariantForm
-    phi_v: InvariantForm
     phi_k: InvariantForm
 
 
@@ -678,8 +706,7 @@ def killing_data() -> KillingData:
     symbols hold for every xi in su_3 simultaneously, and killing_values
     evaluates the symbols at a concrete xi.  The forms are built once per
     process and the same immutable object is returned on every call."""
-    phi_v = e(5, 6) * symbol_form("v1") - e(3, 4) * symbol_form("v2") + e(1, 2) * symbol_form("v3")
-    return KillingData(_X_FLAT, apply_j(_X_FLAT), phi_v, type_decompose(d(_X_FLAT))[0])
+    return KillingData(_X_FLAT, apply_j(_X_FLAT), type_decompose(d(_X_FLAT))[0])
 
 
 def killing_values(xi: Sparse, g: Sparse) -> Dict[str, Fraction]:

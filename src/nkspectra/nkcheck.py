@@ -30,18 +30,19 @@ from the difference formula
 
 which only needs operators the engine already has.
 
-The rank of the moduli generators xi -> phi_v is read on the symbols
-too: the span of v_1, v_2 closed under the frame derivatives, with no
-group element sampled (see moduli_generator_rank).
+The flag's NK is computed, not written down (see moduli_space): the
+basic primitive (1,1) sections with coefficients in su_3 are solved for,
+their count is checked against hom_dimension, and the co-closed ones are
+kept.  There is one, phi_v, and xi -> phi_v has rank dim su_3 = 8.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from functools import lru_cache
+from typing import NamedTuple, Sequence, Tuple
 
-from .branching import _FRAME, _HORIZONTAL, Space
+from .branching import _HORIZONTAL, Bundle, Space, hom_dimension
 from .dga import (
     InvariantForm,
     OMEGA,
@@ -49,6 +50,7 @@ from .dga import (
     PSI_PLUS,
     PSI_PLUS_CONTRACTED,
     VOLUME,
+    _SYMBOLS,
     _X_FLAT,
     alpha,
     apply_j,
@@ -61,6 +63,7 @@ from .dga import (
     format_form,
     hodge_star,
     inner,
+    kernel,
     killing_data,
     laplacian,
     scalar_form,
@@ -68,6 +71,7 @@ from .dga import (
     type_decompose,
     wedge,
 )
+from .rootrep import _LIE_DIMENSION, Group, su3_label
 from .spectrum import moduli_upper_bound
 
 
@@ -122,35 +126,15 @@ def a_norm_squared(x: Sequence[Fraction]) -> Fraction:
     return inner(beta, beta).constant_part()
 
 
-# index pairs p_1..p_8 of the generic 2-form sum_n s_n e^{p_n}, s_n the
-# symbol in slot n; slot n of its primitive (1,1) part is the projection
-# of e^{p_n}, and these eight projections span the 8-dim space
+# index pairs p_1..p_8 whose primitive (1,1) projections P_1..P_8 span
+# that 8-dim space
 _PRIMITIVE_PAIRS = ((1, 2), (5, 6), (1, 3), (1, 4), (1, 5), (1, 6), (3, 5), (3, 6))
 
 
-def _reduce(span: Dict[int, List[int]], row: Sequence[Fraction]) -> bool:
-    """Reduce a row of ints or Fractions, scaled to integers first,
-    against an echelon span, {pivot: primitive integer row whose first
-    nonzero entry is positive, at the pivot}, by cross-multiplication,
-    fraction-free as in Bareiss's elimination; a nonzero remainder joins
-    the span and True is returned."""
-    den = lcm(*(x.denominator for x in row))
-    row = [x.numerator * (den // x.denominator) for x in row]
-    for pivot in sorted(span):
-        if factor := row[pivot]:
-            lead = span[pivot][pivot]
-            row = [lead * x - factor * y for x, y in zip(row, span[pivot])]
-    lead = next((col for col, x in enumerate(row) if x), None)
-    if lead is None:
-        return False
-    g = gcd(*row)
-    span[lead] = [x // (g if row[lead] > 0 else -g) for x in row]
-    return True
-
-
-def _rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    span: Dict[int, List[int]] = {}
-    return sum(_reduce(span, row) for row in rows)
+@lru_cache(maxsize=None)
+def _projections(pairs: Tuple[Tuple[int, int], ...]) -> Tuple[InvariantForm, ...]:
+    """The primitive (1,1) parts of e^p over the index pairs p."""
+    return tuple(type_decompose(e(*p))[0] for p in pairs)
 
 
 # --------------------------------------------------------------------------
@@ -177,14 +161,12 @@ def verify_pointwise_identities() -> VerificationReport:
         for k, s in enumerate(samples, 1)
     })
 
-    # slot n of phi is the primitive (1,1) projection of e^{p_n}
-    phi = type_decompose(InvariantForm.make(2, {
-        (p, n): 1 for n, p in enumerate(_PRIMITIVE_PAIRS, 1)
-    }))[0]
-    # the rows share phi's denominator, so its numerators have the same rank
-    rows = [phi.slot_numerators(i, j)[1:] for i in _HORIZONTAL for j in _HORIZONTAL if i < j]
-    if _rank(rows) != 8:
+    # eight independent forms in the 8-dim space span it
+    projections = _projections(_PRIMITIVE_PAIRS)
+    if kernel(projections, projections):
         raise AssertionError("the primitive (1,1) projections do not span")
+    # slot n of phi is P_n, slots 1..8 holding x_1..x_6, v_1, v_2
+    phi = sum((p * symbol_form(s) for p, s in zip(projections, _SYMBOLS[1:])), InvariantForm.zero(2))
 
     checks = (
         # norm identity polarized: sum_j <A_X, A_{e_j}> e^j = 2X, whose
@@ -359,35 +341,28 @@ def verify_eigenfunction_suite() -> VerificationReport:
 # --------------------------------------------------------------------------
 # Suite 4: the 8-dim space of moduli generators
 
-def moduli_generator_rank() -> int:
-    """Rank of the map xi -> phi_v from su_3, computed on the symbols.
-
-    phi_v = v_1 e_56 - v_2 e_34 + v_3 e_12 vanishes exactly when v_1 and
-    v_2 do, and v_j(g) = <xi, Ad(g) h_j>.  On the connected group these
-    all vanish iff xi is orthogonal to the smallest ad-invariant subspace
-    holding h_1, h_2, so the rank is that subspace's dimension modulo the
-    centre.  A frame vector acts on the symbols by u . c_W = c_{[u, W]},
-    so in slots 1..8 (the symbols c_W up to the centre, where v_3 folds
-    into v_1, v_2) the subspace is the span of v_1 and v_2 closed under
-    the nine frame derivatives u_a -| d.  It is grown until no derivative
-    leaves it; the result is exact, where evaluating at sample points
-    only bounds it from below.
-    """
-    span: Dict[int, List[int]] = {}
-    pending = [symbol_form("v1"), symbol_form("v2")]
-    while pending:
-        c = pending.pop()
-        # a row times its positive denominator spans the same line
-        if _reduce(span, c.slot_numerators()[1:]):
-            dc = d(c)
-            pending += [contract_frame(dc, a) for a in _FRAME]
-    return len(span)
+@lru_cache(maxsize=None)
+def moduli_space() -> Tuple[InvariantForm, ...]:
+    """A basis of the flag's NK as G-maps out of su_3: the co-closed basic
+    sections among the 64 P_r c_s, c_s in x_1..x_6, v_1, v_2.  Linear in
+    the c_s, a section is a G-map xi -> phi out of V(1,1), the only label
+    at Laplace eigenvalue 12, so these hold all of NK; the basic ones, whose
+    d has no vertical part, number hom_dimension(V(1,1), Lambda^(1,1)_0)."""
+    unknowns = [p * symbol_form(s) for p in _projections(_PRIMITIVE_PAIRS) for s in _SYMBOLS[1:]]
+    basic = kernel(unknowns, [d(u).vertical_part() for u in unknowns])
+    if len(basic) != (want := hom_dimension(Space.FLAG, su3_label(1, 1), Bundle.LAMBDA11)):
+        raise AssertionError(f"{len(basic)} basic primitive (1,1) sections, not {want}")
+    return kernel(basic, [codifferential(b) for b in basic])
 
 
 def verify_moduli_generators() -> VerificationReport:
-    kd = killing_data()
-    phi = kd.phi_v
-    rank = moduli_generator_rank()
+    sections = moduli_space()
+    # phi_v, signed as kernel signs a basis form: its last numerator, the
+    # v_1 at e_56, is positive
+    phi = sections[0] if sections else InvariantForm.zero(2)
+    # a nonzero G-map out of the simple su_3 is injective (Schur), so
+    # xi -> phi has rank dim su_3 per co-closed section
+    rank = _LIE_DIMENSION[Group.SU3] * len(sections)
     bound = moduli_upper_bound(Space.FLAG).nk_upper_bound
     checks = [
         _form_check("phi_v_type_11", apply_j(phi) - phi),

@@ -5,7 +5,8 @@ Everything here is exact rational arithmetic; there are no tolerances."""
 import random
 from fractions import Fraction
 
-from nkspectra.branching import Bundle, Space, U2Label, restrict_so5_to_u2
+from nkspectra import nkcheck
+from nkspectra.branching import Bundle, Space, U2Label, hom_dimension, restrict_so5_to_u2
 from nkspectra.dga import (
     OMEGA,
     PSI_MINUS,
@@ -21,17 +22,19 @@ from nkspectra.dga import (
     e,
     hodge_star,
     inner,
+    kernel,
     killing_data,
     laplacian,
     symbol_form,
     wedge,
 )
 from nkspectra.nkcheck import (
-    moduli_generator_rank,
+    moduli_space,
     verify_killing_suite,
     verify_moduli_generators,
 )
 from nkspectra.rootrep import (
+    _LIE_DIMENSION,
     Group,
     casimir_eigenvalue,
     dimension,
@@ -135,13 +138,27 @@ def test_criterion_07_structure_equation_regression(auxiliary_fields):
 def test_criterion_08_moduli_generators_realize_the_bound():
     report = verify_moduli_generators()
     assert report.passed, str(report)
-    kd = killing_data()
-    assert codifferential(kd.phi_v).is_zero()
-    assert (laplacian(kd.phi_v) - kd.phi_v * 12).is_zero()
-    assert inner(kd.phi_v, OMEGA).is_zero()
-    assert (apply_j(kd.phi_v) - kd.phi_v).is_zero()
-    assert moduli_generator_rank() == 8
-    assert moduli_generator_rank() == moduli_upper_bound(Space.FLAG).reported_bound()
+    # the 64 sections P_r c_s hold 4 basic ones, as many as Hom counting
+    # finds, and one co-closed one: phi_v
+    unknowns = [
+        p * symbol_form(s)
+        for p in nkcheck._projections(nkcheck._PRIMITIVE_PAIRS)
+        for s in ("x1", "x2", "x3", "x4", "x5", "x6", "v1", "v2")
+    ]
+    basic = kernel(unknowns, [d(u).vertical_part() for u in unknowns])
+    assert len(unknowns) == 64
+    assert len(basic) == 4 == hom_dimension(Space.FLAG, su3_label(1, 1), Bundle.LAMBDA11)
+    assert kernel(basic, [codifferential(b) for b in basic]) == moduli_space()
+    phi_v, = moduli_space()
+    assert str(phi_v) == "v_3 e_12 - v_2 e_34 + v_1 e_56"
+    assert codifferential(phi_v).is_zero()
+    assert (laplacian(phi_v) - phi_v * 12).is_zero()
+    assert inner(phi_v, OMEGA).is_zero()
+    assert (apply_j(phi_v) - phi_v).is_zero()
+    # xi -> phi_v is injective on the simple su_3 (Schur): rank 8, the
+    # spectral bound met as an equality
+    rank = _LIE_DIMENSION[Group.SU3] * len(moduli_space())
+    assert rank == 8 == moduli_upper_bound(Space.FLAG).nk_upper_bound
 
 
 def test_criterion_09_killing_identity_suite():

@@ -50,6 +50,7 @@ from nkspectra.dga import (
     wedge,
     wedge_all,
 )
+from nkspectra.nkcheck import moduli_space
 
 X = [symbol_form(f"x{i}") for i in range(1, 7)]
 V1 = symbol_form("v1")
@@ -771,7 +772,7 @@ def test_basic_check_agrees_with_the_vertical_lie_derivatives(monkeypatch):
         for p, fs in enumerate(by_degree)
         for _ in range(40)
     ]
-    model = [kd.phi_k, kd.phi_v, OMEGA, PSI_PLUS, PSI_MINUS]
+    model = [kd.phi_k, *moduli_space(), OMEGA, PSI_PLUS, PSI_MINUS]
     forms = basis + combinations + model + [e(1, 7)]
     assert sum(map(_basic_by_lie_derivatives, forms)) > len(model)
     want = [_basic_by_lie_derivatives(f) for f in forms]
@@ -882,6 +883,28 @@ def test_vertical_input_names_the_operation_called(op, call):
     with pytest.raises(VerticalComponent) as err:
         call()
     assert str(err.value) == f"{op} is defined on horizontal forms only"
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "dash-O"])
+def test_non_basic_input_names_the_operation_called(flags, run_python):
+    # the three named hodge_star, the inner call: x1 is horizontal but its
+    # d is not, and e_17 has a vertical factor
+    script = (
+        "from nkspectra.dga import VerticalComponent, codifferential, e, laplacian, symbol_form\n"
+        "for call in (lambda: laplacian(symbol_form('x1')), lambda: codifferential(e(1, 7)),\n"
+        "             lambda: laplacian(e(1, 7))):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except VerticalComponent as err:\n"
+        "        print(err)\n"
+    )
+    proc = run_python(["-c", script], *flags)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines() == [
+        "laplacian is defined on basic forms only",
+        "codifferential is defined on basic forms only",
+        "laplacian is defined on basic forms only",
+    ]
 
 
 _FORM_OPERATIONS = {
@@ -1144,9 +1167,10 @@ def test_eigenfunction_identity():
 
 def test_phi_v_and_phi_k_shapes():
     kd = killing_data()
-    prim, anti, trace = type_decompose(kd.phi_v)
-    assert (prim - kd.phi_v).is_zero() and anti.is_zero() and trace.is_zero()
-    assert basic_check(kd.phi_v)
+    phi_v, = moduli_space()
+    prim, anti, trace = type_decompose(phi_v)
+    assert (prim - phi_v).is_zero() and anti.is_zero() and trace.is_zero()
+    assert basic_check(phi_v)
     assert basic_check(kd.phi_k)
     # the e_12 coefficient, read by contracting with u_1 then u_2
     assert contract_frame(contract_frame(kd.phi_k, 1), 2) == (V1 - V2) * 4
@@ -1318,7 +1342,7 @@ def test_format_symbolic_forms():
         "x_1 e_1 + x_2 e_2 + x_3 e_3 + x_4 e_4 + x_5 e_5 + x_6 e_6"
     )
     assert format_form(d(symbol_form("v1"))) == "-x_2 e_1 + x_1 e_2 - x_4 e_3 + x_3 e_4"
-    assert format_form(kd.phi_v) == "v_3 e_12 - v_2 e_34 + v_1 e_56"
+    assert format_form(moduli_space()[0]) == "v_3 e_12 - v_2 e_34 + v_1 e_56"
     assert format_form(kd.phi_k) == (
         "(4v_1 - 4v_2) e_12 + (4v_1 - 4v_3) e_34 + (4v_2 - 4v_3) e_56"
     )

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nkspectra import cli, dga, nkcheck
+from nkspectra.branching import Bundle, Space, hom_dimension
 from nkspectra.cli import _suites_table
 from nkspectra.dga import (
     InvariantForm,
@@ -26,17 +27,20 @@ from nkspectra.dga import (
     e,
     hodge_star,
     inner,
+    kernel,
     killing_data,
+    laplacian,
     symbol_form,
     type_decompose,
     wedge,
 )
+from nkspectra.rootrep import _LIE_DIMENSION, Group, iter_labels, laplace_eigenvalue, su3_label
 from nkspectra.nkcheck import (
     CheckResult,
     VerificationReport,
     a_norm_squared,
     a_two_form,
-    moduli_generator_rank,
+    moduli_space,
     run_all_suites,
     verify_eigenfunction_suite,
     verify_injectivity_argument,
@@ -195,58 +199,124 @@ def test_primitive_basis_spans_rank_eight():
         [phi.slot_values(i, j)[n] for i in range(1, 7) for j in range(i + 1, 7)]
         for n in range(1, 9)
     ]
-    assert nkcheck._rank(rows) == 8
+    assert _gauss_jordan_rank(rows) == 8
+    projections = nkcheck._projections(nkcheck._PRIMITIVE_PAIRS)
+    assert kernel(projections, projections) == ()
+    slots = [p * symbol_form(s) for p, s in zip(projections, _SLOT_NAMES)]
+    assert (sum(slots, InvariantForm.zero(2)) - phi).is_zero()
+
+
+# the symbols of the coefficient slots 1..8
+_SLOT_NAMES = ("x1", "x2", "x3", "x4", "x5", "x6", "v1", "v2")
+
+
+def _basic_sections():
+    """The basic sections among the 64 P_r c_s, as moduli_space finds them."""
+    unknowns = [p * symbol_form(s) for p in nkcheck._projections(nkcheck._PRIMITIVE_PAIRS)
+                for s in _SLOT_NAMES]
+    return kernel(unknowns, [d(u).vertical_part() for u in unknowns])
 
 
 def test_moduli_generator_rank():
-    assert moduli_generator_rank() == 8
+    # one co-closed section, phi_v, and dim su_3 = 8 per section (Schur)
+    sections = moduli_space()
+    assert [str(phi) for phi in sections] == ["v_3 e_12 - v_2 e_34 + v_1 e_56"]
+    assert _LIE_DIMENSION[Group.SU3] * len(sections) == 8
+    assert moduli_space() is sections
 
 
 def test_moduli_generator_rank_makes_few_dense_products():
-    # the rank is read on the symbols: no matrix product and no point
-    # evaluation
+    # NK is read on the symbols: no matrix product and no point evaluation
     codes = {dga.sparse_mul.__code__: 0, dga.killing_values.__code__: 0}
 
     def hook(frame, event, arg):
         if event == "call" and frame.f_code in codes:
             codes[frame.f_code] += 1
 
+    moduli_space.cache_clear()
     sys.setprofile(hook)
     try:
-        rank = moduli_generator_rank()
+        sections = moduli_space()
     finally:
         sys.setprofile(None)
-    assert rank == 8
+    assert len(sections) == 1
     assert list(codes.values()) == [0, 0]
 
 
 def test_moduli_generator_rank_reduces_each_candidate_once(monkeypatch):
-    # v_1, v_2 and the nine derivatives of each of the 8 rows kept: 74
-    # candidates, each reduced once against the echelon span
+    # two eliminations: the 64 unknowns against the vertical part of their
+    # d, then the 4 basic sections against their codifferential
     calls = []
-    reduce = nkcheck._reduce
 
-    def counting(span, row):
-        calls.append(len(span))
-        return reduce(span, row)
+    def counting(sources, images):
+        found = kernel(sources, images)
+        calls.append((len(sources), len(images), len(found)))
+        return found
 
-    monkeypatch.setattr(nkcheck, "_reduce", counting)
-    assert moduli_generator_rank() == 8
-    assert len(calls) == 74
-    assert max(calls) == 8
+    monkeypatch.setattr(nkcheck, "kernel", counting)
+    moduli_space.cache_clear()
+    try:
+        assert len(moduli_space()) == 1
+    finally:
+        moduli_space.cache_clear()
+    assert calls == [(64, 64, 4), (4, 4, 1)]
 
 
-def test_broken_frame_derivatives_fail_the_rank_checks(monkeypatch):
-    # with every frame derivative zero the span never grows past v_1, v_2,
-    # and both rank checks report the missing 6
-    monkeypatch.setattr(
-        nkcheck, "contract_frame", lambda form, a: InvariantForm.zero(form.degree - 1)
-    )
-    assert moduli_generator_rank() == 2
-    checks = {c.name: c for c in verify_moduli_generators().checks}
+def test_a_dropped_kernel_vector_fails_the_rank_checks(monkeypatch):
+    # a kernel that loses its last vector finds 3 basic sections, which the
+    # count against hom_dimension refuses; losing only the co-closed one
+    # leaves no phi_v, and both rank checks report the missing 8
+    def dropping(last_only):
+        def fault(sources, images):
+            found = kernel(sources, images)
+            return found[:-1] if len(found) == 1 or not last_only else found
+        return fault
+
+    monkeypatch.setattr(nkcheck, "kernel", dropping(last_only=False))
+    moduli_space.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="^3 basic primitive .1,1. sections, not 4$"):
+            moduli_space()
+        monkeypatch.setattr(nkcheck, "kernel", dropping(last_only=True))
+        assert moduli_space() == ()
+        checks = {c.name: c for c in verify_moduli_generators().checks}
+    finally:
+        moduli_space.cache_clear()
     for name in ("generator_rank_8", "rank_meets_spectral_bound"):
         assert not checks[name].passed
-        assert checks[name].residual == "6"
+        assert checks[name].residual == "8"
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "dash-O"])
+def test_a_planted_kernel_fault_fails_verify_flag(flags, run_planted):
+    # dga.kernel dropping the last vector it finds: moduli_space's explicit
+    # count raises under python -O too, and verify-flag exits 1
+    script = "import sys\nfrom nkspectra import cli\nsys.exit(cli.main(['verify-flag']))"
+    proc = run_planted(dga, "    return tuple(basis)\n", "    return tuple(basis[:-1])\n", script, flags)
+    stderr = proc.stderr.decode()
+    assert proc.returncode == 1, stderr
+    assert stderr.splitlines() == [
+        "nkspectra: internal assertion failed: 3 basic primitive (1,1) sections, not 4"
+    ]
+
+
+def test_the_hermitian_laplacian_is_12_on_every_basic_section(monkeypatch):
+    # the spectral lemma over the whole basic kernel: V(1,1) is the only
+    # su_3 label at eigenvalue 12, and Delta_H is 12 on all four sections;
+    # the Hodge Laplacian is not, so the check is not vacuous
+    basic = _basic_sections()
+    assert len(basic) == 4 == hom_dimension(Space.FLAG, su3_label(1, 1), Bundle.LAMBDA11)
+    at_12 = [label for label in iter_labels(Group.SU3, 12) if laplace_eigenvalue(label) == 12]
+    assert at_12 == [su3_label(1, 1)]
+
+    def off_12():
+        return [phi for phi in basic if not (nkcheck._hermitian_laplacian(phi) - phi * 12).is_zero()]
+
+    assert off_12() == []
+    assert all(not (laplacian(phi) - phi * 12).is_zero() for phi in basic)
+    # a Delta_H without its (J delta phi) -| Psi+ term fails on each
+    monkeypatch.setattr(nkcheck, "_hermitian_laplacian", laplacian)
+    assert off_12() == list(basic)
 
 
 def _sample_unitaries(mul):
@@ -277,8 +347,8 @@ def _sample_unitaries(mul):
 
 def test_sampled_rank_matches_the_symbolic_rank(naive_mul):
     # an oracle on the numeric path: the generators' (v_1, v_2, v_3)
-    # values at five points already have rank 8; killing_values refuses
-    # a point that is not unitary
+    # values at five points already have rank 8, the rank moduli_space
+    # gives; killing_values refuses a point that is not unitary
     su3 = dga.BASIS_UNITS[:6] + (
         {(0, 0): (0, 1), (1, 1): (0, -1)},  # h_1 - h_2
         {(1, 1): (0, 1), (2, 2): (0, -1)},  # h_2 - h_3
@@ -293,7 +363,7 @@ def test_sampled_rank_matches_the_symbolic_rank(naive_mul):
         ]
         for xi in su3
     ]
-    assert nkcheck._rank(rows) == 8 == moduli_generator_rank()
+    assert _gauss_jordan_rank(rows) == 8 == _LIE_DIMENSION[Group.SU3] * len(moduli_space())
 
 
 def test_suites_share_one_killing_data(monkeypatch):
@@ -305,6 +375,7 @@ def test_suites_share_one_killing_data(monkeypatch):
         return kd
 
     monkeypatch.setattr(nkcheck, "killing_data", recording)
+    # the moduli suite reads moduli_space, not the Killing-field forms
     reports = (
         verify_killing_suite(),
         verify_eigenfunction_suite(),
@@ -312,26 +383,52 @@ def test_suites_share_one_killing_data(monkeypatch):
         verify_injectivity_argument(),
     )
     assert all(r.passed for r in reports)
-    assert len(seen) == 4
+    assert len(seen) == 3
     assert all(kd is seen[0] for kd in seen)
     assert killing_data() is seen[0]
 
 
+def _check_kernel(rows):
+    """dga.kernel on rows of rationals, row j the image of e^(j+1): its
+    nullity is n - rank, each basis form is a combination of the e^j with
+    image zero, scaled to coprime integers, the last positive, and the
+    basis is independent."""
+    sources = [e(j) for j in range(1, len(rows) + 1)]
+    images = [
+        InvariantForm.make(1, {((k,), 0): Fraction(x) for k, x in enumerate(row, 1)})
+        for row in rows
+    ]
+    basis = kernel(sources, images)
+    assert len(basis) == len(rows) - _gauss_jordan_rank(rows)
+    coefficients = []
+    for form in basis:
+        u = [form.constant_part(j) for j in range(1, len(rows) + 1)]
+        assert (sum((f * c for f, c in zip(sources, u)), InvariantForm.zero(1)) - form).is_zero()
+        assert sum((f * c for f, c in zip(images, u)), InvariantForm.zero(1)).is_zero()
+        nonzero = [c for c in u if c]
+        assert all(c.denominator == 1 for c in u) and nonzero[-1] > 0
+        assert math.gcd(*(c.numerator for c in u)) == 1
+        coefficients.append(u)
+    assert _gauss_jordan_rank(coefficients) == len(basis)
+    return basis
+
+
 def test_rank_helper():
-    assert nkcheck._rank([]) == 0
-    # the kept row (1, 1) is not zero at the later pivot 1, so a candidate
-    # is reduced in pivot order
-    span = {}
-    rows = ([Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]) * 2
-    assert [nkcheck._reduce(span, row) for row in rows] == [True, True, False, False]
-    assert span == {0: [1, 1], 1: [0, 1]}
-    assert nkcheck._rank([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == 1
-    assert nkcheck._rank([[Fraction(0), Fraction(0)]]) == 0
-    assert nkcheck._rank([
+    assert _check_kernel([]) == ()
+    assert _check_kernel([[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]] * 2) == (
+        e(3) - e(1), e(4) - e(2),
+    )
+    assert _check_kernel([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]) == (
+        e(1) * -2 + e(2),
+    )
+    assert _check_kernel([[Fraction(0), Fraction(0)]]) == (e(1),)
+    assert _check_kernel([
         [Fraction(1), Fraction(0), Fraction(1)],
         [Fraction(0), Fraction(1), Fraction(1)],
         [Fraction(1), Fraction(1), Fraction(0)],
-    ]) == 3
+    ]) == ()
+    with pytest.raises(ValueError, match="one image per source"):
+        kernel([e(1)], [])
 
 
 def _gauss_jordan_rank(rows):
@@ -384,17 +481,9 @@ def _rational_rows(draw):
 @settings(max_examples=200, deadline=None)
 @given(_rational_rows())
 def test_fraction_free_elimination_matches_gauss_jordan(rows):
-    # a row joins the span exactly when it raises the rank of the rows so
-    # far, and the span keeps primitive integer rows with a positive lead
-    span = {}
-    joined = [nkcheck._reduce(span, row) for row in rows]
-    prefix = [_gauss_jordan_rank(rows[:n]) for n in range(len(rows) + 1)]
-    assert joined == [after > before for before, after in zip(prefix, prefix[1:])]
-    assert nkcheck._rank(rows) == len(span) == prefix[-1]
-    for pivot, kept in span.items():
-        assert all(type(x) is int for x in kept)
-        assert not any(kept[:pivot]) and kept[pivot] > 0
-        assert math.gcd(*kept) == 1
+    # the kernel of the rows has the nullity Gauss-Jordan gives, and a
+    # basis of combinations with image zero
+    _check_kernel(rows)
 
 
 def test_injectivity_identities_replayed():

@@ -226,6 +226,22 @@ def test_only_dga_reads_the_stored_terms():
         assert reads == [], path.name
 
 
+def test_only_dga_eliminates():
+    # dga.kernel is the one elimination in src/: no other module imports,
+    # names or calls gcd or lcm
+    for path in sorted((ROOT / "src" / "nkspectra").glob("*.py")):
+        if path.stem == "dga":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        uses = [
+            node.lineno for node in ast.walk(tree)
+            if {"gcd", "lcm"} & {
+                getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None),
+            }
+        ]
+        assert uses == [], path.name
+
+
 def _int_literal(node) -> int:
     """The value of an int literal (a bool is not one), else -1."""
     is_int = isinstance(node, ast.Constant) and type(node.value) is int

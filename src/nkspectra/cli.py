@@ -98,7 +98,7 @@ def _moduli_payload(space: Space) -> Dict:
         "dim_eigenspace_12_functions": report.dim_omega0_12,
         "nk_upper_bound": report.nk_upper_bound,
         "reported_bound": report.reported_bound(),
-        "einstein_extra": list(report.einstein_extra),
+        "einstein_extra": list(einstein_deformation_check(space)),
         "isotropy_casimir": str(cas),
         "scal": str(scal),
     }

@@ -102,30 +102,15 @@ Sparse = Dict[Tuple[int, int], Tuple[Fraction, Fraction]]
 IDENTITY: Sparse = {(0, 0): (1, 0), (1, 1): (1, 0), (2, 2): (1, 0)}
 
 
-def _accumulate(entries: Iterable) -> Sparse:
-    """Sum (key, re, im) entries into one sparse matrix, dropping zeros."""
-    out: Dict = {}
-    for key, re, im in entries:
-        zr, zi = out.get(key, (0, 0))
-        out[key] = (zr + re, zi + im)
-    return {key: z for key, z in out.items() if z != (0, 0)}
-
-
 def sparse_mul(a: Sparse, b: Sparse) -> Sparse:
-    """Matrix product, one term per pair of nonzero entries that meet."""
-    return _accumulate(
-        ((p, s), ar * br - ai * bi, ar * bi + ai * br)
-        for (p, q), (ar, ai) in a.items()
-        for (r, s), (br, bi) in b.items()
-        if q == r
-    )
-
-
-def sparse_sum(terms: Iterable[Tuple[Fraction, Sparse]]) -> Sparse:
-    """The combination sum of c M over (c, M) pairs with real scalars c."""
-    return _accumulate(
-        (key, c * re, c * im) for c, m in terms for key, (re, im) in m.items()
-    )
+    """Matrix product, one term per pair of entries that meet, zeros dropped."""
+    out: Sparse = {}
+    for (p, q), (ar, ai) in a.items():
+        for (r, s), (br, bi) in b.items():
+            if q == r:
+                zr, zi = out.get((p, s), (0, 0))
+                out[p, s] = (zr + ar * br - ai * bi, zi + ar * bi + ai * br)
+    return {key: z for key, z in out.items() if z != (0, 0)}
 
 
 def sparse_dagger(a: Sparse) -> Sparse:
@@ -505,19 +490,20 @@ def codifferential(a: InvariantForm) -> InvariantForm:
     """delta = -*d* (dimension 6 is even), zero on functions; for basic forms,
     whose star is basic, so a vertical term of the inner d refuses a form."""
     _require_horizontal(a, "codifferential", "basic")
-    if a.degree == 0:
-        return InvariantForm.zero(0)
     inner_d = d(hodge_star(a))
     _require_horizontal(inner_d, "codifferential", "basic")
-    return -hodge_star(inner_d)
+    return -hodge_star(inner_d) if a.degree else InvariantForm.zero(0)
 
 
 def laplacian(a: InvariantForm) -> InvariantForm:
-    """Hodge-de Rham Laplacian d delta + delta d, defined for basic forms."""
+    """Hodge-de Rham Laplacian d delta + delta d on basic forms of degree 0..6."""
     _require_horizontal(a, "laplacian", "basic")
     da = d(a)
     _require_horizontal(da, "laplacian", "basic")
-    return d(codifferential(a)) + codifferential(da) if a.degree else codifferential(da)
+    # d delta vanishes on functions, and delta d on top forms
+    d_delta = d(codifferential(a)) if a.degree else InvariantForm.zero(0)
+    delta_d = codifferential(da) if a.degree < len(_HORIZONTAL) else InvariantForm.zero(a.degree)
+    return d_delta + delta_d
 
 
 def inner(a: InvariantForm, b: InvariantForm) -> InvariantForm:
@@ -634,6 +620,8 @@ def kernel(sources: Sequence[InvariantForm], images: Sequence[InvariantForm]) ->
     images_j beside u; it is reduced at its least key by cross-multiplying
     with the row kept there (Bareiss's fraction-free elimination) until no
     row is, and kept.  A row then led by a tag has image zero."""
+    for form in (*sources, *images):
+        _require_form(form, "kernel")
     if len(sources) != len(images):
         raise ValueError("kernel takes one image per source")
     kept, basis = {}, []  # least key -> row, in echelon form
@@ -716,13 +704,14 @@ def killing_values(xi: Sparse, g: Sparse) -> Dict[str, Fraction]:
     evaluation stays exact."""
     if not all(p in range(3) and q in range(3) for m in (xi, g) for p, q in m):
         raise ValueError("matrix entries need row and column in 0..2")
-    if sparse_sum(((1, xi), (1, sparse_dagger(xi)))):
+    # xi^dagger = -xi: each entry is minus the conjugate of its mirror, 0 when absent
+    if any(xi.get((q, p), (0, 0)) != (-re, im) for (p, q), (re, im) in xi.items()):
         raise ValueError("xi must be skew-Hermitian")
     # the diagonal of a skew-Hermitian matrix is imaginary
     if sum(xi.get((p, p), (0, 0))[1] for p in range(3)):
         raise ValueError("xi must be traceless")
     g_dagger = sparse_dagger(g)
-    if sparse_sum(((1, sparse_mul(g, g_dagger)), (-1, IDENTITY))):
+    if sparse_mul(g, g_dagger) != IDENTITY:
         raise ValueError("g must be unitary")
     ad = sparse_mul(sparse_mul(g_dagger, xi), g)
     names = _SYMBOLS[1:] + ("v3",)

@@ -224,9 +224,7 @@ def verify_pointwise_identities() -> VerificationReport:
 
 def _hermitian_laplacian(phi: InvariantForm) -> InvariantForm:
     """Delta_H phi = Delta phi - (J delta phi) -| Psi+ on 2-forms."""
-    return laplacian(phi) - contract_vector(
-        apply_j(codifferential(phi)), PSI_PLUS
-    )
+    return laplacian(phi) - _a_form(codifferential(phi))
 
 
 def verify_killing_suite() -> VerificationReport:

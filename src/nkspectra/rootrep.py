@@ -118,10 +118,6 @@ class IrrepLabel(NamedTuple("IrrepLabel", [("group", Group), ("labels", Tuple[in
     # namedtuple's _make, which _replace calls, would skip __new__
     _make = classmethod(lambda cls, fields: cls(*fields))
 
-    @property
-    def is_trivial(self) -> bool:
-        return all(x == 0 for x in self.labels)
-
     def highest_weight(self) -> Weight:
         if self.group is Group.SU3:
             k, l = self.labels

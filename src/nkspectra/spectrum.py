@@ -123,7 +123,6 @@ class ModuliReport(NamedTuple):
     dim_omega11_12: int
     dim_isometry: int
     dim_omega0_12: int
-    einstein_extra: Tuple[int, int]
 
     @property
     def nk_upper_bound(self) -> int:
@@ -150,7 +149,6 @@ def moduli_upper_bound(space: Space) -> ModuliReport:
         dim_omega11_12=eigenspace_multiplicity(space, Bundle.LAMBDA11, twelve),
         dim_isometry=_LIE_DIMENSION[space_group(space)],
         dim_omega0_12=eigenspace_multiplicity(space, Bundle.FUNCTIONS, twelve),
-        einstein_extra=einstein_deformation_check(space),
     )
 
 

@@ -289,6 +289,25 @@ def test_json_round_trip(capsys):
     assert total == {"9": 12, "12": 9}
 
 
+def test_both_einstein_reports_read_one_function(capsys, monkeypatch):
+    # both commands read the pair from the one function, none keeps a copy
+    monkeypatch.setattr(cli, "einstein_deformation_check", lambda space: (1, 2))
+    shown = {
+        (command, fmt): _run(capsys, command, "--space", "flag", "--format", fmt)
+        for command in ("moduli-bound", "einstein-check")
+        for fmt in ("table", "json", "csv")
+    }
+    assert {code for code, _ in shown.values()} == {0}
+    assert "  einstein extras (eig 2, eig 6)  1, 2\n" in shown["moduli-bound", "table"][1]
+    assert json.loads(shown["moduli-bound", "json"][1])["einstein_extra"] == [1, 2]
+    assert "einstein_extra_2,1\neinstein_extra_6,2\n" in shown["moduli-bound", "csv"][1]
+    table = shown["einstein-check", "table"][1]
+    assert "eigenvalue 2   1\n" in table and "eigenvalue 6   2\n" in table
+    doc = json.loads(shown["einstein-check", "json"][1])
+    assert (doc["multiplicity_at_2"], doc["multiplicity_at_6"]) == (1, 2)
+    assert "multiplicity_at_2,1\nmultiplicity_at_6,2\n" in shown["einstein-check", "csv"][1]
+
+
 def test_moduli_json_fields(capsys):
     for space, bound in (("s3xs3", 0), ("cp3", 0), ("flag", 8)):
         code, out = _run(capsys, "moduli-bound", "--space", space, "--format", "json")

@@ -38,6 +38,7 @@ from nkspectra.dga import (
     format_form,
     hodge_star,
     inner,
+    kernel,
     killing_data,
     killing_values,
     laplacian,
@@ -887,12 +888,12 @@ def test_vertical_input_names_the_operation_called(op, call):
 
 @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "dash-O"])
 def test_non_basic_input_names_the_operation_called(flags, run_python):
-    # the three named hodge_star, the inner call: x1 is horizontal but its
-    # d is not, and e_17 has a vertical factor
+    # each refusal names the operation called, not hodge_star inside it: x1
+    # is horizontal but its d is not, and e_17 has a vertical factor
     script = (
         "from nkspectra.dga import VerticalComponent, codifferential, e, laplacian, symbol_form\n"
         "for call in (lambda: laplacian(symbol_form('x1')), lambda: codifferential(e(1, 7)),\n"
-        "             lambda: laplacian(e(1, 7))):\n"
+        "             lambda: laplacian(e(1, 7)), lambda: codifferential(symbol_form('x1'))):\n"
         "    try:\n"
         "        call()\n"
         "    except VerticalComponent as err:\n"
@@ -904,7 +905,28 @@ def test_non_basic_input_names_the_operation_called(flags, run_python):
         "laplacian is defined on basic forms only",
         "codifferential is defined on basic forms only",
         "laplacian is defined on basic forms only",
+        "codifferential is defined on basic forms only",
     ]
+
+
+def test_delta_and_laplacian_refuse_exactly_the_forms_that_are_not_basic():
+    # on each horizontal basis form of degree 0..6, the ends included: a
+    # 0-form's delta still checks d*, and a 6-form's Laplacian has no delta d
+    for mask in range(dga._HORIZONTAL_MASK + 1):
+        for slot in range(len(dga._SYMBOLS)):
+            form = InvariantForm(mask.bit_count(), (((mask, slot), 1),))
+            for operation in (codifferential, laplacian):
+                try:
+                    operation(form)
+                except VerticalComponent:
+                    assert not basic_check(form), (operation.__name__, form)
+                else:
+                    assert basic_check(form), (operation.__name__, form)
+    # the star commutes with the Laplacian
+    for f in (scalar_form(1), symbol_form("v1"), symbol_form("v2")):
+        assert laplacian(VOLUME * f) == VOLUME * laplacian(f)
+    assert laplacian(VOLUME) == InvariantForm.zero(6)
+    assert laplacian(VOLUME * symbol_form("v1")) == VOLUME * symbol_form("v1") * 12
 
 
 _FORM_OPERATIONS = {
@@ -923,6 +945,8 @@ _FORM_OPERATIONS = {
     "vertical_lie_derivative": lambda x: vertical_lie_derivative(x, 1),
     "basic_check": lambda x: basic_check(x),
     "format_form": lambda x: format_form(x),
+    "kernel-source": lambda x: kernel([x], [e(1)]),
+    "kernel-image": lambda x: kernel([e(1)], [x]),
 }
 
 
@@ -1203,9 +1227,21 @@ def test_killing_values_validation():
         ({(0, 0): (0, 1), (1, 1): (0, -1), (5, 5): (0, 1)}, IDENTITY, "0..2"),
         # g g^dagger = 1 with the first row moved to column 3
         (BASIS_UNITS[0], {(0, 3): (1, 0), (1, 1): (1, 0), (2, 2): (1, 0)}, "0..2"),
+        # a Hermitian off-diagonal pair, traceless
+        ({(0, 1): (1, 0), (1, 0): (1, 0)}, IDENTITY, "skew-Hermitian"),
+        # an off-diagonal entry whose mirror is absent
+        ({(0, 1): (1, 0)}, IDENTITY, "skew-Hermitian"),
+        # unit rows that are not orthogonal: g g^dagger has 24/25 at (0, 1)
+        (BASIS_UNITS[0], {(0, 0): (Fraction(3, 5), 0), (0, 1): (Fraction(4, 5), 0),
+                          (1, 0): (Fraction(4, 5), 0), (1, 1): (Fraction(3, 5), 0),
+                          (2, 2): (1, 0)}, "unitary"),
     ):
         with pytest.raises(ValueError, match=message):
             killing_values(xi, g)
+    # explicit zero entries are read as absent ones
+    xi = {**BASIS_UNITS[0], (0, 2): (0, 0), (2, 2): (0, 0)}
+    g = {**IDENTITY, (1, 2): (0, 0)}
+    assert killing_values(xi, g) == killing_values(BASIS_UNITS[0], IDENTITY)
 
 
 def test_killing_values_sum_check_fires(monkeypatch):

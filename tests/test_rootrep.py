@@ -278,7 +278,7 @@ def _labels(draw):
 def test_casimir_is_nonpositive_and_zero_only_for_trivial(label):
     cas = casimir_eigenvalue(label)
     assert cas <= 0
-    assert (cas == 0) == label.is_trivial
+    assert (cas == 0) == (not any(label.labels))
     assert laplace_eigenvalue(label) >= 0
 
 

@@ -27,9 +27,9 @@ converted once at import to the coordinates the sum reads).  What is read is
 checked with explicit raises that survive `python -O`: the top occurs
 once, nothing is negative, and multiplicities agree within each Weyl
 orbit of fiber weights and on each pair of dual U2 types.  The
-Gelfand-Tsetlin pattern tables of `rootrep.weight_multiplicities` and
-their peeling in `restrict_so5_to_u2` are kept as the independent oracles
-the test suite compares against; no command calls them.
+Gelfand-Tsetlin tables of `rootrep.weight_multiplicities`, and the string
+counts n(m) - n(m + 2) `restrict_so5_to_u2` reads off them, are the
+independent oracles the test suite compares against; no command calls them.
 """
 
 from __future__ import annotations
@@ -246,35 +246,28 @@ def restrict_so5_to_u2(irrep: IrrepLabel) -> List[Tuple[U2Label, int]]:
     """Branch an so5 irrep to U2 by weight bookkeeping.
 
     Each so5 torus weight (l1, l2) restricts to the U2 weight with SU2
-    part m = l1 - l2 and central charge q = l1 + l2; within a fixed
-    charge the m-profile is decomposed into strings by highest-weight
-    peeling.  Output sorted by (a, b), total dimension checked.
+    part m = l1 - l2 and central charge q = l1 + l2, one to one.  With n(m)
+    the multiplicity of m at charge q, the string E(m, q), m >= 0, occurs
+    n(m) - n(m + 2) times, and none may be negative; n(m) = n(-m) must
+    hold.  Output sorted by (a, b), total dimension checked.
     """
     _check_irrep(irrep)
     if irrep.group is not Group.SO5:
         raise ValueError("restriction defined for so5 labels only")
     by_charge: Dict[int, Dict[int, int]] = {}
     for (l1, l2), mult in weight_multiplicities(irrep).entries:
-        m, q = int(l1 - l2), int(l1 + l2)
-        by_charge.setdefault(q, {})
-        by_charge[q][m] = by_charge[q].get(m, 0) + mult
+        by_charge.setdefault(int(l1 + l2), {})[int(l1 - l2)] = mult
 
-    out: Dict[U2Label, int] = {}
-    for q in sorted(by_charge):
-        profile = dict(by_charge[q])
-        while any(profile.values()):
-            top = max(m for m, c in profile.items() if c > 0)
-            if top < 0:
-                raise AssertionError(f"{irrep}: asymmetric string profile")
-            count = profile[top]
-            for m in range(-top, top + 1, 2):
-                profile[m] = profile.get(m, 0) - count
-                if profile[m] < 0:
-                    raise AssertionError(f"{irrep}: string peeling went negative")
-            lab = U2Label(top, q)
-            out[lab] = out.get(lab, 0) + count
+    out = []
+    for q, n in by_charge.items():
+        counts = {m: n.get(m, 0) - n.get(m + 2, 0) for m in range(max(n) + 1)}
+        if min(counts.values(), default=0) < 0:
+            raise AssertionError(f"{irrep}: string peeling went negative")
+        if any(n.get(-m, 0) != c for m, c in n.items()):
+            raise AssertionError(f"{irrep}: asymmetric string profile")
+        out += [(U2Label(m, q), c) for m, c in counts.items() if c]
 
-    result = sorted(out.items(), key=lambda t: (t[0].a, t[0].b))
+    result = sorted(out)  # by (a, b): each label occurs once
     if sum(lab.dim * mult for lab, mult in result) != dimension(irrep):
         raise AssertionError(f"{irrep}: the U2 types miss the Weyl dimension")
     return result

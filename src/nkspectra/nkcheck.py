@@ -28,7 +28,7 @@ from the difference formula
 
     (Delta - Delta_H) phi = (J (delta phi)) -| Psi+
 
-which only needs operators the engine already has.
+which needs only the engine's operators, with delta phi computed once.
 
 The flag's NK is computed, not written down (see moduli_space): the
 basic primitive (1,1) sections with coefficients in su_3 are solved for,
@@ -223,8 +223,10 @@ def verify_pointwise_identities() -> VerificationReport:
 # Suite 2: Killing 1-forms on the flag model
 
 def _hermitian_laplacian(phi: InvariantForm) -> InvariantForm:
-    """Delta_H phi = Delta phi - (J delta phi) -| Psi+ on 2-forms."""
-    return laplacian(phi) - _a_form(codifferential(phi))
+    """Delta_H phi = d delta phi + delta d phi - (J delta phi) -| Psi+ on
+    2-forms, delta phi computed once."""
+    delta_phi = codifferential(phi)
+    return d(delta_phi) + codifferential(d(phi)) - _a_form(delta_phi)
 
 
 def verify_killing_suite() -> VerificationReport:

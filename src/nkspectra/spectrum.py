@@ -155,18 +155,17 @@ def moduli_upper_bound(space: Space) -> ModuliReport:
 def scal_normalization_check(space: Space) -> Tuple[Fraction, Fraction]:
     """Consistency check tying the metric normalization to the curvature
     constants: the isotropy representation must have Casimir -1/3 on
-    every summand, which pins the homogeneous scalar curvature at
-    3/2 - 3 Cas = 5/2 and the curvature endomorphism on the tangent
-    bundle at -12 Cas = 4.  The Casimirs are read from branching's
-    tangent modules, the ones the Hom counts read.  Returns (Cas, scal);
-    ValueError unless the space is a Space."""
+    every summand.  That one condition gives both constants: the
+    homogeneous scalar curvature 3/2 - 3 Cas = 5/2 and the curvature
+    endomorphism on the tangent bundle -12 Cas = 4.  The Casimirs are
+    read from branching's tangent modules, the ones the Hom counts read.
+    Returns (Cas, scal); ValueError unless the space is a Space."""
     space_group(space)
     values = _isotropy_casimirs(space)
     cas = values[0]
     if any(v != cas for v in values):
         shown = ", ".join(map(str, values))
         raise AssertionError(f"{space.value}: isotropy Casimirs differ: [{shown}]")
-    scal = Fraction(3, 2) - 3 * cas
-    if scal != Fraction(5, 2) or -12 * cas != 4:
+    if cas != Fraction(-1, 3):
         raise AssertionError(f"{space.value}: isotropy Casimir {cas}, not -1/3")
-    return (cas, scal)
+    return (cas, Fraction(3, 2) - 3 * cas)

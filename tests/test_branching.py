@@ -1,5 +1,6 @@
 """Isotropy fibers and Hom_K multiplicities for the three spaces."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -224,6 +225,59 @@ def test_restriction_refuses_types_that_miss_the_weyl_dimension(monkeypatch):
     with pytest.raises(AssertionError) as err:
         restrict_so5_to_u2(so5_label(1, 0))
     assert str(err.value) == "V(1,0): the U2 types miss the Weyl dimension"
+
+
+def _peel_profiles(weights):
+    # highest-weight peeling of each charge's m-profile, an independent
+    # route to the U2 strings: the sorted (label, count) list, or None when
+    # the profile is not a sum of strings
+    by_charge = {}
+    for (l1, l2), mult in weights.items():
+        by_charge.setdefault(l1 + l2, Counter())[l1 - l2] += mult
+    out = []
+    for q, profile in by_charge.items():
+        while any(profile.values()):
+            top = max(m for m, c in profile.items() if c > 0)
+            if top < 0:
+                return None
+            count = profile[top]
+            for m in range(-top, top + 1, 2):
+                profile[m] -= count
+                if profile[m] < 0:
+                    return None
+            out.append((U2Label(top, q), count))
+    return sorted(out)
+
+
+def test_string_counts_agree_with_peeling_on_planted_profiles(monkeypatch):
+    # seeded sums of strings over a few charges, half of them with one
+    # multiplicity moved by +-1: the closed-form counts accept exactly the
+    # profiles peeling accepts, with the same strings (the refusal
+    # messages may differ, so only refusal is compared)
+    rng = random.Random(3917)
+    verdicts = Counter()
+    for _ in range(400):
+        weights = Counter()
+        for q in rng.sample(range(-4, 5), rng.randint(1, 3)):
+            for _ in range(rng.randint(1, 3)):
+                m, count = rng.randrange(q % 2, 7, 2), rng.randint(1, 2)
+                for k in range(-m, m + 1, 2):
+                    weights[(q + k) // 2, (q - k) // 2] += count
+        if rng.random() < 0.5:
+            q = rng.randrange(-4, 5)
+            k = 2 * rng.randint(-3, 3) + q % 2
+            weights[(q + k) // 2, (q - k) // 2] += rng.choice((1, -1))
+        weights = {w: c for w, c in weights.items() if c > 0}
+        _planted_weights(monkeypatch, weights)
+        monkeypatch.setattr(branching, "dimension", lambda irrep: sum(weights.values()))
+        expected = _peel_profiles(weights)
+        try:
+            got = restrict_so5_to_u2(so5_label(1, 0))
+        except AssertionError:
+            got = None
+        assert got == expected, weights
+        verdicts[got is None] += 1
+    assert verdicts[True] > 50 and verdicts[False] > 50
 
 
 def test_u2_label_validation():

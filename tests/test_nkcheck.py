@@ -319,6 +319,28 @@ def test_the_hermitian_laplacian_is_12_on_every_basic_section(monkeypatch):
     assert off_12() == list(basic)
 
 
+def test_the_hermitian_laplacian_computes_delta_phi_once(monkeypatch):
+    # d delta phi + delta d phi - (J delta phi) -| Psi+ makes two
+    # codifferentials, delta phi and delta d phi; going through the Hodge
+    # Laplacian would compute delta phi a second time.  The difference
+    # formula with the Hodge Laplacian stays the oracle for its value
+    eta = type_decompose(d(apply_j(d(symbol_form("v1")))))[0]
+    forms = [killing_data().phi_k, eta, *_basic_sections()]
+    expected = [laplacian(phi) - nkcheck._a_form(codifferential(phi)) for phi in forms]
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return codifferential(a)
+
+    monkeypatch.setattr(nkcheck, "codifferential", counting)
+    monkeypatch.setattr(dga, "codifferential", counting)
+    for phi, oracle in zip(forms, expected):
+        calls.clear()
+        assert (nkcheck._hermitian_laplacian(phi) - oracle).is_zero()
+        assert len(calls) == 2, phi
+
+
 def _sample_unitaries(mul):
     """Five Gaussian-rational unitaries.  Real rotations alone never
     separate the real-antisymmetric part of su_3 (conjugating by an

@@ -271,6 +271,25 @@ def test_spectrum_checks_fire_under_dash_O(run_python):
     assert proc.returncode == 2, proc.stderr
 
 
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "dash-O"])
+def test_spectrum_refuses_a_casimir_that_is_not_minus_a_third(run_python, flags):
+    # equal Casimirs -1/2 on every summand pass the equality check and must
+    # fail the normalization, also under python -O
+    script = (
+        "from fractions import Fraction as F\n"
+        "from nkspectra import spectrum as s\n"
+        "s._isotropy_casimirs = lambda space: [F(-1, 2)] * 6\n"
+        "try:\n"
+        "    s.scal_normalization_check(s.Space.FLAG)\n"
+        "except AssertionError as err:\n"
+        "    print(err)\n"
+        "    raise SystemExit(2)\n"
+    )
+    proc = run_python(["-c", script], *flags)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == b"flag: isotropy Casimir -1/2, not -1/3\n"
+
+
 def test_einstein_eigenvalues_are_absent():
     for space in Space:
         assert einstein_deformation_check(space) == (0, 0)

@@ -18,18 +18,16 @@ multiplicities.  A fiber is held as its content tuple, and a space is
 known by its isometry group, whose dimension rootrep derives.  The
 Casimirs `spectrum`'s check reads come from the tangent modules too.
 
-Hom counts on S3 x S3 are one Clebsch-Gordan interval count per fiber
-label.  On CP3 and on the flag they come from Kostant's closed forms in
-integer coordinates, the branching formula for SO5 -> U2 and the
-multiplicity formula for su3 weights, evaluated only at the label's top
-and at the fiber points (the U2 types of the fiber, or its torus weights,
-converted once at import to the coordinates the sum reads).  What is read is
-checked with explicit raises that survive `python -O`: the top occurs
-once, nothing is negative, and multiplicities agree within each Weyl
-orbit of fiber weights and on each pair of dual U2 types.  The
-Gelfand-Tsetlin tables of `rootrep.weight_multiplicities`, and the string
-counts n(m) - n(m + 2) `restrict_so5_to_u2` reads off them, are the
-independent oracles the test suite compares against; no command calls them.
+On every space a Hom count is one sum, over the fiber's K-types, of a
+closed multiplicity of that type in the label: a Clebsch-Gordan interval
+count on S3 x S3, the SO5 -> U2 branching read off the Gelfand-Tsetlin
+interlacing on CP3, and the su3 weight multiplicity of Fulton-Harris
+section 13.2 on the flag.  At import both closed forms must add up to the
+Weyl dimension on the labels of a small box, checked with explicit raises
+that survive `python -O`.  The Gelfand-Tsetlin tables of
+`rootrep.weight_multiplicities`, and the string counts n(m) - n(m + 2)
+`restrict_so5_to_u2` reads off them, are the independent oracles the test
+suite compares against; no command calls them.
 """
 
 from __future__ import annotations
@@ -44,6 +42,8 @@ from .rootrep import (
     _check_irrep,
     _scaled_casimir,
     dimension,
+    so5_label,
+    su3_label,
     tensor_decompose_su2,
     weight_multiplicities,
 )
@@ -63,11 +63,6 @@ class Bundle(Enum):
     LAMBDA11 = "lambda11"
 
     __hash__ = object.__hash__
-
-
-# the per-label Hom count reads these aliases, not Space.S3XS3 through the
-# Enum class (a Python-level EnumType.__getattr__ call in Python 3.11)
-_S3XS3, _CP3 = Space.S3XS3, Space.CP3
 
 
 # the isometry group of each space, in Space order
@@ -262,7 +257,7 @@ def restrict_so5_to_u2(irrep: IrrepLabel) -> List[Tuple[U2Label, int]]:
     for q, n in by_charge.items():
         counts = {m: n.get(m, 0) - n.get(m + 2, 0) for m in range(max(n) + 1)}
         if min(counts.values(), default=0) < 0:
-            raise AssertionError(f"{irrep}: string peeling went negative")
+            raise AssertionError(f"{irrep}: negative string count")
         if any(n.get(-m, 0) != c for m, c in n.items()):
             raise AssertionError(f"{irrep}: asymmetric string profile")
         out += [(U2Label(m, q), c) for m, c in counts.items() if c]
@@ -273,93 +268,6 @@ def restrict_so5_to_u2(irrep: IrrepLabel) -> List[Tuple[U2Label, int]]:
     return result
 
 
-# Kostant's formulas (Humphreys, GTM 9, section 24; Knapp, Lie Groups
-# Beyond an Introduction, Ch. IX).  A multiplicity at mu is the sum over
-# the Weyl group of det(w) P(w(lambda + rho) - (mu + rho)), where P counts
-# the ways to write a vector as a sum of a fixed set of positive roots.
-# Both sets used here are {beta1, beta2, beta1 + beta2}: the positive
-# roots of su3 for the weight multiplicities, and the so5 roots e1, e2,
-# e1 + e2 outside u2 for the branching.  Each Weyl group is generated at
-# import, as (det w, w) pairs of integer matrices on beta1, beta2
-# coordinates; the points are scaled by 3 for su3 and by 2 for so5 so that
-# lambda + rho and mu + rho are integral.
-
-def _weyl_group(order: int, *generators) -> Tuple:
-    """(det w, w) for the elements w that the 2x2 integer generators span."""
-    elements = [((1, 0), (0, 1))]
-    # discovery order: each element found, times each generator on the right
-    for (a, b), (c, d) in elements:
-        for (p, q), (r, s) in generators:
-            m = ((a * p + b * r, a * q + b * s), (c * p + d * r, c * q + d * s))
-            if m not in elements:
-                elements.append(m)
-        if len(elements) > order:  # a wrong generator may span an infinite group
-            break
-    if len(elements) != order:
-        raise AssertionError(f"the Weyl generators {generators} do not span {order} elements")
-    return tuple((a * d - b * c, ((a, b), (c, d))) for (a, b), (c, d) in elements)
-
-
-# su3 on simple-root coordinates, s1(x, y) = (y - x, y) and s2(x, y) = (x, x - y);
-# so5 on epsilon coordinates, the coordinate swap and the two sign changes
-_SU3_WEYL = _weyl_group(6, ((-1, 1), (0, 1)), ((1, 0), (1, -1)))
-_SO5_WEYL = _weyl_group(8, ((0, 1), (1, 0)), ((-1, 0), (0, 1)), ((1, 0), (0, -1)))
-
-
-def _partition(x: int, y: int) -> int:
-    """Ways to write x beta1 + y beta2 as a sum of beta1, beta2 and
-    beta1 + beta2."""
-    return min(x, y) + 1 if x >= 0 and y >= 0 else 0
-
-
-def _weyl_images(weyl, v: Tuple[int, int]) -> List[Tuple[int, Tuple[int, int]]]:
-    x, y = v
-    return [(sign, (a * x + b * y, c * x + d * y)) for sign, ((a, b), (c, d)) in weyl]
-
-
-def _kostant(images, scale: int, point: Tuple[int, int]) -> int:
-    """Kostant's signed sum at mu, from the images w(lambda + rho) and
-    point = mu + rho in scaled coordinates; a difference off the root
-    lattice, which then holds for every w, contributes nothing."""
-    x, y = point
-    return sum(
-        sign * _partition((u - x) // scale, (v - y) // scale)
-        for sign, (u, v) in images
-        if (u - x) % scale == 0 == (v - y) % scale
-    )
-
-
-def _su3_dominant(weight) -> Tuple[int, int]:
-    """Dynkin coordinates of the dominant weight in the Weyl orbit of an
-    integer sum-zero su3 weight."""
-    s = sorted(weight, reverse=True)
-    return (s[0] - s[1], s[1] - s[2])
-
-
-def _fiber_points(space: Space, bundle: Bundle) -> Tuple[Tuple[Tuple[int, int], str], ...]:
-    """mu + rho in scaled coordinates for each point Hom reads, with the
-    class of points that must share its multiplicity: on CP3 a U2 type
-    E(m, q), of highest weight ((q + m)/2, (q - m)/2), and its dual (so5
-    irreps are self-dual); on the flag an integer sum-zero torus weight
-    w1 alpha1 - w3 alpha2 and its Weyl orbit."""
-    if space is Space.CP3:
-        return tuple(
-            ((t.b + t.a + 3, t.b - t.a + 1), f"E({t.a},{abs(t.b)}) and its dual")
-            for t in _ISOTROPY_MODULES[space, bundle]
-        )
-    return tuple(
-        ((3 * w[0] + 3, 3 - 3 * w[2]), f"the Weyl orbit of {_su3_dominant(w)}")
-        for w in _ISOTROPY_MODULES[space, bundle]
-    )
-
-
-_FIBER_POINTS = {
-    (space, bundle): _fiber_points(space, bundle)
-    for space in (Space.CP3, Space.FLAG)
-    for bundle in Bundle
-}
-
-
 def _diagonal_su2_multiplicity(labels: Tuple[int, ...], k: int) -> int:
     """Multiplicity of V_k in V_a (x) V_b (x) V_c under the diagonal su2:
     the j in CG(a, b) with k in CG(j, c), one parity class of an interval."""
@@ -367,6 +275,57 @@ def _diagonal_su2_multiplicity(labels: Tuple[int, ...], k: int) -> int:
     if (a + b + c + k) % 2:
         return 0
     return max(0, (min(a + b, c + k) - max(abs(a - b), abs(c - k))) // 2 + 1)
+
+
+def _u2_multiplicity(labels: Tuple[int, ...], t: Tuple[int, int]) -> int:
+    """Multiplicity of E(m, c) in so5 V(a, b).  V(a, b) restricts to each
+    SO4 type (p, q) with a >= p >= b >= |q| once, and (p, q) holds E(p - q,
+    c) once for each |c| <= p + q of its parity (the Gelfand-Tsetlin
+    interlacing; Zhelobenko, section 70), so E(m, c) occurs once for each p
+    with max(b, m - b, (m + |c|) / 2) <= p <= min(a, m + b)."""
+    a, b = labels
+    m, c = t
+    return max(0, min(a, m + b) - max(b, m - b, (m + abs(c)) // 2) + 1)
+
+
+def _su3_weight_multiplicity(labels: Tuple[int, ...], weight: Tuple[int, int, int]) -> int:
+    """Multiplicity of an integer sum-zero weight w in su3 V(k, l).  With
+    mu = (max w, ., min w) the dominant weight of its Weyl orbit and lambda
+    - mu = a alpha1 + b alpha2, it is one more than the least of a, b, k
+    and l when a and b are nonnegative integers, else 0 (Fulton-Harris,
+    section 13.2): it grows by one per hexagonal ring and stops growing once
+    the rings turn triangular.  a and b are integers iff k = l mod 3."""
+    k, l = labels
+    a, off_lattice = divmod(2 * k + l - 3 * max(weight), 3)
+    b = (k + 2 * l + 3 * min(weight)) // 3
+    return 0 if off_lattice or a < 0 or b < 0 else 1 + min(a, b, k, l)
+
+
+def _check_closed_multiplicities() -> None:
+    # Each closed form must add up to the Weyl dimension on a box that holds
+    # every type it can count: E(m, c) lies in so5 V(x, y) only if m + |c|
+    # <= 2x, and an integer weight of su3 V(x, y) only if each |w_i| <= x +
+    # y.  Off the root lattice, x != y mod 3, su3 V(x, y) has no integer
+    # weight, so there the sum must be 0.
+    for x in range(4):
+        for y in range(4):
+            box = range(-x - y, x + y + 1)
+            weights = [(u, v, -u - v) for u in box for v in box if abs(u + v) <= x + y]
+            sums = [("su3", sum(_su3_weight_multiplicity((x, y), w) for w in weights),
+                     dimension(su3_label(x, y)) if (x - y) % 3 == 0 else 0)]
+            if y <= x:
+                types = [(m, c) for m in range(2 * x + 1) for c in range(m - 2 * x, 2 * x - m + 1, 2)]
+                sums.append(("so5", sum((m + 1) * _u2_multiplicity((x, y), (m, c)) for m, c in types),
+                             dimension(so5_label(x, y))))
+            for group, total, expected in sums:
+                if total != expected:
+                    raise AssertionError(f"{group} V({x},{y}): the multiplicities add up to {total}, not {expected}")
+
+
+_check_closed_multiplicities()
+
+# the closed multiplicity of one fiber K-type in a label of the space's group
+_MULTIPLICITY = dict(zip(Space, (_diagonal_su2_multiplicity, _u2_multiplicity, _su3_weight_multiplicity)))
 
 
 def _check_bundle(bundle: Bundle) -> None:
@@ -390,44 +349,15 @@ def hom_dimension(space: Space, irrep: IrrepLabel, bundle: Bundle) -> int:
 def _hom_count(space: Space, bundle: Bundle, labels: Tuple[int, ...]) -> int:
     """dim Hom_K for a raw label tuple of the space's group, with no
     argument checks: the callers have validated the space and the bundle
-    and walked the labels.
-
-    S3 x S3 counts intermediate Clebsch-Gordan labels per fiber label.  CP3
-    sums Kostant's SO5 -> U2 branching over the fiber types, and the flag
-    Kostant's weight multiplicities over the fiber weights, one signed
-    Weyl sum per point.  Before the sum is returned, the top type or
-    weight must have multiplicity 1, no multiplicity read may be negative,
-    and the multiplicities must agree on each dual pair (CP3) or Weyl
-    orbit (flag) of fiber points; each check raises AssertionError, also
-    under `python -O`.  The weight tables of `weight_multiplicities` and
+    and walked the labels.  It is the sum, over the K-types of the fiber,
+    of the space's closed multiplicity of that type in the label: a
+    diagonal su2 string on S3 x S3, a U2 type on CP3 and a torus weight on
+    the flag.  The weight tables of `weight_multiplicities` and
     `restrict_so5_to_u2` are not on this path; the tests use them as
     oracles.
     """
-    if space is _S3XS3:
-        total = 0
-        for k in _ISOTROPY_MODULES[space, bundle]:
-            total += _diagonal_su2_multiplicity(labels, k)
-        return total
-
-    # top = lambda + rho scaled: 2 (a + 3/2, b + 1/2) for so5, and for su3
-    # 3 times the simple-root coordinates of k omega1 + l omega2 + rho
-    x, y = labels
-    if space is _CP3:
-        top, weyl, scale = (2 * x + 3, 2 * y + 1), _SO5_WEYL, 2
-    else:
-        top, weyl, scale = (2 * x + y + 3, x + 2 * y + 3), _SU3_WEYL, 3
-    images = _weyl_images(weyl, top)
-    m = _kostant(images, scale, top)
-    if m != 1:
-        name = f"E({x - y},{x + y})" if space is _CP3 else f"({x}, {y})"
-        raise AssertionError(f"V({x},{y}): top {name} has multiplicity {m}")
-    shared: Dict[str, int] = {}
+    multiplicity = _MULTIPLICITY[space]
     total = 0
-    for point, symmetry_class in _FIBER_POINTS[space, bundle]:
-        m = _kostant(images, scale, point)
-        if m < 0:
-            raise AssertionError(f"V({x},{y}): negative Kostant multiplicity on {symmetry_class}")
-        if shared.setdefault(symmetry_class, m) != m:
-            raise AssertionError(f"V({x},{y}): Kostant multiplicities differ on {symmetry_class}")
-        total += m
+    for t in _ISOTROPY_MODULES[space, bundle]:
+        total += multiplicity(labels, t)
     return total

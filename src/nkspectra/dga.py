@@ -614,16 +614,19 @@ def basic_check(a: InvariantForm) -> bool:
 
 def kernel(sources: Sequence[InvariantForm], images: Sequence[InvariantForm]) -> Tuple[InvariantForm, ...]:
     """A basis of the combinations sum u_j sources_j of independent sources
-    whose sum u_j images_j is zero, scaled to coprime integer numerators,
-    the last positive.  Row j is image j's numerators beside the tag u_j =
-    its denominator, at keys past every monomial, so a row is sum u_j
-    images_j beside u; it is reduced at its least key by cross-multiplying
-    with the row kept there (Bareiss's fraction-free elimination) until no
-    row is, and kept.  A row then led by a tag has image zero."""
+    of one degree whose sum u_j images_j is zero, scaled to coprime integer
+    numerators, the last positive.  Row j is image j's numerators beside
+    the tag u_j = its denominator, at keys past every monomial, so a row is
+    sum u_j images_j beside u; it is reduced at its least key by
+    cross-multiplying with the row kept there (Bareiss's fraction-free
+    elimination) until no row is, and kept.  A row then led by a tag has
+    image zero."""
     for form in (*sources, *images):
         _require_form(form, "kernel")
     if len(sources) != len(images):
         raise ValueError("kernel takes one image per source")
+    if len({form.degree for form in sources}) > 1:
+        raise ValueError("kernel takes sources of one degree")
     kept, basis = {}, []  # least key -> row, in echelon form
     for j, image in enumerate(images):
         row = {**dict(image.terms), (len(_INDICES), j): image.denominator}

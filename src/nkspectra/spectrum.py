@@ -75,7 +75,8 @@ def enumerate_spectrum(
     answers any smaller cutoff by filtering it; every call returns a new
     list.  LabelBoxTooLarge is raised before any Hom is counted when the
     cutoff walks too many labels; below that bound every label's Hom is a
-    few Kostant sums, so no other bound is needed.
+    sum of closed multiplicities over the fiber, so no other bound is
+    needed.
 
     Hom is counted on the walk's plain label tuples, so an IrrepLabel and
     a SpectrumEntry, each validated by its constructor, are built only for

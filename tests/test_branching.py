@@ -1,8 +1,10 @@
 """Isotropy fibers and Hom_K multiplicities for the three spaces."""
 
 import random
+import types
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from nkspectra.rootrep import (
     Group,
     IrrepLabel,
     WeightTable,
+    _pattern_weights,
     canonical_weight,
     dimension,
     iter_labels,
@@ -209,7 +212,7 @@ def _planted_weights(monkeypatch, weights):
         # at charge 1 only m = -1: the top of the profile is negative
         ({(0, 1): 1}, "V(1,0): asymmetric string profile"),
         # at charge 0 the string E(2, 0) needs m = 0 and m = -2 as well
-        ({(1, -1): 1}, "V(1,0): string peeling went negative"),
+        ({(1, -1): 1}, "V(1,0): negative string count"),
     ],
     ids=["asymmetric", "negative-peel"],
 )
@@ -366,6 +369,35 @@ def test_flag_function_hom_is_zero_weight_multiplicity():
             assert got == expected, (k, l)
 
 
+def test_su3_weight_multiplicity_against_the_patterns():
+    # every integer sum-zero weight in the box |w_i| <= k + l: the
+    # Gelfand-Tsetlin count on the root lattice, k = l mod 3, where the
+    # pattern weights shifted by (k + 2l) / 3 are the integer ones, and 0
+    # off it, where V(k, l) has no integer weight
+    for k in range(13):
+        for l in range(13):
+            shift, off_lattice = divmod(k + 2 * l, 3)
+            patterns = Counter() if off_lattice else Counter({
+                tuple(c - shift for c in w): m for w, m in _pattern_weights(su3_label(k, l)).items()
+            })
+            box = range(-k - l, k + l + 1)
+            for u in box:
+                for v in box:
+                    w = (u, v, -u - v)
+                    assert branching._su3_weight_multiplicity((k, l), w) == patterns[w], (k, l, w)
+
+
+def test_u2_multiplicity_against_the_string_counts():
+    # every E(m, c) with m + |c| <= 2a, the box that holds V(a, b)'s types
+    for a in range(13):
+        for b in range(a + 1):
+            restricted = dict(restrict_so5_to_u2(so5_label(a, b)))
+            for m in range(2 * a + 1):
+                for c in range(m - 2 * a, 2 * a - m + 1, 2):
+                    got = branching._u2_multiplicity((a, b), U2Label(m, c))
+                    assert got == restricted.get(U2Label(m, c), 0), (a, b, m, c)
+
+
 def _weight_table_homs(space, lab):
     """Hom for both bundles read off the weight-table oracles."""
     if space is Space.CP3:
@@ -406,100 +438,61 @@ def test_hom_matches_whole_kostant_tables_up_to_1000(kostant_homs):
     assert _sweep_mismatches(kostant_homs) == []
 
 
-def _flip_sign(index):
-    def broken(table):
-        sign, matrix = table[index]
-        return table[:index] + ((-sign, matrix),) + table[index + 1:]
+# planted faults in the closed multiplicities, each with the message of the
+# import check that refuses it: on the flag the cap without k and l,
+# without k or without l, and the divisibility test dropped; on CP3 |c| read
+# as c, the lower bound m - b or b dropped, and a + 1 read for a.  The su3
+# labels off the root lattice, whose sum must be 0, are the only ones that
+# see the dropped divisibility test
+_MUTANTS = {
+    "cap-without-k-l": ("else 1 + min(a, b, k, l)", "else 1 + min(a, b)",
+                        "su3 V(0,3): the multiplicities add up to 11, not 10"),
+    "cap-without-k": ("else 1 + min(a, b, k, l)", "else 1 + min(a, b, l)",
+                      "su3 V(0,3): the multiplicities add up to 11, not 10"),
+    "cap-without-l": ("else 1 + min(a, b, k, l)", "else 1 + min(a, b, k)",
+                      "su3 V(3,0): the multiplicities add up to 11, not 10"),
+    "no-divisibility": ("0 if off_lattice or a < 0", "0 if a < 0",
+                        "su3 V(0,1): the multiplicities add up to 1, not 0"),
+    "c-for-abs-c": ("(m + abs(c)) // 2", "(m + c) // 2",
+                    "so5 V(1,0): the multiplicities add up to 6, not 5"),
+    "no-m-minus-b": ("max(b, m - b, (m + abs(c))", "max(b, (m + abs(c))",
+                     "so5 V(1,0): the multiplicities add up to 8, not 5"),
+    "a-plus-1": ("min(a, m + b) - max", "min(a + 1, m + b) - max",
+                 "so5 V(1,0): the multiplicities add up to 8, not 5"),
+    "no-b": ("max(b, m - b, (m + abs(c))", "max(m - b, (m + abs(c))",
+             "so5 V(1,1): the multiplicities add up to 11, not 10"),
+}
 
-    return broken
-
-
-def _two_root_partition(x, y):
-    # partition function of beta1 and beta2 alone: drops beta1 + beta2
-    return 1 if x >= 0 and y >= 0 else 0
-
-
-def _first_check_message(space, cutoff):
-    """The message of the first per-label check that raises on a label
-    up to the cutoff, in either bundle, or None."""
-    for lab in iter_labels(space_group(space), cutoff):
-        for bundle in Bundle:
-            try:
-                hom_dimension(space, lab, bundle)
-            except AssertionError as exc:
-                return str(exc)
-    return None
-
-
-@pytest.mark.parametrize(
-    "space,attr,broken,message",
-    [
-        # entry 0 is the identity, so5 entry 1 the coordinate swap
-        (Space.CP3, "_SO5_WEYL", _flip_sign(0), "top E"),
-        (Space.FLAG, "_SU3_WEYL", _flip_sign(0), "top"),
-        (Space.CP3, "_SO5_WEYL", _flip_sign(1), "and its dual"),
-        (Space.CP3, "_partition", lambda _: _two_root_partition, "negative"),
-        (Space.FLAG, "_partition", lambda _: _two_root_partition, "negative"),
-    ],
-)
-def test_kostant_checks_fire(monkeypatch, kostant_homs, space, attr, broken, message):
-    # a broken Kostant input is caught by a per-label check at a label up
-    # to eigenvalue 60, or else by the sweep against the whole tables
-    monkeypatch.setattr(branching, attr, broken(getattr(branching, attr)))
-    raised = _first_check_message(space, Fraction(60))
-    if raised is None:
-        assert _sweep_mismatches(kostant_homs), "the broken input went unnoticed"
-    else:
-        assert message in raised
+def _planted(plant, fault, check=True):
+    """branching's source, with its one occurrence of the plant text
+    replaced by the fault (and, unless check, the import check's call
+    taken out), run as a fresh module of the package."""
+    source = Path(branching.__file__).read_text(encoding="utf-8")
+    assert source.count(plant) == 1, plant
+    source = source.replace(plant, fault)
+    if not check:
+        source = source.replace("\n_check_closed_multiplicities()\n", "\n")
+    module = types.ModuleType(branching.__name__)
+    module.__package__ = branching.__package__
+    exec(compile(source, branching.__file__, "exec"), module.__dict__)
+    return module
 
 
-@pytest.mark.parametrize(
-    "space,attr,index,message",
-    [
-        (Space.FLAG, "_SU3_WEYL", 1, "V(0,0): Kostant multiplicities differ on the Weyl orbit of (3, 0)"),
-        (Space.CP3, "_SO5_WEYL", 3, "V(0,0): Kostant multiplicities differ on E(1,3) and its dual"),
-    ],
-    ids=["weyl-orbit", "self-duality"],
-)
-def test_symmetry_checks_fire(monkeypatch, space, attr, index, message):
-    # at the trivial label both broken tables keep the top at 1 and every
-    # multiplicity read nonnegative, but read 4 at E(1,-3) against 0 at
-    # E(1,3), and 2 against 0 within the Weyl orbit of 3 omega1
-    monkeypatch.setattr(branching, attr, _flip_sign(index)(getattr(branching, attr)))
-    trivial = IrrepLabel(space_group(space), (0, 0))
-    assert hom_dimension(space, trivial, Bundle.FUNCTIONS) == 1
-    with pytest.raises(AssertionError) as info:
-        hom_dimension(space, trivial, Bundle.LAMBDA11)
-    assert str(info.value) == message
-
-
-def test_kostant_checks_fire_under_dash_O(run_python):
-    # the checks are explicit raises, so python -O keeps them: the top,
-    # the sign, the Weyl-orbit and the self-duality check, in that order
-    script = (
-        "from nkspectra import branching as b\n"
-        "from nkspectra.rootrep import Group, IrrepLabel\n"
-        "for space, attr, index in ((b.Space.FLAG, '_SU3_WEYL', 0),\n"
-        "        (b.Space.FLAG, '_SU3_WEYL', 3), (b.Space.FLAG, '_SU3_WEYL', 1),\n"
-        "        (b.Space.CP3, '_SO5_WEYL', 3)):\n"
-        "    table = getattr(b, attr)\n"
-        "    (s, m), rest = table[index], table[index + 1:]\n"
-        "    setattr(b, attr, table[:index] + ((-s, m),) + rest)\n"
-        "    label = IrrepLabel(b.space_group(space), (0, 0))\n"
-        "    try:\n"
-        "        b.hom_dimension(space, label, b.Bundle.LAMBDA11)\n"
-        "    except AssertionError as exc:\n"
-        "        print(exc)\n"
-        "    setattr(b, attr, table)\n"
-    )
-    proc = run_python(["-c", script], "-O")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.decode().splitlines() == [
-        "V(0,0): top (0, 0) has multiplicity -1",
-        "V(0,0): negative Kostant multiplicity on the Weyl orbit of (0, 3)",
-        "V(0,0): Kostant multiplicities differ on the Weyl orbit of (3, 0)",
-        "V(0,0): Kostant multiplicities differ on E(1,3) and its dual",
-    ]
+@pytest.mark.parametrize("name", list(_MUTANTS))
+def test_each_closed_form_fault_is_caught(monkeypatch, kostant_homs, run_planted, name):
+    # the import check refuses each fault, also under python -O, which
+    # keeps its explicit raise; with that check taken out, the sweep
+    # against the whole Kostant tables still sees the fault
+    plant, fault, message = _MUTANTS[name]
+    with pytest.raises(AssertionError) as err:
+        _planted(plant, fault)
+    assert str(err.value) == message
+    proc = run_planted(branching, plant, fault, "import nkspectra", ("-O",))
+    assert proc.returncode == 1
+    assert proc.stderr.decode().splitlines()[-1] == f"AssertionError: {message}"
+    module = _planted(plant, fault, check=False)
+    monkeypatch.setattr(branching, "_MULTIPLICITY", dict(zip(Space, module._MULTIPLICITY.values())))
+    assert _sweep_mismatches(kostant_homs), "the fault went unnoticed"
 
 
 def test_isotropy_modules_are_built_once():

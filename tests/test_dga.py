@@ -961,6 +961,15 @@ def test_the_metric_operations_refuse_anything_but_a_form(name, other):
     assert str(err.value) == f"{op} takes an InvariantForm, not {type(other).__name__}"
 
 
+@pytest.mark.parametrize("images", [(InvariantForm.zero(0),) * 2, (e(3),) * 2], ids=["zero", "e3"])
+def test_kernel_refuses_sources_of_mixed_degree(images):
+    # with zero images the 1-form and the 2-form came back as a "basis", and
+    # with e(3) twice the sum of the sources raised "degree mismatch in sum"
+    with pytest.raises(ValueError) as err:
+        kernel([e(1), e(1, 2)], images)
+    assert str(err.value) == "kernel takes sources of one degree"
+
+
 def test_degree_validation():
     with pytest.raises(ValueError):
         alpha(e(1))

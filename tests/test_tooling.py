@@ -93,12 +93,12 @@ def test_importing_dga_does_no_matrix_arithmetic(run_python):
 
 
 # every subcommand, on every space and bundle it takes, under a hook that
-# counts calls of the weight-table oracles and of the Fraction weights they
-# read, installed before the package is imported; then each name once, so
-# the hook is seen to work
+# counts calls of the weight-table oracles, of the Gelfand-Tsetlin patterns
+# and the Fraction weights they read, installed before the package is
+# imported; then each name once, so the hook is seen to work
 _ORACLE_NAMES = (
     "weight_multiplicities", "restrict_so5_to_u2", "canonical_weight", "weight_inner",
-    "highest_weight",
+    "highest_weight", "_pattern_weights",
 )
 _ORACLE_CALLS = f"""\
 import contextlib, io, sys

@@ -131,6 +131,7 @@ def a_norm_squared(x: Sequence[Fraction]) -> Fraction:
 _PRIMITIVE_PAIRS = ((1, 2), (5, 6), (1, 3), (1, 4), (1, 5), (1, 6), (3, 5), (3, 6))
 
 
+# cached: 0.6 ms a build, shared by suites 1 and 4; keyed on pairs, so new pairs rebuild
 @lru_cache(maxsize=None)
 def _projections(pairs: Tuple[Tuple[int, int], ...]) -> Tuple[InvariantForm, ...]:
     """The primitive (1,1) parts of e^p over the index pairs p."""
@@ -341,7 +342,6 @@ def verify_eigenfunction_suite() -> VerificationReport:
 # --------------------------------------------------------------------------
 # Suite 4: the 8-dim space of moduli generators
 
-@lru_cache(maxsize=None)
 def moduli_space() -> Tuple[InvariantForm, ...]:
     """A basis of the flag's NK as G-maps out of su_3: the co-closed basic
     sections among the 64 P_r c_s, c_s in x_1..x_6, v_1, v_2.  Linear in

@@ -11,10 +11,9 @@ checks) is bookkeeping over these entries.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from operator import itemgetter
-from typing import Dict, List, NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
 from .branching import Bundle, Space, _check_bundle, _hom_count, _isotropy_casimirs, space_group
 from .rootrep import (
@@ -23,7 +22,6 @@ from .rootrep import (
     IrrepLabel,
     _walk_labels,
     dimension,
-    exact_cutoff,
     laplace_eigenvalue,
 )
 
@@ -58,11 +56,6 @@ class SpectrumEntry(NamedTuple("SpectrumEntry", _ENTRY_FIELDS)):
         return self.hom_dim * self.irrep_dim
 
 
-# (space, bundle) -> (cutoff, rows): the widest table built so far, as
-# (6 * eigenvalue, entry) rows in (eigenvalue, label) order
-_TABLES: Dict[Tuple[Space, Bundle], Tuple[Fraction, List[Tuple[int, SpectrumEntry]]]] = {}
-
-
 def enumerate_spectrum(
     space: Space, bundle: Bundle, cutoff
 ) -> List[SpectrumEntry]:
@@ -70,13 +63,10 @@ def enumerate_spectrum(
     multiplicity, sorted by (eigenvalue, label).
 
     The space must be a Space, the bundle a Bundle and the cutoff a
-    nonnegative int or Fraction; anything else raises ValueError.  Each
-    (space, bundle) keeps the widest table built in this process and
-    answers any smaller cutoff by filtering it; every call returns a new
-    list.  LabelBoxTooLarge is raised before any Hom is counted when the
-    cutoff walks too many labels; below that bound every label's Hom is a
-    sum of closed multiplicities over the fiber, so no other bound is
-    needed.
+    nonnegative int or Fraction; anything else raises ValueError.
+    LabelBoxTooLarge is raised before any Hom is counted when the cutoff
+    walks too many labels; below that bound every label's Hom is a sum of
+    closed multiplicities over the fiber, so no other bound is needed.
 
     Hom is counted on the walk's plain label tuples, so an IrrepLabel and
     a SpectrumEntry, each validated by its constructor, are built only for
@@ -84,21 +74,16 @@ def enumerate_spectrum(
     """
     group = space_group(space)
     _check_bundle(bundle)
-    cutoff = exact_cutoff(cutoff)
-    table = _TABLES.get((space, bundle))
-    if table is None or table[0] < cutoff:
-        six_laplace = _SIX_LAPLACE[group]
-        rows = [
-            (six_laplace(*labels), SpectrumEntry(IrrepLabel(group, labels), hom))
-            for labels in _walk_labels(group, cutoff)
-            if (hom := _hom_count(space, bundle, labels))
-        ]
-        # the walk is lexicographic, so a stable sort on the integer
-        # 6 * eigenvalue keeps equal eigenvalues in label order
-        rows.sort(key=itemgetter(0))
-        _TABLES[space, bundle] = table = (cutoff, rows)
-    bound = math.floor(6 * cutoff)
-    return [entry for six, entry in table[1] if six <= bound]
+    six_laplace = _SIX_LAPLACE[group]
+    rows = [
+        (six_laplace(*labels), SpectrumEntry(IrrepLabel(group, labels), hom))
+        for labels in _walk_labels(group, cutoff)
+        if (hom := _hom_count(space, bundle, labels))
+    ]
+    # the walk is lexicographic, so a stable sort on the integer
+    # 6 * eigenvalue keeps equal eigenvalues in label order
+    rows.sort(key=itemgetter(0))
+    return [entry for _, entry in rows]
 
 
 def eigenspace_multiplicity(space: Space, bundle: Bundle, eigenvalue) -> int:

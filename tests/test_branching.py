@@ -414,7 +414,7 @@ def _weight_table_homs(space, lab):
     }
 
 
-def test_kostant_hom_matches_weight_tables_up_to_300():
+def test_closed_multiplicity_hom_matches_weight_tables_up_to_300():
     # eigenvalue 300 is the benchmark's spectrum band
     checked = 0
     for space in (Space.CP3, Space.FLAG):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from nkspectra import cli, nkcheck, spectrum
+from nkspectra import cli, nkcheck
 from nkspectra.cli import main
 from nkspectra.rootrep import MAX_LABEL_BOX
 
@@ -169,8 +169,7 @@ SPECTRUM_JSON_SHA256 = {
 }
 
 
-def _pinned_json(monkeypatch, capsys, space, bundle, cutoff):
-    monkeypatch.setattr(spectrum, "_TABLES", {})
+def _pinned_json(capsys, space, bundle, cutoff):
     code, out = _run(
         capsys, "spectrum", "--space", space, "--bundle", bundle,
         "--cutoff", cutoff, "--format", "json",
@@ -183,26 +182,23 @@ def _pinned_json(monkeypatch, capsys, space, bundle, cutoff):
 @pytest.mark.parametrize(
     "space,bundle", sorted(key[:2] for key in SPECTRUM_JSON_SHA256 if key[2] == "1000")
 )
-def test_spectrum_json_at_1000_is_pinned(monkeypatch, capsys, space, bundle):
-    _pinned_json(monkeypatch, capsys, space, bundle, "1000")
+def test_spectrum_json_at_1000_is_pinned(capsys, space, bundle):
+    _pinned_json(capsys, space, bundle, "1000")
 
 
 @pytest.mark.parametrize(
     "space,bundle,cutoff", sorted(key for key in SPECTRUM_JSON_SHA256 if key[2] != "1000")
 )
-def test_spectrum_json_at_the_old_kostant_bound_is_pinned(
-    monkeypatch, capsys, space, bundle, cutoff
-):
-    _pinned_json(monkeypatch, capsys, space, bundle, cutoff)
+def test_spectrum_json_at_the_old_kostant_bound_is_pinned(capsys, space, bundle, cutoff):
+    _pinned_json(capsys, space, bundle, cutoff)
 
 
 @pytest.mark.parametrize("bundle", ["functions", "lambda11"])
 @pytest.mark.parametrize("space", ["s3xs3", "cp3", "flag"])
-def test_spectrum_json_is_what_json_dumps_prints(monkeypatch, capsys, tmp_path, space, bundle):
+def test_spectrum_json_is_what_json_dumps_prints(capsys, tmp_path, space, bundle):
     # cli._json against json.dumps of the same payload, on stdout and
     # through --output; s3xs3 lambda11 at 0 has no entries
     for cutoff in ("0", "16/3", "12", "300"):
-        monkeypatch.setattr(spectrum, "_TABLES", {})
         payload = cli._spectrum_payload(
             cli.Space(space), cli.Bundle(bundle), Fraction(cutoff)
         )

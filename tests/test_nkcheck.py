@@ -222,7 +222,7 @@ def test_moduli_generator_rank():
     sections = moduli_space()
     assert [str(phi) for phi in sections] == ["v_3 e_12 - v_2 e_34 + v_1 e_56"]
     assert _LIE_DIMENSION[Group.SU3] * len(sections) == 8
-    assert moduli_space() is sections
+    assert moduli_space() == sections
 
 
 def test_moduli_generator_rank_makes_few_dense_products():
@@ -233,7 +233,6 @@ def test_moduli_generator_rank_makes_few_dense_products():
         if event == "call" and frame.f_code in codes:
             codes[frame.f_code] += 1
 
-    moduli_space.cache_clear()
     sys.setprofile(hook)
     try:
         sections = moduli_space()
@@ -254,11 +253,7 @@ def test_moduli_generator_rank_reduces_each_candidate_once(monkeypatch):
         return found
 
     monkeypatch.setattr(nkcheck, "kernel", counting)
-    moduli_space.cache_clear()
-    try:
-        assert len(moduli_space()) == 1
-    finally:
-        moduli_space.cache_clear()
+    assert len(moduli_space()) == 1
     assert calls == [(64, 64, 4), (4, 4, 1)]
 
 
@@ -273,15 +268,11 @@ def test_a_dropped_kernel_vector_fails_the_rank_checks(monkeypatch):
         return fault
 
     monkeypatch.setattr(nkcheck, "kernel", dropping(last_only=False))
-    moduli_space.cache_clear()
-    try:
-        with pytest.raises(AssertionError, match="^3 basic primitive .1,1. sections, not 4$"):
-            moduli_space()
-        monkeypatch.setattr(nkcheck, "kernel", dropping(last_only=True))
-        assert moduli_space() == ()
-        checks = {c.name: c for c in verify_moduli_generators().checks}
-    finally:
-        moduli_space.cache_clear()
+    with pytest.raises(AssertionError, match="^3 basic primitive .1,1. sections, not 4$"):
+        moduli_space()
+    monkeypatch.setattr(nkcheck, "kernel", dropping(last_only=True))
+    assert moduli_space() == ()
+    checks = {c.name: c for c in verify_moduli_generators().checks}
     for name in ("generator_rank_8", "rank_meets_spectral_bound"):
         assert not checks[name].passed
         assert checks[name].residual == "8"

@@ -37,7 +37,7 @@ def _table(space, bundle, cutoff=12):
     return out
 
 
-EXPECTED_TABLES = {
+EXPECTED_MULTIPLICITIES = {
     (Space.S3XS3, Bundle.LAMBDA11): {Fraction(9): 12, Fraction(12): 9},
     (Space.S3XS3, Bundle.FUNCTIONS): {Fraction(0): 1, Fraction(9): 12},
     (Space.CP3, Bundle.LAMBDA11): {Fraction(0): 1, Fraction(8): 5, Fraction(12): 20},
@@ -47,9 +47,9 @@ EXPECTED_TABLES = {
 }
 
 
-@pytest.mark.parametrize("space,bundle", sorted(EXPECTED_TABLES, key=str))
+@pytest.mark.parametrize("space,bundle", sorted(EXPECTED_MULTIPLICITIES, key=str))
 def test_spectrum_tables_up_to_twelve(space, bundle):
-    assert _table(space, bundle) == EXPECTED_TABLES[(space, bundle)]
+    assert _table(space, bundle) == EXPECTED_MULTIPLICITIES[(space, bundle)]
 
 
 def test_s3xs3_eigenvalue_twelve_labels():
@@ -114,9 +114,28 @@ def test_cutoff_is_a_prefix_filter():
             assert narrow == [e for e in wide if e.eigenvalue <= 12]
 
 
-def test_reports_share_one_walk_per_bundle(monkeypatch):
-    from nkspectra import spectrum
+def test_repeated_calls_agree():
+    # nothing is kept between calls: the same arguments give equal lists,
+    # whatever was asked before and whatever a caller did to its list
+    for space in Space:
+        for bundle in Bundle:
+            narrow = enumerate_spectrum(space, bundle, 12)
+            wide = enumerate_spectrum(space, bundle, 30)
+            assert enumerate_spectrum(space, bundle, 12) == narrow
+            assert enumerate_spectrum(space, bundle, 30) == wide
+            expected = list(narrow)
+            narrow.clear()
+            assert enumerate_spectrum(space, bundle, 12) == expected
 
+
+def test_each_enumeration_walks_once(monkeypatch):
+    # each call walks the labels for its own cutoff: a narrow call after a
+    # wide one walks again, and every result equals a fresh call's
+    cutoffs = (300, 12, 300)
+    fresh = {
+        (space, bundle, cutoff): enumerate_spectrum(space, bundle, cutoff)
+        for space in Space for bundle in Bundle for cutoff in set(cutoffs)
+    }
     walks = []
     real = spectrum._walk_labels
 
@@ -126,35 +145,11 @@ def test_reports_share_one_walk_per_bundle(monkeypatch):
 
     monkeypatch.setattr(spectrum, "_walk_labels", counting)
     for space in Space:
-        monkeypatch.setattr(spectrum, "_TABLES", {})
-        walks.clear()
-        moduli_upper_bound(space)
-        einstein_deformation_check(space)
         for bundle in Bundle:
-            enumerate_spectrum(space, bundle, 12)
-        assert len(walks) == 2, (space, walks)
-
-
-def test_reused_tables_match_fresh_ones(monkeypatch):
-    from nkspectra import spectrum
-
-    def fresh(space, bundle, cutoff):
-        monkeypatch.setattr(spectrum, "_TABLES", {})
-        return enumerate_spectrum(space, bundle, cutoff)
-
-    for space in Space:
-        for bundle in Bundle:
-            narrow, wide = fresh(space, bundle, 12), fresh(space, bundle, 30)
-            monkeypatch.setattr(spectrum, "_TABLES", {})
-            first = enumerate_spectrum(space, bundle, 12)
-            assert first == narrow
-            widest = enumerate_spectrum(space, bundle, 30)
-            assert widest == wide
-            # callers own the lists they get back
-            first.clear()
-            widest.append(widest[0])
-            assert enumerate_spectrum(space, bundle, 12) == narrow
-            assert enumerate_spectrum(space, bundle, 30) == wide
+            walks.clear()
+            for cutoff in cutoffs:
+                assert enumerate_spectrum(space, bundle, cutoff) == fresh[space, bundle, cutoff]
+            assert walks == list(cutoffs), (space, bundle)
 
 
 def test_negative_cutoff_rejected():
@@ -167,10 +162,9 @@ def test_negative_cutoff_rejected():
 @pytest.mark.parametrize(
     "value", [True, False, 0.1, float("inf"), 12.0, "12", None], ids=repr
 )
-def test_inexact_cutoffs_are_refused(monkeypatch, value):
+def test_inexact_cutoffs_are_refused(value):
     # True used to read as cutoff 1, 0.1 as 3602879701896397/36028797018963968,
     # and inf raised OverflowError
-    monkeypatch.setattr(spectrum, "_TABLES", {})
     calls = (
         lambda: iter_labels(Group.SO5, value),
         lambda: enumerate_spectrum(Space.CP3, Bundle.LAMBDA11, value),
@@ -179,7 +173,6 @@ def test_inexact_cutoffs_are_refused(monkeypatch, value):
     for call in calls:
         with pytest.raises(ValueError, match="is not an int or a Fraction"):
             call()
-    assert spectrum._TABLES == {}
 
 
 def test_eigenspace_multiplicity_off_spectrum():
@@ -248,7 +241,6 @@ def test_one_eigenvalue_per_entry(monkeypatch):
         calls.append(irrep)
         return laplace(irrep)
 
-    monkeypatch.setattr(spectrum, "_TABLES", {})
     monkeypatch.setattr(spectrum, "laplace_eigenvalue", counting)
     entries = enumerate_spectrum(Space.S3XS3, Bundle.LAMBDA11, 300)
     assert sum(e.eigenvalue for e in entries) == sum(map(laplace, calls))
@@ -373,11 +365,10 @@ def test_one_weyl_dimension_per_label(space, weyl_dimension):
 
 @pytest.mark.parametrize("bundle", list(Bundle), ids=lambda b: b.value)
 @pytest.mark.parametrize("space", list(Space), ids=lambda s: s.value)
-def test_enumeration_matches_the_public_per_label_path(monkeypatch, space, bundle):
+def test_enumeration_matches_the_public_per_label_path(space, bundle):
     # Hom counted on raw tuples, entries built only where it is nonzero,
     # against an entry for every label of iter_labels with a nonzero
     # hom_dimension, sorted by (Fraction eigenvalue, labels)
-    monkeypatch.setattr(spectrum, "_TABLES", {})
     group = space_group(space)
     expected = [
         spectrum.SpectrumEntry(lab, hom)
@@ -406,14 +397,12 @@ def test_spectrum_refuses_a_space_or_bundle_that_is_not_an_enum(space, bundle, m
         assert "\n" not in str(err.value)
 
 
-def test_integer_keyed_tables_match_a_brute_force_list(monkeypatch):
+def test_integer_keyed_tables_match_a_brute_force_list():
     # the walk, every Hom, a sort on (Fraction eigenvalue, labels) and a
-    # Fraction filter; the cutoffs build, widen and then filter a table,
-    # and 143/12, just below 12 with 6 * cutoff not an integer, must drop
-    # eigenvalue 12
+    # Fraction filter; the cutoffs rise and fall again, and 143/12, just
+    # below 12 with 6 * cutoff not an integer, must drop eigenvalue 12
     from nkspectra.rootrep import laplace_eigenvalue
 
-    monkeypatch.setattr(spectrum, "_TABLES", {})
     widest = Fraction(601, 2)
     for space in Space:
         group = space_group(space)

@@ -242,6 +242,113 @@ def test_only_dga_eliminates():
         assert uses == [], path.name
 
 
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+_SCOPES = _FUNCTIONS + (ast.ClassDef,)
+# the list, dict and set methods that change their receiver in place
+_IN_PLACE = {
+    "append", "extend", "insert", "pop", "popitem", "remove", "clear", "update",
+    "setdefault", "add", "discard", "sort", "reverse", "__setitem__", "__delitem__",
+    "difference_update", "intersection_update", "symmetric_difference_update",
+}
+
+
+def _in_scope(node):
+    """The nodes under node, stopping at (but yielding) each nested
+    function, lambda and class."""
+    for child in ast.iter_child_nodes(node):
+        yield child
+        if not isinstance(child, _SCOPES):
+            yield from _in_scope(child)
+
+
+def _bound(scope) -> set:
+    """The names a scope binds: parameters, stores, and the functions and
+    classes it defines; an imported name is another module's state."""
+    names = set()
+    if isinstance(scope, _FUNCTIONS):
+        a = scope.args
+        names |= {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p}
+    for node in _in_scope(scope):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+    return names
+
+
+def _root(node):
+    """The name under a chain of subscripts and attributes, else None."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _changed(node):
+    """What a subscript or attribute store or deletion, or a call of an
+    in-place method, changes; None for any other node."""
+    if isinstance(node, (ast.Subscript, ast.Attribute)) and isinstance(node.ctx, (ast.Store, ast.Del)):
+        return node
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", None) in _IN_PLACE:
+        return node.func.value
+    return None
+
+
+def _state_writes(scope, module_names, in_function=False):
+    """(line, name) of each write, made inside a function, into a name that
+    the module binds and the function does not: a subscript or attribute
+    store, a global statement, or a call of an in-place method."""
+    for node in _in_scope(scope):
+        if isinstance(node, _SCOPES):
+            function = isinstance(node, _FUNCTIONS)
+            visible = module_names - _bound(node) if function else module_names
+            yield from _state_writes(node, visible, in_function or function)
+        elif in_function and isinstance(node, ast.Global):
+            yield from ((node.lineno, name) for name in node.names)
+        elif in_function and (name := _root(_changed(node))) in module_names:
+            yield node.lineno, name
+
+
+def _module_state_writes(source: str):
+    tree = ast.parse(source)
+    return list(_state_writes(tree, _bound(tree)))
+
+
+_PLANTED_WRITES = """\
+import sys
+_SEEN = {}
+_ORDER = []
+_COUNT = 0
+
+
+def not_flagged(_ORDER, key):
+    local = {}
+    local[key] = _SEEN.get(key)
+    _ORDER.append(key)
+    sys.modules[key] = local
+
+
+def flagged(key):
+    _SEEN[key] = 1
+    _SEEN.setdefault(key, 2)
+    _ORDER.append(key)
+    global _COUNT
+    return lambda: _ORDER.clear()
+"""
+
+
+def test_no_function_writes_module_state():
+    # state that a function stores at module level is shared by every
+    # caller in the process, so one test can change what the next one
+    # sees; functools.lru_cache is the only memo.  The planted source shows
+    # each kind of write is seen, and that locals, parameters and other
+    # modules' state are not
+    assert _module_state_writes(_PLANTED_WRITES) == [
+        (15, "_SEEN"), (16, "_SEEN"), (17, "_ORDER"), (18, "_COUNT"), (19, "_ORDER"),
+    ]
+    for path in sorted((ROOT / "src" / "nkspectra").glob("*.py")):
+        assert _module_state_writes(path.read_text(encoding="utf-8")) == [], path.name
+
+
 def _int_literal(node) -> int:
     """The value of an int literal (a bool is not one), else -1."""
     is_int = isinstance(node, ast.Constant) and type(node.value) is int
@@ -332,13 +439,12 @@ def test_benchmark_output_gate_passes_in_process(seed, monkeypatch, capsys):
     # the benchmark's own check on every invocation of every workload:
     # byte-identity with the seed reference, then the closed forms, so a
     # changed byte fails here as well as in benchmarks/run.py
-    from nkspectra import cli, spectrum
+    from nkspectra import cli
 
     workloads = _benchmark_workloads(monkeypatch)
     reference = workloads.load_reference()
     for name in workloads.WORKLOADS:
         for inv in workloads.build(name, seed):
-            monkeypatch.setattr(spectrum, "_TABLES", {})
             code = cli.main(list(inv.argv))
             stdout = capsys.readouterr().out.encode("utf-8")
             assert code == 0, inv.argv
